@@ -118,6 +118,16 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return frozenset(words)
 
 
+def _labels(value, where: str) -> frozenset[str] | None:
+    """A record's `labels`: absent/null or a list of strings; an empty
+    list means no labels, like an absent one."""
+    if value is None:
+        return None
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{where}: 'labels' must be a list of strings")
+    return frozenset(value) or None
+
+
 def _parse_records(path: str | Path, language: str) -> list[dict]:
     records = []
     seen_ids: set[str] = set()
@@ -148,6 +158,7 @@ def _parse_records(path: str | Path, language: str) -> list[dict]:
             if doc_id in seen_ids:
                 raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             seen_ids.add(doc_id)
+            rec["labels"] = _labels(rec.get("labels"), f"{path}:{lineno}")
             records.append(rec)
     return records
 
@@ -203,13 +214,12 @@ def load_corpus(
         if not tokens and not opts.keep_empty:
             dropped_docs += 1
             continue
-        labels = frozenset(rec["labels"]) if rec.get("labels") else None
         documents.append(
             Document(
                 doc_id=rec["id"],
                 language=language,
                 tokens=tokens,
-                labels=labels,
+                labels=rec["labels"],
                 link_id=rec.get("link") or None,
             )
         )
@@ -280,8 +290,8 @@ def corpus_from_json(payload: dict) -> Corpus:
     language = payload["language"]
     vocab = Vocabulary(language, payload["vocabulary"])
     documents = []
-    for rec in payload["documents"]:
-        labels = frozenset(rec["labels"]) if rec.get("labels") else None
+    for index, rec in enumerate(payload["documents"]):
+        labels = _labels(rec.get("labels"), f"document {index}")
         documents.append(
             Document(
                 doc_id=rec["id"],

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import BilingualCorpus, Corpus, Document, Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
-from .logreg import LogisticRegression, stratified_folds
+from .logreg import LogisticRegression, fit_binary_stack, sigmoid, stratified_folds
 from .models import TopicModel
 
 logger = logging.getLogger(__name__)
@@ -215,7 +215,9 @@ def classify_crosslingual(
     Labels are per-document collections (multi-label allowed). Labels with
     no positive training documents are dropped with a warning; prediction
     uses a 0.5 posterior cutoff unless `tune_thresholds` selects per-label
-    cutoffs by cross-validated F1.
+    cutoffs by cross-validated F1. All labels share the training rows, so
+    they are fitted together by one `fit_binary_stack` call; each label's
+    classifier is bit-identical to fitting it on its own.
     """
     train_theta = np.asarray(train_theta, dtype=np.float64)
     test_theta = np.asarray(test_theta, dtype=np.float64)
@@ -224,25 +226,34 @@ def classify_crosslingual(
     if len(train_sets) != len(train_theta) or len(test_sets) != len(test_theta):
         raise ConfigError("label lists must align with theta rows")
     universe = sorted(set().union(*train_sets, *test_sets)) if train_sets else []
+    y_train = np.array(
+        [[label in s for s in train_sets] for label in universe], dtype=np.int64
+    ).reshape(len(universe), len(train_sets))
+    y_test = np.array(
+        [[label in s for s in test_sets] for label in universe], dtype=np.int64
+    ).reshape(len(universe), len(test_sets))
+    positives = y_train.sum(axis=1)
+    # every label with both classes in training is fitted in one stacked call
+    fitted = np.flatnonzero((positives > 0) & (positives < len(train_sets)))
+    weights, bias = fit_binary_stack(train_theta, y_train[fitted]) if len(fitted) else ((), ())
+    row_of_label = {int(label): row for row, label in enumerate(fitted)}
     tp = fp = fn = 0
-    for label in universe:
-        y_train = np.array([1 if label in s else 0 for s in train_sets], dtype=np.int64)
-        y_test = np.array([1 if label in s else 0 for s in test_sets], dtype=np.int64)
-        if y_train.sum() == 0:
+    for index, label in enumerate(universe):
+        if positives[index] == 0:
             logger.warning("label %r has no positive training documents; dropped", label)
             continue
-        if y_train.sum() == len(y_train):
+        if index not in row_of_label:
             # degenerate all-positive label: predict positive everywhere
-            pred = np.ones(len(y_test), dtype=bool)
+            pred = np.ones(len(test_sets), dtype=bool)
         else:
-            clf = LogisticRegression().fit(train_theta, y_train)
+            row = row_of_label[index]
             threshold = 0.5
             if tune_thresholds:
-                threshold = _tune_threshold(train_theta, y_train, folds, seed)
-            pred = clf.predict_proba(test_theta) >= threshold
-        tp += int((pred & (y_test == 1)).sum())
-        fp += int((pred & (y_test == 0)).sum())
-        fn += int((~pred & (y_test == 1)).sum())
+                threshold = _tune_threshold(train_theta, y_train[index], folds, seed)
+            pred = sigmoid(test_theta @ weights[row] + bias[row]) >= threshold
+        tp += int((pred & (y_test[index] == 1)).sum())
+        fp += int((pred & (y_test[index] == 0)).sum())
+        fn += int((~pred & (y_test[index] == 1)).sum())
     return micro_f1(tp, fp, fn)
 
 

@@ -5,7 +5,9 @@ soft+vocabulary combination.
 
 All randomness flows through NumPy's PCG64 generator seeded from the run
 seed; held-out inference spawns one child stream per document, so results
-are reproducible across platforms and trivially parallelizable.
+are reproducible across platforms and independent of corpus composition.
+Inference samples all documents in lockstep, one token position at a
+time, with numpy; it is bit-identical to sampling each document alone.
 
 The public conditional-distribution functions operate on `CountState`
 tables and expect the current token's assignment to already be removed
@@ -18,7 +20,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,10 @@ class Hyperparams:
         if self.k < 2:
             raise ConfigError(f"need at least 2 topics, got {self.k}")
         for name in ("alpha", "beta", "beta_root", "beta_internal"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if value <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.train_iterations < 1 or self.infer_iterations < 1:
             raise ConfigError("iteration counts must be positive")
@@ -873,8 +879,20 @@ def infer_heldout(
     trained topic-word table frozen: only document counts are resampled,
     under the symmetric alpha prior (no transfer at inference time).
 
-    Each document gets its own spawned random stream, so results do not
-    depend on processing order.
+    Each document gets its own spawned random stream and draws from it
+    exactly as a one-document-at-a-time sampler would: `integers(0, K, n)`
+    for the initial topics, then one `random(n)` per iteration. Documents
+    are nevertheless sampled in lockstep: at token position i, every
+    document still that long resamples its i-th token in one vectorised
+    step. Documents are ordered longest first, so the ones active at
+    position i form a prefix, and tokens are stored position-major, so
+    memory grows with the held-out token count. Results therefore do not
+    depend on document order or on what else is in the corpus.
+
+    The step is bit-identical to walking the unnormalised CDF one topic
+    at a time: `np.cumsum` adds left to right like the walk does, and the
+    first topic with `u < cdf[k]` is the number of entries `<= u`,
+    because the CDF never decreases.
     """
     side = model.side_of_language(heldout.language)
     if heldout.vocabulary != model.vocabularies[side]:
@@ -884,47 +902,64 @@ def infer_heldout(
         )
     hp = model.hyperparams
     n_iter = hp.infer_iterations if iterations is None else iterations
-    phi_per_word = model.phi[side].T.tolist()  # V rows of K floats
     alpha = hp.alpha
     n_topics = hp.k
+    docs = heldout.documents
 
-    theta = np.empty((len(heldout.documents), n_topics), dtype=np.float64)
-    streams = np.random.SeedSequence(seed).spawn(len(heldout.documents))
-    for d, doc in enumerate(heldout.documents):
-        rng = np.random.default_rng(streams[d])
-        toks = doc.tokens
-        n = len(toks)
-        if n == 0:
-            theta[d] = 1.0 / n_topics
-            continue
-        zd = rng.integers(0, n_topics, size=n).tolist()
-        nd = [0] * n_topics
-        for topic in zd:
-            nd[topic] += 1
-        for _ in range(n_iter):
-            us = rng.random(n).tolist()
-            for i, w in enumerate(toks):
-                k0 = zd[i]
-                nd[k0] -= 1
-                pw = phi_per_word[w]
-                total = 0.0
-                probs = []
-                append = probs.append
-                for kk in range(n_topics):
-                    p = (nd[kk] + alpha) * pw[kk]
-                    append(p)
-                    total += p
-                u = us[i] * total
-                acc = 0.0
-                k1 = n_topics - 1
-                for kk in range(n_topics):
-                    acc += probs[kk]
-                    if u < acc:
-                        k1 = kk
-                        break
-                zd[i] = k1
-                nd[k1] += 1
-        theta[d] = (np.array(nd, dtype=np.float64) + alpha) / (n + n_topics * alpha)
+    theta = np.full((len(docs), n_topics), 1.0 / n_topics)
+    streams = np.random.SeedSequence(seed).spawn(len(docs))
+    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    order = order[lengths[order] > 0]  # empty documents keep the uniform row
+    if len(order) == 0:
+        return theta
+    lens = lengths[order]
+    rngs = [np.random.default_rng(streams[d]) for d in order]
+
+    # document-major layout: document j's tokens at [starts[j], starts[j+1])
+    starts = np.concatenate(([0], np.cumsum(lens)))
+    tokens_dm = np.fromiter(
+        (w for d in order for w in docs[d].tokens), dtype=np.int64, count=int(starts[-1])
+    )
+    z_dm = np.empty_like(tokens_dm)
+    for j, rng in enumerate(rngs):
+        z_dm[starts[j]:starts[j + 1]] = rng.integers(0, n_topics, size=lens[j])
+    doc_dm = np.repeat(np.arange(len(order)), lens)
+    nd = np.bincount(
+        doc_dm * n_topics + z_dm, minlength=len(order) * n_topics
+    ).reshape(len(order), n_topics)
+
+    # position-major layout: the active[i] documents at position i sit at
+    # [pos_starts[i], pos_starts[i+1]), in document order
+    active = np.bincount(lens - 1)[::-1].cumsum()[::-1]
+    pos_starts = np.concatenate(([0], np.cumsum(active)))
+    pos_of_pm = np.repeat(np.arange(len(active)), active)
+    doc_of_pm = np.arange(len(pos_of_pm)) - pos_starts[pos_of_pm]
+    dm_of_pm = starts[doc_of_pm] + pos_of_pm
+    tokens_pm = tokens_dm[dm_of_pm]
+    z_pm = z_dm[dm_of_pm]
+
+    phi_t = np.ascontiguousarray(model.phi[side].T)  # V rows of K floats
+    # flat index of row j's topic k in nd is row_base[j] + k
+    row_base = np.arange(len(order)) * n_topics
+    nd_flat = nd.reshape(-1)
+    uniforms_dm = np.empty(len(tokens_dm), dtype=np.float64)
+    last = n_topics - 1
+    for _ in range(n_iter):
+        for j, rng in enumerate(rngs):
+            uniforms_dm[starts[j]:starts[j + 1]] = rng.random(lens[j])
+        uniforms_pm = uniforms_dm[dm_of_pm]
+        for i, n_active in enumerate(active):
+            lo, hi = pos_starts[i], pos_starts[i + 1]
+            base = row_base[:n_active]
+            nd_flat[base + z_pm[lo:hi]] -= 1
+            cdf = np.cumsum((nd[:n_active] + alpha) * phi_t[tokens_pm[lo:hi]], axis=1)
+            u = uniforms_pm[lo:hi] * cdf[:, last]
+            k_new = np.count_nonzero(cdf <= u[:, None], axis=1)
+            np.minimum(k_new, last, out=k_new)
+            z_pm[lo:hi] = k_new
+            nd_flat[base + k_new] += 1
+    theta[order] = (nd + alpha) / (lens[:, None] + n_topics * alpha)
     return theta
 
 
@@ -949,23 +984,93 @@ def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
     }
 
 
+def _table(value, shape: tuple[int, int], name: str) -> np.ndarray:
+    """A finite, non-negative float table of exactly `shape`."""
+    try:
+        table = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise DataError(f"model {name} is not a numeric table") from None
+    if table.size == 0 and 0 in shape:
+        table = table.reshape(shape)
+    if table.shape != shape:
+        raise DataError(f"model {name} has shape {table.shape}, expected {shape}")
+    if not np.isfinite(table).all() or (table < 0).any():
+        raise DataError(f"model {name} must be finite and non-negative")
+    return table
+
+
+def _pair(payload: dict, key: str, of_lists: bool = False) -> list:
+    """The per-language pair stored under `key`."""
+    value = payload[key]
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or (of_lists and not all(isinstance(v, list) for v in value))
+    ):
+        raise DataError(f"model {key!r} must hold one entry per language")
+    return value
+
+
 def model_from_json(payload: dict) -> TopicModel:
+    """Rebuild a model from its container, rejecting any malformed part
+    with `DataError`."""
+    if not isinstance(payload, dict):
+        raise DataError("model file must contain a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format_version {payload.get('format_version')!r}"
         )
-    langs = payload["languages"]
-    vocabs = tuple(
-        Vocabulary(lang, words) for lang, words in zip(langs, payload["vocabularies"])
+    required = (
+        "model_kind", "hyperparams", "languages", "vocabularies",
+        "phi", "theta", "doc_ids", "doc_labels",
+    )
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise DataError(f"model is missing {', '.join(map(repr, missing))}")
+    if payload["model_kind"] not in MODEL_KINDS:
+        raise DataError(f"unknown model_kind {payload['model_kind']!r}")
+    hp_payload = payload["hyperparams"]
+    if not isinstance(hp_payload, dict):
+        raise DataError("model 'hyperparams' must be an object")
+    expected = {f.name for f in fields(Hyperparams)}
+    if set(hp_payload) != expected:
+        unknown = sorted(set(hp_payload) - expected)
+        absent = sorted(expected - set(hp_payload))
+        raise DataError(
+            f"model hyperparams: unknown keys {unknown}, missing keys {absent}"
+        )
+    integer_keys = ("k", "train_iterations", "infer_iterations", "seed")
+    if not all(type(hp_payload[name]) is int for name in integer_keys):
+        raise DataError(f"model hyperparams {', '.join(integer_keys)} must be integers")
+    try:
+        hp = Hyperparams.from_dict(hp_payload)
+    except (ConfigError, TypeError) as exc:
+        raise DataError(f"model hyperparams: {exc}") from None
+    langs = _pair(payload, "languages")
+    try:
+        vocabs = tuple(
+            Vocabulary(lang, words)
+            for lang, words in zip(langs, _pair(payload, "vocabularies", True))
+        )
+    except TypeError:
+        raise DataError("model vocabularies must be lists of words") from None
+    doc_ids = tuple(_pair(payload, "doc_ids", True))
+    phi = tuple(
+        _table(p, (hp.k, vocabs[side].size), f"phi[{side}]")
+        for side, p in enumerate(_pair(payload, "phi"))
+    )
+    theta = tuple(
+        _table(t, (len(doc_ids[side]), hp.k), f"theta[{side}]")
+        for side, t in enumerate(_pair(payload, "theta"))
     )
     return TopicModel(
         model_kind=payload["model_kind"],
-        hyperparams=Hyperparams.from_dict(payload["hyperparams"]),
+        hyperparams=hp,
         vocabularies=vocabs,
-        phi=tuple(np.array(p, dtype=np.float64) for p in payload["phi"]),
-        theta=tuple(np.array(t, dtype=np.float64) for t in payload["theta"]),
-        doc_ids=tuple(payload["doc_ids"]),
-        doc_labels=tuple(payload["doc_labels"]),
+        phi=phi,
+        theta=theta,
+        doc_ids=doc_ids,
+        doc_labels=tuple(_pair(payload, "doc_labels", True)),
         provenance=payload.get("provenance", {}),
         counts=payload.get("counts"),
     )
@@ -983,5 +1088,11 @@ def save_model(model: TopicModel, path: str | Path, include_counts: bool = True)
 
 
 def load_model(path: str | Path) -> TopicModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
+    return model_from_json(payload)

@@ -66,18 +66,26 @@ def concept_features(
     state, dictionary: BilingualDictionary, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One labeled row per (concept, language): the concept's topic
-    distribution on that side, labeled with the side index.
+    distribution on that side, labeled with the side index. Row 2i is
+    concept i's first-language word, row 2i+1 its second-language word;
+    each row is `concept_topic_distribution`, built for all concepts at
+    once by one gather per side.
 
     Concepts are visited in canonical (word1, word2) order so the feature
     matrix does not depend on how the dictionary happens to be ordered."""
     pair = _word_topic_pair(state)
-    rows = []
-    labels = []
-    for concept in sorted(dictionary.concepts, key=lambda c: (c.word1, c.word2)):
-        for side in (0, 1):
-            rows.append(concept_topic_distribution(pair, concept, side, beta))
-            labels.append(side)
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    concepts = sorted(dictionary.concepts, key=lambda c: (c.word1, c.word2))
+    n_topics = pair[0].shape[1]
+    rows = np.empty((len(concepts), 2, n_topics), dtype=np.float64)
+    rows[:, 0] = pair[0][[c.word1 for c in concepts]]
+    rows[:, 1] = pair[1][[c.word2 for c in concepts]]
+    rows = rows.reshape(2 * len(concepts), n_topics)
+    rows += beta
+    totals = rows.sum(axis=1)
+    evidence = totals > 0.0
+    rows[evidence] /= totals[evidence, None]
+    rows[~evidence] = 1.0 / n_topics
+    return rows, np.tile(np.array([0, 1], dtype=np.int64), len(concepts))
 
 
 def compute_lis(

@@ -341,3 +341,170 @@ def check_voclink(
                     worst = max(worst, float(np.abs(got - np.array(expected)).max()))
                     flat_pos += 1
     return worst
+
+
+# ---------------------------------------------------------------------------
+# bitwise references for the vectorised read-only paths: the straightforward
+# one-document, one-label, one-concept loops the package used to run
+# ---------------------------------------------------------------------------
+
+
+def infer_heldout_reference(model, heldout, seed=0, iterations=None):
+    """Held-out Gibbs inference one document and one token at a time,
+    walking the unnormalised CDF topic by topic."""
+    side = model.side_of_language(heldout.language)
+    hp = model.hyperparams
+    n_iter = hp.infer_iterations if iterations is None else iterations
+    phi_per_word = model.phi[side].T.tolist()
+    alpha = hp.alpha
+    n_topics = hp.k
+    theta = np.empty((len(heldout.documents), n_topics), dtype=np.float64)
+    streams = np.random.SeedSequence(seed).spawn(len(heldout.documents))
+    for d, doc in enumerate(heldout.documents):
+        rng = np.random.default_rng(streams[d])
+        toks = doc.tokens
+        n = len(toks)
+        if n == 0:
+            theta[d] = 1.0 / n_topics
+            continue
+        zd = rng.integers(0, n_topics, size=n).tolist()
+        nd = [0] * n_topics
+        for topic in zd:
+            nd[topic] += 1
+        for _ in range(n_iter):
+            us = rng.random(n).tolist()
+            for i, w in enumerate(toks):
+                k0 = zd[i]
+                nd[k0] -= 1
+                pw = phi_per_word[w]
+                total = 0.0
+                probs = []
+                append = probs.append
+                for kk in range(n_topics):
+                    p = (nd[kk] + alpha) * pw[kk]
+                    append(p)
+                    total += p
+                u = us[i] * total
+                acc = 0.0
+                k1 = n_topics - 1
+                for kk in range(n_topics):
+                    acc += probs[kk]
+                    if u < acc:
+                        k1 = kk
+                        break
+                zd[i] = k1
+                nd[k1] += 1
+        theta[d] = (np.array(nd, dtype=np.float64) + alpha) / (n + n_topics * alpha)
+    return theta
+
+
+def sigmoid_reference(x):
+    """Logistic function with boolean-mask branches for each sign."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def fit_reference(x, y, l2=1.0, learning_rate=0.5, epochs=500):
+    """One binary problem by full-batch gradient descent, one epoch of
+    2-D @ 1-D products at a time (the loss is computed and discarded, as
+    the original loop did). Returns (weights, bias)."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = x.shape[0]
+    weights = np.zeros(x.shape[1], dtype=np.float64)
+    bias = 0.0
+    for _ in range(epochs):
+        z = x @ weights + bias
+        ce = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z))) - y * z
+        float(ce.mean() + l2 / (2.0 * m) * weights @ weights)
+        residual = sigmoid_reference(z) - y
+        grad_w = x.T @ residual / m + (l2 / m) * weights
+        grad_b = float(residual.mean())
+        weights -= learning_rate * grad_w
+        bias -= learning_rate * grad_b
+    return weights, bias
+
+
+def _predict_proba_reference(weights, bias, x):
+    return sigmoid_reference(np.asarray(x, dtype=np.float64) @ weights + bias)
+
+
+def _tune_threshold_reference(x, y, folds, seed):
+    from multitopic.evaluate import micro_f1
+    from multitopic.logreg import stratified_folds
+
+    rng = np.random.default_rng(seed)
+    fold_sets = stratified_folds(y, folds, rng)
+    posteriors = np.zeros(len(y))
+    all_idx = np.arange(len(y))
+    for fold in fold_sets:
+        mask = np.ones(len(y), dtype=bool)
+        mask[fold] = False
+        w, b = fit_reference(x[all_idx[mask]], y[all_idx[mask]])
+        posteriors[fold] = _predict_proba_reference(w, b, x[fold])
+    best_threshold, best_f1 = 0.5, -1.0
+    for threshold in np.arange(0.05, 1.0, 0.05):
+        pred = posteriors >= threshold
+        tp = int((pred & (y == 1)).sum())
+        fp = int((pred & (y == 0)).sum())
+        fn = int((~pred & (y == 1)).sum())
+        score = micro_f1(tp, fp, fn)
+        if score > best_f1:
+            best_f1, best_threshold = score, float(threshold)
+    return best_threshold
+
+
+def classify_crosslingual_reference(
+    train_theta, train_labels, test_theta, test_labels,
+    tune_thresholds=False, folds=5, seed=0,
+):
+    """One-vs-rest micro-F1 with one separate fit per label. Returns
+    (f1, {label: (weights, bias)}) for every label that was fitted."""
+    from multitopic.evaluate import micro_f1
+
+    train_theta = np.asarray(train_theta, dtype=np.float64)
+    test_theta = np.asarray(test_theta, dtype=np.float64)
+    train_sets = [frozenset(ls or ()) for ls in train_labels]
+    test_sets = [frozenset(ls or ()) for ls in test_labels]
+    universe = sorted(set().union(*train_sets, *test_sets)) if train_sets else []
+    fitted = {}
+    tp = fp = fn = 0
+    for label in universe:
+        y_train = np.array([1 if label in s else 0 for s in train_sets], dtype=np.int64)
+        y_test = np.array([1 if label in s else 0 for s in test_sets], dtype=np.int64)
+        if y_train.sum() == 0:
+            continue
+        if y_train.sum() == len(y_train):
+            pred = np.ones(len(y_test), dtype=bool)
+        else:
+            w, b = fit_reference(train_theta, y_train)
+            fitted[label] = (w, b)
+            threshold = 0.5
+            if tune_thresholds:
+                threshold = _tune_threshold_reference(train_theta, y_train, folds, seed)
+            pred = _predict_proba_reference(w, b, test_theta) >= threshold
+        tp += int((pred & (y_test == 1)).sum())
+        fp += int((pred & (y_test == 0)).sum())
+        fn += int((~pred & (y_test == 1)).sum())
+    return micro_f1(tp, fp, fn), fitted
+
+
+def concept_features_reference(word_topics, concepts, beta):
+    """LIS feature rows built one concept and one side at a time."""
+    rows = []
+    labels = []
+    for concept in sorted(concepts, key=lambda c: (c.word1, c.word2)):
+        for side in (0, 1):
+            word = concept.word1 if side == 0 else concept.word2
+            counts = word_topics[side][word].astype(np.float64) + beta
+            total = counts.sum()
+            if total <= 0.0:
+                rows.append(np.full(word_topics[side].shape[1], 1.0 / word_topics[side].shape[1]))
+            else:
+                rows.append(counts / total)
+            labels.append(side)
+    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)

@@ -235,3 +235,73 @@ def test_exit_code_3_on_data_errors(tmp_path, toy_data):
     config_path = tmp_path / "broken_config.json"
     config_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(config_path)]) == 3
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta", "beta_root", "beta_internal"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_hyperparameter_exits_2(tmp_path, toy_data, name, value):
+    config = base_config(toy_data, tmp_path / "out", **{name: value})
+    config_path = tmp_path / "nonfinite.json"
+    # json writes NaN/Infinity literals, which json.load reads back as floats
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def _malformed_models(valid: dict):
+    def without(key):
+        payload = dict(valid)
+        del payload[key]
+        return payload
+
+    def with_hp(**changes):
+        return {**valid, "hyperparams": {**valid["hyperparams"], **changes}}
+
+    def with_table(key, side, table):
+        pair = list(valid[key])
+        pair[side] = table
+        return {**valid, key: pair}
+
+    yield "not json", "{this is not json"
+    yield "not an object", json.dumps([1, 2, 3])
+    yield "only the version", json.dumps({"format_version": 1})
+    for key in ("languages", "phi", "theta", "hyperparams", "vocabularies", "doc_ids"):
+        yield f"missing {key}", json.dumps(without(key))
+    yield "unknown hyperparameter", json.dumps(with_hp(gamma=1.0))
+    yield "bad hyperparameter value", json.dumps(with_hp(alpha=-1.0))
+    yield "string hyperparameter", json.dumps(with_hp(k="two"))
+    yield "fractional topic count", json.dumps(with_hp(k=2.5))
+    yield "non-finite hyperparameter", json.dumps(with_hp(beta=float("inf")))
+    yield "phi missing a topic", json.dumps(with_table("phi", 0, valid["phi"][0][:1]))
+    yield "phi with a short row", json.dumps(
+        with_table("phi", 1, [row[:-1] for row in valid["phi"][1]])
+    )
+    yield "ragged phi", json.dumps(
+        with_table("phi", 0, [valid["phi"][0][0], valid["phi"][0][1][:-1]])
+    )
+    yield "theta missing a document", json.dumps(with_table("theta", 0, valid["theta"][0][1:]))
+    yield "theta of the wrong width", json.dumps(
+        with_table("theta", 1, [row + [0.0] for row in valid["theta"][1]])
+    )
+    yield "negative phi", json.dumps(
+        with_table("phi", 0, [[-x for x in row] for row in valid["phi"][0]])
+    )
+    yield "one language only", json.dumps({**valid, "languages": ["l1"]})
+
+
+def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):
+    out = run_train(tmp_path, toy_data, "valid")
+    valid = json.loads((out / "model.json").read_text())
+    bad_path = tmp_path / "bad_model.json"
+    for name, text in _malformed_models(valid):
+        bad_path.write_text(text)
+        for argv in (
+            ["inspect", "--model", str(bad_path)],
+            ["eval", "--model", str(bad_path), "--which", "lis",
+             "--dictionary", str(toy_data["dictionary"])],
+        ):
+            capsys.readouterr()
+            assert main(argv) == 3, (name, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("data error:") and "Traceback" not in err, name
+    assert main(["inspect", "--model", str(tmp_path / "no_such_model.json")]) == 3

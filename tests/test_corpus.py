@@ -241,3 +241,42 @@ def test_serialization_round_trip(tmp_path):
     assert [d.link_id for d in reloaded.documents] == [d.link_id for d in corpus.documents]
     # serializing again is byte-stable
     assert corpus_to_json(corpus_from_json(corpus_to_json(corpus))) == corpus_to_json(corpus)
+
+
+@pytest.mark.parametrize("labels", ["sports", {"a": 1}, [1, 2], ["ok", None], 7, ""])
+def test_jsonl_labels_must_be_a_list_of_strings(tmp_path, labels):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "d1", "lang": "en", "tokens": ["cat"], "labels": ["pets"]},
+            {"id": "d2", "lang": "en", "tokens": ["dog"], "labels": labels},
+        ],
+    )
+    with pytest.raises(DataError, match=":2: 'labels' must be a list of strings"):
+        load_corpus(path, "en", LoaderOptions(top_frequent=0))
+
+
+def test_jsonl_labels_absent_null_or_empty_mean_unlabeled(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "d1", "lang": "en", "tokens": ["cat"]},
+            {"id": "d2", "lang": "en", "tokens": ["dog"], "labels": None},
+            {"id": "d3", "lang": "en", "tokens": ["dog"], "labels": []},
+            {"id": "d4", "lang": "en", "tokens": ["dog"], "labels": ["b", "a", "b"]},
+        ],
+    )
+    corpus = load_corpus(path, "en", LoaderOptions(top_frequent=0))
+    assert [d.labels for d in corpus.documents] == [None, None, None, frozenset({"a", "b"})]
+
+
+@pytest.mark.parametrize("labels", ["sports", [1], {"x": "y"}])
+def test_serialized_labels_must_be_a_list_of_strings(tmp_path, labels):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(path, [{"id": "d1", "lang": "en", "tokens": ["cat"], "labels": ["pets"]}])
+    payload = corpus_to_json(load_corpus(path, "en", LoaderOptions(top_frequent=0)))
+    payload["documents"][0]["labels"] = labels
+    with pytest.raises(DataError, match="document 0: 'labels' must be a list of strings"):
+        corpus_from_json(payload)
