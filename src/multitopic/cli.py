@@ -121,6 +121,15 @@ def _require_path(config: dict, key: str) -> Path:
     return path
 
 
+def _number(value, name: str, kind: type = float):
+    """`value` converted by `kind` (float or int); a value that is not a
+    number is a configuration error, not an internal one."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
     stopword_key = f"stopwords{side}"
     stopwords = frozenset()
@@ -128,21 +137,21 @@ def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
         stopwords = corpus_io.load_stopwords(_require_path(config, stopword_key))
     return corpus_io.LoaderOptions(
         stopwords=stopwords,
-        top_frequent=int(config["top_frequent"]),
+        top_frequent=_number(config["top_frequent"], "top_frequent", int),
         keep_empty=bool(config["keep_empty"]),
     )
 
 
 def _hyperparams(config: dict) -> Hyperparams:
     return Hyperparams(
-        k=int(config["k"]),
-        alpha=float(config["alpha"]),
-        beta=float(config["beta"]),
-        beta_root=float(config["beta_root"]),
-        beta_internal=float(config["beta_internal"]),
-        train_iterations=int(config["train_iterations"]),
-        infer_iterations=int(config["infer_iterations"]),
-        seed=int(config["seed"]),
+        k=_number(config["k"], "k", int),
+        alpha=_number(config["alpha"], "alpha"),
+        beta=_number(config["beta"], "beta"),
+        beta_root=_number(config["beta_root"], "beta_root"),
+        beta_internal=_number(config["beta_internal"], "beta_internal"),
+        train_iterations=_number(config["train_iterations"], "train_iterations", int),
+        infer_iterations=_number(config["infer_iterations"], "infer_iterations", int),
+        seed=_number(config["seed"], "seed", int),
     )
 
 
@@ -180,7 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         config["paths"]["output_dir"] = args.output_dir
     if args.threads is not None:
         config["threads"] = args.threads
-    if int(config["threads"]) < 1:
+    if _number(config["threads"], "threads", int) < 1:
         raise ConfigError("threads must be >= 1")
     kind = config["model"]
     if kind not in MODEL_KINDS:
@@ -199,14 +208,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             bicorpus.side1.vocabulary,
             bicorpus.side2.vocabulary,
         )
-        fraction = float(config["dictionary_fraction"])
+        fraction = _number(config["dictionary_fraction"], "dictionary_fraction")
         if fraction < 1.0:
-            dictionary = subsample(dictionary, fraction, int(config["seed"]))
+            dictionary = subsample(dictionary, fraction, hp.seed)
 
     transfer_to_side1 = transfer_to_side2 = None
     if kind in ("softlink", "softlink_voclink"):
         focus = FocusConfig(
-            threshold=float(config["focus"]["threshold"]),
+            threshold=_number(config["focus"]["threshold"], "focus.threshold"),
             scope=config["focus"]["scope"],
         )
         transfer_to_side1 = static_focus(
@@ -228,12 +237,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             dictionary, bicorpus.side1.vocabulary, bicorpus.side2.vocabulary, hp.k
         )
 
+    anneal = config["anneal"]
     anneal_cfg = AnnealConfig(
-        temperature=float(config["anneal"]["temperature"]),
-        interval=int(config["anneal"]["interval"]),
-        stop_iteration=int(config["anneal"]["stop_iteration"]),
-        schedule=config["anneal"]["schedule"],
-        lis_every=int(config["anneal"]["lis_every"]),
+        temperature=_number(anneal["temperature"], "anneal.temperature"),
+        interval=_number(anneal["interval"], "anneal.interval", int),
+        stop_iteration=_number(anneal["stop_iteration"], "anneal.stop_iteration", int),
+        schedule=anneal["schedule"],
+        lis_every=_number(anneal["lis_every"], "anneal.lis_every", int),
     )
     model = train(
         kind,

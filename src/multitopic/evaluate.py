@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import BilingualCorpus, Corpus, Document, Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
-from .logreg import LogisticRegression, fit_binary_stack, sigmoid, stratified_folds
+from .logreg import cross_val_fits, fit_binary_stack, sigmoid
 from .models import TopicModel
 
 logger = logging.getLogger(__name__)
@@ -179,15 +179,9 @@ def micro_f1(tp: int, fp: int, fn: int) -> float:
 
 def _tune_threshold(x: np.ndarray, y: np.ndarray, folds: int, seed: int) -> float:
     """Pick the probability cutoff maximizing F1 on out-of-fold posteriors."""
-    rng = np.random.default_rng(seed)
-    fold_sets = stratified_folds(y, folds, rng)
     posteriors = np.zeros(len(y))
-    all_idx = np.arange(len(y))
-    for fold in fold_sets:
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold] = False
-        clf = LogisticRegression().fit(x[all_idx[mask]], y[all_idx[mask]])
-        posteriors[fold] = clf.predict_proba(x[fold])
+    for fit in cross_val_fits(x, y, folds, seed):
+        posteriors[fit.held_out] = fit.posteriors
     best_threshold, best_f1 = 0.5, -1.0
     for threshold in np.arange(0.05, 1.0, 0.05):
         pred = posteriors >= threshold

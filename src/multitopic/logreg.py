@@ -5,16 +5,24 @@ language-identification scorer that drives adaptive annealing and the
 one-vs-rest crosslingual document classifier. Fixed hyperparameters
 (L2 penalty 1.0, step 0.5, 500 epochs) keep runs reproducible.
 
-`fit_binary_stack` fits several binary problems that share one feature
-matrix in lockstep: each epoch is one stacked matrix-vector product per
-direction for all of them. `np.matmul` on a stack of column vectors makes
-one BLAS gemv call per stacked problem, the same call a 2-D @ 1-D product
-makes, so every problem's weights are bit-identical to fitting it alone.
-(`x @ W.T` would be one gemm call, whose sums are not.)
-`LogisticRegression.fit` is the one-problem case.
+`fit_binary_stack` fits several binary problems in lockstep, either on
+one shared feature matrix (the one-vs-rest labels) or on one matrix per
+problem (the cross-validation folds): each epoch is one stacked
+matrix-vector product per direction for all of them. `np.matmul` on a
+stack of column vectors makes one BLAS gemv call per stacked problem, the
+same call a 2-D @ 1-D product makes, so every problem's weights are
+bit-identical to fitting it alone. (`x @ W.T` would be one gemm call,
+whose sums are not.) `LogisticRegression.fit` is the one-problem case.
+
+`cross_val_fits` fits every fold of a stratified split that way: folds
+with the same number of training rows share one stack, so a split needs
+one call per distinct training-set size (at most a few, because
+`stratified_folds` deals each class round-robin).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,24 +68,26 @@ def fit_binary_stack(
     learning_rate: float = 0.5,
     epochs: int = 500,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch gradient descent on L binary problems sharing `x` (m x n).
+    """Full-batch gradient descent on L binary problems at once.
 
-    `ys` is L x m, one row of 0/1 targets per problem. Returns the L x n
-    weights and the L biases, each row bit-identical to a separate fit.
+    `x` is one m x n feature matrix shared by every problem, or an
+    L x m x n stack holding each problem's own rows; `ys` is L x m, one
+    row of 0/1 targets per problem. Returns the L x n weights and the L
+    biases, each row bit-identical to a separate fit.
     """
     x = np.asarray(x, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    m = x.shape[0]
-    weights = np.zeros((ys.shape[0], x.shape[1]), dtype=np.float64)
+    m, n = x.shape[-2:]
+    weights = np.zeros((ys.shape[0], n), dtype=np.float64)
     bias = np.zeros(ys.shape[0], dtype=np.float64)
-    x_stack = x[None]
-    xt_stack = x.T[None]
+    # a shared x broadcasts over the stack: still one gemv per problem
+    xt = np.swapaxes(x, -1, -2)
     for _ in range(epochs):
-        z = np.matmul(x_stack, weights[:, :, None])[:, :, 0]
+        z = np.matmul(x, weights[:, :, None])[:, :, 0]
         z += bias[:, None]
         residual = sigmoid(z)
         residual -= ys
-        grad_w = np.matmul(xt_stack, residual[:, :, None])[:, :, 0]
+        grad_w = np.matmul(xt, residual[:, :, None])[:, :, 0]
         grad_w /= m
         grad_w += (l2 / m) * weights
         weights -= learning_rate * grad_w
@@ -129,21 +139,54 @@ def stratified_folds(
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
+class FoldFit(NamedTuple):
+    """One cross-validation fold: its held-out row indices, the classifier
+    fitted on every other row, and that classifier's held-out posteriors."""
+
+    held_out: np.ndarray
+    weights: np.ndarray
+    bias: float
+    posteriors: np.ndarray
+
+
+def cross_val_fits(
+    x: np.ndarray, y: np.ndarray, n_folds: int, seed: int
+) -> list[FoldFit]:
+    """Fit the binary learner once per stratified fold, leaving that fold out.
+
+    Folds with the same number of training rows are fitted together by one
+    `fit_binary_stack` call on their stacked rows; each fold's classifier
+    is bit-identical to `LogisticRegression().fit` on its training rows,
+    and its posteriors to `predict_proba` on the held-out rows."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    folds = stratified_folds(y, n_folds, np.random.default_rng(seed))
+    train_rows = [np.delete(np.arange(len(y)), fold) for fold in folds]
+    if any(len(rows) == 0 for rows in train_rows):
+        raise ConfigError(
+            f"{len(y)} rows in {n_folds} folds leave a fold with no training rows"
+        )
+    fits: list[FoldFit | None] = [None] * len(folds)
+    for size in dict.fromkeys(len(rows) for rows in train_rows):
+        group = [i for i, rows in enumerate(train_rows) if len(rows) == size]
+        weights, bias = fit_binary_stack(
+            np.stack([x[train_rows[i]] for i in group]),
+            np.stack([y[train_rows[i]] for i in group]),
+        )
+        for row, i in enumerate(group):
+            held_out = folds[i]
+            posteriors = sigmoid(x[held_out] @ weights[row] + bias[row])
+            fits[i] = FoldFit(held_out, weights[row], float(bias[row]), posteriors)
+    return fits
+
+
 def cross_val_accuracy(
     x: np.ndarray, y: np.ndarray, n_folds: int, seed: int
 ) -> float:
     """Mean held-out accuracy of the binary learner over stratified folds."""
-    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    folds = stratified_folds(y, n_folds, rng)
-    accuracies = []
-    all_idx = np.arange(len(y))
-    for fold in folds:
-        train_mask = np.ones(len(y), dtype=bool)
-        train_mask[fold] = False
-        train_idx = all_idx[train_mask]
-        clf = LogisticRegression().fit(x[train_idx], y[train_idx])
-        pred = clf.predict(x[fold])
-        accuracies.append(float((pred == y[fold]).mean()))
+    accuracies = [
+        float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean())
+        for fit in cross_val_fits(x, y, n_folds, seed)
+    ]
     return float(np.mean(accuracies))

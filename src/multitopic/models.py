@@ -984,19 +984,35 @@ def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
     }
 
 
-def _table(value, shape: tuple[int, int], name: str) -> np.ndarray:
-    """A finite, non-negative float table of exactly `shape`."""
+def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np.ndarray:
+    """A finite, non-negative float table of exactly `shape`; with `counts`,
+    a table of integers instead."""
     try:
-        table = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        table = np.array(value, dtype=None if counts else np.float64)
+    except (TypeError, ValueError, OverflowError):
         raise DataError(f"model {name} is not a numeric table") from None
     if table.size == 0 and 0 in shape:
-        table = table.reshape(shape)
+        return table.reshape(shape)
     if table.shape != shape:
         raise DataError(f"model {name} has shape {table.shape}, expected {shape}")
+    if counts and table.dtype.kind not in "iu":
+        raise DataError(f"model {name} must hold integer counts")
     if not np.isfinite(table).all() or (table < 0).any():
         raise DataError(f"model {name} must be finite and non-negative")
     return table
+
+
+def _validate_counts(counts, doc_ids: tuple, vocabs: tuple, k: int) -> None:
+    """The optional count tables: per-language `doc_topic` (D x K) and
+    `word_topic` (V x K) pairs of non-negative integers."""
+    if not isinstance(counts, dict):
+        raise DataError("model 'counts' must be an object or null")
+    for key in ("doc_topic", "word_topic"):
+        if key not in counts:
+            raise DataError(f"model counts are missing {key!r}")
+        for side, table in enumerate(_pair(counts, key)):
+            rows = len(doc_ids[side]) if key == "doc_topic" else vocabs[side].size
+            _table(table, (rows, k), f"counts[{key!r}][{side}]", counts=True)
 
 
 def _pair(payload: dict, key: str, of_lists: bool = False) -> list:
@@ -1063,6 +1079,9 @@ def model_from_json(payload: dict) -> TopicModel:
         _table(t, (len(doc_ids[side]), hp.k), f"theta[{side}]")
         for side, t in enumerate(_pair(payload, "theta"))
     )
+    counts = payload.get("counts")
+    if counts is not None:
+        _validate_counts(counts, doc_ids, vocabs, hp.k)
     return TopicModel(
         model_kind=payload["model_kind"],
         hyperparams=hp,
@@ -1072,7 +1091,7 @@ def model_from_json(payload: dict) -> TopicModel:
         doc_ids=doc_ids,
         doc_labels=tuple(_pair(payload, "doc_labels", True)),
         provenance=payload.get("provenance", {}),
-        counts=payload.get("counts"),
+        counts=counts,
     )
 
 

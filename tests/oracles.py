@@ -345,7 +345,7 @@ def check_voclink(
 
 # ---------------------------------------------------------------------------
 # bitwise references for the vectorised read-only paths: the straightforward
-# one-document, one-label, one-concept loops the package used to run
+# one-document, one-label, one-fold, one-concept loops the package used to run
 # ---------------------------------------------------------------------------
 
 
@@ -433,19 +433,37 @@ def _predict_proba_reference(weights, bias, x):
     return sigmoid_reference(np.asarray(x, dtype=np.float64) @ weights + bias)
 
 
-def _tune_threshold_reference(x, y, folds, seed):
-    from multitopic.evaluate import micro_f1
+def cross_val_folds_reference(x, y, n_folds, seed):
+    """The per-fold loop: one separate fit on each fold's training rows.
+    Returns (held_out, weights, bias, posteriors, accuracy) per fold."""
     from multitopic.logreg import stratified_folds
 
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    fold_sets = stratified_folds(y, folds, rng)
-    posteriors = np.zeros(len(y))
+    out = []
     all_idx = np.arange(len(y))
-    for fold in fold_sets:
+    for fold in stratified_folds(y, n_folds, rng):
         mask = np.ones(len(y), dtype=bool)
         mask[fold] = False
         w, b = fit_reference(x[all_idx[mask]], y[all_idx[mask]])
-        posteriors[fold] = _predict_proba_reference(w, b, x[fold])
+        posteriors = _predict_proba_reference(w, b, x[fold])
+        pred = (posteriors >= 0.5).astype(np.int64)
+        out.append((fold, w, b, posteriors, float((pred == y[fold]).mean())))
+    return out
+
+
+def cross_val_accuracy_reference(x, y, n_folds, seed):
+    """Mean held-out accuracy over the per-fold loop's folds."""
+    return float(np.mean([fold[-1] for fold in cross_val_folds_reference(x, y, n_folds, seed)]))
+
+
+def _tune_threshold_reference(x, y, folds, seed):
+    from multitopic.evaluate import micro_f1
+
+    posteriors = np.zeros(len(y))
+    for fold, _, _, fold_posteriors, _ in cross_val_folds_reference(x, y, folds, seed):
+        posteriors[fold] = fold_posteriors
     best_threshold, best_f1 = 0.5, -1.0
     for threshold in np.arange(0.05, 1.0, 0.05):
         pred = posteriors >= threshold

@@ -248,6 +248,49 @@ def test_non_finite_hyperparameter_exits_2(tmp_path, toy_data, name, value):
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"alpha": "x"},
+    {"beta": None},
+    {"beta_root": [0.1]},
+    {"beta_internal": "x"},
+    {"k": "two"},
+    {"train_iterations": "x"},
+    {"infer_iterations": {}},
+    {"seed": "x"},
+    {"threads": "x"},
+    {"top_frequent": "x"},
+    {"model": "softlink", "dictionary_fraction": "x"},
+    {"model": "softlink", "focus": {"threshold": "x"}},
+    {"anneal": {"temperature": "x"}},
+    {"anneal": {"interval": "x"}},
+    {"anneal": {"stop_iteration": None}},
+    {"anneal": {"lis_every": "x"}},
+])
+def test_non_numeric_config_value_exits_2(tmp_path, toy_data, capsys, overrides):
+    config = base_config(toy_data, tmp_path / "out", **overrides)
+    config_path = tmp_path / "non_numeric.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "must be a number" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("anneal", "temperature"), ("anneal", "interval"), ("focus", "threshold"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_anneal_and_focus_values_exit_2(tmp_path, toy_data, section, key, value):
+    config = base_config(
+        toy_data, tmp_path / "out", model="softlink", anneal={"schedule": "fixed"}
+    )
+    config[section] = {**config.get(section, {}), key: value}
+    config_path = tmp_path / "nonfinite.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 def _malformed_models(valid: dict):
     def without(key):
         payload = dict(valid)
@@ -288,6 +331,40 @@ def _malformed_models(valid: dict):
     )
     yield "one language only", json.dumps({**valid, "languages": ["l1"]})
 
+    def with_counts(key, side=None, table=None):
+        counts = dict(valid["counts"])
+        if side is None:
+            del counts[key]
+        else:
+            counts[key] = list(counts[key])
+            counts[key][side] = table
+        return json.dumps({**valid, "counts": counts})
+
+    word_topic = valid["counts"]["word_topic"]
+    doc_topic = valid["counts"]["doc_topic"]
+    yield "counts not an object", json.dumps({**valid, "counts": [1, 2]})
+    yield "counts without word_topic", with_counts("word_topic")
+    yield "counts without doc_topic", with_counts("doc_topic")
+    yield "word_topic for one language", json.dumps(
+        {**valid, "counts": {**valid["counts"], "word_topic": word_topic[:1]}}
+    )
+    yield "word_topic missing a word", with_counts("word_topic", 1, word_topic[1][1:])
+    yield "doc_topic of the wrong width", with_counts(
+        "doc_topic", 0, [row + [0] for row in doc_topic[0]]
+    )
+    yield "ragged word_topic", with_counts(
+        "word_topic", 0, [word_topic[0][0][:-1]] + word_topic[0][1:]
+    )
+    yield "negative count", with_counts(
+        "doc_topic", 1, [[-1] + row[1:] for row in doc_topic[1]]
+    )
+    yield "fractional count", with_counts(
+        "word_topic", 0, [[x + 0.5 for x in row] for row in word_topic[0]]
+    )
+    yield "string count", with_counts(
+        "word_topic", 1, [["3"] + row[1:] for row in word_topic[1]]
+    )
+
 
 def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):
     out = run_train(tmp_path, toy_data, "valid")
@@ -305,3 +382,17 @@ def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):
             err = capsys.readouterr().err
             assert err.startswith("data error:") and "Traceback" not in err, name
     assert main(["inspect", "--model", str(tmp_path / "no_such_model.json")]) == 3
+
+
+def test_model_without_count_tables_cannot_score_lis(tmp_path, toy_data, capsys):
+    out = run_train(tmp_path, toy_data, "valid")
+    payload = json.loads((out / "model.json").read_text())
+    path = tmp_path / "no_counts.json"
+    path.write_text(json.dumps({**payload, "counts": None}))
+    assert main(["inspect", "--model", str(path)]) == 0
+    capsys.readouterr()
+    assert main([
+        "eval", "--model", str(path), "--which", "lis",
+        "--dictionary", str(toy_data["dictionary"]),
+    ]) == 3
+    assert "does not carry count tables" in capsys.readouterr().err

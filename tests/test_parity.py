@@ -1,26 +1,45 @@
 """Bitwise parity of the vectorised read-only paths with their loop references.
 
 Held-out inference runs all documents in lockstep, the one-vs-rest
-classifier fits every label in one stacked call, and LIS features come from
-one gather. Each must reproduce, bit for bit, the one-document /
-one-label / one-concept loops kept in `tests/oracles.py`.
+classifier fits every label in one stacked call, cross-validation fits
+every fold of one training-set size in one stacked call, and LIS features
+come from one gather. Each must reproduce, bit for bit, the one-document /
+one-label / one-fold / one-concept loops kept in `tests/oracles.py`.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from multitopic import schedule
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.evaluate import classify_crosslingual
-from multitopic.logreg import LogisticRegression, fit_binary_stack, sigmoid
-from multitopic.models import Hyperparams, TopicModel, infer_heldout
+from multitopic.errors import ConfigError
+from multitopic.evaluate import classify_crosslingual, generate_synthetic
+from multitopic.logreg import (
+    LogisticRegression,
+    cross_val_accuracy,
+    cross_val_fits,
+    fit_binary_stack,
+    sigmoid,
+)
+from multitopic.models import Hyperparams, TopicModel, infer_heldout, model_to_json, train
 from multitopic.schedule import concept_features
+from multitopic.transfer import (
+    AnnealConfig,
+    FocusConfig,
+    build_transfer_matrix,
+    static_focus,
+)
 
 from oracles import (
     classify_crosslingual_reference,
     concept_features_reference,
+    cross_val_accuracy_reference,
+    cross_val_folds_reference,
     fit_reference,
     infer_heldout_reference,
     sigmoid_reference,
@@ -125,10 +144,12 @@ def stacked_problems(draw):
     n = draw(st.integers(1, 50))
     n_problems = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one feature matrix shared by every problem, or one per problem
+    shape = (n_problems, m, n) if draw(st.booleans()) else (m, n)
     if draw(st.booleans()):
-        x = rng.dirichlet(np.ones(n), size=m)
+        x = rng.dirichlet(np.ones(n), size=shape[:-1])
     else:
-        x = rng.normal(scale=3.0, size=(m, n))
+        x = rng.normal(scale=3.0, size=shape)
     ys = rng.integers(0, 2, size=(n_problems, m))
     ys[0] = draw(st.sampled_from([ys[0], np.zeros(m, np.int64), np.ones(m, np.int64)]))
     return x, ys, draw(st.integers(1, 40))
@@ -140,7 +161,7 @@ def test_stacked_fit_matches_one_fit_per_problem(problem):
     x, ys, epochs = problem
     weights, bias = fit_binary_stack(x, ys, epochs=epochs)
     for row, y in enumerate(ys):
-        want_w, want_b = fit_reference(x, y, epochs=epochs)
+        want_w, want_b = fit_reference(x if x.ndim == 2 else x[row], y, epochs=epochs)
         assert same_bits(weights[row], want_w)
         assert bias[row] == want_b
 
@@ -209,16 +230,19 @@ EDGE_SPLIT = (
 def test_stacked_classification_matches_per_label_fits(split, tune):
     args = split + (tune,)
 
-    def outcome(classify):
+    def outcome(classify, error):
         # fewer training documents than folds can leave a tuning fold with
-        # no training rows; both paths must then fail the same way
+        # no training rows: the per-label loop then divides by zero, and
+        # the fold helper must refuse the split instead
         try:
             return classify()
-        except ZeroDivisionError as exc:
-            return type(exc)
+        except error:
+            return "fold without training rows"
 
-    got = outcome(lambda: classify_crosslingual(*args, seed=2))
-    want = outcome(lambda: classify_crosslingual_reference(*args, seed=2)[0])
+    got = outcome(lambda: classify_crosslingual(*args, seed=2), ConfigError)
+    want = outcome(
+        lambda: classify_crosslingual_reference(*args, seed=2)[0], ZeroDivisionError
+    )
     assert got == want
 
 
@@ -234,6 +258,93 @@ def test_stacked_classification_weights_match_per_label_fits():
     for i in range(6):
         want_w, want_b = fitted[f"t{i}"]
         assert same_bits(weights[i], want_w) and bias[i] == want_b
+
+
+@st.composite
+def fold_problems(draw):
+    n_folds = draw(st.integers(2, 10))
+    rows = draw(st.integers(10, 400))
+    if rows % n_folds == 0:
+        # unequal folds, so the split has several training-set sizes
+        rows += 1 if rows < 400 else -1
+    positives = draw(st.integers(1, rows - 1))
+    n = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.dirichlet(np.ones(n), size=rows)
+    else:
+        x = rng.normal(scale=3.0, size=(rows, n))
+    y = rng.permutation(np.arange(rows) < positives).astype(np.int64)
+    return x, y, n_folds, draw(st.integers(0, 1000))
+
+
+# unbalanced classes can leave a fold with no held-out rows, whose accuracy
+# is NaN on both paths
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+@settings(SETTINGS, max_examples=25)
+@given(fold_problems())
+def test_stacked_folds_match_one_fit_per_fold(case):
+    x, y, n_folds, seed = case
+    fits = cross_val_fits(x, y, n_folds, seed)
+    want = cross_val_folds_reference(x, y, n_folds, seed)
+    assert len({len(y) - len(fit.held_out) for fit in fits}) > 1
+    assert len(fits) == len(want) == n_folds
+    for fit, (held_out, want_w, want_b, want_p, want_acc) in zip(fits, want):
+        assert same_bits(fit.held_out, held_out)
+        assert same_bits(fit.weights, want_w)
+        assert type(fit.bias) is float and same_bits(fit.bias, want_b)
+        assert same_bits(fit.posteriors, want_p)
+        got_acc = float(((fit.posteriors >= 0.5) == y[held_out]).mean())
+        assert same_bits(got_acc, want_acc)
+    assert same_bits(
+        cross_val_accuracy(x, y, n_folds, seed),
+        cross_val_accuracy_reference(x, y, n_folds, seed),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+@pytest.mark.parametrize("y", [[0], [0, 1], [1, 0]])
+def test_fold_without_training_rows_is_a_config_error(y):
+    # one row per class puts every row into the first fold
+    x = np.ones((len(y), 2))
+    with pytest.raises(ConfigError, match=f"{len(y)} rows in 5 folds"):
+        cross_val_fits(x, np.array(y), 5, seed=0)
+    with pytest.raises(ZeroDivisionError):
+        cross_val_folds_reference(x, np.array(y), 5, seed=0)
+
+
+def test_adaptive_training_matches_per_fold_lis(monkeypatch):
+    # 18 concepts give 36 LIS rows, so five folds hold out 8, 8, 8, 6 and 6
+    # rows: every LIS call fits two size groups
+    data = generate_synthetic(
+        k=3, vocab_per_lang=60, docs_per_lang=30, doc_len=20,
+        dict_coverage=0.3, topic_sharpness=8.0, seed=4,
+    )
+    corpus, dictionary = data.corpus, data.dictionary
+    focus = FocusConfig(threshold=0.6)
+
+    def run():
+        model = train(
+            "softlink", corpus, Hyperparams(k=3, train_iterations=16, seed=1),
+            transfer_to_side1=static_focus(
+                build_transfer_matrix(corpus.side1, corpus.side2, dictionary), focus
+            ),
+            transfer_to_side2=static_focus(
+                build_transfer_matrix(corpus.side2, corpus.side1, dictionary), focus
+            ),
+            dictionary=dictionary,
+            anneal=AnnealConfig(schedule="adaptive", interval=2, stop_iteration=16),
+        )
+        return model, json.dumps(model_to_json(model), sort_keys=True)
+
+    stacked, stacked_json = run()
+    monkeypatch.setattr(schedule, "cross_val_accuracy", cross_val_accuracy_reference)
+    looped, looped_json = run()
+    assert len(stacked.provenance["lis_history"]) == 16
+    assert stacked.provenance["anneal_events"]
+    assert stacked.provenance["lis_history"] == looped.provenance["lis_history"]
+    assert stacked.provenance["anneal_events"] == looped.provenance["anneal_events"]
+    assert stacked_json == looped_json
 
 
 @st.composite
