@@ -23,7 +23,6 @@ from .evaluate import (
     top_words,
 )
 from .models import (
-    CountState,
     Hyperparams,
     SideState,
     TopicModel,

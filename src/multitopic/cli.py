@@ -82,13 +82,18 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """`base` with `override` merged in; a section that is an object in
+    `base` must be an object in `override` too."""
     out = copy.deepcopy(base)
     for key, value in override.items():
+        name = prefix + key
         if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
-            out[key] = _merge(out[key], value)
+            raise ConfigError(f"unknown config key {name!r}")
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name!r} must be an object, got {value!r}")
+            out[key] = _merge(out[key], value, f"{name}.")
         else:
             out[key] = value
     return out

@@ -69,8 +69,14 @@ def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> Referenc
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: a reference pair must be a JSON object")
             if "l1_types" not in rec or "l2_types" not in rec:
                 raise DataError(f"{path}:{lineno}: need 'l1_types' and 'l2_types'")
+            for key in ("l1_types", "l2_types"):
+                types = rec[key]
+                if not isinstance(types, list) or not all(isinstance(w, str) for w in types):
+                    raise DataError(f"{path}:{lineno}: {key!r} must be a list of strings")
             side1 = frozenset(
                 v1.id_of_word[w] for w in rec["l1_types"] if w in v1.id_of_word
             )

@@ -183,10 +183,15 @@ def cross_val_fits(
 def cross_val_accuracy(
     x: np.ndarray, y: np.ndarray, n_folds: int, seed: int
 ) -> float:
-    """Mean held-out accuracy of the binary learner over stratified folds."""
+    """Mean held-out accuracy of the binary learner over stratified folds;
+    every fold must hold out at least one row."""
     y = np.asarray(y, dtype=np.int64)
+    fits = cross_val_fits(x, y, n_folds, seed)
+    if any(len(fit.held_out) == 0 for fit in fits):
+        raise ConfigError(
+            f"{len(y)} rows in {n_folds} folds leave a fold with no held-out rows"
+        )
     accuracies = [
-        float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean())
-        for fit in cross_val_fits(x, y, n_folds, seed)
+        float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean()) for fit in fits
     ]
     return float(np.mean(accuracies))

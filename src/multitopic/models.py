@@ -9,7 +9,7 @@ are reproducible across platforms and independent of corpus composition.
 Inference samples all documents in lockstep, one token position at a
 time, with numpy; it is bit-identical to sampling each document alone.
 
-The public conditional-distribution functions operate on `CountState`
+The public conditional-distribution functions operate on `SideState`
 tables and expect the current token's assignment to already be removed
 from all counts. Training uses an equivalent plain-Python inner loop for
 speed; `debug_checks=True` re-tallies every table from the assignments
@@ -95,12 +95,6 @@ class SideState:
     @property
     def vocab_size(self) -> int:
         return self.word_topic.shape[0]
-
-
-@dataclass
-class CountState:
-    sides: tuple[SideState, SideState]
-    tree: DirichletTree | None = None
 
 
 def tally_side(tokens: list[list[int]], z: list, k: int, vocab_size: int) -> SideState:
@@ -276,7 +270,9 @@ def _zeros(n: int, k: int) -> list[list[int]]:
 
 def _sweep_plain(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng):
     """One Gibbs sweep where the topic prior for document d is the float
-    vector priors[d] (alpha, or alpha plus transfer pseudo-counts)."""
+    vector priors[d] (alpha, or alpha plus transfer pseudo-counts). Under
+    conditional hard links the caller has added the partner's topic counts
+    to ndk[d], so the score is (nd + partner) + alpha."""
     for d, toks in enumerate(tokens):
         if not toks:
             continue
@@ -297,49 +293,6 @@ def _sweep_plain(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng):
                 p = (nd[kk] + pr[kk]) * (nw[kk] + beta) / (nk[kk] + vbeta)
                 append(p)
                 total += p
-            u = us[i] * total
-            acc = 0.0
-            k1 = n_topics - 1
-            for kk in range(n_topics):
-                acc += probs[kk]
-                if u < acc:
-                    k1 = kk
-                    break
-            zd[i] = k1
-            nd[k1] += 1
-            nw[k1] += 1
-            nk[k1] += 1
-
-
-def _sweep_linked(tokens, z, ndk, partners, alpha, nwk, nk, beta, vbeta, n_topics, rng):
-    """Conditional-formulation hard links: the partner's live topic tallies
-    enter the prior; partners[d] is None for unlinked documents."""
-    for d, toks in enumerate(tokens):
-        if not toks:
-            continue
-        zd = z[d]
-        nd = ndk[d]
-        pd = partners[d]
-        us = rng.random(len(toks)).tolist()
-        for i, w in enumerate(toks):
-            k0 = zd[i]
-            nw = nwk[w]
-            nd[k0] -= 1
-            nw[k0] -= 1
-            nk[k0] -= 1
-            total = 0.0
-            probs = []
-            append = probs.append
-            if pd is None:
-                for kk in range(n_topics):
-                    p = (nd[kk] + alpha) * (nw[kk] + beta) / (nk[kk] + vbeta)
-                    append(p)
-                    total += p
-            else:
-                for kk in range(n_topics):
-                    p = (nd[kk] + pd[kk] + alpha) * (nw[kk] + beta) / (nk[kk] + vbeta)
-                    append(p)
-                    total += p
             u = us[i] * total
             acc = 0.0
             k1 = n_topics - 1
@@ -498,49 +451,38 @@ class _FastSide:
         self.paths: list[list[int]] = [[] for _ in self.tokens]
 
     def init_assignments(self, rng, memberships: list[list[int]] | None, tree_counts) -> None:
+        """Draw each document's topics; with `memberships`, also draw each
+        token's tree leaf right after its document's topics."""
         k = self.n_topics
+        if memberships is not None:
+            ncp, nleaf, ctotal, utotal = tree_counts
         for d, toks in enumerate(self.tokens):
             zd = rng.integers(0, k, size=len(toks)).tolist()
             self.z[d] = zd
             nd = self.ndk[d]
-            if memberships is None:
-                for w, topic in zip(toks, zd):
-                    nd[topic] += 1
-                    self.nwk[w][topic] += 1
-                    self.nk[topic] += 1
-            else:
-                ncp, nleaf, ctotal, utotal = tree_counts
-                pathd = []
-                for w, topic in zip(toks, zd):
-                    nd[topic] += 1
-                    self.nwk[w][topic] += 1
-                    self.nk[topic] += 1
-                    ms = memberships[w]
-                    if not ms:
-                        c = -1
-                        utotal[topic] += 1
-                    else:
-                        c = ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))]
-                        ncp[c][topic] += 1
-                        nleaf[c][topic] += 1
-                        ctotal[topic] += 1
-                    pathd.append(c)
-                self.paths[d] = pathd
+            pathd = self.paths[d]
+            for w, topic in zip(toks, zd):
+                nd[topic] += 1
+                self.nwk[w][topic] += 1
+                self.nk[topic] += 1
+                if memberships is None:
+                    continue
+                ms = memberships[w]
+                if not ms:
+                    c = -1
+                    utotal[topic] += 1
+                else:
+                    c = ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))]
+                    ncp[c][topic] += 1
+                    nleaf[c][topic] += 1
+                    ctotal[topic] += 1
+                pathd.append(c)
 
     def doc_topic_array(self) -> np.ndarray:
         return np.array(self.ndk, dtype=np.int64)
 
     def word_topic_array(self) -> np.ndarray:
         return np.array(self.nwk, dtype=np.int64)
-
-    def to_side_state(self) -> SideState:
-        return SideState(
-            tokens=self.tokens,
-            doc_topic=self.doc_topic_array(),
-            word_topic=self.word_topic_array(),
-            topic_total=np.array(self.nk, dtype=np.int64),
-            z=[np.array(zd, dtype=np.int64) for zd in self.z],
-        )
 
     def verify(self) -> None:
         expected = tally_side(self.tokens, self.z, self.n_topics, self.vocab_size)
@@ -552,19 +494,26 @@ class _FastSide:
             raise DataError("topic totals out of sync with assignments")
 
 
-def _softlink_priors(
-    matrix: TransferMatrix, source_ndk: list[list[int]], alpha: float, k: int
-) -> list[list[float]]:
-    base = [alpha] * k
-    source = np.array(source_ndk, dtype=np.float64)
-    priors: list[list[float]] = []
-    for idx, weights in matrix.rows:
-        if len(idx) == 0:
-            priors.append(base)
-        else:
-            pseudo = weights @ source[idx]
-            priors.append((pseudo + alpha).tolist())
-    return priors
+def _pseudo_counts(matrix: TransferMatrix, source_ndk: list[list[int]], k: int) -> np.ndarray:
+    """Soft-link pseudo-counts (D x K): row d is the weighted mixture of the
+    source documents' topic counts that transfer row d names, zero for an
+    empty row. One `weights @ source[idx]` per row keeps the summation
+    order of `softlink_prior`."""
+    source = np.array(source_ndk, dtype=np.float64).reshape(-1, k)
+    pseudo = np.zeros((len(matrix.rows), k), dtype=np.float64)
+    for d, (idx, weights) in enumerate(matrix.rows):
+        if len(idx):
+            pseudo[d] = weights @ source[idx]
+    return pseudo
+
+
+def _add_partner_counts(ndk: list[list[int]], partners: dict, sign: int) -> None:
+    """Add (sign 1) or remove (sign -1) each linked partner's topic counts
+    in its document's row of `ndk`."""
+    for d, partner in partners.items():
+        nd = ndk[d]
+        for kk, count in enumerate(partner):
+            nd[kk] += sign * count
 
 
 def _validate_matrix(matrix: TransferMatrix, target: Corpus, source: Corpus) -> None:
@@ -600,8 +549,8 @@ def train(
 
     Soft-link priors are recomputed once per sweep from topic counts
     snapshotted at the sweep start. Annealing, when scheduled, fires at
-    iteration end and reshapes both transfer matrices in place (the caller
-    should pass copies if the originals must survive).
+    iteration end; the scheduler keeps the annealed matrices, and the
+    caller's transfer matrices are left unchanged.
     """
     from .schedule import AnnealScheduler  # local import to avoid a cycle
 
@@ -652,24 +601,25 @@ def train(
         else:
             fast.init_assignments(rng, None, None)
 
-    # hard-link partner structure; pooled rows exist only under the joint
-    # formulation (they are shared between the two linked documents)
-    partner_of: tuple[list, list] = ([None] * len(sides[0].tokens), [None] * len(sides[1].tokens))
+    # hard-link structure: under the conditional formulation partners[s][d]
+    # is the live count row of document d's partner; under the joint one
+    # each linked pair shares one pooled row
+    partners: tuple[dict, dict] = ({}, {})
     pools: tuple[list, list] = ([None] * len(sides[0].tokens), [None] * len(sides[1].tokens))
     if model_kind == "hardlink":
         for i1, i2 in corpus.hard_links:
-            partner_of[0][i1] = sides[1].ndk[i2]
-            partner_of[1][i2] = sides[0].ndk[i1]
             if hardlink_formulation == "joint":
                 pooled = [a + b for a, b in zip(sides[0].ndk[i1], sides[1].ndk[i2])]
                 pools[0][i1] = pooled
                 pools[1][i2] = pooled
+            else:
+                partners[0][i1] = sides[1].ndk[i2]
+                partners[1][i2] = sides[0].ndk[i1]
 
-    matrices = []
-    if uses_soft:
-        matrices = [transfer_to_side1, transfer_to_side2]
     scheduler = AnnealScheduler(
-        anneal, matrices, dictionary=dictionary, hp=hp, seed=hp.seed
+        anneal,
+        [transfer_to_side1, transfer_to_side2] if uses_soft else [],
+        dictionary=dictionary, hp=hp, seed=hp.seed,
     )
 
     alpha = hp.alpha
@@ -687,9 +637,9 @@ def train(
 
     for iteration in range(1, hp.train_iterations + 1):
         if uses_soft:
-            priors = (
-                _softlink_priors(transfer_to_side1, sides[1].ndk, alpha, hp.k),
-                _softlink_priors(transfer_to_side2, sides[0].ndk, alpha, hp.k),
+            priors = tuple(
+                (_pseudo_counts(scheduler.matrices[s], sides[1 - s].ndk, hp.k) + alpha).tolist()
+                for s in (0, 1)
             )
         else:
             priors = base_priors
@@ -710,16 +660,15 @@ def train(
                     fast.tokens, fast.z, fast.ndk, pools[s], alpha,
                     fast.nwk, fast.nk, beta, vbeta, hp.k, rng,
                 )
-            elif model_kind == "hardlink":
-                _sweep_linked(
-                    fast.tokens, fast.z, fast.ndk, partner_of[s], alpha,
-                    fast.nwk, fast.nk, beta, vbeta, hp.k, rng,
-                )
             else:
+                # the partner rows belong to the other side, so they hold
+                # still while this side is swept
+                _add_partner_counts(fast.ndk, partners[s], 1)
                 _sweep_plain(
                     fast.tokens, fast.z, fast.ndk, priors[s],
                     fast.nwk, fast.nk, beta, vbeta, hp.k, rng,
                 )
+                _add_partner_counts(fast.ndk, partners[s], -1)
         scheduler.after_iteration(
             iteration,
             lambda: (sides[0].word_topic_array(), sides[1].word_topic_array()),
@@ -730,9 +679,7 @@ def train(
     if uses_tree:
         _write_tree_counts(tree, tree_lists)
     return _assemble_model(
-        model_kind, corpus, hp, sides,
-        transfer_to_side1, transfer_to_side2, tree,
-        scheduler, hardlink_formulation,
+        model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
     )
 
 
@@ -796,9 +743,7 @@ def _phi_tree(fast: _FastSide, tree: DirichletTree, side: int, hp: Hyperparams) 
 
 
 def _assemble_model(
-    model_kind, corpus, hp, sides,
-    transfer_to_side1, transfer_to_side2, tree,
-    scheduler, hardlink_formulation,
+    model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
 ) -> TopicModel:
     uses_tree = model_kind in ("voclink", "softlink_voclink")
     uses_soft = model_kind in ("softlink", "softlink_voclink")
@@ -810,22 +755,17 @@ def _assemble_model(
     )
 
     thetas = []
-    matrices = (transfer_to_side1, transfer_to_side2)
     for s in (0, 1):
         fast = sides[s]
         ndk = fast.doc_topic_array().astype(np.float64)
         lengths = np.array(fast.lengths, dtype=np.float64)
-        pseudo = np.zeros_like(ndk)
         if uses_soft:
-            source = sides[1 - s].doc_topic_array().astype(np.float64)
-            for d, row in enumerate(matrices[s].rows):
-                idx, weights = row
-                if len(idx):
-                    pseudo[d] = weights @ source[idx]
-        elif model_kind == "hardlink":
+            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].ndk, hp.k)
+        else:
+            pseudo = np.zeros_like(ndk)
+        if model_kind == "hardlink":
             other = sides[1 - s].doc_topic_array().astype(np.float64)
-            links = corpus.hard_links
-            for i1, i2 in links:
+            for i1, i2 in corpus.hard_links:
                 if s == 0:
                     pseudo[i1] = other[i2]
                 else:

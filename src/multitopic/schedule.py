@@ -18,7 +18,7 @@ import numpy as np
 from .dictionary import BilingualDictionary, Concept
 from .errors import ConfigError
 from .logreg import cross_val_accuracy
-from .transfer import AnnealConfig, TransferMatrix, anneal_in_place
+from .transfer import AnnealConfig, TransferMatrix, anneal_matrix
 
 
 @dataclass
@@ -43,17 +43,13 @@ class LisHistory:
         return float(np.mean(window))
 
 
-def _word_topic_pair(state) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a CountState or a raw (side1, side2) pair of word-topic tables."""
-    if hasattr(state, "sides"):
-        return (state.sides[0].word_topic, state.sides[1].word_topic)
-    return state
-
-
-def concept_topic_distribution(state, concept: Concept, side: int, beta: float) -> np.ndarray:
-    """Topic distribution of a concept's word on one side: counts smoothed
-    by beta, normalized; uniform when there is no evidence at all."""
-    word_topic = _word_topic_pair(state)[side]
+def concept_topic_distribution(
+    word_topics, concept: Concept, side: int, beta: float
+) -> np.ndarray:
+    """Topic distribution of a concept's word on one side of the (side1,
+    side2) pair of word-topic tables: counts smoothed by beta, normalized;
+    uniform when there is no evidence at all."""
+    word_topic = word_topics[side]
     word = concept.word1 if side == 0 else concept.word2
     counts = word_topic[word].astype(np.float64) + beta
     total = counts.sum()
@@ -63,7 +59,7 @@ def concept_topic_distribution(state, concept: Concept, side: int, beta: float) 
 
 
 def concept_features(
-    state, dictionary: BilingualDictionary, beta: float
+    word_topics, dictionary: BilingualDictionary, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One labeled row per (concept, language): the concept's topic
     distribution on that side, labeled with the side index. Row 2i is
@@ -73,12 +69,11 @@ def concept_features(
 
     Concepts are visited in canonical (word1, word2) order so the feature
     matrix does not depend on how the dictionary happens to be ordered."""
-    pair = _word_topic_pair(state)
     concepts = sorted(dictionary.concepts, key=lambda c: (c.word1, c.word2))
-    n_topics = pair[0].shape[1]
+    n_topics = word_topics[0].shape[1]
     rows = np.empty((len(concepts), 2, n_topics), dtype=np.float64)
-    rows[:, 0] = pair[0][[c.word1 for c in concepts]]
-    rows[:, 1] = pair[1][[c.word2 for c in concepts]]
+    rows[:, 0] = word_topics[0][[c.word1 for c in concepts]]
+    rows[:, 1] = word_topics[1][[c.word2 for c in concepts]]
     rows = rows.reshape(2 * len(concepts), n_topics)
     rows += beta
     totals = rows.sum(axis=1)
@@ -89,7 +84,7 @@ def concept_features(
 
 
 def compute_lis(
-    state,
+    word_topics,
     dictionary: BilingualDictionary,
     beta: float,
     folds: int = 5,
@@ -106,7 +101,7 @@ def compute_lis(
             f"need at least {2 * folds} concepts for {folds}-fold LIS, "
             f"got {len(dictionary.concepts)}"
         )
-    x, y = concept_features(state, dictionary, beta)
+    x, y = concept_features(word_topics, dictionary, beta)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(y))
     return cross_val_accuracy(x[order], y[order], folds, seed)
@@ -141,7 +136,7 @@ class AnnealScheduler:
         seed: int = 0,
     ):
         self.cfg = cfg
-        self.matrices = matrices
+        self.matrices = list(matrices)
         self.dictionary = dictionary
         self.hp = hp
         self.seed = seed
@@ -166,12 +161,11 @@ class AnnealScheduler:
         }
 
     def _anneal_all(self) -> tuple[int, float]:
-        rows = 0
-        maxima = []
-        for matrix in self.matrices:
-            anneal_in_place(matrix, self.cfg.temperature)
-            rows += matrix.nonempty_rows()
-            maxima.append(matrix.mean_row_max())
+        """Replace each matrix by its annealed copy; the matrices passed to
+        the constructor are never modified."""
+        self.matrices = [anneal_matrix(m, self.cfg.temperature) for m in self.matrices]
+        rows = sum(m.nonempty_rows() for m in self.matrices)
+        maxima = [m.mean_row_max() for m in self.matrices]
         return rows, float(np.mean(maxima)) if maxima else 0.0
 
     def after_iteration(self, iteration: int, get_word_topics) -> None:

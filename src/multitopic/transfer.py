@@ -222,11 +222,6 @@ def anneal_matrix(matrix: TransferMatrix, temperature: float) -> TransferMatrix:
     return TransferMatrix(matrix.target_language, matrix.source_language, rows)
 
 
-def anneal_in_place(matrix: TransferMatrix, temperature: float) -> None:
-    """In-place variant used by the training schedule."""
-    matrix.rows = anneal_matrix(matrix, temperature).rows
-
-
 def write_matrix_tsv(
     matrix: TransferMatrix, target: Corpus, source: Corpus, path: str | Path
 ) -> None:

@@ -276,6 +276,22 @@ def test_non_numeric_config_value_exits_2(tmp_path, toy_data, capsys, overrides)
     assert not (tmp_path / "out" / "model.json").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("anneal", "x"), ("focus", 3), ("paths", []), ("anneal", None), ("focus", [0.5]),
+])
+def test_config_section_that_is_not_an_object_exits_2(
+    tmp_path, toy_data, capsys, section, value
+):
+    config = base_config(toy_data, tmp_path / "out", model="softlink")
+    config[section] = value
+    config_path = tmp_path / "bad_section.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and f"{section!r} must be an object" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ("anneal", "temperature"), ("anneal", "interval"), ("focus", "threshold"),
 ])
@@ -396,3 +412,25 @@ def test_model_without_count_tables_cannot_score_lis(tmp_path, toy_data, capsys)
         "--dictionary", str(toy_data["dictionary"]),
     ]) == 3
     assert "does not carry count tables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("5", "a reference pair must be a JSON object"),
+    ('"a0 b0"', "a reference pair must be a JSON object"),
+    ('[["a0"], ["b0"]]', "a reference pair must be a JSON object"),
+    ('{"l1_types": "a0", "l2_types": ["b0"]}', "'l1_types' must be a list of strings"),
+    ('{"l1_types": ["a0"], "l2_types": null}', "'l2_types' must be a list of strings"),
+    ('{"l1_types": ["a0", 1], "l2_types": ["b0"]}', "'l1_types' must be a list of strings"),
+    ('{"l1_types": ["a0"], "l2_types": [["b0"]]}', "'l2_types' must be a list of strings"),
+])
+def test_malformed_reference_file_exits_3(tmp_path, toy_data, capsys, line, message):
+    out = run_train(tmp_path, toy_data, "valid")
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text('{"l1_types": ["a0"], "l2_types": ["b0"]}\n' + line + "\n")
+    capsys.readouterr()
+    assert main([
+        "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
+        "--reference", str(reference),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{reference}:2: {message}" in err

@@ -277,22 +277,51 @@ class TestTrain:
         m_lda = train("lda", corpus, hp)
         m1, m2 = empty_matrices(corpus)
         m_soft = train("softlink", corpus, hp, transfer_to_side1=m1, transfer_to_side2=m2)
-        for s in (0, 1):
-            assert np.array_equal(m_lda.phi[s], m_soft.phi[s])
-            assert np.array_equal(m_lda.theta[s], m_soft.theta[s])
-        assert m_lda.counts == m_soft.counts
+        # hard links on a corpus without links run the same prior-vector sweep
+        m_hard = train("hardlink", corpus, hp)
+        for other in (m_soft, m_hard):
+            for s in (0, 1):
+                assert np.array_equal(m_lda.phi[s], other.phi[s])
+                assert np.array_equal(m_lda.theta[s], other.theta[s])
+            assert m_lda.counts == other.counts
 
     def test_hardlink_joint_and_conditional_trajectories_identical(self):
         rng = np.random.default_rng(12)
-        corpus = build_bilingual(rng, links={0: 1, 2: 0, 4: 3})
-        for iters in (1, 3, 7):
-            hp = Hyperparams(k=3, train_iterations=iters, seed=9)
-            m_cond = train("hardlink", corpus, hp, hardlink_formulation="conditional")
-            m_joint = train("hardlink", corpus, hp, hardlink_formulation="joint")
-            assert m_cond.counts == m_joint.counts
-            for s in (0, 1):
-                assert np.array_equal(m_cond.phi[s], m_joint.phi[s])
-                assert np.array_equal(m_cond.theta[s], m_joint.theta[s])
+        some_linked = build_bilingual(rng, links={0: 1, 2: 0, 4: 3})
+        every_linked = build_bilingual(rng, d1=5, d2=5, links={0: 3, 1: 0, 2: 4, 3: 1, 4: 2})
+        for corpus in (some_linked, every_linked):
+            for iters in (1, 3, 7):
+                hp = Hyperparams(k=3, train_iterations=iters, seed=9)
+                m_cond = train("hardlink", corpus, hp, hardlink_formulation="conditional")
+                m_joint = train("hardlink", corpus, hp, hardlink_formulation="joint")
+                assert m_cond.counts == m_joint.counts
+                for s in (0, 1):
+                    assert np.array_equal(m_cond.phi[s], m_joint.phi[s])
+                    assert np.array_equal(m_cond.theta[s], m_joint.theta[s])
+
+    def test_annealing_leaves_the_callers_transfer_matrices_unchanged(self):
+        rng = np.random.default_rng(18)
+        corpus = build_bilingual(rng)
+        dictionary = BilingualDictionary("l1", "l2", [(i, i) for i in range(8)])
+        from multitopic.transfer import AnnealConfig, build_transfer_matrix
+
+        t1 = build_transfer_matrix(corpus.side1, corpus.side2, dictionary)
+        t2 = build_transfer_matrix(corpus.side2, corpus.side1, dictionary)
+        before = [[(idx.copy(), w.copy()) for idx, w in t.rows] for t in (t1, t2)]
+        model = train(
+            "softlink", corpus, Hyperparams(k=3, train_iterations=6, seed=4),
+            transfer_to_side1=t1, transfer_to_side2=t2,
+            anneal=AnnealConfig(schedule="fixed", interval=2, stop_iteration=6, temperature=0.5),
+        )
+        events = model.provenance["anneal_events"]
+        assert [e["iteration"] for e in events] == [2, 4, 6]
+        # annealing sharpened the rows the sampler used ...
+        assert events[-1]["max_weight_mean"] > (t1.mean_row_max() + t2.mean_row_max()) / 2
+        # ... but not the caller's matrices
+        for t, rows in zip((t1, t2), before):
+            assert len(t.rows) == len(rows)
+            for (idx, w), (idx0, w0) in zip(t.rows, rows):
+                assert np.array_equal(idx, idx0) and np.array_equal(w, w0)
 
     def test_debug_checks_pass_for_every_kind(self):
         rng = np.random.default_rng(13)

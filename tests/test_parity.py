@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multitopic import schedule
+from multitopic import evaluate, schedule
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
 from multitopic.errors import ConfigError
@@ -36,6 +36,7 @@ from multitopic.transfer import (
 )
 
 from oracles import (
+    _tune_threshold_reference,
     classify_crosslingual_reference,
     concept_features_reference,
     cross_val_accuracy_reference,
@@ -278,8 +279,8 @@ def fold_problems(draw):
     return x, y, n_folds, draw(st.integers(0, 1000))
 
 
-# unbalanced classes can leave a fold with no held-out rows, whose accuracy
-# is NaN on both paths
+# unbalanced classes can leave a fold with no held-out rows: the reference's
+# accuracy is then NaN, and cross_val_accuracy refuses the split
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 @settings(SETTINGS, max_examples=25)
 @given(fold_problems())
@@ -296,10 +297,13 @@ def test_stacked_folds_match_one_fit_per_fold(case):
         assert same_bits(fit.posteriors, want_p)
         got_acc = float(((fit.posteriors >= 0.5) == y[held_out]).mean())
         assert same_bits(got_acc, want_acc)
-    assert same_bits(
-        cross_val_accuracy(x, y, n_folds, seed),
-        cross_val_accuracy_reference(x, y, n_folds, seed),
-    )
+    want_accuracy = cross_val_accuracy_reference(x, y, n_folds, seed)
+    if any(len(fit.held_out) == 0 for fit in fits):
+        assert np.isnan(want_accuracy)
+        with pytest.raises(ConfigError, match="no held-out rows"):
+            cross_val_accuracy(x, y, n_folds, seed)
+    else:
+        assert same_bits(cross_val_accuracy(x, y, n_folds, seed), want_accuracy)
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
@@ -311,6 +315,19 @@ def test_fold_without_training_rows_is_a_config_error(y):
         cross_val_fits(x, np.array(y), 5, seed=0)
     with pytest.raises(ZeroDivisionError):
         cross_val_folds_reference(x, np.array(y), 5, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+def test_fold_without_held_out_rows_is_a_config_error():
+    # 3 + 8 rows dealt round-robin into 10 folds leave folds 8 and 9 empty
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(11, 3))
+    y = np.array([1] * 3 + [0] * 8)
+    with pytest.raises(ConfigError, match="11 rows in 10 folds leave a fold with no held-out rows"):
+        cross_val_accuracy(x, y, 10, seed=0)
+    assert np.isnan(cross_val_accuracy_reference(x, y, 10, seed=0))
+    # threshold tuning only pools the out-of-fold posteriors, so it still runs
+    assert evaluate._tune_threshold(x, y, 10, 0) == _tune_threshold_reference(x, y, 10, 0)
 
 
 def test_adaptive_training_matches_per_fold_lis(monkeypatch):

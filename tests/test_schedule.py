@@ -229,11 +229,16 @@ class TestScheduler:
     def test_annealing_actually_sharpens_matrix_rows(self):
         cfg = AnnealConfig(schedule="fixed", interval=1, stop_iteration=50)
         matrix = dummy_matrix()
+        original = [(idx.copy(), w.copy()) for idx, w in matrix.rows]
         scheduler = AnnealScheduler(cfg, [matrix])
         before = matrix.rows[0][1].max()
         for it in range(1, 51):
             scheduler.after_iteration(it, lambda: None)
-        assert matrix.rows[0][1].max() > before
+        annealed = scheduler.matrices[0]
+        assert annealed.rows[0][1].max() > before
         assert scheduler.events[-1]["max_weight_mean"] == pytest.approx(
-            matrix.mean_row_max()
+            annealed.mean_row_max()
         )
+        # the scheduler owns the annealed copies; the caller's matrix is untouched
+        for (idx, w), (idx0, w0) in zip(matrix.rows, original):
+            assert np.array_equal(idx, idx0) and np.array_equal(w, w0)
