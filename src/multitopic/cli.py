@@ -30,6 +30,7 @@ from .models import (
     load_model,
     save_model,
     train,
+    write_json,
 )
 from .schedule import compute_lis, write_event_log
 from .transfer import (
@@ -291,9 +292,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "labels": [sorted(d.labels) if d.labels else None for d in heldout.documents],
         "theta": theta.tolist(),
     }
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(payload, args.output)
     print(f"theta written to {args.output}")
     return 0
 

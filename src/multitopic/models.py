@@ -11,9 +11,22 @@ time, with numpy; it is bit-identical to sampling each document alone.
 
 The public conditional-distribution functions operate on `SideState`
 tables and expect the current token's assignment to already be removed
-from all counts. Training uses an equivalent plain-Python inner loop for
-speed; `debug_checks=True` re-tallies every table from the assignments
-after each sweep.
+from all counts. Training keeps the counts in plain lists and samples
+with equivalent sweeps: each factor of the score, such as nd + prior,
+nw + beta and nk + V*beta, is also held as a float row, and after every
+decrement and increment only the changed topic's entry is recomputed,
+with the same expression. A token's cumulative scores are then
+`list(accumulate(map(truediv, map(mul, ...))))`, which multiplies,
+divides and adds left to right exactly as a scalar loop over the topics
+does, and `bisect_right(cdf, u * cdf[-1])` (clamped to the last topic) is
+the first topic with `u * total < cdf[k]`, because the CDF never
+decreases. The draws are therefore bit-identical to the scalar loops kept
+in `tests/oracles.py`. `debug_checks=True` re-tallies every table from
+the assignments after each sweep.
+
+`save_model` writes the same bytes as one `json.dumps` call, but encodes
+one innermost row at a time so the text of the whole model is never held
+in memory.
 """
 
 from __future__ import annotations
@@ -21,7 +34,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import accumulate, chain
+from operator import add, mul, truediv
 from pathlib import Path
 
 import numpy as np
@@ -260,7 +276,8 @@ class TopicModel:
 
 
 # ---------------------------------------------------------------------------
-# training fast path: plain-Python count lists, one uniform draw per token
+# training fast path: plain-Python count lists with float score rows kept in
+# step, one uniform draw per token
 # ---------------------------------------------------------------------------
 
 
@@ -268,87 +285,102 @@ def _zeros(n: int, k: int) -> list[list[int]]:
     return [[0] * k for _ in range(n)]
 
 
+def _plus(rows, offset):
+    """Float copy of integer count rows with `offset` added to every entry."""
+    return [[c + offset for c in row] for row in rows]
+
+
 def _sweep_plain(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng):
     """One Gibbs sweep where the topic prior for document d is the float
     vector priors[d] (alpha, or alpha plus transfer pseudo-counts). Under
     conditional hard links the caller has added the partner's topic counts
-    to ndk[d], so the score is (nd + partner) + alpha."""
+    to ndk[d], so the score is (nd + partner) + alpha.
+
+    The three factors of (nd + pr) * (nw + beta) / (nk + vbeta) live in float
+    rows kept in step with the counts, and each token's cumulative scores
+    come from one chain of C iterators."""
+    wb = _plus(nwk, beta)
+    den = [c + vbeta for c in nk]
+    last = n_topics - 1
     for d, toks in enumerate(tokens):
         if not toks:
             continue
         zd = z[d]
         nd = ndk[d]
         pr = priors[d]
+        ndp = list(map(add, nd, pr))
         us = rng.random(len(toks)).tolist()
         for i, w in enumerate(toks):
             k0 = zd[i]
             nw = nwk[w]
+            wbw = wb[w]
             nd[k0] -= 1
             nw[k0] -= 1
             nk[k0] -= 1
-            total = 0.0
-            probs = []
-            append = probs.append
-            for kk in range(n_topics):
-                p = (nd[kk] + pr[kk]) * (nw[kk] + beta) / (nk[kk] + vbeta)
-                append(p)
-                total += p
-            u = us[i] * total
-            acc = 0.0
-            k1 = n_topics - 1
-            for kk in range(n_topics):
-                acc += probs[kk]
-                if u < acc:
-                    k1 = kk
-                    break
+            ndp[k0] = nd[k0] + pr[k0]
+            wbw[k0] = nw[k0] + beta
+            den[k0] = nk[k0] + vbeta
+            cdf = list(accumulate(map(truediv, map(mul, ndp, wbw), den)))
+            k1 = bisect_right(cdf, us[i] * cdf[-1])
+            if k1 > last:
+                k1 = last
             zd[i] = k1
             nd[k1] += 1
             nw[k1] += 1
             nk[k1] += 1
+            ndp[k1] = nd[k1] + pr[k1]
+            wbw[k1] = nw[k1] + beta
+            den[k1] = nk[k1] + vbeta
 
 
 def _sweep_pooled(tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng):
     """Joint-formulation hard links: each linked pair shares one pooled
-    topic-count row (pools[d]); per-document rows are kept for bookkeeping."""
+    topic-count row (pools[d]); per-document rows are kept for bookkeeping.
+    The score rows are cached as in `_sweep_plain`, with row + alpha for
+    the document factor."""
+    wb = _plus(nwk, beta)
+    den = [c + vbeta for c in nk]
+    last = n_topics - 1
     for d, toks in enumerate(tokens):
         if not toks:
             continue
         zd = z[d]
         nd = ndk[d]
         pool = pools[d]
+        row = nd if pool is None else pool
+        rowa = [c + alpha for c in row]
         us = rng.random(len(toks)).tolist()
         for i, w in enumerate(toks):
             k0 = zd[i]
             nw = nwk[w]
+            wbw = wb[w]
             nd[k0] -= 1
             nw[k0] -= 1
             nk[k0] -= 1
-            if pool is None:
-                row = nd
-            else:
+            if pool is not None:
                 pool[k0] -= 1
-                row = pool
-            total = 0.0
-            probs = []
-            append = probs.append
-            for kk in range(n_topics):
-                p = (row[kk] + alpha) * (nw[kk] + beta) / (nk[kk] + vbeta)
-                append(p)
-                total += p
-            u = us[i] * total
-            acc = 0.0
-            k1 = n_topics - 1
-            for kk in range(n_topics):
-                acc += probs[kk]
-                if u < acc:
-                    k1 = kk
-                    break
+            rowa[k0] = row[k0] + alpha
+            wbw[k0] = nw[k0] + beta
+            den[k0] = nk[k0] + vbeta
+            cdf = list(accumulate(map(truediv, map(mul, rowa, wbw), den)))
+            k1 = bisect_right(cdf, us[i] * cdf[-1])
+            if k1 > last:
+                k1 = last
             zd[i] = k1
             nd[k1] += 1
             nw[k1] += 1
             nk[k1] += 1
             if pool is not None:
                 pool[k1] += 1
+            rowa[k1] = row[k1] + alpha
+            wbw[k1] = nw[k1] + beta
+            den[k1] = nk[k1] + vbeta
+
+
+def _concept_scores(ndp, root, node_root, leaf_int, node_int2):
+    """Scores of one concept's leaf for every topic, left to right:
+    ndp * node_root / root * leaf_int / node_int2."""
+    return map(truediv, map(mul, map(truediv, map(mul, ndp, node_root), root), leaf_int), node_int2)
 
 
 def _sweep_tree(
@@ -357,9 +389,22 @@ def _sweep_tree(
     n_topics, rng,
 ):
     """Vocabulary-links sweep for one side: topic and leaf are sampled
-    jointly by enumerating (leaf, topic) pairs. ncp/ctotal pool both
-    languages; nleaf/utotal belong to this side."""
+    jointly by enumerating (leaf, topic) pairs, concept by concept. ncp/
+    ctotal pool both languages; nleaf/utotal belong to this side.
+
+    A word with no concepts sits on its own root leaf (its path is -1) and
+    scores (nd + pr) * (nw + beta) / root; a concept c scores
+    (nd + pr) * (node + beta_root) / root * (leaf + beta_internal) /
+    (node + 2 * beta_internal), with root = ctotal + utotal + root_prior.
+    Every parenthesised factor is a float row kept in step with its counts,
+    as in `_sweep_plain`."""
     beta_int2 = 2.0 * beta_internal
+    # only words without concepts read nw + beta
+    wb = [None if ms else [c + beta for c in row] for row, ms in zip(nwk, memberships)]
+    root = [c + u + root_prior for c, u in zip(ctotal, utotal)]
+    node_root = _plus(ncp, beta_root)
+    node_int2 = _plus(ncp, beta_int2)
+    leaf_int = _plus(nleaf, beta_internal)
     for d, toks in enumerate(tokens):
         if not toks:
             continue
@@ -367,6 +412,7 @@ def _sweep_tree(
         pathd = paths[d]
         nd = ndk[d]
         pr = priors[d]
+        ndp = list(map(add, nd, pr))
         us = rng.random(len(toks)).tolist()
         for i, w in enumerate(toks):
             k0 = zd[i]
@@ -375,47 +421,35 @@ def _sweep_tree(
             nd[k0] -= 1
             nw[k0] -= 1
             nk[k0] -= 1
+            ndp[k0] = nd[k0] + pr[k0]
             if c0 >= 0:
-                ncp[c0][k0] -= 1
-                nleaf[c0][k0] -= 1
+                node = ncp[c0]
+                leaf = nleaf[c0]
+                node[k0] -= 1
+                leaf[k0] -= 1
                 ctotal[k0] -= 1
+                node_root[c0][k0] = node[k0] + beta_root
+                node_int2[c0][k0] = node[k0] + beta_int2
+                leaf_int[c0][k0] = leaf[k0] + beta_internal
             else:
                 utotal[k0] -= 1
+                wb[w][k0] = nw[k0] + beta
+            root[k0] = ctotal[k0] + utotal[k0] + root_prior
             ms = memberships[w]
-            total = 0.0
-            probs = []
-            append = probs.append
             if not ms:
-                for kk in range(n_topics):
-                    p = (
-                        (nd[kk] + pr[kk])
-                        * (nw[kk] + beta)
-                        / (ctotal[kk] + utotal[kk] + root_prior)
-                    )
-                    append(p)
-                    total += p
+                scores = map(truediv, map(mul, ndp, wb[w]), root)
+            elif len(ms) == 1:
+                c = ms[0]
+                scores = _concept_scores(ndp, root, node_root[c], leaf_int[c], node_int2[c])
             else:
-                for c in ms:
-                    node = ncp[c]
-                    leaf = nleaf[c]
-                    for kk in range(n_topics):
-                        p = (
-                            (nd[kk] + pr[kk])
-                            * (node[kk] + beta_root)
-                            / (ctotal[kk] + utotal[kk] + root_prior)
-                            * (leaf[kk] + beta_internal)
-                            / (node[kk] + beta_int2)
-                        )
-                        append(p)
-                        total += p
-            u = us[i] * total
-            acc = 0.0
-            pick = len(probs) - 1
-            for j, p in enumerate(probs):
-                acc += p
-                if u < acc:
-                    pick = j
-                    break
+                scores = chain.from_iterable(
+                    _concept_scores(ndp, root, node_root[c], leaf_int[c], node_int2[c])
+                    for c in ms
+                )
+            cdf = list(accumulate(scores))
+            pick = bisect_right(cdf, us[i] * cdf[-1])
+            if pick == len(cdf):
+                pick -= 1
             if ms:
                 k1 = pick % n_topics
                 c1 = ms[pick // n_topics]
@@ -427,12 +461,20 @@ def _sweep_tree(
             nd[k1] += 1
             nw[k1] += 1
             nk[k1] += 1
+            ndp[k1] = nd[k1] + pr[k1]
             if c1 >= 0:
-                ncp[c1][k1] += 1
-                nleaf[c1][k1] += 1
+                node = ncp[c1]
+                leaf = nleaf[c1]
+                node[k1] += 1
+                leaf[k1] += 1
                 ctotal[k1] += 1
+                node_root[c1][k1] = node[k1] + beta_root
+                node_int2[c1][k1] = node[k1] + beta_int2
+                leaf_int[c1][k1] = leaf[k1] + beta_internal
             else:
                 utotal[k1] += 1
+                wb[w][k1] = nw[k1] + beta
+            root[k1] = ctotal[k1] + utotal[k1] + root_prior
 
 
 class _FastSide:
@@ -556,6 +598,9 @@ def train(
 
     if model_kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
+    for s, side in enumerate((corpus.side1, corpus.side2), start=1):
+        if not side.documents:
+            raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
     uses_soft = model_kind in ("softlink", "softlink_voclink")
     uses_tree = model_kind in ("voclink", "softlink_voclink")
 
@@ -1035,15 +1080,53 @@ def model_from_json(payload: dict) -> TopicModel:
     )
 
 
+# one encoder for every piece: json.dumps would build a new one per call
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+
+
+def _write_parts(value, write) -> None:
+    """Write `_dumps(value)` through `write` piece by piece: objects with
+    string keys and lists of lists or objects are opened here, and every
+    other value (an innermost row, a string, a number) goes to the C
+    encoder whole. Only one row's text is held at a time; encoding the
+    whole payload at once keeps a string per number until the end."""
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        sep = "{"
+        for key in sorted(value):
+            write(sep + _dumps(key) + ":")
+            _write_parts(value[key], write)
+            sep = ","
+        write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+        sep = "["
+        for item in value:
+            write(sep)
+            _write_parts(item, write)
+            sep = ","
+        write("]")
+    else:
+        write(_dumps(value))
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write `payload` as one line of compact JSON with sorted keys: the
+    bytes of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
+    plus a newline. A NaN or infinity raises `DataError` and leaves no
+    file behind, so a non-finite table is never saved."""
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            _write_parts(payload, fh.write)
+        except ValueError as exc:  # the encoder met a NaN or infinity
+            fh.close()
+            Path(path).unlink()
+            raise DataError(f"cannot write {path}: {exc}") from None
+        fh.write("\n")
+
+
 def save_model(model: TopicModel, path: str | Path, include_counts: bool = True) -> None:
     """Write the versioned model container. Count tables are needed for
     LIS evaluation and resumable work; drop them for a smaller file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            model_to_json(model, include_counts=include_counts),
-            fh, sort_keys=True, separators=(",", ":"),
-        )
-        fh.write("\n")
+    write_json(model_to_json(model, include_counts=include_counts), path)
 
 
 def load_model(path: str | Path) -> TopicModel:

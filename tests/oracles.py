@@ -344,6 +344,195 @@ def check_voclink(
 
 
 # ---------------------------------------------------------------------------
+# bitwise references for the training sweeps: the scalar loops the package
+# used to run, scoring one topic at a time and walking the unnormalised CDF.
+# With a `trace` list, each also records every token's running score sums
+# and scaled uniform, so a test can compare the scores themselves.
+# ---------------------------------------------------------------------------
+
+
+def _record(trace, probs, u):
+    if trace is not None:
+        sums, acc = [], 0.0
+        for p in probs:
+            acc += p
+            sums.append(acc)
+        trace.append((sums, u))
+
+
+def sweep_plain_reference(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng, trace=None):
+    """One Gibbs sweep where the topic prior for document d is the float
+    vector priors[d] (alpha, or alpha plus transfer pseudo-counts). Under
+    conditional hard links the caller has added the partner's topic counts
+    to ndk[d], so the score is (nd + partner) + alpha."""
+    for d, toks in enumerate(tokens):
+        if not toks:
+            continue
+        zd = z[d]
+        nd = ndk[d]
+        pr = priors[d]
+        us = rng.random(len(toks)).tolist()
+        for i, w in enumerate(toks):
+            k0 = zd[i]
+            nw = nwk[w]
+            nd[k0] -= 1
+            nw[k0] -= 1
+            nk[k0] -= 1
+            total = 0.0
+            probs = []
+            append = probs.append
+            for kk in range(n_topics):
+                p = (nd[kk] + pr[kk]) * (nw[kk] + beta) / (nk[kk] + vbeta)
+                append(p)
+                total += p
+            u = us[i] * total
+            _record(trace, probs, u)
+            acc = 0.0
+            k1 = n_topics - 1
+            for kk in range(n_topics):
+                acc += probs[kk]
+                if u < acc:
+                    k1 = kk
+                    break
+            zd[i] = k1
+            nd[k1] += 1
+            nw[k1] += 1
+            nk[k1] += 1
+
+
+def sweep_pooled_reference(
+    tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng, trace=None
+):
+    """Joint-formulation hard links: each linked pair shares one pooled
+    topic-count row (pools[d]); per-document rows are kept for bookkeeping."""
+    for d, toks in enumerate(tokens):
+        if not toks:
+            continue
+        zd = z[d]
+        nd = ndk[d]
+        pool = pools[d]
+        us = rng.random(len(toks)).tolist()
+        for i, w in enumerate(toks):
+            k0 = zd[i]
+            nw = nwk[w]
+            nd[k0] -= 1
+            nw[k0] -= 1
+            nk[k0] -= 1
+            if pool is None:
+                row = nd
+            else:
+                pool[k0] -= 1
+                row = pool
+            total = 0.0
+            probs = []
+            append = probs.append
+            for kk in range(n_topics):
+                p = (row[kk] + alpha) * (nw[kk] + beta) / (nk[kk] + vbeta)
+                append(p)
+                total += p
+            u = us[i] * total
+            _record(trace, probs, u)
+            acc = 0.0
+            k1 = n_topics - 1
+            for kk in range(n_topics):
+                acc += probs[kk]
+                if u < acc:
+                    k1 = kk
+                    break
+            zd[i] = k1
+            nd[k1] += 1
+            nw[k1] += 1
+            nk[k1] += 1
+            if pool is not None:
+                pool[k1] += 1
+
+
+def sweep_tree_reference(
+    tokens, z, paths, ndk, priors, nwk, nk, memberships,
+    ncp, nleaf, ctotal, utotal, beta, beta_root, beta_internal, root_prior,
+    n_topics, rng, trace=None,
+):
+    """Vocabulary-links sweep for one side: topic and leaf are sampled
+    jointly by enumerating (leaf, topic) pairs. ncp/ctotal pool both
+    languages; nleaf/utotal belong to this side."""
+    beta_int2 = 2.0 * beta_internal
+    for d, toks in enumerate(tokens):
+        if not toks:
+            continue
+        zd = z[d]
+        pathd = paths[d]
+        nd = ndk[d]
+        pr = priors[d]
+        us = rng.random(len(toks)).tolist()
+        for i, w in enumerate(toks):
+            k0 = zd[i]
+            c0 = pathd[i]
+            nw = nwk[w]
+            nd[k0] -= 1
+            nw[k0] -= 1
+            nk[k0] -= 1
+            if c0 >= 0:
+                ncp[c0][k0] -= 1
+                nleaf[c0][k0] -= 1
+                ctotal[k0] -= 1
+            else:
+                utotal[k0] -= 1
+            ms = memberships[w]
+            total = 0.0
+            probs = []
+            append = probs.append
+            if not ms:
+                for kk in range(n_topics):
+                    p = (
+                        (nd[kk] + pr[kk])
+                        * (nw[kk] + beta)
+                        / (ctotal[kk] + utotal[kk] + root_prior)
+                    )
+                    append(p)
+                    total += p
+            else:
+                for c in ms:
+                    node = ncp[c]
+                    leaf = nleaf[c]
+                    for kk in range(n_topics):
+                        p = (
+                            (nd[kk] + pr[kk])
+                            * (node[kk] + beta_root)
+                            / (ctotal[kk] + utotal[kk] + root_prior)
+                            * (leaf[kk] + beta_internal)
+                            / (node[kk] + beta_int2)
+                        )
+                        append(p)
+                        total += p
+            u = us[i] * total
+            _record(trace, probs, u)
+            acc = 0.0
+            pick = len(probs) - 1
+            for j, p in enumerate(probs):
+                acc += p
+                if u < acc:
+                    pick = j
+                    break
+            if ms:
+                k1 = pick % n_topics
+                c1 = ms[pick // n_topics]
+            else:
+                k1 = pick
+                c1 = -1
+            zd[i] = k1
+            pathd[i] = c1
+            nd[k1] += 1
+            nw[k1] += 1
+            nk[k1] += 1
+            if c1 >= 0:
+                ncp[c1][k1] += 1
+                nleaf[c1][k1] += 1
+                ctotal[k1] += 1
+            else:
+                utotal[k1] += 1
+
+
+# ---------------------------------------------------------------------------
 # bitwise references for the vectorised read-only paths: the straightforward
 # one-document, one-label, one-fold, one-concept loops the package used to run
 # ---------------------------------------------------------------------------

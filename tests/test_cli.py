@@ -142,6 +142,9 @@ def test_infer_and_eval_round(tmp_path, toy_data):
     ])
     assert code == 0
     payload = json.loads(theta_path.read_text())
+    # one line of compact JSON with sorted keys; floats survive the round trip
+    compact = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert theta_path.read_text() == compact + "\n"
     assert len(payload["theta"]) == 15
     np.testing.assert_allclose(np.sum(payload["theta"], axis=1), 1.0, atol=1e-9)
 

@@ -416,6 +416,15 @@ class TestTrain:
         with pytest.raises(ConfigError):
             train("nonesuch", corpus, hp)
 
+    @pytest.mark.parametrize("empty_side", [1, 2])
+    def test_side_without_documents_is_a_data_error(self, empty_side):
+        rng = np.random.default_rng(22)
+        corpus = build_bilingual(
+            rng, d1=0 if empty_side == 1 else 6, d2=0 if empty_side == 2 else 5
+        )
+        with pytest.raises(DataError, match=f"side {empty_side} .* has no documents"):
+            train("lda", corpus, Hyperparams(k=2, train_iterations=1))
+
 
 class TestModelSerialization:
     def test_round_trip_preserves_model(self, tmp_path):
@@ -445,6 +454,19 @@ class TestModelSerialization:
         path = tmp_path / "slim.json"
         save_model(model, path, include_counts=False)
         assert load_model(path).counts is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi_is_not_saved(self, tmp_path, bad):
+        rng = np.random.default_rng(23)
+        corpus = build_bilingual(rng)
+        model = train("lda", corpus, Hyperparams(k=2, train_iterations=2, seed=8))
+        from multitopic.models import save_model
+
+        model.phi[1][1, 3] = bad
+        path = tmp_path / "model.json"
+        with pytest.raises(DataError, match="not JSON compliant"):
+            save_model(model, path)
+        assert not path.exists()
 
 
 class TestInferHeldout:

@@ -1,13 +1,19 @@
-"""Bitwise parity of the vectorised read-only paths with their loop references.
+"""Bitwise parity of the fast paths with their loop references.
 
-Held-out inference runs all documents in lockstep, the one-vs-rest
-classifier fits every label in one stacked call, cross-validation fits
-every fold of one training-set size in one stacked call, and LIS features
-come from one gather. Each must reproduce, bit for bit, the one-document /
-one-label / one-fold / one-concept loops kept in `tests/oracles.py`.
+The training sweeps score topics through chains of C iterators over
+cached float rows, held-out inference runs all documents in lockstep, the
+one-vs-rest classifier fits every label in one stacked call,
+cross-validation fits every fold of one training-set size in one stacked
+call, and LIS features come from one gather. Each must reproduce, bit for
+bit, the one-topic / one-document / one-label / one-fold / one-concept
+loops kept in `tests/oracles.py`. The model writer must produce the bytes
+of one `json.dumps` call on the whole model.
 """
 
+import copy
+import io
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -26,7 +32,16 @@ from multitopic.logreg import (
     fit_binary_stack,
     sigmoid,
 )
-from multitopic.models import Hyperparams, TopicModel, infer_heldout, model_to_json, train
+from multitopic import models
+from multitopic.corpus import BilingualCorpus
+from multitopic.models import (
+    Hyperparams,
+    TopicModel,
+    infer_heldout,
+    model_to_json,
+    save_model,
+    train,
+)
 from multitopic.schedule import concept_features
 from multitopic.transfer import (
     AnnealConfig,
@@ -44,6 +59,9 @@ from oracles import (
     fit_reference,
     infer_heldout_reference,
     sigmoid_reference,
+    sweep_plain_reference,
+    sweep_pooled_reference,
+    sweep_tree_reference,
 )
 
 # derandomized: every run checks the same generated cases, so the suite is
@@ -73,6 +91,206 @@ def make_model(phi: np.ndarray, alpha: float) -> TopicModel:
         doc_ids=([], []),
         doc_labels=([], []),
     )
+
+
+@st.composite
+def sweep_states(draw):
+    """One side's sampler state, tallied from random assignments: documents
+    of every length including empty and one-token ones, and count rows that
+    also carry counts from outside this side (linked partners, the other
+    language's concept-node counts)."""
+    k = draw(st.integers(2, 60))
+    vocab_size = draw(st.integers(1, 15))
+    lengths = draw(
+        st.lists(st.one_of(st.just(0), st.just(1), st.integers(2, 12)), min_size=1, max_size=8)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tokens = [rng.integers(0, vocab_size, size=n).tolist() for n in lengths]
+    z = [rng.integers(0, k, size=n).tolist() for n in lengths]
+    ndk = [[0] * k for _ in tokens]
+    nwk = [[0] * k for _ in range(vocab_size)]
+    nk = [0] * k
+    for d, (toks, zd) in enumerate(zip(tokens, z)):
+        for w, topic in zip(toks, zd):
+            ndk[d][topic] += 1
+            nwk[w][topic] += 1
+            nk[topic] += 1
+    return {
+        "k": k, "tokens": tokens, "z": z, "ndk": ndk, "nwk": nwk, "nk": nk, "rng": rng,
+        "alpha": draw(st.sampled_from([0.01, 0.1, 1.0])),
+        "beta": draw(st.sampled_from([0.01, 0.5])),
+        "seed": draw(st.integers(0, 1000)),
+        "sweeps": draw(st.integers(1, 3)),
+    }
+
+
+def score_bits(trace: list) -> list:
+    return [(np.array(sums, dtype=np.float64).tobytes(), u.hex()) for sums, u in trace]
+
+
+def run_sweeps(sweep, reference, state: dict, args) -> None:
+    """Run `state["sweeps"]` sweeps of the package's `sweep` and of its scalar
+    `reference` on deep copies of `args` and assert that they agree bit for
+    bit: every token's running score sums and scaled uniform, the final
+    assignments and count tables, and the generator's final state."""
+
+    def run(fn, **kwargs):
+        copied = copy.deepcopy(args)
+        rng = np.random.default_rng(state["seed"])
+        for _ in range(state["sweeps"]):
+            fn(*copied, rng, **kwargs)
+        return copied, rng.bit_generator.state
+
+    got_trace, want_trace = [], []
+
+    def recording_bisect(cdf, u):
+        # the package picks each token's topic with one bisect_right(cdf, u)
+        got_trace.append((cdf, u))
+        return bisect_right(cdf, u)
+
+    models.bisect_right = recording_bisect
+    try:
+        got = run(sweep)
+    finally:
+        models.bisect_right = bisect_right
+    want = run(reference, trace=want_trace)
+    assert got == want
+    assert score_bits(got_trace) == score_bits(want_trace)
+
+
+@SETTINGS
+@given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
+def test_plain_sweep_matches_scalar_loop(state, prior):
+    k, ndk, rng, alpha = state["k"], state["ndk"], state["rng"], state["alpha"]
+    if prior == "softlink":
+        # non-uniform pseudo-counts, zero on some documents and topics
+        pseudo = rng.random((len(ndk), k)) * rng.integers(0, 4, size=(len(ndk), k))
+        priors = (pseudo + alpha).tolist()
+    else:
+        priors = [[alpha] * k] * len(ndk)
+    if prior == "hardlink":
+        # conditional hard links add the partner's counts to the row
+        for nd in ndk[::2]:
+            for kk, extra in enumerate(rng.integers(0, 5, size=k).tolist()):
+                nd[kk] += extra
+    vbeta = len(state["nwk"]) * state["beta"]
+    args = (
+        state["tokens"], state["z"], ndk, priors, state["nwk"], state["nk"],
+        state["beta"], vbeta, k,
+    )
+    run_sweeps(models._sweep_plain, sweep_plain_reference, state, args)
+
+
+@SETTINGS
+@given(sweep_states())
+def test_pooled_sweep_matches_scalar_loop(state):
+    k, ndk, rng = state["k"], state["ndk"], state["rng"]
+    # every other document is linked: its pool is its own row plus the partner's
+    pools = [
+        [own + extra for own, extra in zip(nd, rng.integers(0, 5, size=k).tolist())]
+        if d % 2 else None
+        for d, nd in enumerate(ndk)
+    ]
+    vbeta = len(state["nwk"]) * state["beta"]
+    args = (
+        state["tokens"], state["z"], ndk, pools, state["alpha"], state["nwk"], state["nk"],
+        state["beta"], vbeta, k,
+    )
+    run_sweeps(models._sweep_pooled, sweep_pooled_reference, state, args)
+
+
+@SETTINGS
+@given(sweep_states(), st.integers(1, 5), st.booleans(), st.sampled_from([1.0, 100.0]))
+def test_tree_sweep_matches_scalar_loop(state, n_concepts, soft, beta_internal):
+    k, tokens, z, rng, alpha = state["k"], state["tokens"], state["z"], state["rng"], state["alpha"]
+    vocab_size = len(state["nwk"])
+    # words with no concept, one concept or several
+    memberships = [
+        sorted(rng.choice(n_concepts, size=int(n), replace=False).tolist())
+        for n in rng.integers(0, min(n_concepts, 3) + 1, size=vocab_size)
+    ]
+    # concept-node counts pool both languages: start from the other side's
+    ncp = rng.integers(0, 3, size=(n_concepts, k)).tolist()
+    nleaf = [[0] * k for _ in range(n_concepts)]
+    utotal = [0] * k
+    paths = []
+    for toks, zd in zip(tokens, z):
+        pathd = []
+        for w, topic in zip(toks, zd):
+            ms = memberships[w]
+            c = int(rng.choice(ms)) if ms else -1
+            if c >= 0:
+                ncp[c][topic] += 1
+                nleaf[c][topic] += 1
+            else:
+                utotal[topic] += 1
+            pathd.append(c)
+        paths.append(pathd)
+    ctotal = [sum(col) for col in zip(*ncp)]
+    if soft:
+        priors = (rng.random((len(tokens), k)) * 3 + alpha).tolist()
+    else:
+        priors = [[alpha] * k] * len(tokens)
+    beta_root = 0.01
+    root_prior = n_concepts * beta_root + sum(not ms for ms in memberships) * state["beta"]
+    args = (
+        tokens, z, paths, state["ndk"], priors, state["nwk"], state["nk"], memberships,
+        ncp, nleaf, ctotal, utotal, state["beta"], beta_root, beta_internal, root_prior, k,
+    )
+    run_sweeps(models._sweep_tree, sweep_tree_reference, state, args)
+
+
+def trained_models() -> dict:
+    """One small trained model of every kind; the soft-link ones carry
+    annealing events and a LIS history in their provenance."""
+    data = generate_synthetic(
+        k=3, vocab_per_lang=40, docs_per_lang=12, doc_len=10,
+        dict_coverage=0.3, topic_sharpness=8.0, seed=2,
+    )
+    corpus, dictionary = data.corpus, data.dictionary
+    corpus = BilingualCorpus(corpus.side1, corpus.side2, [(0, 1), (3, 3), (5, 0)])
+    focus = FocusConfig(threshold=0.6)
+    transfer = {
+        "transfer_to_side1": static_focus(
+            build_transfer_matrix(corpus.side1, corpus.side2, dictionary), focus
+        ),
+        "transfer_to_side2": static_focus(
+            build_transfer_matrix(corpus.side2, corpus.side1, dictionary), focus
+        ),
+    }
+    hp = Hyperparams(k=4, train_iterations=4, seed=6)
+    fixed = AnnealConfig(schedule="fixed", interval=2, stop_iteration=4, temperature=0.5)
+    adaptive = AnnealConfig(schedule="adaptive", interval=2, stop_iteration=4)
+    return {
+        "lda": train("lda", corpus, hp),
+        "hardlink": train("hardlink", corpus, hp),
+        "hardlink_joint": train("hardlink", corpus, hp, hardlink_formulation="joint"),
+        "softlink_fixed": train("softlink", corpus, hp, anneal=fixed, **transfer),
+        "softlink_adaptive": train(
+            "softlink", corpus, hp, anneal=adaptive, dictionary=dictionary, **transfer
+        ),
+        "voclink": train("voclink", corpus, hp, dictionary=dictionary),
+        "softlink_voclink": train(
+            "softlink_voclink", corpus, hp, anneal=fixed, dictionary=dictionary, **transfer
+        ),
+    }
+
+
+def test_model_writer_matches_one_json_dumps(tmp_path):
+    built = trained_models()
+    assert built["softlink_fixed"].provenance["anneal_events"]
+    assert built["softlink_adaptive"].provenance["lis_history"]
+    for name, model in built.items():
+        for include_counts in (True, False):
+            path = tmp_path / f"{name}_{include_counts}.json"
+            save_model(model, path, include_counts=include_counts)
+            payload = model_to_json(model, include_counts=include_counts)
+            want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+            assert path.read_text(encoding="utf-8") == want, name
+            # json.dump to a stream runs the pure-Python encoder: same bytes
+            stream = io.StringIO()
+            json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
+            assert stream.getvalue() + "\n" == want, name
 
 
 @st.composite
