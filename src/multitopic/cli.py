@@ -26,6 +26,8 @@ from .errors import ConfigError, DataError
 from .models import (
     Hyperparams,
     MODEL_KINDS,
+    SOFT_KINDS,
+    TREE_KINDS,
     infer_heldout,
     load_model,
     save_model,
@@ -40,7 +42,6 @@ from .transfer import (
     static_focus,
     write_matrix_tsv,
 )
-from .tree import build_tree
 
 logger = logging.getLogger("multitopic")
 
@@ -208,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     hp = _hyperparams(config)
 
     dictionary = None
-    if kind in ("softlink", "voclink", "softlink_voclink"):
+    if kind in SOFT_KINDS or kind in TREE_KINDS:
         dictionary = load_dictionary(
             _require_path(config, "dictionary"),
             bicorpus.side1.vocabulary,
@@ -219,7 +220,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             dictionary = subsample(dictionary, fraction, hp.seed)
 
     transfer_to_side1 = transfer_to_side2 = None
-    if kind in ("softlink", "softlink_voclink"):
+    if kind in SOFT_KINDS:
         focus = FocusConfig(
             threshold=_number(config["focus"]["threshold"], "focus.threshold"),
             scope=config["focus"]["scope"],
@@ -237,12 +238,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             focus,
         )
 
-    tree = None
-    if kind in ("voclink", "softlink_voclink"):
-        tree = build_tree(
-            dictionary, bicorpus.side1.vocabulary, bicorpus.side2.vocabulary, hp.k
-        )
-
     anneal = config["anneal"]
     anneal_cfg = AnnealConfig(
         temperature=_number(anneal["temperature"], "anneal.temperature"),
@@ -257,7 +252,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         hp,
         transfer_to_side1=transfer_to_side1,
         transfer_to_side2=transfer_to_side2,
-        tree=tree,
         dictionary=dictionary,
         anneal=anneal_cfg if anneal_cfg.schedule != "none" else None,
         hardlink_formulation=config["hardlink_formulation"],
@@ -274,16 +268,21 @@ def _check_threads(args: argparse.Namespace) -> None:
         raise ConfigError("threads must be >= 1")
 
 
+def _load_heldout(model, path: str, language: str) -> corpus_io.Corpus:
+    """A held-out corpus encoded against the model's vocabulary for
+    `language`, empty documents kept, so every document gets a theta row."""
+    return corpus_io.load_corpus(
+        path,
+        language,
+        corpus_io.LoaderOptions(top_frequent=0, keep_empty=True),
+        vocabulary=model.vocabularies[model.side_of_language(language)],
+    )
+
+
 def cmd_infer(args: argparse.Namespace) -> int:
     _check_threads(args)
     model = load_model(args.model)
-    side = model.side_of_language(args.language)
-    heldout = corpus_io.load_corpus(
-        args.corpus,
-        args.language,
-        corpus_io.LoaderOptions(top_frequent=0, keep_empty=True),
-        vocabulary=model.vocabularies[side],
-    )
+    heldout = _load_heldout(model, args.corpus, args.language)
     theta = infer_heldout(model, heldout, seed=args.seed)
     payload = {
         "format_version": 1,
@@ -298,13 +297,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _infer_for_eval(model, path: str, language: str, seed: int):
-    side = model.side_of_language(language)
-    heldout = corpus_io.load_corpus(
-        path,
-        language,
-        corpus_io.LoaderOptions(top_frequent=0, keep_empty=True),
-        vocabulary=model.vocabularies[side],
-    )
+    heldout = _load_heldout(model, path, language)
     theta = infer_heldout(model, heldout, seed=seed)
     labels = [sorted(d.labels) if d.labels else [] for d in heldout.documents]
     return theta, labels

@@ -128,6 +128,17 @@ def _labels(value, where: str) -> frozenset[str] | None:
     return frozenset(value) or None
 
 
+def _doc_id(rec: dict, seen: set[str], where: str) -> str:
+    """A record's `id`: a non-empty string that no earlier record used."""
+    doc_id = rec.get("id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise DataError(f"{where}: 'id' must be a non-empty string")
+    if doc_id in seen:
+        raise DataError(f"{where}: duplicate doc_id {doc_id!r}")
+    seen.add(doc_id)
+    return doc_id
+
+
 def _parse_records(path: str | Path, language: str) -> list[dict]:
     records = []
     seen_ids: set[str] = set()
@@ -152,13 +163,9 @@ def _parse_records(path: str | Path, language: str) -> list[dict]:
                 isinstance(t, str) for t in rec["tokens"]
             ):
                 raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            doc_id = rec["id"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise DataError(f"{path}:{lineno}: 'id' must be a non-empty string")
-            if doc_id in seen_ids:
-                raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
-            seen_ids.add(doc_id)
-            rec["labels"] = _labels(rec.get("labels"), f"{path}:{lineno}")
+            where = f"{path}:{lineno}"
+            _doc_id(rec, seen_ids, where)
+            rec["labels"] = _labels(rec.get("labels"), where)
             records.append(rec)
     return records
 
@@ -283,22 +290,48 @@ def corpus_to_json(corpus: Corpus) -> dict:
 
 
 def corpus_from_json(payload: dict) -> Corpus:
+    """Rebuild a corpus from its container, rejecting any malformed part
+    with `DataError`."""
+    if not isinstance(payload, dict):
+        raise DataError("corpus file must contain a JSON object")
     if payload.get("format_version") != CORPUS_FORMAT_VERSION:
         raise DataError(
             f"unsupported corpus format_version {payload.get('format_version')!r}"
         )
+    missing = [key for key in ("language", "vocabulary", "documents") if key not in payload]
+    if missing:
+        raise DataError(f"corpus is missing {', '.join(map(repr, missing))}")
     language = payload["language"]
-    vocab = Vocabulary(language, payload["vocabulary"])
+    if not isinstance(language, str) or not language:
+        raise DataError("corpus 'language' must be a non-empty string")
+    words = payload["vocabulary"]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise DataError("corpus 'vocabulary' must be a list of strings")
+    vocab = Vocabulary(language, words)
+    if not isinstance(payload["documents"], list):
+        raise DataError("corpus 'documents' must be a list")
     documents = []
+    seen_ids: set[str] = set()
     for index, rec in enumerate(payload["documents"]):
-        labels = _labels(rec.get("labels"), f"document {index}")
+        where = f"document {index}"
+        if not isinstance(rec, dict):
+            raise DataError(f"{where}: not an object")
+        doc_id = _doc_id(rec, seen_ids, where)
+        tokens = rec.get("tokens")
+        if not isinstance(tokens, list) or not all(
+            type(t) is int and 0 <= t < vocab.size for t in tokens
+        ):
+            raise DataError(f"{where}: 'tokens' must be a list of word ids below {vocab.size}")
+        link = rec.get("link")
+        if link is not None and not isinstance(link, str):
+            raise DataError(f"{where}: 'link' must be a string or null")
         documents.append(
             Document(
-                doc_id=rec["id"],
+                doc_id=doc_id,
                 language=language,
-                tokens=list(rec["tokens"]),
-                labels=labels,
-                link_id=rec.get("link"),
+                tokens=list(tokens),
+                labels=_labels(rec.get("labels"), where),
+                link_id=link,
             )
         )
     return Corpus(language=language, vocabulary=vocab, documents=documents)
@@ -311,8 +344,14 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_serialized_corpus(path: str | Path) -> Corpus:
-    with open(path, encoding="utf-8") as fh:
-        return corpus_from_json(json.load(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read corpus file {path}: {exc.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"corpus file {path} is not valid JSON: {exc}") from None
+    return corpus_from_json(payload)
 
 
 def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:

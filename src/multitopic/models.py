@@ -11,11 +11,12 @@ time, with numpy; it is bit-identical to sampling each document alone.
 
 The public conditional-distribution functions operate on `SideState`
 tables and expect the current token's assignment to already be removed
-from all counts. Training keeps the counts in plain lists and samples
-with equivalent sweeps: each factor of the score, such as nd + prior,
-nw + beta and nk + V*beta, is also held as a float row, and after every
-decrement and increment only the changed topic's entry is recomputed,
-with the same expression. A token's cumulative scores are then
+from all counts. Training keeps the counts in plain lists, the Dirichlet
+tree's included (the sweeps update `DirichletTree`'s own count lists),
+and samples with equivalent sweeps: each factor of the score, such as
+nd + prior, nw + beta and nk + V*beta, is also held as a float row, and
+after every decrement and increment only the changed topic's entry is
+recomputed, with the same expression. A token's cumulative scores are then
 `list(accumulate(map(truediv, map(mul, ...))))`, which multiplies,
 divides and adds left to right exactly as a scalar loop over the topics
 does, and `bisect_right(cdf, u * cdf[-1])` (clamped to the last topic) is
@@ -52,6 +53,10 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
 MODEL_KINDS = ("lda", "hardlink", "softlink", "voclink", "softlink_voclink")
+# kinds that put transfer pseudo-counts in the topic prior, and kinds that
+# draw words through the Dirichlet tree
+SOFT_KINDS = ("softlink", "softlink_voclink")
+TREE_KINDS = ("voclink", "softlink_voclink")
 
 
 @dataclass
@@ -137,9 +142,9 @@ def tally_side(tokens: list[list[int]], z: list, k: int, vocab_size: int) -> Sid
     )
 
 
-def _check_counts(*arrays: np.ndarray) -> None:
+def _check_counts(*arrays) -> None:
     for arr in arrays:
-        if (arr < 0).any():
+        if (np.asarray(arr) < 0).any():
             raise DataError("negative count detected (internal corruption)")
 
 
@@ -221,10 +226,12 @@ def voclink_tree_factor(
     memberships = tree.concepts_of_word[side_index][word]
     if not memberships:
         return (side.word_topic[word] + hp.beta) / den
+    concept_topic = tree.table(tree.concept_topic)
+    leaf_topic = tree.table(tree.leaf_topic[side_index])
     total = np.zeros(tree.n_topics, dtype=np.float64)
     for c in memberships:
-        node = tree.concept_topic[c]
-        leaf = tree.leaf_topic[side_index][c]
+        node = concept_topic[c]
+        leaf = leaf_topic[c]
         total += (node + hp.beta_root) / den * (leaf + hp.beta_internal) / (
             node + 2.0 * hp.beta_internal
         )
@@ -492,12 +499,11 @@ class _FastSide:
         self.nk = [0] * k
         self.paths: list[list[int]] = [[] for _ in self.tokens]
 
-    def init_assignments(self, rng, memberships: list[list[int]] | None, tree_counts) -> None:
-        """Draw each document's topics; with `memberships`, also draw each
-        token's tree leaf right after its document's topics."""
+    def init_assignments(self, rng, tree: DirichletTree | None, side: int) -> None:
+        """Draw each document's topics; with a `tree`, also draw each
+        token's tree leaf right after its document's topics (a word in
+        several concepts draws one of them) and count its path there."""
         k = self.n_topics
-        if memberships is not None:
-            ncp, nleaf, ctotal, utotal = tree_counts
         for d, toks in enumerate(self.tokens):
             zd = rng.integers(0, k, size=len(toks)).tolist()
             self.z[d] = zd
@@ -507,17 +513,14 @@ class _FastSide:
                 nd[topic] += 1
                 self.nwk[w][topic] += 1
                 self.nk[topic] += 1
-                if memberships is None:
+                if tree is None:
                     continue
-                ms = memberships[w]
+                ms = tree.concepts_of_word[side][w]
                 if not ms:
                     c = -1
-                    utotal[topic] += 1
                 else:
                     c = ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))]
-                    ncp[c][topic] += 1
-                    nleaf[c][topic] += 1
-                    ctotal[topic] += 1
+                tree.increment(side, w, c, topic, 1)
                 pathd.append(c)
 
     def doc_topic_array(self) -> np.ndarray:
@@ -601,24 +604,27 @@ def train(
     for s, side in enumerate((corpus.side1, corpus.side2), start=1):
         if not side.documents:
             raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
-    uses_soft = model_kind in ("softlink", "softlink_voclink")
-    uses_tree = model_kind in ("voclink", "softlink_voclink")
+    uses_soft = model_kind in SOFT_KINDS
+    uses_tree = model_kind in TREE_KINDS
 
     if uses_soft:
         if transfer_to_side1 is None or transfer_to_side2 is None:
             raise ConfigError(f"{model_kind} requires transfer matrices in both directions")
         _validate_matrix(transfer_to_side1, corpus.side1, corpus.side2)
         _validate_matrix(transfer_to_side2, corpus.side2, corpus.side1)
-    if uses_tree and tree is None:
-        if dictionary is None:
-            raise ConfigError(f"{model_kind} requires a Dirichlet tree or a dictionary")
-        tree = build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, hp.k)
     if uses_tree:
+        if tree is None:
+            if dictionary is None:
+                raise ConfigError(f"{model_kind} requires a Dirichlet tree or a dictionary")
+            tree = build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, hp.k)
         if tree.n_topics != hp.k:
             raise ConfigError("tree topic count does not match hyperparameters")
         if tree.vocab_sizes != (corpus.side1.vocabulary.size, corpus.side2.vocabulary.size):
             raise ConfigError("tree was built against different vocabularies")
+        # the sweeps update the tree's count lists in place
         tree.zero_counts()
+    else:
+        tree = None  # a tree passed with another model kind goes unused
     if hardlink_formulation not in ("conditional", "joint"):
         raise ConfigError(f"unknown hardlink formulation {hardlink_formulation!r}")
     if anneal is not None and anneal.schedule != "none" and not uses_soft:
@@ -629,22 +635,8 @@ def train(
     rng = np.random.default_rng(hp.seed)
     sides = (_FastSide(corpus.side1, hp.k), _FastSide(corpus.side2, hp.k))
 
-    tree_lists = None
-    if uses_tree:
-        ncp = _zeros(tree.n_concepts, hp.k)
-        nleaf = (_zeros(tree.n_concepts, hp.k), _zeros(tree.n_concepts, hp.k))
-        ctotal = [0] * hp.k
-        utotal = ([0] * hp.k, [0] * hp.k)
-        tree_lists = (ncp, nleaf, ctotal, utotal)
-
     for s, fast in enumerate(sides):
-        if uses_tree:
-            ncp, nleaf, ctotal, utotal = tree_lists
-            fast.init_assignments(
-                rng, tree.concepts_of_word[s], (ncp, nleaf[s], ctotal, utotal[s])
-            )
-        else:
-            fast.init_assignments(rng, None, None)
+        fast.init_assignments(rng, tree, s)
 
     # hard-link structure: under the conditional formulation partners[s][d]
     # is the live count row of document d's partner; under the joint one
@@ -692,11 +684,11 @@ def train(
             fast = sides[s]
             vbeta = fast.vocab_size * beta
             if uses_tree:
-                ncp, nleaf, ctotal, utotal = tree_lists
                 _sweep_tree(
                     fast.tokens, fast.z, fast.paths, fast.ndk, priors[s],
                     fast.nwk, fast.nk, tree.concepts_of_word[s],
-                    ncp, nleaf[s], ctotal, utotal[s],
+                    tree.concept_topic, tree.leaf_topic[s], tree.concept_total,
+                    tree.untrans_total[s],
                     beta, hp.beta_root, hp.beta_internal, root_priors[s],
                     hp.k, rng,
                 )
@@ -719,43 +711,29 @@ def train(
             lambda: (sides[0].word_topic_array(), sides[1].word_topic_array()),
         )
         if debug_checks:
-            _run_debug_checks(sides, model_kind, tree, tree_lists, pools)
+            _run_debug_checks(sides, corpus, tree, pools)
 
-    if uses_tree:
-        _write_tree_counts(tree, tree_lists)
     return _assemble_model(
         model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
     )
 
 
-def _run_debug_checks(sides, model_kind, tree, tree_lists, pools) -> None:
+def _run_debug_checks(sides, corpus, tree, pools) -> None:
     for s in (0, 1):
         sides[s].verify()
-    if tree is not None and tree_lists is not None:
-        _write_tree_counts(tree, tree_lists)
+    if tree is not None:
         tree.check_consistency(
             (sides[0].word_topic_array(), sides[1].word_topic_array())
         )
-    if model_kind == "hardlink":
-        for s in (0, 1):
-            for d, pool in enumerate(pools[s]):
-                if pool is None:
-                    continue
-                # pooled row must stay the sum of the two linked rows
-                own = sides[s].ndk[d]
-                other = [p - o for p, o in zip(pool, own)]
-                if any(v < 0 for v in other):
-                    raise DataError("pooled hard-link counts out of sync")
-
-
-def _write_tree_counts(tree: DirichletTree, tree_lists) -> None:
-    ncp, nleaf, ctotal, utotal = tree_lists
-    tree.concept_topic[:] = np.array(ncp, dtype=np.int64).reshape(tree.concept_topic.shape)
-    tree.leaf_topic[0][:] = np.array(nleaf[0], dtype=np.int64).reshape(tree.leaf_topic[0].shape)
-    tree.leaf_topic[1][:] = np.array(nleaf[1], dtype=np.int64).reshape(tree.leaf_topic[1].shape)
-    tree.concept_total[:] = np.array(ctotal, dtype=np.int64)
-    tree.untrans_total[0][:] = np.array(utotal[0], dtype=np.int64)
-    tree.untrans_total[1][:] = np.array(utotal[1], dtype=np.int64)
+    for i1, i2 in corpus.hard_links:
+        pool = pools[0][i1]
+        # joint hard links: the pooled row must stay the sum of the two
+        # linked rows
+        if pool is not None and pool != list(map(add, sides[0].ndk[i1], sides[1].ndk[i2])):
+            raise DataError(
+                f"pooled hard-link counts of documents {i1} and {i2} are not "
+                "the sum of their topic counts"
+            )
 
 
 def _phi_plain(fast: _FastSide, hp: Hyperparams) -> np.ndarray:
@@ -770,8 +748,8 @@ def _phi_tree(fast: _FastSide, tree: DirichletTree, side: int, hp: Hyperparams) 
     den = (
         tree.root_total(side) + tree.root_children_prior(side, hp.beta_root, hp.beta)
     ).astype(np.float64)
-    node = tree.concept_topic.astype(np.float64)
-    leaf = tree.leaf_topic[side].astype(np.float64)
+    node = tree.table(tree.concept_topic).astype(np.float64)
+    leaf = tree.table(tree.leaf_topic[side]).astype(np.float64)
     concept_vals = (node + hp.beta_root) * (leaf + hp.beta_internal) / (
         node + 2.0 * hp.beta_internal
     )
@@ -790,12 +768,11 @@ def _phi_tree(fast: _FastSide, tree: DirichletTree, side: int, hp: Hyperparams) 
 def _assemble_model(
     model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
 ) -> TopicModel:
-    uses_tree = model_kind in ("voclink", "softlink_voclink")
-    uses_soft = model_kind in ("softlink", "softlink_voclink")
+    uses_soft = model_kind in SOFT_KINDS
     alpha = hp.alpha
 
     phi = tuple(
-        _phi_tree(sides[s], tree, s, hp) if uses_tree else _phi_plain(sides[s], hp)
+        _phi_plain(sides[s], hp) if tree is None else _phi_tree(sides[s], tree, s, hp)
         for s in (0, 1)
     )
 

@@ -9,6 +9,9 @@ Counting semantics: concept-edge counts pool tokens of both languages
 (this is where topic knowledge crosses languages), while each language
 normalizes the root distribution over its own reachable children, so a
 tree with no concepts reduces exactly to per-language LDA.
+
+The counts are plain int lists, the ones the training sweep updates in
+place; numpy readers take an int64 copy through `DirichletTree.table`.
 """
 
 from __future__ import annotations
@@ -46,33 +49,27 @@ class DirichletTree:
             sum(1 for memberships in side if not memberships)
             for side in self.concepts_of_word
         )
-        # per-topic counts on tree edges
-        self.concept_topic = np.zeros((self.n_concepts, k), dtype=np.int64)
-        self.leaf_topic = (
-            np.zeros((self.n_concepts, k), dtype=np.int64),
-            np.zeros((self.n_concepts, k), dtype=np.int64),
-        )
-        self.concept_total = np.zeros(k, dtype=np.int64)
-        self.untrans_total = (
-            np.zeros(k, dtype=np.int64),
-            np.zeros(k, dtype=np.int64),
-        )
+        self.zero_counts()
 
     def root_children_prior(self, side: int, beta_root: float, beta: float) -> float:
         """Sum of priors over the root children visible to one language."""
         return self.n_concepts * beta_root + self.n_untranslated[side] * beta
 
+    def table(self, rows: list[list[int]]) -> np.ndarray:
+        """int64 copy of per-concept count rows, shape (C, K) even when C = 0."""
+        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_topics)
+
     def root_total(self, side: int) -> np.ndarray:
         """Per-topic token count over one language's root children: pooled
         concept-edge counts plus that language's untranslated-leaf counts."""
-        return self.concept_total + self.untrans_total[side]
+        return np.array(self.concept_total, dtype=np.int64) + self.untrans_total[side]
 
     def increment(self, side: int, word: int, concept: int, topic: int, delta: int) -> None:
         """Apply `delta` (+1/-1) along the path of one token. `concept` is -1
         for an untranslated word (direct root leaf)."""
         if concept >= 0:
-            self.concept_topic[concept, topic] += delta
-            self.leaf_topic[side][concept, topic] += delta
+            self.concept_topic[concept][topic] += delta
+            self.leaf_topic[side][concept][topic] += delta
             self.concept_total[topic] += delta
         else:
             self.untrans_total[side][topic] += delta
@@ -82,18 +79,18 @@ class DirichletTree:
 
         Raises DataError on any mismatch; used by debug mode.
         """
-        if not np.array_equal(
-            self.concept_topic, self.leaf_topic[0] + self.leaf_topic[1]
-        ):
+        concept = self.table(self.concept_topic)
+        leaf = (self.table(self.leaf_topic[0]), self.table(self.leaf_topic[1]))
+        if not np.array_equal(concept, leaf[0] + leaf[1]):
             raise DataError("concept-node counts do not equal the sum of their leaves")
-        if not np.array_equal(self.concept_total, self.concept_topic.sum(axis=0)):
+        if not np.array_equal(self.concept_total, concept.sum(axis=0)):
             raise DataError("pooled concept totals out of sync")
         for side in (0, 1):
-            expected_untrans = np.zeros_like(self.untrans_total[side])
+            expected_untrans = np.zeros(self.n_topics, dtype=np.int64)
             for w, memberships in enumerate(self.concepts_of_word[side]):
                 if memberships:
                     total = word_topic[side][w]
-                    summed = self.leaf_topic[side][memberships].sum(axis=0)
+                    summed = leaf[side][memberships].sum(axis=0)
                     if not np.array_equal(total, summed):
                         raise DataError(
                             f"leaf counts for word {w} on side {side} do not sum to its word-topic counts"
@@ -104,12 +101,14 @@ class DirichletTree:
                 raise DataError(f"untranslated totals out of sync on side {side}")
 
     def zero_counts(self) -> None:
-        self.concept_topic[:] = 0
-        self.leaf_topic[0][:] = 0
-        self.leaf_topic[1][:] = 0
-        self.concept_total[:] = 0
-        self.untrans_total[0][:] = 0
-        self.untrans_total[1][:] = 0
+        """Start every count over with fresh zero lists: per-topic counts on
+        the concept edges (pooled over both languages) and on each
+        language's concept leaves, and their per-topic totals."""
+        k = self.n_topics
+        self.concept_topic = [[0] * k for _ in range(self.n_concepts)]
+        self.leaf_topic = tuple([[0] * k for _ in range(self.n_concepts)] for _ in (0, 1))
+        self.concept_total = [0] * k
+        self.untrans_total = ([0] * k, [0] * k)
 
 
 def build_tree(

@@ -129,8 +129,9 @@ def tree_counts_without_token(
     other = 1 - side
     for c in range(tree.n_concepts):
         for k in range(tree.n_topics):
-            tree.leaf_topic[other][c, k] = fixed_concept[c][k]
-            tree.concept_topic[c, k] += fixed_concept[c][k]
+            tree.leaf_topic[other][c][k] = fixed_concept[c][k]
+            tree.concept_topic[c][k] += fixed_concept[c][k]
+            tree.concept_total[k] += fixed_concept[c][k]
     if fixed_other_untrans is not None:
         tree.untrans_total[other][:] = fixed_other_untrans
     for d, (toks, zd, pd) in enumerate(zip(tokens_docs, z_docs, path_docs)):
@@ -138,7 +139,6 @@ def tree_counts_without_token(
             if skip is not None and (d, i) == skip:
                 continue
             tree.increment(side, w, c, t, +1)
-    tree.concept_total[:] = tree.concept_topic.sum(axis=0)
     return tree
 
 

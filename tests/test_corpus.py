@@ -280,3 +280,70 @@ def test_serialized_labels_must_be_a_list_of_strings(tmp_path, labels):
     payload["documents"][0]["labels"] = labels
     with pytest.raises(DataError, match="document 0: 'labels' must be a list of strings"):
         corpus_from_json(payload)
+
+
+def _serialized(**changes) -> str:
+    """A one-word, one-document serialized corpus with top-level keys or
+    document-0 keys (`doc_<key>`) replaced; a value of `...` drops the key."""
+    payload = {
+        "format_version": 1,
+        "language": "en",
+        "vocabulary": ["cat"],
+        "documents": [{"id": "d0", "tokens": [0], "labels": None, "link": None}],
+    }
+    for key, value in changes.items():
+        target = payload["documents"][0] if key.startswith("doc_") else payload
+        key = key.removeprefix("doc_")
+        if value is ...:
+            del target[key]
+        else:
+            target[key] = value
+    return json.dumps(payload)
+
+
+MALFORMED_SERIALIZED = {
+    "invalid JSON": "{not json",
+    "not an object": "[]",
+    "no language": _serialized(language=...),
+    "language not a string": _serialized(language=7),
+    "no vocabulary": _serialized(vocabulary=...),
+    "vocabulary not a list": _serialized(vocabulary="cat"),
+    "vocabulary word not a string": _serialized(vocabulary=["cat", 1]),
+    "no documents": _serialized(documents=...),
+    "documents not a list": _serialized(documents={"id": "d0"}),
+    "document not an object": _serialized(documents=["d0"]),
+    "no id": _serialized(doc_id=...),
+    "empty id": _serialized(doc_id=""),
+    "id not a string": _serialized(doc_id=3),
+    "duplicate id": _serialized(documents=[{"id": "d0", "tokens": [0]}, {"id": "d0", "tokens": [0]}]),
+    "no tokens": _serialized(doc_tokens=...),
+    "tokens not a list": _serialized(doc_tokens="0"),
+    "token beyond the vocabulary": _serialized(doc_tokens=[5]),
+    "negative token": _serialized(doc_tokens=[-1]),
+    "token a string": _serialized(doc_tokens=["x"]),
+    "token a boolean": _serialized(doc_tokens=[True]),
+    "token a float": _serialized(doc_tokens=[0.0]),
+    "link not a string": _serialized(doc_link=["p1"]),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SERIALIZED.values(), ids=MALFORMED_SERIALIZED.keys())
+def test_malformed_serialized_corpus_is_a_data_error(tmp_path, text):
+    path = tmp_path / "corpus.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError):
+        load_serialized_corpus(path)
+
+
+def test_serialized_corpus_file_that_cannot_be_read_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read corpus file"):
+        load_serialized_corpus(tmp_path / "missing.json")
+
+
+def test_minimal_serialized_corpus_loads(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_text(_serialized(doc_labels=..., doc_link="p1"), encoding="utf-8")
+    corpus = load_serialized_corpus(path)
+    assert [(d.doc_id, d.tokens, d.labels, d.link_id) for d in corpus.documents] == [
+        ("d0", [0], None, "p1")
+    ]

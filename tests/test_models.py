@@ -6,6 +6,7 @@ import pytest
 
 from multitopic.corpus import BilingualCorpus, Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
+from multitopic import models
 from multitopic.errors import ConfigError, DataError
 from multitopic.models import (
     Hyperparams,
@@ -340,6 +341,37 @@ class TestTrain:
         train("voclink", corpus, hp, dictionary=dictionary, debug_checks=True)
         train("softlink_voclink", corpus, hp, transfer_to_side1=t1,
               transfer_to_side2=t2, dictionary=dictionary, debug_checks=True)
+
+    def test_debug_checks_catch_a_pooled_row_out_of_sync(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        corpus = build_bilingual(rng, links={0: 0, 1: 2})
+        sweep = models._sweep_pooled
+
+        def corrupting_sweep(tokens, z, ndk, pools, *args):
+            sweep(tokens, z, ndk, pools, *args)
+            # extra counts leave every count non-negative
+            next(pool for pool in pools if pool is not None)[0] += 7
+
+        monkeypatch.setattr(models, "_sweep_pooled", corrupting_sweep)
+        with pytest.raises(DataError, match="pooled hard-link counts"):
+            train(
+                "hardlink", corpus, Hyperparams(k=3, train_iterations=1, seed=1),
+                hardlink_formulation="joint", debug_checks=True,
+            )
+
+    def test_tree_passed_to_train_holds_the_final_counts(self):
+        rng = np.random.default_rng(13)
+        corpus = build_bilingual(rng)
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0), (1, 1), (1, 2), (2, 3)])
+        tree = build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, 3)
+        model = train("voclink", corpus, Hyperparams(k=3, train_iterations=3, seed=1), tree=tree)
+        word_topic = tuple(np.array(table) for table in model.counts["word_topic"])
+        tree.check_consistency(word_topic)
+        tokens = sum(side.token_total for side in (corpus.side1, corpus.side2))
+        assert sum(tree.concept_total) + sum(map(sum, tree.untrans_total)) == tokens
+        tree.leaf_topic[0][0][1] += 1
+        with pytest.raises(DataError, match="sum of their leaves"):
+            tree.check_consistency(word_topic)
 
     def test_count_tables_match_document_lengths(self):
         rng = np.random.default_rng(14)

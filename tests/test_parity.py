@@ -8,6 +8,10 @@ call, and LIS features come from one gather. Each must reproduce, bit for
 bit, the one-topic / one-document / one-label / one-fold / one-concept
 loops kept in `tests/oracles.py`. The model writer must produce the bytes
 of one `json.dumps` call on the whole model.
+
+The sweeps are also checked against the reference conditionals that the
+enumeration oracle (acceptance criterion c02) verifies: each token's
+scores, normalised, must be the conditional of the state just before it.
 """
 
 import copy
@@ -37,12 +41,18 @@ from multitopic.corpus import BilingualCorpus
 from multitopic.models import (
     Hyperparams,
     TopicModel,
+    hardlink_conditional,
     infer_heldout,
+    lda_conditional,
     model_to_json,
     save_model,
+    softlink_conditional,
     train,
+    voclink_conditional,
+    voclink_tree_factor,
 )
 from multitopic.schedule import concept_features
+from multitopic.tree import DirichletTree
 from multitopic.transfer import (
     AnnealConfig,
     FocusConfig,
@@ -58,10 +68,12 @@ from oracles import (
     cross_val_folds_reference,
     fit_reference,
     infer_heldout_reference,
+    side_state_without_token,
     sigmoid_reference,
     sweep_plain_reference,
     sweep_pooled_reference,
     sweep_tree_reference,
+    tree_counts_without_token,
 )
 
 # derandomized: every run checks the same generated cases, so the suite is
@@ -238,6 +250,138 @@ def test_tree_sweep_matches_scalar_loop(state, n_concepts, soft, beta_internal):
         ncp, nleaf, ctotal, utotal, state["beta"], beta_root, beta_internal, root_prior, k,
     )
     run_sweeps(models._sweep_tree, sweep_tree_reference, state, args)
+
+
+def recorded_sweep(sweep, args, rng) -> list[list[float]]:
+    """Run one sweep; return every token's cumulative scores in sweep order."""
+    cdfs = []
+
+    def recording_bisect(cdf, u):
+        cdfs.append(cdf)
+        return bisect_right(cdf, u)
+
+    models.bisect_right = recording_bisect
+    try:
+        sweep(*args, rng)
+    finally:
+        models.bisect_right = bisect_right
+    return cdfs
+
+
+def states_before_each_token(tokens, before: tuple, after: tuple):
+    """(doc, pos, per-token tables) for every token in sweep order, where each
+    table (topics, paths) holds the values just before that token: tokens
+    already visited carry their `after` values, the rest their `before`."""
+    current = copy.deepcopy(before)
+    for d, toks in enumerate(tokens):
+        for i in range(len(toks)):
+            yield d, i, current
+            for table, final in zip(current, after):
+                table[d][i] = final[d][i]
+
+
+def normalised_scores(cdf, n_topics: int) -> np.ndarray:
+    """Per-topic share of a token's cumulative scores; concept blocks of
+    `n_topics` entries are summed into the topic marginal."""
+    scores = np.diff(np.array(cdf), prepend=0.0).reshape(-1, n_topics).sum(axis=0)
+    return scores / cdf[-1]
+
+
+CONDITIONAL_SETTINGS = settings(SETTINGS, max_examples=30)
+
+
+@CONDITIONAL_SETTINGS
+@given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
+def test_plain_sweep_draws_from_the_reference_conditionals(state, prior):
+    k, tokens, z, rng, alpha, beta = (
+        state["k"], state["tokens"], state["z"], state["rng"], state["alpha"], state["beta"]
+    )
+    vocab_size = len(state["nwk"])
+    hp = Hyperparams(k=k, alpha=alpha, beta=beta)
+    pseudo = np.zeros((len(tokens), k))
+    partners = np.zeros((len(tokens), k), dtype=np.int64)
+    if prior == "softlink":
+        pseudo = rng.random((len(tokens), k)) * rng.integers(0, 4, size=(len(tokens), k))
+    if prior == "hardlink":
+        partners[::2] = rng.integers(0, 5, size=partners[::2].shape)
+    # conditional hard links sweep rows that carry the partner's counts
+    ndk = (np.array(state["ndk"], dtype=np.int64).reshape(-1, k) + partners).tolist()
+    args = (
+        tokens, z, ndk, (pseudo + alpha).tolist(), state["nwk"], state["nk"],
+        beta, vocab_size * beta, k,
+    )
+    sweep_rng = np.random.default_rng(state["seed"])
+    for _ in range(state["sweeps"]):
+        before = copy.deepcopy(z)
+        cdfs = recorded_sweep(models._sweep_plain, args, sweep_rng)
+        visits = states_before_each_token(tokens, (before,), (z,))
+        for (d, i, (z_now,)), cdf in zip(visits, cdfs, strict=True):
+            side = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
+            if prior == "lda":
+                want = lda_conditional(side, d, i, hp)
+            elif prior == "softlink":
+                want = softlink_conditional(side, d, i, pseudo[d], hp)
+            else:
+                want = hardlink_conditional(side, d, i, partners[d], hp)
+            np.testing.assert_allclose(normalised_scores(cdf, k), want, rtol=0, atol=1e-12)
+
+
+@CONDITIONAL_SETTINGS
+@given(
+    sweep_states(), st.integers(0, 4), st.sampled_from([0, 1]), st.booleans(),
+    st.sampled_from([1.0, 100.0]),
+)
+def test_tree_sweep_draws_from_the_reference_conditional(state, extra, side, soft, beta_internal):
+    k, tokens, z, rng, alpha, beta = (
+        state["k"], state["tokens"], state["z"], state["rng"], state["alpha"], state["beta"]
+    )
+    vocab_size = len(state["nwk"])
+    hp = Hyperparams(k=k, alpha=alpha, beta=beta, beta_root=0.01, beta_internal=beta_internal)
+    # word 0 is in two concepts and word 1 (when there is one) in one; more
+    # concepts on random words; the rest of the vocabulary is untranslated
+    own = [0, 0, min(1, vocab_size - 1)] + rng.integers(0, vocab_size, size=extra).tolist()
+    foreign = rng.integers(0, 3, size=len(own)).tolist()
+    pairs = list(zip(own, foreign) if side == 0 else zip(foreign, own))
+    sizes = (vocab_size, 3) if side == 0 else (3, vocab_size)
+    vocabularies = [
+        Vocabulary(lang, [f"{lang}_{i}" for i in range(n)]) for lang, n in zip(("l1", "l2"), sizes)
+    ]
+    dictionary = BilingualDictionary("l1", "l2", pairs)
+    tree, reference = (DirichletTree(dictionary, *vocabularies, k) for _ in range(2))
+    memberships = tree.concepts_of_word[side]
+    paths = [[int(rng.choice(memberships[w])) if memberships[w] else -1 for w in toks]
+             for toks in tokens]
+    # the other language's traffic through each concept
+    fixed = rng.integers(0, 3, size=(len(pairs), k)).tolist()
+    tree_counts_without_token(tree, side, tokens, z, paths, fixed)
+    pseudo = rng.random((len(tokens), k)) * 3 if soft else np.zeros((len(tokens), k))
+    args = (
+        tokens, z, paths, state["ndk"], (pseudo + alpha).tolist(), state["nwk"], state["nk"],
+        memberships, tree.concept_topic, tree.leaf_topic[side], tree.concept_total,
+        tree.untrans_total[side], beta, hp.beta_root, beta_internal,
+        tree.root_children_prior(side, hp.beta_root, beta), k,
+    )
+    sweep_rng = np.random.default_rng(state["seed"])
+    for _ in range(state["sweeps"]):
+        before = copy.deepcopy((z, paths))
+        cdfs = recorded_sweep(models._sweep_tree, args, sweep_rng)
+        visits = states_before_each_token(tokens, before, (z, paths))
+        for (d, i, (z_now, paths_now)), cdf in zip(visits, cdfs, strict=True):
+            counts = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
+            tree_counts_without_token(
+                reference, side, tokens, z_now, paths_now, fixed, skip=(d, i)
+            )
+            if soft:
+                # soft plus vocabulary links: transfer pseudo-counts in the
+                # topic prior, the tree factor as the word term
+                w = tokens[d][i]
+                raw = (counts.doc_topic[d] + pseudo[d] + alpha) * voclink_tree_factor(
+                    counts, reference, side, w, hp
+                )
+                want = raw / raw.sum()
+            else:
+                want = voclink_conditional(counts, reference, side, d, i, hp)
+            np.testing.assert_allclose(normalised_scores(cdf, k), want, rtol=0, atol=1e-12)
 
 
 def trained_models() -> dict:
