@@ -107,10 +107,8 @@ def _canonical_json(payload) -> str:
 
 def load_config(path: str | Path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with corpus_io.open_text(path, "config file", ConfigError) as fh:
             user = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(user, dict):
@@ -129,12 +127,24 @@ def _require_path(config: dict, key: str) -> Path:
 
 
 def _number(value, name: str, kind: type = float):
-    """`value` converted by `kind` (float or int); a value that is not a
-    number is a configuration error, not an internal one."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    """`value` converted by `kind` (float or int). A value that is not a
+    number, a boolean, or for an int a number with a fractional part, is
+    a configuration error, not an internal one."""
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _seed_flag(text: str) -> int:
+    """Type of every `--seed` flag: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
@@ -142,10 +152,12 @@ def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
     stopwords = frozenset()
     if config["paths"].get(stopword_key):
         stopwords = corpus_io.load_stopwords(_require_path(config, stopword_key))
+    if not isinstance(config["keep_empty"], bool):
+        raise ConfigError(f"keep_empty must be true or false, got {config['keep_empty']!r}")
     return corpus_io.LoaderOptions(
         stopwords=stopwords,
         top_frequent=_number(config["top_frequent"], "top_frequent", int),
-        keep_empty=bool(config["keep_empty"]),
+        keep_empty=config["keep_empty"],
     )
 
 
@@ -407,16 +419,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    print(f"model_kind: {model.model_kind}")
-    print(f"languages: {model.languages[0]}, {model.languages[1]}")
-    print(f"topics: {model.hyperparams.k}")
+    # built whole before printing, so a bad --top-words prints nothing
+    lines = [
+        f"model_kind: {model.model_kind}",
+        f"languages: {model.languages[0]}, {model.languages[1]}",
+        f"topics: {model.hyperparams.k}",
+    ]
     for side in (0, 1):
         vocab = model.vocabularies[side]
-        print(f"--- {vocab.language} ---")
+        lines.append(f"--- {vocab.language} ---")
         for k in range(model.hyperparams.k):
             ids = ev.top_words(model.phi[side][k], min(args.top_words, vocab.size))
             words = " ".join(vocab.word_of_id[w] for w in ids)
-            print(f"topic {k:>3}: {words}")
+            lines.append(f"topic {k:>3}: {words}")
+    print("\n".join(lines))
     return 0
 
 
@@ -430,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model from a JSON config")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
+    p_train.add_argument("--seed", type=_seed_flag, default=None)
     p_train.add_argument("--output-dir", default=None)
     p_train.add_argument("--threads", type=int, default=None)
     p_train.set_defaults(func=cmd_train)
@@ -440,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--corpus", required=True)
     p_infer.add_argument("--language", required=True)
     p_infer.add_argument("--output", required=True)
-    p_infer.add_argument("--seed", type=int, default=0)
+    p_infer.add_argument("--seed", type=_seed_flag, default=0)
     p_infer.add_argument("--threads", type=int, default=1)
     p_infer.set_defaults(func=cmd_infer)
 
@@ -453,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dictionary", default=None)
     p_eval.add_argument("--top-words", type=int, default=20)
     p_eval.add_argument("--output", default=None)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed_flag, default=0)
     p_eval.add_argument("--threads", type=int, default=1)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -479,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--dict-coverage", type=float, default=0.3)
     p_synth.add_argument("--sharpness", type=float, default=8.0)
     p_synth.add_argument("--reference-pairs", type=int, default=1000)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=_seed_flag, default=0)
     p_synth.add_argument("--output-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,10 +108,25 @@ class LoaderOptions:
     keep_empty: bool = False
 
 
+@contextmanager
+def open_text(path: str | Path, what: str, error: type = DataError):
+    """Open a UTF-8 text input for reading. A file that cannot be opened
+    or read (missing, a directory, unreadable) or is not UTF-8 raises
+    `error` with a one-line message, also when that happens while the
+    caller reads it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a one-word-per-line stopword file."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "stopword file") as fh:
         for line in fh:
             word = line.strip()
             if word:
@@ -128,6 +144,13 @@ def _labels(value, where: str) -> frozenset[str] | None:
     return frozenset(value) or None
 
 
+def _link(value, where: str) -> str | None:
+    """A record's `link`: absent/null or a string."""
+    if value is not None and not isinstance(value, str):
+        raise DataError(f"{where}: 'link' must be a string or null")
+    return value
+
+
 def _doc_id(rec: dict, seen: set[str], where: str) -> str:
     """A record's `id`: a non-empty string that no earlier record used."""
     doc_id = rec.get("id")
@@ -142,7 +165,7 @@ def _doc_id(rec: dict, seen: set[str], where: str) -> str:
 def _parse_records(path: str | Path, language: str) -> list[dict]:
     records = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "corpus file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -166,6 +189,7 @@ def _parse_records(path: str | Path, language: str) -> list[dict]:
             where = f"{path}:{lineno}"
             _doc_id(rec, seen_ids, where)
             rec["labels"] = _labels(rec.get("labels"), where)
+            rec["link"] = _link(rec.get("link"), where)
             records.append(rec)
     return records
 
@@ -227,7 +251,7 @@ def load_corpus(
                 language=language,
                 tokens=tokens,
                 labels=rec["labels"],
-                link_id=rec.get("link") or None,
+                link_id=rec["link"] or None,
             )
         )
     if dropped_docs:
@@ -322,16 +346,13 @@ def corpus_from_json(payload: dict) -> Corpus:
             type(t) is int and 0 <= t < vocab.size for t in tokens
         ):
             raise DataError(f"{where}: 'tokens' must be a list of word ids below {vocab.size}")
-        link = rec.get("link")
-        if link is not None and not isinstance(link, str):
-            raise DataError(f"{where}: 'link' must be a string or null")
         documents.append(
             Document(
                 doc_id=doc_id,
                 language=language,
                 tokens=list(tokens),
                 labels=_labels(rec.get("labels"), where),
-                link_id=link,
+                link_id=_link(rec.get("link"), where),
             )
         )
     return Corpus(language=language, vocabulary=vocab, documents=documents)

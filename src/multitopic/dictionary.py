@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Vocabulary
+from .corpus import Vocabulary, open_text
 from .errors import ConfigError, DataError
 
 logger = logging.getLogger(__name__)
@@ -64,7 +64,7 @@ def load_dictionary(
     seen: set[tuple[int, int]] = set()
     dropped_oov = 0
     dropped_multiword = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "dictionary file") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BilingualCorpus, Corpus, Document, Vocabulary
+from .corpus import BilingualCorpus, Corpus, Document, Vocabulary, open_text
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .logreg import cross_val_fits, fit_binary_stack, sigmoid
@@ -61,7 +61,7 @@ def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> Referenc
     types are dropped and pairs left empty on either side are skipped."""
     pairs = []
     skipped = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, "reference file") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -110,6 +110,8 @@ def write_reference(
 def top_words(phi_row: np.ndarray, c: int = 20) -> list[int]:
     """Ids of the `c` most probable words; ties broken by ascending id."""
     phi_row = np.asarray(phi_row)
+    if c < 1:
+        raise ConfigError(f"the number of top words must be positive, got {c}")
     if c > len(phi_row):
         raise ConfigError(f"asked for {c} words from a {len(phi_row)}-word distribution")
     order = np.argsort(-phi_row, kind="stable")

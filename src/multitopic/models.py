@@ -9,11 +9,15 @@ are reproducible across platforms and independent of corpus composition.
 Inference samples all documents in lockstep, one token position at a
 time, with numpy; it is bit-identical to sampling each document alone.
 
-The public conditional-distribution functions operate on `SideState`
-tables and expect the current token's assignment to already be removed
-from all counts. Training keeps the counts in plain lists, the Dirichlet
-tree's included (the sweeps update `DirichletTree`'s own count lists),
-and samples with equivalent sweeps: each factor of the score, such as
+One class holds a language's assignments and counts: `SideState`, whose
+tables are plain int lists that the training sweeps update in place, as
+they update `DirichletTree`'s own count lists. `tally_side` builds one
+from the assignments; training starts from it, and `debug_checks=True`
+re-tallies both sides after every iteration and compares. The public
+conditional-distribution functions read a `SideState`'s rows through
+`np.asarray`, so a state built from numpy tables works too, and expect
+the current token's assignment to already be removed from all counts.
+The sweeps are equivalent to them: each factor of the score, such as
 nd + prior, nw + beta and nk + V*beta, is also held as a float row, and
 after every decrement and increment only the changed topic's entry is
 recomputed, with the same expression. A token's cumulative scores are then
@@ -22,8 +26,8 @@ divides and adds left to right exactly as a scalar loop over the topics
 does, and `bisect_right(cdf, u * cdf[-1])` (clamped to the last topic) is
 the first topic with `u * total < cdf[k]`, because the CDF never
 decreases. The draws are therefore bit-identical to the scalar loops kept
-in `tests/oracles.py`. `debug_checks=True` re-tallies every table from
-the assignments after each sweep.
+in `tests/oracles.py`. Numpy readers (phi, theta, LIS) copy one table
+at a time through `tree.count_table`.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
@@ -47,7 +51,7 @@ from .corpus import BilingualCorpus, Corpus, Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .transfer import AnnealConfig, TransferMatrix
-from .tree import DirichletTree, build_tree
+from .tree import DirichletTree, build_tree, count_table
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +85,8 @@ class Hyperparams:
                 raise ConfigError(f"{name} must be positive")
         if self.train_iterations < 1 or self.infer_iterations < 1:
             raise ConfigError("iteration counts must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -101,44 +107,48 @@ class Hyperparams:
 
 @dataclass
 class SideState:
-    """Count tables and assignments for one language."""
+    """Assignments and count tables for one language, as plain int lists:
+    the training sweeps update them in place. `z[d][i]` is the topic of
+    token `tokens[d][i]`; `doc_topic` is D x K, `word_topic` V x K and
+    `topic_total` has K entries."""
 
     tokens: list[list[int]]
-    doc_topic: np.ndarray  # (D, K)
-    word_topic: np.ndarray  # (V, K)
-    topic_total: np.ndarray  # (K,)
-    z: list[np.ndarray]
+    doc_topic: list[list[int]]
+    word_topic: list[list[int]]
+    topic_total: list[int]
+    z: list[list[int]]
 
     @property
     def n_topics(self) -> int:
-        return self.doc_topic.shape[1]
+        return len(self.topic_total)
 
     @property
     def vocab_size(self) -> int:
-        return self.word_topic.shape[0]
+        return len(self.word_topic)
 
 
 def tally_side(tokens: list[list[int]], z: list, k: int, vocab_size: int) -> SideState:
     """Build a SideState whose tables are the exact tallies of `z`."""
-    doc_topic = np.zeros((len(tokens), k), dtype=np.int64)
-    word_topic = np.zeros((vocab_size, k), dtype=np.int64)
-    topic_total = np.zeros(k, dtype=np.int64)
-    z_arrays = []
+    doc_topic = [[0] * k for _ in tokens]
+    word_topic = [[0] * k for _ in range(vocab_size)]
+    topic_total = [0] * k
+    z_lists = []
     for d, (toks, zd) in enumerate(zip(tokens, z)):
-        zd = np.asarray(zd, dtype=np.int64)
+        zd = list(map(int, zd))
         if len(zd) != len(toks):
             raise DataError(f"assignments for document {d} do not match its length")
-        z_arrays.append(zd)
+        z_lists.append(zd)
+        nd = doc_topic[d]
         for w, topic in zip(toks, zd):
-            doc_topic[d, topic] += 1
-            word_topic[w, topic] += 1
+            nd[topic] += 1
+            word_topic[w][topic] += 1
             topic_total[topic] += 1
     return SideState(
         tokens=[list(t) for t in tokens],
         doc_topic=doc_topic,
         word_topic=word_topic,
         topic_total=topic_total,
-        z=z_arrays,
+        z=z_lists,
     )
 
 
@@ -148,17 +158,26 @@ def _check_counts(*arrays) -> None:
             raise DataError("negative count detected (internal corruption)")
 
 
-def _word_factor(side: SideState, word: int, hp: Hyperparams) -> np.ndarray:
-    return (side.word_topic[word] + hp.beta) / (
-        side.topic_total + side.vocab_size * hp.beta
+def _token_rows(side: SideState, doc: int, word: int):
+    """The document's and the word's topic-count rows and the topic
+    totals, as arrays; a negative count is a `DataError`."""
+    rows = (
+        np.asarray(side.doc_topic[doc]),
+        np.asarray(side.word_topic[word]),
+        np.asarray(side.topic_total),
     )
+    _check_counts(*rows)
+    return rows
+
+
+def _word_factor(nw: np.ndarray, nk: np.ndarray, vocab_size: int, hp: Hyperparams) -> np.ndarray:
+    return (nw + hp.beta) / (nk + vocab_size * hp.beta)
 
 
 def lda_conditional(side: SideState, doc: int, pos: int, hp: Hyperparams) -> np.ndarray:
     """p(k) for one token under per-language LDA, current token excluded."""
-    word = side.tokens[doc][pos]
-    _check_counts(side.doc_topic[doc], side.word_topic[word], side.topic_total)
-    p = (side.doc_topic[doc] + hp.alpha) * _word_factor(side, word, hp)
+    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
+    p = (nd + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
     return p / p.sum()
 
 
@@ -172,12 +191,11 @@ def hardlink_conditional(
     """Document-links conditional: the linked document's topic tallies act
     as extra pseudo-counts on the Dirichlet prior. A zero vector recovers
     LDA (unlinked document)."""
-    word = side.tokens[doc][pos]
-    _check_counts(side.doc_topic[doc], side.word_topic[word], side.topic_total)
+    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
     partner = np.asarray(partner_counts)
     if (partner < 0).any():
         raise DataError("negative partner counts")
-    p = (side.doc_topic[doc] + partner + hp.alpha) * _word_factor(side, word, hp)
+    p = (nd + partner + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
     return p / p.sum()
 
 
@@ -204,9 +222,8 @@ def softlink_conditional(
 ) -> np.ndarray:
     """Soft-links conditional; `prior_pseudo` is the softlink_prior output
     for this document under the sweep-start snapshot policy."""
-    word = side.tokens[doc][pos]
-    _check_counts(side.doc_topic[doc], side.word_topic[word], side.topic_total)
-    p = (side.doc_topic[doc] + prior_pseudo + hp.alpha) * _word_factor(side, word, hp)
+    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
+    p = (nd + prior_pseudo + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
     return p / p.sum()
 
 
@@ -225,9 +242,9 @@ def voclink_tree_factor(
     )
     memberships = tree.concepts_of_word[side_index][word]
     if not memberships:
-        return (side.word_topic[word] + hp.beta) / den
-    concept_topic = tree.table(tree.concept_topic)
-    leaf_topic = tree.table(tree.leaf_topic[side_index])
+        return (np.asarray(side.word_topic[word]) + hp.beta) / den
+    concept_topic = count_table(tree.concept_topic, tree.n_topics)
+    leaf_topic = count_table(tree.leaf_topic[side_index], tree.n_topics)
     total = np.zeros(tree.n_topics, dtype=np.float64)
     for c in memberships:
         node = concept_topic[c]
@@ -249,11 +266,9 @@ def voclink_conditional(
     """p(k) for one token under vocabulary links, marginalized over the
     token's possible leaves; tree counts must already exclude the token."""
     word = side.tokens[doc][pos]
-    _check_counts(side.doc_topic[doc], side.word_topic[word], side.topic_total)
+    nd, _, _ = _token_rows(side, doc, word)
     _check_counts(tree.concept_topic, tree.untrans_total[side_index])
-    p = (side.doc_topic[doc] + hp.alpha) * voclink_tree_factor(
-        side, tree, side_index, word, hp
-    )
+    p = (nd + hp.alpha) * voclink_tree_factor(side, tree, side_index, word, hp)
     return p / p.sum()
 
 
@@ -283,13 +298,9 @@ class TopicModel:
 
 
 # ---------------------------------------------------------------------------
-# training fast path: plain-Python count lists with float score rows kept in
-# step, one uniform draw per token
+# training sweeps: a SideState's count lists, updated in place, with float
+# score rows kept in step, one uniform draw per token
 # ---------------------------------------------------------------------------
-
-
-def _zeros(n: int, k: int) -> list[list[int]]:
-    return [[0] * k for _ in range(n)]
 
 
 def _plus(rows, offset):
@@ -484,37 +495,23 @@ def _sweep_tree(
             root[k1] = ctotal[k1] + utotal[k1] + root_prior
 
 
-class _FastSide:
-    """Mutable plain-Python mirror of one side's count tables."""
-
-    def __init__(self, corpus: Corpus, k: int):
-        self.language = corpus.language
-        self.vocab_size = corpus.vocabulary.size
-        self.n_topics = k
-        self.tokens: list[list[int]] = [list(d.tokens) for d in corpus.documents]
-        self.lengths = [len(t) for t in self.tokens]
-        self.z: list[list[int]] = [[] for _ in self.tokens]
-        self.ndk = _zeros(len(self.tokens), k)
-        self.nwk = _zeros(self.vocab_size, k)
-        self.nk = [0] * k
-        self.paths: list[list[int]] = [[] for _ in self.tokens]
-
-    def init_assignments(self, rng, tree: DirichletTree | None, side: int) -> None:
-        """Draw each document's topics; with a `tree`, also draw each
-        token's tree leaf right after its document's topics (a word in
-        several concepts draws one of them) and count its path there."""
-        k = self.n_topics
-        for d, toks in enumerate(self.tokens):
-            zd = rng.integers(0, k, size=len(toks)).tolist()
-            self.z[d] = zd
-            nd = self.ndk[d]
-            pathd = self.paths[d]
+def _init_side(
+    corpus: Corpus, k: int, rng, tree: DirichletTree | None, side: int
+) -> tuple[SideState, list[list[int]]]:
+    """Draw each document's topics; with a `tree`, also draw each token's
+    tree leaf right after its document's topics (a word in several
+    concepts draws one of them) and count its path there. Returns the
+    tallied state and the tree paths (-1 for a word's own root leaf;
+    empty lists without a tree)."""
+    tokens = [d.tokens for d in corpus.documents]
+    z: list[list[int]] = []
+    paths: list[list[int]] = []
+    for toks in tokens:
+        zd = rng.integers(0, k, size=len(toks)).tolist()
+        z.append(zd)
+        pathd = []
+        if tree is not None:
             for w, topic in zip(toks, zd):
-                nd[topic] += 1
-                self.nwk[w][topic] += 1
-                self.nk[topic] += 1
-                if tree is None:
-                    continue
                 ms = tree.concepts_of_word[side][w]
                 if not ms:
                     c = -1
@@ -522,21 +519,8 @@ class _FastSide:
                     c = ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))]
                 tree.increment(side, w, c, topic, 1)
                 pathd.append(c)
-
-    def doc_topic_array(self) -> np.ndarray:
-        return np.array(self.ndk, dtype=np.int64)
-
-    def word_topic_array(self) -> np.ndarray:
-        return np.array(self.nwk, dtype=np.int64)
-
-    def verify(self) -> None:
-        expected = tally_side(self.tokens, self.z, self.n_topics, self.vocab_size)
-        if not np.array_equal(expected.doc_topic, self.doc_topic_array()):
-            raise DataError("document-topic table out of sync with assignments")
-        if not np.array_equal(expected.word_topic, self.word_topic_array()):
-            raise DataError("word-topic table out of sync with assignments")
-        if not np.array_equal(expected.topic_total, np.array(self.nk)):
-            raise DataError("topic totals out of sync with assignments")
+        paths.append(pathd)
+    return tally_side(tokens, z, k, corpus.vocabulary.size), paths
 
 
 def _pseudo_counts(matrix: TransferMatrix, source_ndk: list[list[int]], k: int) -> np.ndarray:
@@ -633,10 +617,9 @@ def train(
         raise ConfigError("the adaptive schedule needs a dictionary for its LIS scorer")
 
     rng = np.random.default_rng(hp.seed)
-    sides = (_FastSide(corpus.side1, hp.k), _FastSide(corpus.side2, hp.k))
-
-    for s, fast in enumerate(sides):
-        fast.init_assignments(rng, tree, s)
+    sides, paths = zip(*(
+        _init_side(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))
+    ))
 
     # hard-link structure: under the conditional formulation partners[s][d]
     # is the live count row of document d's partner; under the joint one
@@ -646,12 +629,12 @@ def train(
     if model_kind == "hardlink":
         for i1, i2 in corpus.hard_links:
             if hardlink_formulation == "joint":
-                pooled = [a + b for a, b in zip(sides[0].ndk[i1], sides[1].ndk[i2])]
+                pooled = list(map(add, sides[0].doc_topic[i1], sides[1].doc_topic[i2]))
                 pools[0][i1] = pooled
                 pools[1][i2] = pooled
             else:
-                partners[0][i1] = sides[1].ndk[i2]
-                partners[1][i2] = sides[0].ndk[i1]
+                partners[0][i1] = sides[1].doc_topic[i2]
+                partners[1][i2] = sides[0].doc_topic[i1]
 
     scheduler = AnnealScheduler(
         anneal,
@@ -675,18 +658,18 @@ def train(
     for iteration in range(1, hp.train_iterations + 1):
         if uses_soft:
             priors = tuple(
-                (_pseudo_counts(scheduler.matrices[s], sides[1 - s].ndk, hp.k) + alpha).tolist()
+                (_pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic, hp.k) + alpha).tolist()
                 for s in (0, 1)
             )
         else:
             priors = base_priors
         for s in (0, 1):
-            fast = sides[s]
-            vbeta = fast.vocab_size * beta
+            side = sides[s]
+            vbeta = side.vocab_size * beta
             if uses_tree:
                 _sweep_tree(
-                    fast.tokens, fast.z, fast.paths, fast.ndk, priors[s],
-                    fast.nwk, fast.nk, tree.concepts_of_word[s],
+                    side.tokens, side.z, paths[s], side.doc_topic, priors[s],
+                    side.word_topic, side.topic_total, tree.concepts_of_word[s],
                     tree.concept_topic, tree.leaf_topic[s], tree.concept_total,
                     tree.untrans_total[s],
                     beta, hp.beta_root, hp.beta_internal, root_priors[s],
@@ -694,21 +677,21 @@ def train(
                 )
             elif model_kind == "hardlink" and hardlink_formulation == "joint":
                 _sweep_pooled(
-                    fast.tokens, fast.z, fast.ndk, pools[s], alpha,
-                    fast.nwk, fast.nk, beta, vbeta, hp.k, rng,
+                    side.tokens, side.z, side.doc_topic, pools[s], alpha,
+                    side.word_topic, side.topic_total, beta, vbeta, hp.k, rng,
                 )
             else:
                 # the partner rows belong to the other side, so they hold
                 # still while this side is swept
-                _add_partner_counts(fast.ndk, partners[s], 1)
+                _add_partner_counts(side.doc_topic, partners[s], 1)
                 _sweep_plain(
-                    fast.tokens, fast.z, fast.ndk, priors[s],
-                    fast.nwk, fast.nk, beta, vbeta, hp.k, rng,
+                    side.tokens, side.z, side.doc_topic, priors[s],
+                    side.word_topic, side.topic_total, beta, vbeta, hp.k, rng,
                 )
-                _add_partner_counts(fast.ndk, partners[s], -1)
+                _add_partner_counts(side.doc_topic, partners[s], -1)
         scheduler.after_iteration(
             iteration,
-            lambda: (sides[0].word_topic_array(), sides[1].word_topic_array()),
+            lambda: tuple(count_table(side.word_topic, hp.k) for side in sides),
         )
         if debug_checks:
             _run_debug_checks(sides, corpus, tree, pools)
@@ -719,47 +702,48 @@ def train(
 
 
 def _run_debug_checks(sides, corpus, tree, pools) -> None:
-    for s in (0, 1):
-        sides[s].verify()
+    for s, side in enumerate(sides, start=1):
+        if tally_side(side.tokens, side.z, side.n_topics, side.vocab_size) != side:
+            raise DataError(f"side {s} count tables out of sync with its assignments")
     if tree is not None:
-        tree.check_consistency(
-            (sides[0].word_topic_array(), sides[1].word_topic_array())
-        )
+        tree.check_consistency(tuple(count_table(side.word_topic, tree.n_topics) for side in sides))
     for i1, i2 in corpus.hard_links:
         pool = pools[0][i1]
         # joint hard links: the pooled row must stay the sum of the two
         # linked rows
-        if pool is not None and pool != list(map(add, sides[0].ndk[i1], sides[1].ndk[i2])):
+        if pool is not None and pool != list(
+            map(add, sides[0].doc_topic[i1], sides[1].doc_topic[i2])
+        ):
             raise DataError(
                 f"pooled hard-link counts of documents {i1} and {i2} are not "
                 "the sum of their topic counts"
             )
 
 
-def _phi_plain(fast: _FastSide, hp: Hyperparams) -> np.ndarray:
-    nwk = fast.word_topic_array().astype(np.float64)
-    nk = np.array(fast.nk, dtype=np.float64)
-    return ((nwk + hp.beta) / (nk + fast.vocab_size * hp.beta)).T
+def _phi_plain(state: SideState, hp: Hyperparams) -> np.ndarray:
+    nwk = count_table(state.word_topic, hp.k).astype(np.float64)
+    nk = np.array(state.topic_total, dtype=np.float64)
+    return ((nwk + hp.beta) / (nk + state.vocab_size * hp.beta)).T
 
 
-def _phi_tree(fast: _FastSide, tree: DirichletTree, side: int, hp: Hyperparams) -> np.ndarray:
+def _phi_tree(state: SideState, tree: DirichletTree, side: int, hp: Hyperparams) -> np.ndarray:
     """Per-language topic-word table from tree counts, renormalized so each
     row is a distribution over that language's vocabulary."""
     den = (
         tree.root_total(side) + tree.root_children_prior(side, hp.beta_root, hp.beta)
     ).astype(np.float64)
-    node = tree.table(tree.concept_topic).astype(np.float64)
-    leaf = tree.table(tree.leaf_topic[side]).astype(np.float64)
+    node = count_table(tree.concept_topic, hp.k).astype(np.float64)
+    leaf = count_table(tree.leaf_topic[side], hp.k).astype(np.float64)
     concept_vals = (node + hp.beta_root) * (leaf + hp.beta_internal) / (
         node + 2.0 * hp.beta_internal
     )
-    vals = np.zeros((fast.vocab_size, hp.k), dtype=np.float64)
+    vals = np.zeros((state.vocab_size, hp.k), dtype=np.float64)
     if tree.n_concepts:
         np.add.at(vals, tree.concept_word[side], concept_vals)
     untranslated = np.array(
         [not m for m in tree.concepts_of_word[side]], dtype=bool
     )
-    nwk = fast.word_topic_array().astype(np.float64)
+    nwk = count_table(state.word_topic, hp.k).astype(np.float64)
     vals[untranslated] = nwk[untranslated] + hp.beta
     phi = (vals / den).T
     return phi / phi.sum(axis=1, keepdims=True)
@@ -778,15 +762,16 @@ def _assemble_model(
 
     thetas = []
     for s in (0, 1):
-        fast = sides[s]
-        ndk = fast.doc_topic_array().astype(np.float64)
-        lengths = np.array(fast.lengths, dtype=np.float64)
+        side = sides[s]
+        ndk = count_table(side.doc_topic, hp.k).astype(np.float64)
+        lengths = np.array([len(toks) for toks in side.tokens], dtype=np.float64)
         if uses_soft:
-            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].ndk, hp.k)
+            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic, hp.k)
         else:
             pseudo = np.zeros_like(ndk)
         if model_kind == "hardlink":
-            other = sides[1 - s].doc_topic_array().astype(np.float64)
+            # the linked partner's topic counts, read row by row
+            other = sides[1 - s].doc_topic
             for i1, i2 in corpus.hard_links:
                 if s == 0:
                     pseudo[i1] = other[i2]
@@ -808,8 +793,8 @@ def _assemble_model(
         provenance["hardlink_formulation"] = hardlink_formulation
 
     counts = {
-        "doc_topic": [sides[0].ndk, sides[1].ndk],
-        "word_topic": [sides[0].nwk, sides[1].nwk],
+        "doc_topic": [sides[0].doc_topic, sides[1].doc_topic],
+        "word_topic": [sides[0].word_topic, sides[1].word_topic],
     }
     doc_labels = tuple(
         [sorted(d.labels) if d.labels else None for d in side.documents]

@@ -11,7 +11,8 @@ normalizes the root distribution over its own reachable children, so a
 tree with no concepts reduces exactly to per-language LDA.
 
 The counts are plain int lists, the ones the training sweep updates in
-place; numpy readers take an int64 copy through `DirichletTree.table`.
+place; numpy readers take an int64 copy of one table at a time through
+`count_table`, as they do for a `SideState`'s tables.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ import numpy as np
 from .corpus import Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import DataError
+
+
+def count_table(rows, n_topics: int) -> np.ndarray:
+    """int64 copy of a list of per-topic count rows, shape (len(rows),
+    n_topics) even when there are no rows."""
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n_topics)
 
 
 class DirichletTree:
@@ -55,10 +62,6 @@ class DirichletTree:
         """Sum of priors over the root children visible to one language."""
         return self.n_concepts * beta_root + self.n_untranslated[side] * beta
 
-    def table(self, rows: list[list[int]]) -> np.ndarray:
-        """int64 copy of per-concept count rows, shape (C, K) even when C = 0."""
-        return np.array(rows, dtype=np.int64).reshape(len(rows), self.n_topics)
-
     def root_total(self, side: int) -> np.ndarray:
         """Per-topic token count over one language's root children: pooled
         concept-edge counts plus that language's untranslated-leaf counts."""
@@ -79,8 +82,9 @@ class DirichletTree:
 
         Raises DataError on any mismatch; used by debug mode.
         """
-        concept = self.table(self.concept_topic)
-        leaf = (self.table(self.leaf_topic[0]), self.table(self.leaf_topic[1]))
+        k = self.n_topics
+        concept = count_table(self.concept_topic, k)
+        leaf = (count_table(self.leaf_topic[0], k), count_table(self.leaf_topic[1], k))
         if not np.array_equal(concept, leaf[0] + leaf[1]):
             raise DataError("concept-node counts do not equal the sum of their leaves")
         if not np.array_equal(self.concept_total, concept.sum(axis=0)):

@@ -113,8 +113,8 @@ def side_state_without_token(tokens_docs, z_docs, n_topics, vocab_size, doc, pos
     state = tally_side(tokens_docs, z_docs, n_topics, vocab_size)
     w = tokens_docs[doc][pos]
     t = z_docs[doc][pos]
-    state.doc_topic[doc, t] -= 1
-    state.word_topic[w, t] -= 1
+    state.doc_topic[doc][t] -= 1
+    state.word_topic[w][t] -= 1
     state.topic_total[t] -= 1
     return state
 

@@ -1,13 +1,15 @@
 """End-to-end command-line behavior: wiring, determinism, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from multitopic.cli import main
-from multitopic.corpus import LoaderOptions, load_corpus
+from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
 from multitopic.dictionary import load_dictionary
+from multitopic.errors import DataError
 from multitopic.evaluate import load_reference
 from multitopic.models import load_model
 
@@ -277,6 +279,137 @@ def test_non_numeric_config_value_exits_2(tmp_path, toy_data, capsys, overrides)
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "must be a number" in err
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"k": 3.9}, "k must be an integer, got 3.9"),
+    ({"train_iterations": 2.5}, "train_iterations must be an integer"),
+    ({"anneal": {"interval": 2.5}}, "anneal.interval must be an integer"),
+    ({"top_frequent": float("inf")}, "top_frequent must be an integer"),
+    ({"k": True}, "k must be a number, got True"),
+    ({"seed": False}, "seed must be a number, got False"),
+    ({"threads": True}, "threads must be a number, got True"),
+    ({"alpha": True}, "alpha must be a number, got True"),
+    ({"keep_empty": "false"}, "keep_empty must be true or false, got 'false'"),
+    ({"keep_empty": 0}, "keep_empty must be true or false, got 0"),
+    ({"keep_empty": None}, "keep_empty must be true or false, got None"),
+])
+def test_integer_and_boolean_config_values_exit_2(
+    tmp_path, toy_data, capsys, overrides, message
+):
+    config = base_config(toy_data, tmp_path / "out", **overrides)
+    config_path = tmp_path / "bad_value.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_integral_float_counts_as_an_integer(tmp_path, toy_data):
+    ints = run_train(tmp_path, toy_data, "ints")
+    floats = run_train(tmp_path, toy_data, "floats", k=2.0, seed=3.0, train_iterations=5.0)
+    assert (ints / "model.json").read_bytes() == (floats / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "infer", "eval", "synth"])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x", ""])
+def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, command, seed):
+    argv = {
+        "train": ["train", "--config", "config.json"],
+        "infer": ["infer", "--model", "m.json", "--corpus", "c.jsonl",
+                  "--language", "l1", "--output", "theta.json"],
+        "eval": ["eval", "--model", "m.json"],
+        "synth": ["synth", "--output-dir", str(tmp_path / "synth")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    assert exc.value.code == 2
+    assert "expected a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "synth").exists()
+
+
+def test_model_with_negative_seed_exits_3(tmp_path, toy_data, capsys):
+    out = run_train(tmp_path, toy_data, "valid")
+    payload = json.loads((out / "model.json").read_text())
+    payload["hyperparams"]["seed"] = -1
+    path = tmp_path / "negative_seed.json"
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["inspect", "--model", str(path)]) == 3
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def _unreadable(path, kind):
+    """Turn `path` into a directory or a file that is not UTF-8."""
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"id": "caf\xe9"}\n')
+    return path
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("loader", ["corpus", "stopwords", "dictionary", "reference"])
+def test_text_input_that_cannot_be_read_is_a_data_error(tmp_path, loader, kind):
+    path = _unreadable(tmp_path / "input", kind)
+    vocabularies = (Vocabulary("l1", ["a0"]), Vocabulary("l2", ["b0"]))
+    what, read = {
+        "corpus": ("corpus file", lambda: load_corpus(path, "l1")),
+        "stopwords": ("stopword file", lambda: load_stopwords(path)),
+        "dictionary": ("dictionary file", lambda: load_dictionary(path, *vocabularies)),
+        "reference": ("reference file", lambda: load_reference(path, *vocabularies)),
+    }[loader]
+    with pytest.raises(DataError, match=re.escape(f"{what} {path}")):
+        read()
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+@pytest.mark.parametrize("key", ["corpus1", "stopwords2", "dictionary", "config"])
+def test_train_input_that_cannot_be_read_exits_cleanly(tmp_path, toy_data, capsys, key, kind):
+    bad = _unreadable(tmp_path / "input", kind)
+    config = base_config(toy_data, tmp_path / "out", model="softlink")
+    config_path = tmp_path / "config.json"
+    if key == "config":
+        config_path = bad
+    else:
+        config["paths"][key] = str(bad)
+        config_path.write_text(json.dumps(config))
+    code = 2 if key == "config" else 3
+    assert main(["train", "--config", str(config_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:" if code == 2 else "data error:")
+    assert str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+def test_reference_that_cannot_be_read_exits_3(tmp_path, toy_data, capsys, kind):
+    out = run_train(tmp_path, toy_data, "valid")
+    bad = _unreadable(tmp_path / "reference", kind)
+    capsys.readouterr()
+    assert main([
+        "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
+        "--reference", str(bad),
+    ]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_top_words_below_one_exits_2(tmp_path, toy_data, capsys, count):
+    out = run_train(tmp_path, toy_data, "valid")
+    reference = tmp_path / "reference.jsonl"
+    reference.write_text('{"l1_types": ["a0"], "l2_types": ["b0"]}\n')
+    for argv in (
+        ["eval", "--model", str(out / "model.json"), "--which", "cnpmi",
+         "--reference", str(reference)],
+        ["inspect", "--model", str(out / "model.json")],
+    ):
+        capsys.readouterr()
+        assert main([*argv, "--top-words", count]) == 2, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "number of top words must be positive" in captured.err
 
 
 @pytest.mark.parametrize("section, value", [

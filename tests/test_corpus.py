@@ -272,6 +272,35 @@ def test_jsonl_labels_absent_null_or_empty_mean_unlabeled(tmp_path):
     assert [d.labels for d in corpus.documents] == [None, None, None, frozenset({"a", "b"})]
 
 
+@pytest.mark.parametrize("link", [["p"], 7, 1.5, True, {"id": "p"}])
+def test_jsonl_link_must_be_a_string_or_null(tmp_path, link):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "d1", "lang": "en", "tokens": ["cat"], "link": "p1"},
+            {"id": "d2", "lang": "en", "tokens": ["dog"], "link": link},
+        ],
+    )
+    with pytest.raises(DataError, match=":2: 'link' must be a string or null"):
+        load_corpus(path, "en", LoaderOptions(top_frequent=0))
+
+
+def test_jsonl_link_absent_null_or_empty_mean_unlinked(tmp_path):
+    path = tmp_path / "c.jsonl"
+    write_jsonl(
+        path,
+        [
+            {"id": "d1", "lang": "en", "tokens": ["cat"]},
+            {"id": "d2", "lang": "en", "tokens": ["dog"], "link": None},
+            {"id": "d3", "lang": "en", "tokens": ["dog"], "link": ""},
+            {"id": "d4", "lang": "en", "tokens": ["dog"], "link": "7"},
+        ],
+    )
+    corpus = load_corpus(path, "en", LoaderOptions(top_frequent=0))
+    assert [d.link_id for d in corpus.documents] == [None, None, None, "7"]
+
+
 @pytest.mark.parametrize("labels", ["sports", [1], {"x": "y"}])
 def test_serialized_labels_must_be_a_list_of_strings(tmp_path, labels):
     path = tmp_path / "c.jsonl"

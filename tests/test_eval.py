@@ -42,6 +42,12 @@ class TestTopWords:
         with pytest.raises(ConfigError):
             top_words(np.array([1.0]), 2)
 
+    @pytest.mark.parametrize("c", [0, -1, -3])
+    def test_fewer_than_one_requested_rejected(self, c):
+        # a negative count would otherwise slice off the last |c| words
+        with pytest.raises(ConfigError, match="must be positive"):
+            top_words(np.array([0.5, 0.3, 0.1, 0.1]), c)
+
 
 class TestCnpmiTopic:
     def test_perfect_cooccurrence_scores_one_exactly(self):

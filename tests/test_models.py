@@ -359,6 +359,22 @@ class TestTrain:
                 hardlink_formulation="joint", debug_checks=True,
             )
 
+    @pytest.mark.parametrize("table", ["doc_topic", "word_topic", "topic_total"])
+    def test_debug_checks_catch_a_side_table_out_of_sync(self, monkeypatch, table):
+        rng = np.random.default_rng(13)
+        corpus = build_bilingual(rng)
+        sweep = models._sweep_plain
+
+        def corrupting_sweep(tokens, z, ndk, priors, nwk, nk, *args):
+            sweep(tokens, z, ndk, priors, nwk, nk, *args)
+            # one extra count leaves every count non-negative
+            rows = {"doc_topic": ndk, "word_topic": nwk, "topic_total": [nk]}[table]
+            rows[-1][0] += 1
+
+        monkeypatch.setattr(models, "_sweep_plain", corrupting_sweep)
+        with pytest.raises(DataError, match="out of sync"):
+            train("lda", corpus, Hyperparams(k=3, train_iterations=1, seed=1), debug_checks=True)
+
     def test_tree_passed_to_train_holds_the_final_counts(self):
         rng = np.random.default_rng(13)
         corpus = build_bilingual(rng)
