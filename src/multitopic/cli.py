@@ -378,6 +378,8 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.reference_pairs < 1:
+        raise ConfigError(f"--reference-pairs must be at least 1, got {args.reference_pairs}")
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     data = ev.generate_synthetic(

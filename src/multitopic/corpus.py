@@ -107,6 +107,10 @@ class LoaderOptions:
     top_frequent: int = 100
     keep_empty: bool = False
 
+    def __post_init__(self):
+        if self.top_frequent < 0:
+            raise ConfigError(f"top_frequent must be non-negative, got {self.top_frequent}")
+
 
 @contextmanager
 def open_text(path: str | Path, what: str, error: type = DataError):

@@ -10,24 +10,32 @@ Inference samples all documents in lockstep, one token position at a
 time, with numpy; it is bit-identical to sampling each document alone.
 
 One class holds a language's assignments and counts: `SideState`, whose
-tables are plain int lists that the training sweeps update in place, as
-they update `DirichletTree`'s own count lists. `tally_side` builds one
-from the assignments; training starts from it, and `debug_checks=True`
-re-tallies both sides after every iteration and compares. The public
-conditional-distribution functions read a `SideState`'s rows through
-`np.asarray`, so a state built from numpy tables works too, and expect
-the current token's assignment to already be removed from all counts.
-The sweeps are equivalent to them: each factor of the score, such as
-nd + prior, nw + beta and nk + V*beta, is also held as a float row, and
-after every decrement and increment only the changed topic's entry is
-recomputed, with the same expression. A token's cumulative scores are then
+tables are contiguous int64 arrays that the training sweeps update in
+place, as they update `DirichletTree`'s own count arrays. `tally_side`
+builds one from the assignments; training starts from it, and
+`debug_checks=True` re-tallies both sides after every iteration and
+compares. The public conditional-distribution functions read a
+`SideState`'s rows and expect the current token's assignment to already
+be removed from all counts.
+
+Each sweep runs a compiled kernel from `_sweeps.c`, built and loaded by
+`_native`; when no C compiler or cache is available, it runs the Python
+sweeps below instead, on list copies of the side's arrays made and
+written back once per sweep. The two backends draw the same topics. The
+Python sweeps are equivalent to the conditionals: each factor of the
+score, such as nd + prior, nw + beta and nk + V*beta, is also held as a
+float row, and after every decrement and increment only the changed
+topic's entry is recomputed, with the same expression. A token's
+cumulative scores are then
 `list(accumulate(map(truediv, map(mul, ...))))`, which multiplies,
 divides and adds left to right exactly as a scalar loop over the topics
 does, and `bisect_right(cdf, u * cdf[-1])` (clamped to the last topic) is
 the first topic with `u * total < cdf[k]`, because the CDF never
 decreases. The draws are therefore bit-identical to the scalar loops kept
-in `tests/oracles.py`. Numpy readers (phi, theta, LIS) copy one table
-at a time through `tree.count_table`.
+in `tests/oracles.py`, and the C kernels evaluate the same expressions in
+the same order. Both backends draw a side's uniforms in corpus order, one
+per token: the Python sweeps with one `rng.random` per document, the
+kernels with one per side, which yields the same numbers.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
@@ -47,11 +55,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .corpus import BilingualCorpus, Corpus, Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .transfer import AnnealConfig, TransferMatrix
-from .tree import DirichletTree, build_tree, count_table
+from .tree import DirichletTree, build_tree
 
 logger = logging.getLogger(__name__)
 
@@ -105,18 +114,20 @@ class Hyperparams:
         return cls(**payload)
 
 
-@dataclass
+@dataclass(eq=False)
 class SideState:
-    """Assignments and count tables for one language, as plain int lists:
-    the training sweeps update them in place. `z[d][i]` is the topic of
-    token `tokens[d][i]`; `doc_topic` is D x K, `word_topic` V x K and
+    """Assignments and count tables for one language, as contiguous int64
+    arrays that the training sweeps update in place. Document d's tokens
+    are `tokens[doc_start[d]:doc_start[d + 1]]`, and `z` holds their topics
+    at the same positions; `doc_topic` is D x K, `word_topic` V x K and
     `topic_total` has K entries."""
 
-    tokens: list[list[int]]
-    doc_topic: list[list[int]]
-    word_topic: list[list[int]]
-    topic_total: list[int]
-    z: list[list[int]]
+    tokens: np.ndarray
+    z: np.ndarray
+    doc_start: np.ndarray
+    doc_topic: np.ndarray
+    word_topic: np.ndarray
+    topic_total: np.ndarray
 
     @property
     def n_topics(self) -> int:
@@ -126,29 +137,40 @@ class SideState:
     def vocab_size(self) -> int:
         return len(self.word_topic)
 
+    def doc_tokens(self, doc: int) -> np.ndarray:
+        return self.tokens[self.doc_start[doc]:self.doc_start[doc + 1]]
 
-def tally_side(tokens: list[list[int]], z: list, k: int, vocab_size: int) -> SideState:
-    """Build a SideState whose tables are the exact tallies of `z`."""
-    doc_topic = [[0] * k for _ in tokens]
-    word_topic = [[0] * k for _ in range(vocab_size)]
-    topic_total = [0] * k
-    z_lists = []
+
+def _tally(tokens, z, doc_start, k: int, vocab_size: int):
+    """The document-topic, word-topic and topic-total counts of flat
+    assignments."""
+    n_docs = len(doc_start) - 1
+    doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(doc_start))
+    return (
+        np.bincount(doc * k + z, minlength=n_docs * k).reshape(n_docs, k),
+        np.bincount(tokens * k + z, minlength=vocab_size * k).reshape(vocab_size, k),
+        np.bincount(z, minlength=k),
+    )
+
+
+def tally_side(tokens: list, z: list, k: int, vocab_size: int) -> SideState:
+    """Build a SideState from per-document token and topic sequences; its
+    tables are the exact tallies of `z`."""
+    if len(z) != len(tokens):
+        raise DataError("assignments do not cover every document")
     for d, (toks, zd) in enumerate(zip(tokens, z)):
-        zd = list(map(int, zd))
         if len(zd) != len(toks):
             raise DataError(f"assignments for document {d} do not match its length")
-        z_lists.append(zd)
-        nd = doc_topic[d]
-        for w, topic in zip(toks, zd):
-            nd[topic] += 1
-            word_topic[w][topic] += 1
-            topic_total[topic] += 1
+    doc_start = np.cumsum([0] + [len(toks) for toks in tokens], dtype=np.int64)
+    n = int(doc_start[-1])
+    flat_tokens = np.fromiter(chain.from_iterable(tokens), dtype=np.int64, count=n)
+    flat_z = np.fromiter(chain.from_iterable(z), dtype=np.int64, count=n)
+    # the compiled sweeps index the tables with these values unchecked
+    for values, bound, name in ((flat_tokens, vocab_size, "word ids"), (flat_z, k, "topics")):
+        if n and (values.min() < 0 or values.max() >= bound):
+            raise DataError(f"{name} must lie in [0, {bound})")
     return SideState(
-        tokens=[list(t) for t in tokens],
-        doc_topic=doc_topic,
-        word_topic=word_topic,
-        topic_total=topic_total,
-        z=z_lists,
+        flat_tokens, flat_z, doc_start, *_tally(flat_tokens, flat_z, doc_start, k, vocab_size)
     )
 
 
@@ -160,12 +182,8 @@ def _check_counts(*arrays) -> None:
 
 def _token_rows(side: SideState, doc: int, word: int):
     """The document's and the word's topic-count rows and the topic
-    totals, as arrays; a negative count is a `DataError`."""
-    rows = (
-        np.asarray(side.doc_topic[doc]),
-        np.asarray(side.word_topic[word]),
-        np.asarray(side.topic_total),
-    )
+    totals; a negative count is a `DataError`."""
+    rows = (side.doc_topic[doc], side.word_topic[word], side.topic_total)
     _check_counts(*rows)
     return rows
 
@@ -176,7 +194,7 @@ def _word_factor(nw: np.ndarray, nk: np.ndarray, vocab_size: int, hp: Hyperparam
 
 def lda_conditional(side: SideState, doc: int, pos: int, hp: Hyperparams) -> np.ndarray:
     """p(k) for one token under per-language LDA, current token excluded."""
-    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
+    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
     p = (nd + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
     return p / p.sum()
 
@@ -191,7 +209,7 @@ def hardlink_conditional(
     """Document-links conditional: the linked document's topic tallies act
     as extra pseudo-counts on the Dirichlet prior. A zero vector recovers
     LDA (unlinked document)."""
-    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
+    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
     partner = np.asarray(partner_counts)
     if (partner < 0).any():
         raise DataError("negative partner counts")
@@ -222,7 +240,7 @@ def softlink_conditional(
 ) -> np.ndarray:
     """Soft-links conditional; `prior_pseudo` is the softlink_prior output
     for this document under the sweep-start snapshot policy."""
-    nd, nw, nk = _token_rows(side, doc, side.tokens[doc][pos])
+    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
     p = (nd + prior_pseudo + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
     return p / p.sum()
 
@@ -243,12 +261,10 @@ def voclink_tree_factor(
     memberships = tree.concepts_of_word[side_index][word]
     if not memberships:
         return (np.asarray(side.word_topic[word]) + hp.beta) / den
-    concept_topic = count_table(tree.concept_topic, tree.n_topics)
-    leaf_topic = count_table(tree.leaf_topic[side_index], tree.n_topics)
     total = np.zeros(tree.n_topics, dtype=np.float64)
     for c in memberships:
-        node = concept_topic[c]
-        leaf = leaf_topic[c]
+        node = tree.concept_topic[c]
+        leaf = tree.leaf_topic[side_index][c]
         total += (node + hp.beta_root) / den * (leaf + hp.beta_internal) / (
             node + 2.0 * hp.beta_internal
         )
@@ -265,7 +281,7 @@ def voclink_conditional(
 ) -> np.ndarray:
     """p(k) for one token under vocabulary links, marginalized over the
     token's possible leaves; tree counts must already exclude the token."""
-    word = side.tokens[doc][pos]
+    word = side.doc_tokens(doc)[pos]
     nd, _, _ = _token_rows(side, doc, word)
     _check_counts(tree.concept_topic, tree.untrans_total[side_index])
     p = (nd + hp.alpha) * voclink_tree_factor(side, tree, side_index, word, hp)
@@ -298,8 +314,8 @@ class TopicModel:
 
 
 # ---------------------------------------------------------------------------
-# training sweeps: a SideState's count lists, updated in place, with float
-# score rows kept in step, one uniform draw per token
+# the Python training sweeps, on per-document lists: count lists updated in
+# place, with float score rows kept in step, one uniform draw per token
 # ---------------------------------------------------------------------------
 
 
@@ -497,52 +513,151 @@ def _sweep_tree(
 
 def _init_side(
     corpus: Corpus, k: int, rng, tree: DirichletTree | None, side: int
-) -> tuple[SideState, list[list[int]]]:
+) -> tuple[SideState, np.ndarray]:
     """Draw each document's topics; with a `tree`, also draw each token's
     tree leaf right after its document's topics (a word in several
-    concepts draws one of them) and count its path there. Returns the
-    tallied state and the tree paths (-1 for a word's own root leaf;
-    empty lists without a tree)."""
+    concepts draws one of them) and count the paths in the tree. Returns
+    the tallied state and the flat tree paths (-1 for a word's own root
+    leaf; empty without a tree)."""
     tokens = [d.tokens for d in corpus.documents]
-    z: list[list[int]] = []
-    paths: list[list[int]] = []
+    z = []
+    paths: list[int] = []
     for toks in tokens:
-        zd = rng.integers(0, k, size=len(toks)).tolist()
-        z.append(zd)
-        pathd = []
+        z.append(rng.integers(0, k, size=len(toks)))
         if tree is not None:
-            for w, topic in zip(toks, zd):
+            for w in toks:
                 ms = tree.concepts_of_word[side][w]
                 if not ms:
-                    c = -1
+                    paths.append(-1)
                 else:
-                    c = ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))]
-                tree.increment(side, w, c, topic, 1)
-                pathd.append(c)
-        paths.append(pathd)
-    return tally_side(tokens, z, k, corpus.vocabulary.size), paths
+                    paths.append(ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))])
+    state = tally_side(tokens, z, k, corpus.vocabulary.size)
+    flat_paths = np.array(paths, dtype=np.int64)
+    if tree is not None:
+        tree.add_paths(side, state.z, flat_paths)
+    return state, flat_paths
 
 
-def _pseudo_counts(matrix: TransferMatrix, source_ndk: list[list[int]], k: int) -> np.ndarray:
+def _pseudo_counts(matrix: TransferMatrix, source_ndk: np.ndarray) -> np.ndarray:
     """Soft-link pseudo-counts (D x K): row d is the weighted mixture of the
     source documents' topic counts that transfer row d names, zero for an
     empty row. One `weights @ source[idx]` per row keeps the summation
     order of `softlink_prior`."""
-    source = np.array(source_ndk, dtype=np.float64).reshape(-1, k)
-    pseudo = np.zeros((len(matrix.rows), k), dtype=np.float64)
+    source = source_ndk.astype(np.float64)
+    pseudo = np.zeros((len(matrix.rows), source.shape[1]), dtype=np.float64)
     for d, (idx, weights) in enumerate(matrix.rows):
         if len(idx):
             pseudo[d] = weights @ source[idx]
     return pseudo
 
 
-def _add_partner_counts(ndk: list[list[int]], partners: dict, sign: int) -> None:
-    """Add (sign 1) or remove (sign -1) each linked partner's topic counts
-    in its document's row of `ndk`."""
-    for d, partner in partners.items():
-        nd = ndk[d]
-        for kk, count in enumerate(partner):
-            nd[kk] += sign * count
+# ---------------------------------------------------------------------------
+# one sweep over one side: the compiled kernel when `lib` is loaded, else
+# the Python sweep above on list copies of the side's arrays, written back
+# ---------------------------------------------------------------------------
+
+
+def _per_doc(side: SideState, flat: np.ndarray) -> list[list[int]]:
+    """A flat per-token array as one list per document."""
+    values = flat.tolist()
+    bounds = side.doc_start.tolist()
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _side_lists(side: SideState) -> tuple:
+    """Per-document token and topic lists and the three count tables, as
+    lists for the Python sweeps."""
+    return (
+        _per_doc(side, side.tokens), _per_doc(side, side.z),
+        side.doc_topic.tolist(), side.word_topic.tolist(), side.topic_total.tolist(),
+    )
+
+
+def _store(pairs) -> None:
+    """Copy each (array, nested lists) pair's lists back into the array."""
+    for array, rows in pairs:
+        array[...] = np.reshape(rows, array.shape)
+
+
+def _store_side(side: SideState, z, ndk, nwk, nk) -> None:
+    _store([
+        (side.z, list(chain.from_iterable(z))), (side.doc_topic, ndk),
+        (side.word_topic, nwk), (side.topic_total, nk),
+    ])
+
+
+def _plain_sweep(lib, side: SideState, priors: np.ndarray, beta: float, rng) -> None:
+    """`_sweep_plain` over one side; `priors` is D x K."""
+    k = side.n_topics
+    vbeta = side.vocab_size * beta
+    if lib is not None:
+        lib.sweep_plain(
+            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
+            priors, side.word_topic, side.topic_total, beta, vbeta,
+            rng.random(len(side.tokens)), np.empty(k),
+        )
+        return
+    tokens, z, ndk, nwk, nk = _side_lists(side)
+    _sweep_plain(tokens, z, ndk, priors.tolist(), nwk, nk, beta, vbeta, k, rng)
+    _store_side(side, z, ndk, nwk, nk)
+
+
+def _pooled_sweep(
+    lib, side: SideState, pool_of_doc: np.ndarray, pools: np.ndarray, hp: Hyperparams, rng
+) -> None:
+    """`_sweep_pooled` over one side: document d draws from row
+    `pools[pool_of_doc[d]]`, or from its own row where that is -1."""
+    k = side.n_topics
+    vbeta = side.vocab_size * hp.beta
+    if lib is not None:
+        lib.sweep_pooled(
+            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
+            pool_of_doc, pools, hp.alpha, side.word_topic, side.topic_total, hp.beta, vbeta,
+            rng.random(len(side.tokens)), np.empty(k),
+        )
+        return
+    tokens, z, ndk, nwk, nk = _side_lists(side)
+    pool_rows = pools.tolist()
+    doc_pools = [pool_rows[p] if p >= 0 else None for p in pool_of_doc.tolist()]
+    _sweep_pooled(tokens, z, ndk, doc_pools, hp.alpha, nwk, nk, hp.beta, vbeta, k, rng)
+    _store_side(side, z, ndk, nwk, nk)
+    _store([(pools, pool_rows)])
+
+
+def _tree_sweep(
+    lib, side: SideState, paths: np.ndarray, priors: np.ndarray,
+    tree: DirichletTree, s: int, hp: Hyperparams, rng,
+) -> None:
+    """`_sweep_tree` over side `s`, with its flat `paths`, updating the
+    tree's counts too."""
+    k = side.n_topics
+    root_prior = tree.root_children_prior(s, hp.beta_root, hp.beta)
+    ncp, nleaf = tree.concept_topic, tree.leaf_topic[s]
+    ctotal, utotal = tree.concept_total, tree.untrans_total[s]
+    if lib is not None:
+        starts = tree.member_start[s]
+        # the running sums of the word with the most concepts
+        cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
+        lib.sweep_tree(
+            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
+            side.doc_topic, priors, side.word_topic, side.topic_total,
+            starts, tree.member_concepts[s], ncp, nleaf, ctotal, utotal,
+            hp.beta, hp.beta_root, hp.beta_internal, root_prior,
+            rng.random(len(side.tokens)), cdf,
+        )
+        return
+    tokens, z, ndk, nwk, nk = _side_lists(side)
+    path_docs = _per_doc(side, paths)
+    tree_lists = [ncp.tolist(), nleaf.tolist(), ctotal.tolist(), utotal.tolist()]
+    _sweep_tree(
+        tokens, z, path_docs, ndk, priors.tolist(), nwk, nk, tree.concepts_of_word[s],
+        *tree_lists, hp.beta, hp.beta_root, hp.beta_internal, root_prior, k, rng,
+    )
+    _store_side(side, z, ndk, nwk, nk)
+    _store([
+        (paths, list(chain.from_iterable(path_docs))),
+        *zip((ncp, nleaf, ctotal, utotal), tree_lists),
+    ])
 
 
 def _validate_matrix(matrix: TransferMatrix, target: Corpus, source: Corpus) -> None:
@@ -605,7 +720,7 @@ def train(
             raise ConfigError("tree topic count does not match hyperparameters")
         if tree.vocab_sizes != (corpus.side1.vocabulary.size, corpus.side2.vocabulary.size):
             raise ConfigError("tree was built against different vocabularies")
-        # the sweeps update the tree's count lists in place
+        # the sweeps update the tree's count arrays in place
         tree.zero_counts()
     else:
         tree = None  # a tree passed with another model kind goes unused
@@ -616,25 +731,27 @@ def train(
     if anneal is not None and anneal.schedule == "adaptive" and dictionary is None:
         raise ConfigError("the adaptive schedule needs a dictionary for its LIS scorer")
 
+    lib = _native.load()
     rng = np.random.default_rng(hp.seed)
     sides, paths = zip(*(
         _init_side(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))
     ))
 
-    # hard-link structure: under the conditional formulation partners[s][d]
-    # is the live count row of document d's partner; under the joint one
-    # each linked pair shares one pooled row
-    partners: tuple[dict, dict] = ({}, {})
-    pools: tuple[list, list] = ([None] * len(sides[0].tokens), [None] * len(sides[1].tokens))
-    if model_kind == "hardlink":
-        for i1, i2 in corpus.hard_links:
-            if hardlink_formulation == "joint":
-                pooled = list(map(add, sides[0].doc_topic[i1], sides[1].doc_topic[i2]))
-                pools[0][i1] = pooled
-                pools[1][i2] = pooled
-            else:
-                partners[0][i1] = sides[1].doc_topic[i2]
-                partners[1][i2] = sides[0].doc_topic[i1]
+    # hard links, one (side-1 document, side-2 document) row per pair:
+    # under the conditional formulation each side's rows carry their
+    # partners' counts while that side is swept; under the joint one each
+    # pair shares one row of `pools`, and pool_of_doc[s][d] names document
+    # d's row (-1 for an unlinked document)
+    joint = model_kind == "hardlink" and hardlink_formulation == "joint"
+    links = np.array(corpus.hard_links if model_kind == "hardlink" else [], dtype=np.int64)
+    links = links.reshape(-1, 2)
+    pool_of_doc = tuple(np.full(len(side.doc_topic), -1, dtype=np.int64) for side in sides)
+    pools = np.zeros((0, hp.k), dtype=np.int64)
+    if joint:
+        pools = sides[0].doc_topic[links[:, 0]] + sides[1].doc_topic[links[:, 1]]
+        for s in (0, 1):
+            pool_of_doc[s][links[:, s]] = np.arange(len(links))
+    partner_links = links[:0] if joint else links
 
     scheduler = AnnealScheduler(
         anneal,
@@ -643,86 +760,56 @@ def train(
     )
 
     alpha = hp.alpha
-    beta = hp.beta
-    base_priors: tuple[list, list] = (
-        [[alpha] * hp.k] * len(sides[0].tokens),
-        [[alpha] * hp.k] * len(sides[1].tokens),
-    )
-    root_priors = None
-    if uses_tree:
-        root_priors = (
-            tree.root_children_prior(0, hp.beta_root, hp.beta),
-            tree.root_children_prior(1, hp.beta_root, hp.beta),
-        )
-
+    priors = tuple(np.full((len(side.doc_topic), hp.k), alpha) for side in sides)
     for iteration in range(1, hp.train_iterations + 1):
         if uses_soft:
             priors = tuple(
-                (_pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic, hp.k) + alpha).tolist()
+                _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic) + alpha
                 for s in (0, 1)
             )
-        else:
-            priors = base_priors
         for s in (0, 1):
             side = sides[s]
-            vbeta = side.vocab_size * beta
             if uses_tree:
-                _sweep_tree(
-                    side.tokens, side.z, paths[s], side.doc_topic, priors[s],
-                    side.word_topic, side.topic_total, tree.concepts_of_word[s],
-                    tree.concept_topic, tree.leaf_topic[s], tree.concept_total,
-                    tree.untrans_total[s],
-                    beta, hp.beta_root, hp.beta_internal, root_priors[s],
-                    hp.k, rng,
-                )
-            elif model_kind == "hardlink" and hardlink_formulation == "joint":
-                _sweep_pooled(
-                    side.tokens, side.z, side.doc_topic, pools[s], alpha,
-                    side.word_topic, side.topic_total, beta, vbeta, hp.k, rng,
-                )
+                _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
+            elif joint:
+                _pooled_sweep(lib, side, pool_of_doc[s], pools, hp, rng)
             else:
                 # the partner rows belong to the other side, so they hold
                 # still while this side is swept
-                _add_partner_counts(side.doc_topic, partners[s], 1)
-                _sweep_plain(
-                    side.tokens, side.z, side.doc_topic, priors[s],
-                    side.word_topic, side.topic_total, beta, vbeta, hp.k, rng,
-                )
-                _add_partner_counts(side.doc_topic, partners[s], -1)
-        scheduler.after_iteration(
-            iteration,
-            lambda: tuple(count_table(side.word_topic, hp.k) for side in sides),
-        )
+                own, partner = partner_links[:, s], partner_links[:, 1 - s]
+                side.doc_topic[own] += sides[1 - s].doc_topic[partner]
+                _plain_sweep(lib, side, priors[s], hp.beta, rng)
+                side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
+        scheduler.after_iteration(iteration, lambda: tuple(side.word_topic for side in sides))
         if debug_checks:
-            _run_debug_checks(sides, corpus, tree, pools)
+            _run_debug_checks(sides, tree, links, pool_of_doc, pools)
 
-    return _assemble_model(
-        model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
-    )
+    return _assemble_model(model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation)
 
 
-def _run_debug_checks(sides, corpus, tree, pools) -> None:
+def _run_debug_checks(sides, tree, links, pool_of_doc, pools) -> None:
     for s, side in enumerate(sides, start=1):
-        if tally_side(side.tokens, side.z, side.n_topics, side.vocab_size) != side:
+        tallied = _tally(side.tokens, side.z, side.doc_start, side.n_topics, side.vocab_size)
+        if not all(map(np.array_equal, tallied, (side.doc_topic, side.word_topic, side.topic_total))):
             raise DataError(f"side {s} count tables out of sync with its assignments")
     if tree is not None:
-        tree.check_consistency(tuple(count_table(side.word_topic, tree.n_topics) for side in sides))
-    for i1, i2 in corpus.hard_links:
-        pool = pools[0][i1]
-        # joint hard links: the pooled row must stay the sum of the two
-        # linked rows
-        if pool is not None and pool != list(
-            map(add, sides[0].doc_topic[i1], sides[1].doc_topic[i2])
-        ):
-            raise DataError(
-                f"pooled hard-link counts of documents {i1} and {i2} are not "
-                "the sum of their topic counts"
-            )
+        tree.check_consistency(tuple(side.word_topic for side in sides))
+    # joint hard links: each pooled row must stay the sum of its two
+    # linked rows
+    pooled = links[pool_of_doc[0][links[:, 0]] >= 0]
+    sums = sides[0].doc_topic[pooled[:, 0]] + sides[1].doc_topic[pooled[:, 1]]
+    bad = np.flatnonzero((pools[pool_of_doc[0][pooled[:, 0]]] != sums).any(axis=1))
+    if len(bad):
+        i1, i2 = pooled[bad[0]].tolist()
+        raise DataError(
+            f"pooled hard-link counts of documents {i1} and {i2} are not "
+            "the sum of their topic counts"
+        )
 
 
 def _phi_plain(state: SideState, hp: Hyperparams) -> np.ndarray:
-    nwk = count_table(state.word_topic, hp.k).astype(np.float64)
-    nk = np.array(state.topic_total, dtype=np.float64)
+    nwk = state.word_topic.astype(np.float64)
+    nk = state.topic_total.astype(np.float64)
     return ((nwk + hp.beta) / (nk + state.vocab_size * hp.beta)).T
 
 
@@ -732,18 +819,16 @@ def _phi_tree(state: SideState, tree: DirichletTree, side: int, hp: Hyperparams)
     den = (
         tree.root_total(side) + tree.root_children_prior(side, hp.beta_root, hp.beta)
     ).astype(np.float64)
-    node = count_table(tree.concept_topic, hp.k).astype(np.float64)
-    leaf = count_table(tree.leaf_topic[side], hp.k).astype(np.float64)
+    node = tree.concept_topic.astype(np.float64)
+    leaf = tree.leaf_topic[side].astype(np.float64)
     concept_vals = (node + hp.beta_root) * (leaf + hp.beta_internal) / (
         node + 2.0 * hp.beta_internal
     )
     vals = np.zeros((state.vocab_size, hp.k), dtype=np.float64)
     if tree.n_concepts:
         np.add.at(vals, tree.concept_word[side], concept_vals)
-    untranslated = np.array(
-        [not m for m in tree.concepts_of_word[side]], dtype=bool
-    )
-    nwk = count_table(state.word_topic, hp.k).astype(np.float64)
+    untranslated = np.diff(tree.member_start[side]) == 0
+    nwk = state.word_topic.astype(np.float64)
     vals[untranslated] = nwk[untranslated] + hp.beta
     phi = (vals / den).T
     return phi / phi.sum(axis=1, keepdims=True)
@@ -760,23 +845,19 @@ def _assemble_model(
         for s in (0, 1)
     )
 
+    links = np.array(corpus.hard_links, dtype=np.int64).reshape(-1, 2)
     thetas = []
     for s in (0, 1):
         side = sides[s]
-        ndk = count_table(side.doc_topic, hp.k).astype(np.float64)
-        lengths = np.array([len(toks) for toks in side.tokens], dtype=np.float64)
+        ndk = side.doc_topic.astype(np.float64)
+        lengths = np.diff(side.doc_start).astype(np.float64)
         if uses_soft:
-            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic, hp.k)
+            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic)
         else:
             pseudo = np.zeros_like(ndk)
         if model_kind == "hardlink":
-            # the linked partner's topic counts, read row by row
-            other = sides[1 - s].doc_topic
-            for i1, i2 in corpus.hard_links:
-                if s == 0:
-                    pseudo[i1] = other[i2]
-                else:
-                    pseudo[i2] = other[i1]
+            # the linked partner's topic counts
+            pseudo[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]]
         numer = ndk + pseudo + alpha
         denom = lengths + pseudo.sum(axis=1) + hp.k * alpha
         thetas.append(numer / denom[:, None])
@@ -793,8 +874,8 @@ def _assemble_model(
         provenance["hardlink_formulation"] = hardlink_formulation
 
     counts = {
-        "doc_topic": [sides[0].doc_topic, sides[1].doc_topic],
-        "word_topic": [sides[0].word_topic, sides[1].word_topic],
+        "doc_topic": [side.doc_topic.tolist() for side in sides],
+        "word_topic": [side.word_topic.tolist() for side in sides],
     }
     doc_labels = tuple(
         [sorted(d.labels) if d.labels else None for d in side.documents]

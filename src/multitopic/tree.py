@@ -10,9 +10,13 @@ Counting semantics: concept-edge counts pool tokens of both languages
 normalizes the root distribution over its own reachable children, so a
 tree with no concepts reduces exactly to per-language LDA.
 
-The counts are plain int lists, the ones the training sweep updates in
-place; numpy readers take an int64 copy of one table at a time through
-`count_table`, as they do for a `SideState`'s tables.
+The counts are contiguous int64 arrays, the ones the training sweep
+updates in place: `concept_topic` (C x K, pooled over both languages),
+`leaf_topic` (2 x C x K, one table per language), `concept_total` (K) and
+`untrans_total` (2 x K). Each word's concepts are kept both as lists
+(`concepts_of_word`) and in CSR form for the compiled sweep: word w's
+concepts on side s are `member_concepts[s][member_start[s][w]:
+member_start[s][w + 1]]`, in the same order.
 """
 
 from __future__ import annotations
@@ -22,12 +26,6 @@ import numpy as np
 from .corpus import Vocabulary
 from .dictionary import BilingualDictionary
 from .errors import DataError
-
-
-def count_table(rows, n_topics: int) -> np.ndarray:
-    """int64 copy of a list of per-topic count rows, shape (len(rows),
-    n_topics) even when there are no rows."""
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n_topics)
 
 
 class DirichletTree:
@@ -52,6 +50,14 @@ class DirichletTree:
             np.array([c.word1 for c in dictionary.concepts], dtype=np.int64),
             np.array([c.word2 for c in dictionary.concepts], dtype=np.int64),
         )
+        self.member_start = tuple(
+            np.cumsum([0] + [len(ms) for ms in side], dtype=np.int64)
+            for side in self.concepts_of_word
+        )
+        self.member_concepts = tuple(
+            np.array([c for ms in side for c in ms], dtype=np.int64)
+            for side in self.concepts_of_word
+        )
         self.n_untranslated = tuple(
             sum(1 for memberships in side if not memberships)
             for side in self.concepts_of_word
@@ -65,26 +71,38 @@ class DirichletTree:
     def root_total(self, side: int) -> np.ndarray:
         """Per-topic token count over one language's root children: pooled
         concept-edge counts plus that language's untranslated-leaf counts."""
-        return np.array(self.concept_total, dtype=np.int64) + self.untrans_total[side]
+        return self.concept_total + self.untrans_total[side]
 
     def increment(self, side: int, word: int, concept: int, topic: int, delta: int) -> None:
         """Apply `delta` (+1/-1) along the path of one token. `concept` is -1
         for an untranslated word (direct root leaf)."""
         if concept >= 0:
-            self.concept_topic[concept][topic] += delta
-            self.leaf_topic[side][concept][topic] += delta
+            self.concept_topic[concept, topic] += delta
+            self.leaf_topic[side, concept, topic] += delta
             self.concept_total[topic] += delta
         else:
-            self.untrans_total[side][topic] += delta
+            self.untrans_total[side, topic] += delta
+
+    def add_paths(self, side: int, topics: np.ndarray, paths: np.ndarray) -> None:
+        """Count one side's tokens, with their `topics`, along their `paths`
+        (-1 for a direct root leaf)."""
+        k = self.n_topics
+        on_concept = paths >= 0
+        counts = np.bincount(
+            paths[on_concept] * k + topics[on_concept], minlength=self.n_concepts * k
+        ).reshape(self.n_concepts, k)
+        self.concept_topic += counts
+        self.leaf_topic[side] += counts
+        self.concept_total += counts.sum(axis=0)
+        self.untrans_total[side] += np.bincount(topics[~on_concept], minlength=k)
 
     def check_consistency(self, word_topic: tuple[np.ndarray, np.ndarray]) -> None:
         """Verify the count invariants against per-side word-topic tables.
 
         Raises DataError on any mismatch; used by debug mode.
         """
-        k = self.n_topics
-        concept = count_table(self.concept_topic, k)
-        leaf = (count_table(self.leaf_topic[0], k), count_table(self.leaf_topic[1], k))
+        concept = self.concept_topic
+        leaf = self.leaf_topic
         if not np.array_equal(concept, leaf[0] + leaf[1]):
             raise DataError("concept-node counts do not equal the sum of their leaves")
         if not np.array_equal(self.concept_total, concept.sum(axis=0)):
@@ -105,14 +123,14 @@ class DirichletTree:
                 raise DataError(f"untranslated totals out of sync on side {side}")
 
     def zero_counts(self) -> None:
-        """Start every count over with fresh zero lists: per-topic counts on
-        the concept edges (pooled over both languages) and on each
+        """Start every count over with fresh zero arrays: per-topic counts
+        on the concept edges (pooled over both languages) and on each
         language's concept leaves, and their per-topic totals."""
         k = self.n_topics
-        self.concept_topic = [[0] * k for _ in range(self.n_concepts)]
-        self.leaf_topic = tuple([[0] * k for _ in range(self.n_concepts)] for _ in (0, 1))
-        self.concept_total = [0] * k
-        self.untrans_total = ([0] * k, [0] * k)
+        self.concept_topic = np.zeros((self.n_concepts, k), dtype=np.int64)
+        self.leaf_topic = np.zeros((2, self.n_concepts, k), dtype=np.int64)
+        self.concept_total = np.zeros(k, dtype=np.int64)
+        self.untrans_total = np.zeros((2, k), dtype=np.int64)
 
 
 def build_tree(

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a
 [PASS] line with its measured numbers (run with -s to see them).
 
-Criteria 5 and 6 train full models (about 2 and 6 minutes respectively);
-everything else finishes in seconds.
+Criteria 5 and 6 train full models (about 10 and 20 seconds respectively
+with the compiled sweeps); everything else finishes in seconds.
 """
 
 import itertools
@@ -86,21 +86,23 @@ def test_c01_joint_conditional_equivalence():
         vocab_size = int(rng.integers(1, 50))
         hp = Hyperparams(k=k, alpha=0.1, beta=0.01, train_iterations=1)
         side = SideState(
-            tokens=[[0]],
+            tokens=np.zeros(1, dtype=np.int64),
+            z=np.zeros(1, dtype=np.int64),
+            doc_start=np.array([0, 1]),
             doc_topic=own[None, :].copy(),
             word_topic=np.vstack([word, np.zeros((max(vocab_size - 1, 0), k), dtype=np.int64)]),
             topic_total=totals.copy(),
-            z=[np.zeros(1, dtype=np.int64)],
         )
         conditional = hardlink_conditional(side, 0, 0, partner, hp)
         # joint formulation: the pair shares one topic distribution, i.e.
         # plain LDA over the pooled document counts
         pooled = SideState(
             tokens=side.tokens,
+            z=side.z,
+            doc_start=side.doc_start,
             doc_topic=(own + partner)[None, :],
             word_topic=side.word_topic,
             topic_total=side.topic_total,
-            z=side.z,
         )
         joint = lda_conditional(pooled, 0, 0, hp)
         worst = max(worst, float(np.abs(conditional - joint).max()))
@@ -183,7 +185,7 @@ def test_c03_reductions():
     for _ in range(300):
         side = random_side(rng, 3, 6, 3)
         doc = int(rng.integers(0, 3))
-        pos = int(rng.integers(0, len(side.tokens[doc])))
+        pos = int(rng.integers(0, len(side.doc_tokens(doc))))
         source_counts = rng.integers(0, 40, size=(4, 3))
 
         # SoftLink with an indicator row == HardLink on that document

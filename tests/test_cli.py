@@ -215,6 +215,39 @@ def test_transfer_build_dump_is_sorted_and_normalized(tmp_path, toy_data):
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_negative_top_frequent_in_config_exits_2(tmp_path, toy_data, capsys):
+    config = base_config(toy_data, tmp_path / "out", top_frequent=-5)
+    config_path = tmp_path / "negative_top_frequent.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "top_frequent must be non-negative" in err
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_negative_top_frequent_flag_exits_2(tmp_path, toy_data, capsys):
+    out_path = tmp_path / "matrix.tsv"
+    code = main([
+        "transfer-build",
+        "--corpus1", str(toy_data["corpus1"]), "--corpus2", str(toy_data["corpus2"]),
+        "--language1", "l1", "--language2", "l2",
+        "--dictionary", str(toy_data["dictionary"]),
+        "--top-frequent", "-4", "--output", str(out_path),
+    ])
+    assert code == 2
+    assert "top_frequent must be non-negative, got -4" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_synth_without_reference_pairs_exits_2(tmp_path, capsys, pairs):
+    out_dir = tmp_path / "synth"
+    assert main(["synth", "--reference-pairs", pairs, "--output-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--reference-pairs must be at least 1" in err
+    assert not out_dir.exists()
+
+
 def test_inspect_prints_top_words(tmp_path, toy_data, capsys):
     out = run_train(tmp_path, toy_data, "inspectable")
     assert main(["inspect", "--model", str(out / "model.json")]) == 0

@@ -31,12 +31,14 @@ def hp_for(k=2, alpha=0.1, beta=0.01, **kw):
 
 
 def manual_side(tokens, doc_topic, word_topic, topic_total):
+    lengths = [len(t) for t in tokens]
     return SideState(
-        tokens=[list(t) for t in tokens],
+        tokens=np.array([w for t in tokens for w in t], dtype=np.int64),
+        z=np.zeros(sum(lengths), dtype=np.int64),
+        doc_start=np.cumsum([0] + lengths),
         doc_topic=np.array(doc_topic, dtype=np.int64),
         word_topic=np.array(word_topic, dtype=np.int64),
         topic_total=np.array(topic_total, dtype=np.int64),
-        z=[np.zeros(len(t), dtype=np.int64) for t in tokens],
     )
 
 
@@ -270,6 +272,19 @@ def empty_matrices(corpus):
     )
 
 
+@pytest.mark.parametrize("tokens, z, message", [
+    ([[0, 3]], [[0, 1]], "word ids"),
+    ([[0, -1]], [[0, 1]], "word ids"),
+    ([[0, 1]], [[0, 2]], "topics"),
+    ([[0, 1]], [[0]], "do not match its length"),
+    ([[0], [1]], [[0]], "every document"),
+])
+def test_tally_side_rejects_assignments_outside_the_tables(tokens, z, message):
+    # the compiled sweeps would index the count tables with these values
+    with pytest.raises(DataError, match=message):
+        tally_side(tokens, z, 2, 3)
+
+
 class TestTrain:
     def test_softlink_with_empty_rows_is_bitwise_lda(self):
         rng = np.random.default_rng(11)
@@ -345,14 +360,14 @@ class TestTrain:
     def test_debug_checks_catch_a_pooled_row_out_of_sync(self, monkeypatch):
         rng = np.random.default_rng(13)
         corpus = build_bilingual(rng, links={0: 0, 1: 2})
-        sweep = models._sweep_pooled
+        sweep = models._pooled_sweep
 
-        def corrupting_sweep(tokens, z, ndk, pools, *args):
-            sweep(tokens, z, ndk, pools, *args)
+        def corrupting_sweep(lib, side, pool_of_doc, pools, *args):
+            sweep(lib, side, pool_of_doc, pools, *args)
             # extra counts leave every count non-negative
-            next(pool for pool in pools if pool is not None)[0] += 7
+            pools[0, 0] += 7
 
-        monkeypatch.setattr(models, "_sweep_pooled", corrupting_sweep)
+        monkeypatch.setattr(models, "_pooled_sweep", corrupting_sweep)
         with pytest.raises(DataError, match="pooled hard-link counts"):
             train(
                 "hardlink", corpus, Hyperparams(k=3, train_iterations=1, seed=1),
@@ -363,15 +378,14 @@ class TestTrain:
     def test_debug_checks_catch_a_side_table_out_of_sync(self, monkeypatch, table):
         rng = np.random.default_rng(13)
         corpus = build_bilingual(rng)
-        sweep = models._sweep_plain
+        sweep = models._plain_sweep
 
-        def corrupting_sweep(tokens, z, ndk, priors, nwk, nk, *args):
-            sweep(tokens, z, ndk, priors, nwk, nk, *args)
+        def corrupting_sweep(lib, side, *args):
+            sweep(lib, side, *args)
             # one extra count leaves every count non-negative
-            rows = {"doc_topic": ndk, "word_topic": nwk, "topic_total": [nk]}[table]
-            rows[-1][0] += 1
+            np.atleast_2d(getattr(side, table))[-1, 0] += 1
 
-        monkeypatch.setattr(models, "_sweep_plain", corrupting_sweep)
+        monkeypatch.setattr(models, "_plain_sweep", corrupting_sweep)
         with pytest.raises(DataError, match="out of sync"):
             train("lda", corpus, Hyperparams(k=3, train_iterations=1, seed=1), debug_checks=True)
 

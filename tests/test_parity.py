@@ -1,12 +1,14 @@
 """Bitwise parity of the fast paths with their loop references.
 
-The training sweeps score topics through chains of C iterators over
-cached float rows, held-out inference runs all documents in lockstep, the
+The Python training sweeps score topics through chains of C iterators
+over cached float rows, and the compiled sweeps (`_sweeps.c`) run the
+same expressions on int64 arrays; held-out inference runs all documents in lockstep, the
 one-vs-rest classifier fits every label in one stacked call,
 cross-validation fits every fold of one training-set size in one stacked
 call, and LIS features come from one gather. Each must reproduce, bit for
 bit, the one-topic / one-document / one-label / one-fold / one-concept
-loops kept in `tests/oracles.py`. The model writer must produce the bytes
+loops kept in `tests/oracles.py`; training must write the same model
+whichever sweeps run. The model writer must produce the bytes
 of one `json.dumps` call on the whole model.
 
 The sweeps are also checked against the reference conditionals that the
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multitopic import evaluate, schedule
+from multitopic import _native, evaluate, schedule
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
 from multitopic.errors import ConfigError
@@ -250,6 +252,178 @@ def test_tree_sweep_matches_scalar_loop(state, n_concepts, soft, beta_internal):
         ncp, nleaf, ctotal, utotal, state["beta"], beta_root, beta_internal, root_prior, k,
     )
     run_sweeps(models._sweep_tree, sweep_tree_reference, state, args)
+
+
+@pytest.fixture(scope="module")
+def lib():
+    library = _native.load()
+    if library is None:
+        pytest.skip("the compiled sweeps could not be built here")
+    return library
+
+
+def flat(docs) -> tuple[np.ndarray, np.ndarray]:
+    """Per-document lists as one int64 array and document offsets."""
+    doc_start = np.cumsum([0] + [len(d) for d in docs])
+    return np.array([x for d in docs for x in d], dtype=np.int64), doc_start
+
+
+def per_doc(values: np.ndarray, doc_start: np.ndarray) -> list[list[int]]:
+    return [values[a:b].tolist() for a, b in zip(doc_start, doc_start[1:])]
+
+
+def table(rows, k: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(-1, k)
+
+
+def assert_compiled_matches(state: dict, reference, args, compiled, cdf_size: int) -> None:
+    """Run `state["sweeps"]` sweeps of the scalar `reference` on a copy of
+    the list `args`, and `compiled(rng, cdf)`, which sweeps as often on
+    array copies with `cdf` as the kernel's buffer and returns them
+    converted back in the layout of `args`. The results, the generators'
+    final states and the last token's running score sums must agree."""
+    want = copy.deepcopy(args)
+    want_rng = np.random.default_rng(state["seed"])
+    trace = []
+    for _ in range(state["sweeps"]):
+        reference(*want, want_rng, trace=trace)
+    got_rng = np.random.default_rng(state["seed"])
+    cdf = np.zeros(cdf_size)
+    assert compiled(got_rng, cdf) == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if trace:
+        last = np.array(trace[-1][0], dtype=np.float64)
+        assert cdf[:len(last)].tobytes() == last.tobytes()
+
+
+@SETTINGS
+@given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
+def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
+    k, ndk, rng, alpha = state["k"], state["ndk"], state["rng"], state["alpha"]
+    priors = [[alpha] * k] * len(ndk)
+    if prior == "softlink":
+        pseudo = rng.random((len(ndk), k)) * rng.integers(0, 4, size=(len(ndk), k))
+        priors = (pseudo + alpha).tolist()
+    if prior == "hardlink":
+        for nd in ndk[::2]:
+            for kk, extra in enumerate(rng.integers(0, 5, size=k).tolist()):
+                nd[kk] += extra
+    beta = state["beta"]
+    vbeta = len(state["nwk"]) * beta
+    args = (state["tokens"], state["z"], ndk, priors, state["nwk"], state["nk"], beta, vbeta, k)
+
+    def compiled(rng, cdf):
+        tokens, doc_start = flat(state["tokens"])
+        z, _ = flat(state["z"])
+        nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
+        for _ in range(state["sweeps"]):
+            lib.sweep_plain(
+                len(nd), k, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k),
+                nw, nk, beta, vbeta, rng.random(len(tokens)), cdf,
+            )
+        return (
+            state["tokens"], per_doc(z, doc_start), nd.tolist(), priors, nw.tolist(),
+            nk.tolist(), beta, vbeta, k,
+        )
+
+    assert_compiled_matches(state, sweep_plain_reference, args, compiled, k)
+
+
+@SETTINGS
+@given(sweep_states())
+def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
+    k, ndk, rng, alpha, beta = state["k"], state["ndk"], state["rng"], state["alpha"], state["beta"]
+    pools = [
+        [own + extra for own, extra in zip(nd, rng.integers(0, 5, size=k).tolist())]
+        if d % 2 else None
+        for d, nd in enumerate(ndk)
+    ]
+    vbeta = len(state["nwk"]) * beta
+    args = (state["tokens"], state["z"], ndk, pools, alpha, state["nwk"], state["nk"], beta, vbeta, k)
+
+    def compiled(rng, cdf):
+        tokens, doc_start = flat(state["tokens"])
+        z, _ = flat(state["z"])
+        nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
+        pool_rows = table([pool for pool in pools if pool is not None], k)
+        pool_of_doc = np.cumsum([pool is not None for pool in pools]) - 1
+        pool_of_doc[[pool is None for pool in pools]] = -1
+        for _ in range(state["sweeps"]):
+            lib.sweep_pooled(
+                len(nd), k, doc_start, tokens, z, nd, pool_of_doc, pool_rows, alpha,
+                nw, nk, beta, vbeta, rng.random(len(tokens)), cdf,
+            )
+        return (
+            state["tokens"], per_doc(z, doc_start), nd.tolist(),
+            [pool_rows[p].tolist() if p >= 0 else None for p in pool_of_doc],
+            alpha, nw.tolist(), nk.tolist(), beta, vbeta, k,
+        )
+
+    assert_compiled_matches(state, sweep_pooled_reference, args, compiled, k)
+
+
+@SETTINGS
+@given(sweep_states(), st.integers(1, 5), st.booleans(), st.sampled_from([1.0, 100.0]))
+def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, beta_internal):
+    k, tokens, z, rng, alpha = state["k"], state["tokens"], state["z"], state["rng"], state["alpha"]
+    vocab_size = len(state["nwk"])
+    # words with no concept, one concept or several
+    memberships = [
+        sorted(rng.choice(n_concepts, size=int(n), replace=False).tolist())
+        for n in rng.integers(0, min(n_concepts, 3) + 1, size=vocab_size)
+    ]
+    ncp = rng.integers(0, 3, size=(n_concepts, k)).tolist()
+    nleaf = [[0] * k for _ in range(n_concepts)]
+    utotal = [0] * k
+    paths = []
+    for toks, zd in zip(tokens, z):
+        pathd = []
+        for w, topic in zip(toks, zd):
+            ms = memberships[w]
+            c = int(rng.choice(ms)) if ms else -1
+            if c >= 0:
+                ncp[c][topic] += 1
+                nleaf[c][topic] += 1
+            else:
+                utotal[topic] += 1
+            pathd.append(c)
+        paths.append(pathd)
+    ctotal = [sum(col) for col in zip(*ncp)]
+    priors = [[alpha] * k] * len(tokens)
+    if soft:
+        priors = (rng.random((len(tokens), k)) * 3 + alpha).tolist()
+    beta, beta_root = state["beta"], 0.01
+    root_prior = n_concepts * beta_root + sum(not ms for ms in memberships) * beta
+    args = (
+        tokens, z, paths, state["ndk"], priors, state["nwk"], state["nk"], memberships,
+        ncp, nleaf, ctotal, utotal, beta, beta_root, beta_internal, root_prior, k,
+    )
+
+    def compiled(rng, cdf):
+        flat_tokens, doc_start = flat(tokens)
+        flat_z, _ = flat(z)
+        flat_paths, _ = flat(paths)
+        member_concepts, member_start = flat(memberships)
+        counts = [table(rows, k) for rows in (state["ndk"], state["nwk"], ncp, nleaf)]
+        totals = [np.array(row, dtype=np.int64) for row in (state["nk"], ctotal, utotal)]
+        nd, nw, node, leaf = counts
+        nk, c_total, u_total = totals
+        for _ in range(state["sweeps"]):
+            lib.sweep_tree(
+                len(nd), k, doc_start, flat_tokens, flat_z, flat_paths, nd,
+                np.array(priors).reshape(-1, k), nw, nk, member_start, member_concepts,
+                node, leaf, c_total, u_total, beta, beta_root, beta_internal, root_prior,
+                rng.random(len(flat_tokens)), cdf,
+            )
+        return (
+            tokens, per_doc(flat_z, doc_start), per_doc(flat_paths, doc_start), nd.tolist(),
+            priors, nw.tolist(), nk.tolist(), memberships, node.tolist(), leaf.tolist(),
+            c_total.tolist(), u_total.tolist(), beta, beta_root, beta_internal, root_prior, k,
+        )
+
+    assert_compiled_matches(
+        state, sweep_tree_reference, args, compiled, max(1, *map(len, memberships)) * k
+    )
 
 
 def recorded_sweep(sweep, args, rng) -> list[list[float]]:
