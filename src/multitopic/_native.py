@@ -1,25 +1,27 @@
-"""Build and load the compiled Gibbs sweeps in `_sweeps.c`.
+"""Build and load the compiled Gibbs sweeps in `_sweeps.c`, the only
+training sweeps there are.
 
 The first `load()` in a process compiles the shipped C source with the
 system C compiler (`cc -O2 -ffp-contract=off -fPIC -shared`: no
 floating-point contraction, no `-ffast-math`, no `-march=native`, so the
-kernels draw exactly what the Python sweeps draw) into a per-user cache
-directory, `$XDG_CACHE_HOME/multitopic` or `~/.cache/multitopic`. The
-library's file name is the sha256 of the source, the flags and the
+kernels draw exactly what the scalar reference loops draw) into a per-user
+cache directory, `$XDG_CACHE_HOME/multitopic` or `~/.cache/multitopic`.
+The library's file name is the sha256 of the source, the flags and the
 platform, so an edited source or another machine type gets a library of
 its own; the build goes to a temporary name that is then renamed, so a
 concurrent run never loads a half-written file. Later processes load the
 cached file without compiling.
 
-When no compiler is found, the build fails or the library cannot be
-loaded, `load()` logs one INFO line and returns None, and training runs
-the Python sweeps, which give the same outputs. Importing this module
-builds and loads nothing.
+Training therefore needs a C compiler (cc or gcc) on PATH and a writable
+cache directory until the library is cached. When either is missing, the
+build fails or the cached file cannot be loaded, `load()` raises
+`ConfigError` with one line that names the cause; nothing is remembered,
+so the next call tries again. Importing this module builds and loads
+nothing.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import platform
 import shutil
@@ -27,14 +29,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-logger = logging.getLogger(__name__)
+from .errors import ConfigError
 
 SOURCE = Path(__file__).with_name("_sweeps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
-_UNSET = object()
-_library = _UNSET  # the loaded library, None when unavailable, per process
+# what training needs: the remedy that `load()`'s errors name, except for a
+# cached file that cannot be loaded
+NEEDS = (
+    "train needs a C compiler (cc or gcc) on PATH and a writable cache directory "
+    "to build them"
+)
+
+_library = None  # the loaded library, once a load() has succeeded in this process
 
 
 def cache_dir() -> Path:
@@ -59,23 +67,32 @@ def find_compiler() -> str | None:
     return shutil.which("cc") or shutil.which("gcc")
 
 
+def _unavailable(cause: str, remedy: str = NEEDS) -> ConfigError:
+    return ConfigError(f"compiled Gibbs sweeps unavailable: {cause}; {remedy}")
+
+
 def _build(compiler: str, target: Path) -> None:
     import subprocess
 
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
-    os.close(fd)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=target.name + ".", suffix=".tmp", dir=target.parent)
+        os.close(fd)
+    except OSError as exc:
+        raise _unavailable(
+            f"cannot write the cache directory {target.parent}: {exc.strerror or exc}"
+        ) from None
     try:
         try:
             result = subprocess.run(
                 [compiler, *FLAGS, "-o", tmp, str(SOURCE)],
                 capture_output=True, text=True, timeout=BUILD_TIMEOUT_S,
             )
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"{compiler} did not finish: {exc}") from None
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _unavailable(f"{compiler} did not run to the end: {exc}") from None
         if result.returncode != 0:
             first = (result.stderr.strip().splitlines() or ["no output"])[0]
-            raise OSError(f"{compiler} exited {result.returncode}: {first}")
+            raise _unavailable(f"{compiler} exited {result.returncode}: {first}")
         os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
@@ -113,21 +130,25 @@ def _open():
     if not path.is_file():
         compiler = find_compiler()
         if compiler is None:
-            raise OSError("no C compiler (cc or gcc) on PATH")
+            raise _unavailable("no C compiler (cc or gcc) on PATH")
         _build(compiler, path)
-    lib = ctypes.CDLL(str(path))
-    _declare(lib)
+    try:
+        lib = ctypes.CDLL(str(path))
+        _declare(lib)
+    except (OSError, AttributeError) as exc:  # AttributeError: a kernel is missing
+        reason = str(exc).removeprefix(f"{path}: ")  # dlopen names the file too
+        raise _unavailable(
+            f"cannot load the cached library {path} ({reason})",
+            "delete it and train builds it again",
+        ) from None
     return lib
 
 
 def load():
     """The compiled sweeps as a ctypes library, built on the first call in
-    a process; None, after one INFO line, when they are unavailable."""
+    a process that finds no cached library. Raises `ConfigError` when they
+    cannot be built or loaded."""
     global _library
-    if _library is _UNSET:
-        try:
-            _library = _open()
-        except (OSError, AttributeError) as exc:  # AttributeError: a kernel is missing
-            logger.info("compiled sweeps unavailable (%s); training runs the Python sweeps", exc)
-            _library = None
+    if _library is None:
+        _library = _open()
     return _library

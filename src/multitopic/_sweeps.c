@@ -8,10 +8,11 @@
  * Document d's tokens are tokens[doc_start[d] .. doc_start[d + 1]), z
  * holds their topics and u one uniform draw per token.
  *
- * The scores are the Python sweeps' expressions, evaluated in the same
- * order, and the running sums are added left to right, so a build without
+ * These are the only training sweeps. Each score is the expression of the
+ * scalar reference loops in tests/oracles.py, evaluated in the same order,
+ * and the running sums are added left to right, so a build without
  * floating-point contraction or reassociation (-ffp-contract=off, no
- * -ffast-math) draws exactly the topics the Python sweeps draw.
+ * -ffast-math) draws exactly the topics those loops draw.
  */
 
 #include <stdint.h>

@@ -3,8 +3,9 @@
 Training is driven by a JSON config file; command-line flags override
 config values. Every command is deterministic given (config, seed), and a
 manifest capturing the resolved config and its hash is written next to
-the outputs. Exit codes: 2 for configuration errors, 3 for data errors,
-1 for anything unexpected.
+the outputs. Exit codes: 2 for configuration errors (including `train`
+finding no C compiler to build its sweeps), 3 for data errors, 1 for a
+closed output pipe or anything unexpected.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import copy
 import hashlib
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -355,9 +357,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report.lis_final = compute_lis(
             tables, dictionary, model.hyperparams.beta, seed=args.seed
         )
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    # saved first, so the report is written even when stdout is gone
     if args.output:
         report.save(args.output)
+    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0
 
 
@@ -514,7 +517,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (`multitopic inspect ... | head -1`): send
+        # what is still buffered to devnull so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -18,24 +18,12 @@ compares. The public conditional-distribution functions read a
 `SideState`'s rows and expect the current token's assignment to already
 be removed from all counts.
 
-Each sweep runs a compiled kernel from `_sweeps.c`, built and loaded by
-`_native`; when no C compiler or cache is available, it runs the Python
-sweeps below instead, on list copies of the side's arrays made and
-written back once per sweep. The two backends draw the same topics. The
-Python sweeps are equivalent to the conditionals: each factor of the
-score, such as nd + prior, nw + beta and nk + V*beta, is also held as a
-float row, and after every decrement and increment only the changed
-topic's entry is recomputed, with the same expression. A token's
-cumulative scores are then
-`list(accumulate(map(truediv, map(mul, ...))))`, which multiplies,
-divides and adds left to right exactly as a scalar loop over the topics
-does, and `bisect_right(cdf, u * cdf[-1])` (clamped to the last topic) is
-the first topic with `u * total < cdf[k]`, because the CDF never
-decreases. The draws are therefore bit-identical to the scalar loops kept
-in `tests/oracles.py`, and the C kernels evaluate the same expressions in
-the same order. Both backends draw a side's uniforms in corpus order, one
-per token: the Python sweeps with one `rng.random` per document, the
-kernels with one per side, which yields the same numbers.
+Each training sweep runs a compiled kernel from `_sweeps.c`, built and
+loaded by `_native`, so `train` needs a C compiler the first time it runs
+on a machine (`_native.load` raises `ConfigError` without one); inference,
+evaluation and serialization do not. The kernels draw one uniform per
+token, a side's in corpus order, and are tested bit for bit against the
+scalar loops in `tests/oracles.py`.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
@@ -47,10 +35,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
-from itertools import accumulate, chain
-from operator import add, mul, truediv
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -313,204 +299,6 @@ class TopicModel:
             ) from None
 
 
-# ---------------------------------------------------------------------------
-# the Python training sweeps, on per-document lists: count lists updated in
-# place, with float score rows kept in step, one uniform draw per token
-# ---------------------------------------------------------------------------
-
-
-def _plus(rows, offset):
-    """Float copy of integer count rows with `offset` added to every entry."""
-    return [[c + offset for c in row] for row in rows]
-
-
-def _sweep_plain(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng):
-    """One Gibbs sweep where the topic prior for document d is the float
-    vector priors[d] (alpha, or alpha plus transfer pseudo-counts). Under
-    conditional hard links the caller has added the partner's topic counts
-    to ndk[d], so the score is (nd + partner) + alpha.
-
-    The three factors of (nd + pr) * (nw + beta) / (nk + vbeta) live in float
-    rows kept in step with the counts, and each token's cumulative scores
-    come from one chain of C iterators."""
-    wb = _plus(nwk, beta)
-    den = [c + vbeta for c in nk]
-    last = n_topics - 1
-    for d, toks in enumerate(tokens):
-        if not toks:
-            continue
-        zd = z[d]
-        nd = ndk[d]
-        pr = priors[d]
-        ndp = list(map(add, nd, pr))
-        us = rng.random(len(toks)).tolist()
-        for i, w in enumerate(toks):
-            k0 = zd[i]
-            nw = nwk[w]
-            wbw = wb[w]
-            nd[k0] -= 1
-            nw[k0] -= 1
-            nk[k0] -= 1
-            ndp[k0] = nd[k0] + pr[k0]
-            wbw[k0] = nw[k0] + beta
-            den[k0] = nk[k0] + vbeta
-            cdf = list(accumulate(map(truediv, map(mul, ndp, wbw), den)))
-            k1 = bisect_right(cdf, us[i] * cdf[-1])
-            if k1 > last:
-                k1 = last
-            zd[i] = k1
-            nd[k1] += 1
-            nw[k1] += 1
-            nk[k1] += 1
-            ndp[k1] = nd[k1] + pr[k1]
-            wbw[k1] = nw[k1] + beta
-            den[k1] = nk[k1] + vbeta
-
-
-def _sweep_pooled(tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng):
-    """Joint-formulation hard links: each linked pair shares one pooled
-    topic-count row (pools[d]); per-document rows are kept for bookkeeping.
-    The score rows are cached as in `_sweep_plain`, with row + alpha for
-    the document factor."""
-    wb = _plus(nwk, beta)
-    den = [c + vbeta for c in nk]
-    last = n_topics - 1
-    for d, toks in enumerate(tokens):
-        if not toks:
-            continue
-        zd = z[d]
-        nd = ndk[d]
-        pool = pools[d]
-        row = nd if pool is None else pool
-        rowa = [c + alpha for c in row]
-        us = rng.random(len(toks)).tolist()
-        for i, w in enumerate(toks):
-            k0 = zd[i]
-            nw = nwk[w]
-            wbw = wb[w]
-            nd[k0] -= 1
-            nw[k0] -= 1
-            nk[k0] -= 1
-            if pool is not None:
-                pool[k0] -= 1
-            rowa[k0] = row[k0] + alpha
-            wbw[k0] = nw[k0] + beta
-            den[k0] = nk[k0] + vbeta
-            cdf = list(accumulate(map(truediv, map(mul, rowa, wbw), den)))
-            k1 = bisect_right(cdf, us[i] * cdf[-1])
-            if k1 > last:
-                k1 = last
-            zd[i] = k1
-            nd[k1] += 1
-            nw[k1] += 1
-            nk[k1] += 1
-            if pool is not None:
-                pool[k1] += 1
-            rowa[k1] = row[k1] + alpha
-            wbw[k1] = nw[k1] + beta
-            den[k1] = nk[k1] + vbeta
-
-
-def _concept_scores(ndp, root, node_root, leaf_int, node_int2):
-    """Scores of one concept's leaf for every topic, left to right:
-    ndp * node_root / root * leaf_int / node_int2."""
-    return map(truediv, map(mul, map(truediv, map(mul, ndp, node_root), root), leaf_int), node_int2)
-
-
-def _sweep_tree(
-    tokens, z, paths, ndk, priors, nwk, nk, memberships,
-    ncp, nleaf, ctotal, utotal, beta, beta_root, beta_internal, root_prior,
-    n_topics, rng,
-):
-    """Vocabulary-links sweep for one side: topic and leaf are sampled
-    jointly by enumerating (leaf, topic) pairs, concept by concept. ncp/
-    ctotal pool both languages; nleaf/utotal belong to this side.
-
-    A word with no concepts sits on its own root leaf (its path is -1) and
-    scores (nd + pr) * (nw + beta) / root; a concept c scores
-    (nd + pr) * (node + beta_root) / root * (leaf + beta_internal) /
-    (node + 2 * beta_internal), with root = ctotal + utotal + root_prior.
-    Every parenthesised factor is a float row kept in step with its counts,
-    as in `_sweep_plain`."""
-    beta_int2 = 2.0 * beta_internal
-    # only words without concepts read nw + beta
-    wb = [None if ms else [c + beta for c in row] for row, ms in zip(nwk, memberships)]
-    root = [c + u + root_prior for c, u in zip(ctotal, utotal)]
-    node_root = _plus(ncp, beta_root)
-    node_int2 = _plus(ncp, beta_int2)
-    leaf_int = _plus(nleaf, beta_internal)
-    for d, toks in enumerate(tokens):
-        if not toks:
-            continue
-        zd = z[d]
-        pathd = paths[d]
-        nd = ndk[d]
-        pr = priors[d]
-        ndp = list(map(add, nd, pr))
-        us = rng.random(len(toks)).tolist()
-        for i, w in enumerate(toks):
-            k0 = zd[i]
-            c0 = pathd[i]
-            nw = nwk[w]
-            nd[k0] -= 1
-            nw[k0] -= 1
-            nk[k0] -= 1
-            ndp[k0] = nd[k0] + pr[k0]
-            if c0 >= 0:
-                node = ncp[c0]
-                leaf = nleaf[c0]
-                node[k0] -= 1
-                leaf[k0] -= 1
-                ctotal[k0] -= 1
-                node_root[c0][k0] = node[k0] + beta_root
-                node_int2[c0][k0] = node[k0] + beta_int2
-                leaf_int[c0][k0] = leaf[k0] + beta_internal
-            else:
-                utotal[k0] -= 1
-                wb[w][k0] = nw[k0] + beta
-            root[k0] = ctotal[k0] + utotal[k0] + root_prior
-            ms = memberships[w]
-            if not ms:
-                scores = map(truediv, map(mul, ndp, wb[w]), root)
-            elif len(ms) == 1:
-                c = ms[0]
-                scores = _concept_scores(ndp, root, node_root[c], leaf_int[c], node_int2[c])
-            else:
-                scores = chain.from_iterable(
-                    _concept_scores(ndp, root, node_root[c], leaf_int[c], node_int2[c])
-                    for c in ms
-                )
-            cdf = list(accumulate(scores))
-            pick = bisect_right(cdf, us[i] * cdf[-1])
-            if pick == len(cdf):
-                pick -= 1
-            if ms:
-                k1 = pick % n_topics
-                c1 = ms[pick // n_topics]
-            else:
-                k1 = pick
-                c1 = -1
-            zd[i] = k1
-            pathd[i] = c1
-            nd[k1] += 1
-            nw[k1] += 1
-            nk[k1] += 1
-            ndp[k1] = nd[k1] + pr[k1]
-            if c1 >= 0:
-                node = ncp[c1]
-                leaf = nleaf[c1]
-                node[k1] += 1
-                leaf[k1] += 1
-                ctotal[k1] += 1
-                node_root[c1][k1] = node[k1] + beta_root
-                node_int2[c1][k1] = node[k1] + beta_int2
-                leaf_int[c1][k1] = leaf[k1] + beta_internal
-            else:
-                utotal[k1] += 1
-                wb[w][k1] = nw[k1] + beta
-            root[k1] = ctotal[k1] + utotal[k1] + root_prior
-
-
 def _init_side(
     corpus: Corpus, k: int, rng, tree: DirichletTree | None, side: int
 ) -> tuple[SideState, np.ndarray]:
@@ -551,113 +339,46 @@ def _pseudo_counts(matrix: TransferMatrix, source_ndk: np.ndarray) -> np.ndarray
     return pseudo
 
 
-# ---------------------------------------------------------------------------
-# one sweep over one side: the compiled kernel when `lib` is loaded, else
-# the Python sweep above on list copies of the side's arrays, written back
-# ---------------------------------------------------------------------------
-
-
-def _per_doc(side: SideState, flat: np.ndarray) -> list[list[int]]:
-    """A flat per-token array as one list per document."""
-    values = flat.tolist()
-    bounds = side.doc_start.tolist()
-    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _side_lists(side: SideState) -> tuple:
-    """Per-document token and topic lists and the three count tables, as
-    lists for the Python sweeps."""
-    return (
-        _per_doc(side, side.tokens), _per_doc(side, side.z),
-        side.doc_topic.tolist(), side.word_topic.tolist(), side.topic_total.tolist(),
-    )
-
-
-def _store(pairs) -> None:
-    """Copy each (array, nested lists) pair's lists back into the array."""
-    for array, rows in pairs:
-        array[...] = np.reshape(rows, array.shape)
-
-
-def _store_side(side: SideState, z, ndk, nwk, nk) -> None:
-    _store([
-        (side.z, list(chain.from_iterable(z))), (side.doc_topic, ndk),
-        (side.word_topic, nwk), (side.topic_total, nk),
-    ])
-
-
 def _plain_sweep(lib, side: SideState, priors: np.ndarray, beta: float, rng) -> None:
-    """`_sweep_plain` over one side; `priors` is D x K."""
+    """The `sweep_plain` kernel over one side; `priors` is D x K."""
     k = side.n_topics
-    vbeta = side.vocab_size * beta
-    if lib is not None:
-        lib.sweep_plain(
-            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
-            priors, side.word_topic, side.topic_total, beta, vbeta,
-            rng.random(len(side.tokens)), np.empty(k),
-        )
-        return
-    tokens, z, ndk, nwk, nk = _side_lists(side)
-    _sweep_plain(tokens, z, ndk, priors.tolist(), nwk, nk, beta, vbeta, k, rng)
-    _store_side(side, z, ndk, nwk, nk)
+    lib.sweep_plain(
+        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
+        priors, side.word_topic, side.topic_total, beta, side.vocab_size * beta,
+        rng.random(len(side.tokens)), np.empty(k),
+    )
 
 
 def _pooled_sweep(
     lib, side: SideState, pool_of_doc: np.ndarray, pools: np.ndarray, hp: Hyperparams, rng
 ) -> None:
-    """`_sweep_pooled` over one side: document d draws from row
+    """The `sweep_pooled` kernel over one side: document d draws from row
     `pools[pool_of_doc[d]]`, or from its own row where that is -1."""
     k = side.n_topics
-    vbeta = side.vocab_size * hp.beta
-    if lib is not None:
-        lib.sweep_pooled(
-            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
-            pool_of_doc, pools, hp.alpha, side.word_topic, side.topic_total, hp.beta, vbeta,
-            rng.random(len(side.tokens)), np.empty(k),
-        )
-        return
-    tokens, z, ndk, nwk, nk = _side_lists(side)
-    pool_rows = pools.tolist()
-    doc_pools = [pool_rows[p] if p >= 0 else None for p in pool_of_doc.tolist()]
-    _sweep_pooled(tokens, z, ndk, doc_pools, hp.alpha, nwk, nk, hp.beta, vbeta, k, rng)
-    _store_side(side, z, ndk, nwk, nk)
-    _store([(pools, pool_rows)])
+    lib.sweep_pooled(
+        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
+        pool_of_doc, pools, hp.alpha, side.word_topic, side.topic_total,
+        hp.beta, side.vocab_size * hp.beta, rng.random(len(side.tokens)), np.empty(k),
+    )
 
 
 def _tree_sweep(
     lib, side: SideState, paths: np.ndarray, priors: np.ndarray,
     tree: DirichletTree, s: int, hp: Hyperparams, rng,
 ) -> None:
-    """`_sweep_tree` over side `s`, with its flat `paths`, updating the
-    tree's counts too."""
-    k = side.n_topics
-    root_prior = tree.root_children_prior(s, hp.beta_root, hp.beta)
-    ncp, nleaf = tree.concept_topic, tree.leaf_topic[s]
-    ctotal, utotal = tree.concept_total, tree.untrans_total[s]
-    if lib is not None:
-        starts = tree.member_start[s]
-        # the running sums of the word with the most concepts
-        cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
-        lib.sweep_tree(
-            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
-            side.doc_topic, priors, side.word_topic, side.topic_total,
-            starts, tree.member_concepts[s], ncp, nleaf, ctotal, utotal,
-            hp.beta, hp.beta_root, hp.beta_internal, root_prior,
-            rng.random(len(side.tokens)), cdf,
-        )
-        return
-    tokens, z, ndk, nwk, nk = _side_lists(side)
-    path_docs = _per_doc(side, paths)
-    tree_lists = [ncp.tolist(), nleaf.tolist(), ctotal.tolist(), utotal.tolist()]
-    _sweep_tree(
-        tokens, z, path_docs, ndk, priors.tolist(), nwk, nk, tree.concepts_of_word[s],
-        *tree_lists, hp.beta, hp.beta_root, hp.beta_internal, root_prior, k, rng,
+    """The `sweep_tree` kernel over side `s`, with its flat `paths`,
+    updating the tree's counts too."""
+    starts = tree.member_start[s]
+    # the running sums of the word with the most concepts
+    cdf = np.empty(int(np.diff(starts).max(initial=1)) * side.n_topics)
+    lib.sweep_tree(
+        len(side.doc_topic), side.n_topics, side.doc_start, side.tokens, side.z, paths,
+        side.doc_topic, priors, side.word_topic, side.topic_total,
+        starts, tree.member_concepts[s], tree.concept_topic, tree.leaf_topic[s],
+        tree.concept_total, tree.untrans_total[s],
+        hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
+        rng.random(len(side.tokens)), cdf,
     )
-    _store_side(side, z, ndk, nwk, nk)
-    _store([
-        (paths, list(chain.from_iterable(path_docs))),
-        *zip((ncp, nleaf, ctotal, utotal), tree_lists),
-    ])
 
 
 def _validate_matrix(matrix: TransferMatrix, target: Corpus, source: Corpus) -> None:

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: wiring, determinism, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from multitopic.dictionary import load_dictionary
 from multitopic.errors import DataError
 from multitopic.evaluate import load_reference
 from multitopic.models import load_model
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_jsonl(path, records):
@@ -253,6 +259,40 @@ def test_inspect_prints_top_words(tmp_path, toy_data, capsys):
     assert main(["inspect", "--model", str(out / "model.json")]) == 0
     printed = capsys.readouterr().out
     assert "topic" in printed and "l1" in printed
+
+
+def run_into_closed_pipe(tmp_path, *argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process whose stdout is a pipe that nobody
+    reads any more, as under `| head -1`, with no compiler on PATH and an
+    empty cache."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {"PATH": "", "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "multitopic.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_inspect_into_a_closed_pipe_exits_1_quietly(tmp_path, toy_data):
+    out = run_train(tmp_path, toy_data, "piped")
+    result = run_into_closed_pipe(tmp_path, "inspect", "--model", str(out / "model.json"))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_eval_into_a_closed_pipe_still_writes_its_report(tmp_path, toy_data):
+    out = run_train(tmp_path, toy_data, "piped")
+    report_path = tmp_path / "report.json"
+    result = run_into_closed_pipe(
+        tmp_path, "eval", "--model", str(out / "model.json"), "--which", "lis",
+        "--dictionary", str(toy_data["dictionary"]), "--output", str(report_path),
+    )
+    assert (result.returncode, result.stderr) == (1, "")
+    assert 0.0 <= json.loads(report_path.read_text())["lis_final"] <= 1.0
 
 
 def test_exit_code_2_on_config_errors(tmp_path, toy_data):

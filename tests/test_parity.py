@@ -1,25 +1,26 @@
 """Bitwise parity of the fast paths with their loop references.
 
-The Python training sweeps score topics through chains of C iterators
-over cached float rows, and the compiled sweeps (`_sweeps.c`) run the
-same expressions on int64 arrays; held-out inference runs all documents in lockstep, the
-one-vs-rest classifier fits every label in one stacked call,
-cross-validation fits every fold of one training-set size in one stacked
-call, and LIS features come from one gather. Each must reproduce, bit for
-bit, the one-topic / one-document / one-label / one-fold / one-concept
-loops kept in `tests/oracles.py`; training must write the same model
-whichever sweeps run. The model writer must produce the bytes
-of one `json.dumps` call on the whole model.
+The compiled training sweeps (`_sweeps.c`) run on int64 arrays;
+held-out inference runs all documents in lockstep, the one-vs-rest
+classifier fits every label in one stacked call, cross-validation fits
+every fold of one training-set size in one stacked call, and LIS
+features come from one gather. Each must reproduce, bit for bit, the
+one-topic / one-document / one-label / one-fold / one-concept loops kept
+in `tests/oracles.py`. The model writer must produce the bytes of one
+`json.dumps` call on the whole model.
 
-The sweeps are also checked against the reference conditionals that the
-enumeration oracle (acceptance criterion c02) verifies: each token's
-scores, normalised, must be the conditional of the state just before it.
+The sweeps are checked in a chain of two links. Each compiled kernel
+must equal its scalar reference loop: the final topics and counts, the
+generator's final state and the last token's running score sums. Each
+scalar loop must draw from the reference conditionals that the
+enumeration oracle (acceptance criterion c02) verifies: every token's
+scores, read from the loop's trace and normalised, must be the
+conditional of the state just before it.
 """
 
 import copy
 import io
 import json
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from multitopic.logreg import (
     fit_binary_stack,
     sigmoid,
 )
-from multitopic import models
 from multitopic.corpus import BilingualCorpus
 from multitopic.models import (
     Hyperparams,
@@ -138,128 +138,9 @@ def sweep_states(draw):
     }
 
 
-def score_bits(trace: list) -> list:
-    return [(np.array(sums, dtype=np.float64).tobytes(), u.hex()) for sums, u in trace]
-
-
-def run_sweeps(sweep, reference, state: dict, args) -> None:
-    """Run `state["sweeps"]` sweeps of the package's `sweep` and of its scalar
-    `reference` on deep copies of `args` and assert that they agree bit for
-    bit: every token's running score sums and scaled uniform, the final
-    assignments and count tables, and the generator's final state."""
-
-    def run(fn, **kwargs):
-        copied = copy.deepcopy(args)
-        rng = np.random.default_rng(state["seed"])
-        for _ in range(state["sweeps"]):
-            fn(*copied, rng, **kwargs)
-        return copied, rng.bit_generator.state
-
-    got_trace, want_trace = [], []
-
-    def recording_bisect(cdf, u):
-        # the package picks each token's topic with one bisect_right(cdf, u)
-        got_trace.append((cdf, u))
-        return bisect_right(cdf, u)
-
-    models.bisect_right = recording_bisect
-    try:
-        got = run(sweep)
-    finally:
-        models.bisect_right = bisect_right
-    want = run(reference, trace=want_trace)
-    assert got == want
-    assert score_bits(got_trace) == score_bits(want_trace)
-
-
-@SETTINGS
-@given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
-def test_plain_sweep_matches_scalar_loop(state, prior):
-    k, ndk, rng, alpha = state["k"], state["ndk"], state["rng"], state["alpha"]
-    if prior == "softlink":
-        # non-uniform pseudo-counts, zero on some documents and topics
-        pseudo = rng.random((len(ndk), k)) * rng.integers(0, 4, size=(len(ndk), k))
-        priors = (pseudo + alpha).tolist()
-    else:
-        priors = [[alpha] * k] * len(ndk)
-    if prior == "hardlink":
-        # conditional hard links add the partner's counts to the row
-        for nd in ndk[::2]:
-            for kk, extra in enumerate(rng.integers(0, 5, size=k).tolist()):
-                nd[kk] += extra
-    vbeta = len(state["nwk"]) * state["beta"]
-    args = (
-        state["tokens"], state["z"], ndk, priors, state["nwk"], state["nk"],
-        state["beta"], vbeta, k,
-    )
-    run_sweeps(models._sweep_plain, sweep_plain_reference, state, args)
-
-
-@SETTINGS
-@given(sweep_states())
-def test_pooled_sweep_matches_scalar_loop(state):
-    k, ndk, rng = state["k"], state["ndk"], state["rng"]
-    # every other document is linked: its pool is its own row plus the partner's
-    pools = [
-        [own + extra for own, extra in zip(nd, rng.integers(0, 5, size=k).tolist())]
-        if d % 2 else None
-        for d, nd in enumerate(ndk)
-    ]
-    vbeta = len(state["nwk"]) * state["beta"]
-    args = (
-        state["tokens"], state["z"], ndk, pools, state["alpha"], state["nwk"], state["nk"],
-        state["beta"], vbeta, k,
-    )
-    run_sweeps(models._sweep_pooled, sweep_pooled_reference, state, args)
-
-
-@SETTINGS
-@given(sweep_states(), st.integers(1, 5), st.booleans(), st.sampled_from([1.0, 100.0]))
-def test_tree_sweep_matches_scalar_loop(state, n_concepts, soft, beta_internal):
-    k, tokens, z, rng, alpha = state["k"], state["tokens"], state["z"], state["rng"], state["alpha"]
-    vocab_size = len(state["nwk"])
-    # words with no concept, one concept or several
-    memberships = [
-        sorted(rng.choice(n_concepts, size=int(n), replace=False).tolist())
-        for n in rng.integers(0, min(n_concepts, 3) + 1, size=vocab_size)
-    ]
-    # concept-node counts pool both languages: start from the other side's
-    ncp = rng.integers(0, 3, size=(n_concepts, k)).tolist()
-    nleaf = [[0] * k for _ in range(n_concepts)]
-    utotal = [0] * k
-    paths = []
-    for toks, zd in zip(tokens, z):
-        pathd = []
-        for w, topic in zip(toks, zd):
-            ms = memberships[w]
-            c = int(rng.choice(ms)) if ms else -1
-            if c >= 0:
-                ncp[c][topic] += 1
-                nleaf[c][topic] += 1
-            else:
-                utotal[topic] += 1
-            pathd.append(c)
-        paths.append(pathd)
-    ctotal = [sum(col) for col in zip(*ncp)]
-    if soft:
-        priors = (rng.random((len(tokens), k)) * 3 + alpha).tolist()
-    else:
-        priors = [[alpha] * k] * len(tokens)
-    beta_root = 0.01
-    root_prior = n_concepts * beta_root + sum(not ms for ms in memberships) * state["beta"]
-    args = (
-        tokens, z, paths, state["ndk"], priors, state["nwk"], state["nk"], memberships,
-        ncp, nleaf, ctotal, utotal, state["beta"], beta_root, beta_internal, root_prior, k,
-    )
-    run_sweeps(models._sweep_tree, sweep_tree_reference, state, args)
-
-
 @pytest.fixture(scope="module")
 def lib():
-    library = _native.load()
-    if library is None:
-        pytest.skip("the compiled sweeps could not be built here")
-    return library
+    return _native.load()
 
 
 def flat(docs) -> tuple[np.ndarray, np.ndarray]:
@@ -426,20 +307,12 @@ def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, b
     )
 
 
-def recorded_sweep(sweep, args, rng) -> list[list[float]]:
-    """Run one sweep; return every token's cumulative scores in sweep order."""
-    cdfs = []
-
-    def recording_bisect(cdf, u):
-        cdfs.append(cdf)
-        return bisect_right(cdf, u)
-
-    models.bisect_right = recording_bisect
-    try:
-        sweep(*args, rng)
-    finally:
-        models.bisect_right = bisect_right
-    return cdfs
+def traced_sweep(reference, args, rng) -> list[list[float]]:
+    """Run one sweep of a scalar `reference`; return every token's running
+    score sums, in sweep order, from its trace."""
+    trace = []
+    reference(*args, rng, trace=trace)
+    return [sums for sums, _ in trace]
 
 
 def states_before_each_token(tokens, before: tuple, after: tuple):
@@ -487,7 +360,7 @@ def test_plain_sweep_draws_from_the_reference_conditionals(state, prior):
     sweep_rng = np.random.default_rng(state["seed"])
     for _ in range(state["sweeps"]):
         before = copy.deepcopy(z)
-        cdfs = recorded_sweep(models._sweep_plain, args, sweep_rng)
+        cdfs = traced_sweep(sweep_plain_reference, args, sweep_rng)
         visits = states_before_each_token(tokens, (before,), (z,))
         for (d, i, (z_now,)), cdf in zip(visits, cdfs, strict=True):
             side = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
@@ -531,14 +404,14 @@ def test_tree_sweep_draws_from_the_reference_conditional(state, extra, side, sof
     pseudo = rng.random((len(tokens), k)) * 3 if soft else np.zeros((len(tokens), k))
     args = (
         tokens, z, paths, state["ndk"], (pseudo + alpha).tolist(), state["nwk"], state["nk"],
-        memberships, tree.concept_topic, tree.leaf_topic[side], tree.concept_total,
-        tree.untrans_total[side], beta, hp.beta_root, beta_internal,
-        tree.root_children_prior(side, hp.beta_root, beta), k,
+        memberships, tree.concept_topic.tolist(), tree.leaf_topic[side].tolist(),
+        tree.concept_total.tolist(), tree.untrans_total[side].tolist(), beta, hp.beta_root,
+        beta_internal, tree.root_children_prior(side, hp.beta_root, beta), k,
     )
     sweep_rng = np.random.default_rng(state["seed"])
     for _ in range(state["sweeps"]):
         before = copy.deepcopy((z, paths))
-        cdfs = recorded_sweep(models._sweep_tree, args, sweep_rng)
+        cdfs = traced_sweep(sweep_tree_reference, args, sweep_rng)
         visits = states_before_each_token(tokens, before, (z, paths))
         for (d, i, (z_now, paths_now)), cdf in zip(visits, cdfs, strict=True):
             counts = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
@@ -761,6 +634,11 @@ EDGE_SPLIT = (
 )
 
 
+# on EDGE_SPLIT the per-fold reference loop scores an empty held-out fold:
+# numpy warns as it averages nothing into a NaN accuracy, which threshold
+# tuning never reads
+@pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in scalar divide:RuntimeWarning")
 @settings(SETTINGS, max_examples=12)
 @given(labelled_splits(), st.booleans())
 @example(EDGE_SPLIT, True)
