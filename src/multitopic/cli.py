@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from . import corpus as corpus_io
 from . import evaluate as ev
 from .dictionary import load_dictionary, subsample, write_dictionary_tsv
@@ -185,9 +186,12 @@ def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": config["seed"],
     }
+    try:
+        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a NaN or infinity in the config
+        raise DataError(f"cannot write the manifest: {exc}") from None
     with open(output_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_bilingual(config: dict):
@@ -215,6 +219,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     kind = config["model"]
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model {kind!r}; choose from {MODEL_KINDS}")
+    _native.load()  # no compiler: stop before any output or loading
 
     output_dir = Path(config["paths"]["output_dir"])
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -303,7 +308,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "language": args.language,
         "doc_ids": [d.doc_id for d in heldout.documents],
         "labels": [sorted(d.labels) if d.labels else None for d in heldout.documents],
-        "theta": theta.tolist(),
+        "theta": theta,
     }
     write_json(payload, args.output)
     print(f"theta written to {args.output}")
@@ -360,7 +365,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     # saved first, so the report is written even when stdout is gone
     if args.output:
         report.save(args.output)
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    print(report.to_text())
     return 0
 
 

@@ -295,10 +295,20 @@ class EvalReport:
             "metadata": self.metadata,
         }
 
+    def to_text(self) -> str:
+        """The report as indented JSON with sorted keys. A NaN or infinity
+        raises `DataError`: JSON has no such number."""
+        try:
+            return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:
+            raise DataError(f"cannot write the evaluation report: {exc}") from None
+
     def save(self, path: str | Path) -> None:
+        """Write `to_text()` and a newline; a report that cannot be
+        encoded leaves no file."""
+        text = self.to_text()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,11 @@ scalar loops in `tests/oracles.py`.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
-in memory.
+in memory. The phi and theta tables go to the writer as arrays: each
+distinct value in a table is formatted once (phi and theta repeat a few
+values, such as a topic's (n_kw + beta) / (n_k + V beta) for a handful of
+counts), and each row is joined from those strings, still one row at a
+time.
 """
 
 from __future__ import annotations
@@ -717,20 +721,29 @@ def infer_heldout(
 # ---------------------------------------------------------------------------
 
 
-def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
+def _model_parts(model: TopicModel, include_counts: bool) -> dict:
+    """The model container, with phi and theta as float64 arrays."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "model_kind": model.model_kind,
         "hyperparams": model.hyperparams.to_dict(),
         "languages": list(model.languages),
         "vocabularies": [v.word_of_id for v in model.vocabularies],
-        "phi": [p.tolist() for p in model.phi],
-        "theta": [t.tolist() for t in model.theta],
+        "phi": list(model.phi),
+        "theta": list(model.theta),
         "doc_ids": [list(ids) for ids in model.doc_ids],
         "doc_labels": [list(labels) for labels in model.doc_labels],
         "provenance": model.provenance,
         "counts": model.counts if include_counts else None,
     }
+
+
+def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
+    """The model container as plain JSON values: what `save_model` writes."""
+    payload = _model_parts(model, include_counts)
+    for key in ("phi", "theta"):
+        payload[key] = [table.tolist() for table in payload[key]]
+    return payload
 
 
 def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np.ndarray:
@@ -848,12 +861,36 @@ def model_from_json(payload: dict) -> TopicModel:
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 
+def _write_table(table: np.ndarray, write) -> None:
+    """Write `_dumps(table.tolist())` for a 2-D float64 table through
+    `write`, one row at a time. Each distinct value is formatted once:
+    `np.unique` on the raw bits (so -0.0 and 0.0 keep their own text)
+    gives one `repr` per value, the text the encoder writes for a float,
+    and every row is joined from those strings."""
+    if not np.isfinite(table).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    n_rows, n_cols = table.shape
+    if n_rows == 0:
+        write("[]")
+        return
+    bits = np.ascontiguousarray(table).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    sep = "["
+    for row in text[inverse.reshape(n_rows, n_cols)].tolist():
+        write(sep + "[" + ",".join(row) + "]")
+        sep = ","
+    write("]")
+
+
 def _write_parts(value, write) -> None:
     """Write `_dumps(value)` through `write` piece by piece: objects with
-    string keys and lists of lists or objects are opened here, and every
-    other value (an innermost row, a string, a number) goes to the C
-    encoder whole. Only one row's text is held at a time; encoding the
-    whole payload at once keeps a string per number until the end."""
+    string keys and lists of lists or objects are opened here, a 2-D
+    float64 array goes to `_write_table` (and writes as its `tolist()`
+    would), and every other value (an innermost row, a string, a number)
+    goes to the C encoder whole. Only one row's text is held at a time;
+    encoding the whole payload at once keeps a string per number until
+    the end."""
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         sep = "{"
         for key in sorted(value):
@@ -861,7 +898,12 @@ def _write_parts(value, write) -> None:
             _write_parts(value[key], write)
             sep = ","
         write("}")
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+    elif isinstance(value, np.ndarray):
+        if value.dtype == np.float64 and value.ndim == 2:
+            _write_table(value, write)
+        else:
+            _write_parts(value.tolist(), write)
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
         sep = "["
         for item in value:
             write(sep)
@@ -875,7 +917,7 @@ def _write_parts(value, write) -> None:
 def write_json(payload, path: str | Path) -> None:
     """Write `payload` as one line of compact JSON with sorted keys: the
     bytes of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
-    plus a newline. A NaN or infinity raises `DataError` and leaves no
+    plus a newline, with each numpy array in it written as its `tolist()`. A NaN or infinity raises `DataError` and leaves no
     file behind, so a non-finite table is never saved."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
@@ -890,7 +932,7 @@ def write_json(payload, path: str | Path) -> None:
 def save_model(model: TopicModel, path: str | Path, include_counts: bool = True) -> None:
     """Write the versioned model container. Count tables are needed for
     LIS evaluation and resumable work; drop them for a smaller file."""
-    write_json(model_to_json(model, include_counts=include_counts), path)
+    write_json(_model_parts(model, include_counts), path)
 
 
 def load_model(path: str | Path) -> TopicModel:

@@ -6,6 +6,7 @@ language's documents, derived from dictionary word overlap, with static
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -95,13 +96,49 @@ _EMPTY_IDX = np.empty(0, dtype=np.int64)
 _EMPTY_W = np.empty(0, dtype=np.float64)
 
 
-def _make_row(pairs: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
-        return (_EMPTY_IDX, _EMPTY_W)
-    pairs.sort()
-    idx = np.array([p[0] for p in pairs], dtype=np.int64)
-    raw = np.array([p[1] for p in pairs], dtype=np.float64)
-    return (idx, raw / raw.sum())
+# target documents scored together: the candidate expansion, and with it
+# peak memory, follows one block of documents, not the whole corpus
+_BLOCK_DOCS = 256
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of `keys`, ascending. One sort: `np.unique`
+    without counts hashes first, which is slower on these int64 keys."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _distinct_pairs(corpus: Corpus, concept_words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (document, word) pairs of `corpus` as two arrays,
+    ordered by document, then word, and the number of word ids that the
+    corpus and `concept_words` use."""
+    lengths = np.fromiter((len(d.tokens) for d in corpus.documents), np.int64, len(corpus))
+    words = np.fromiter(
+        chain.from_iterable(d.tokens for d in corpus.documents), np.int64, int(lengths.sum())
+    )
+    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
+    n_words = 1 + int(max(words.max(initial=-1), concept_words.max(initial=-1)))
+    keys = _distinct(docs * n_words + words)
+    return keys // n_words, keys % n_words, n_words
+
+
+def _grouped(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """`values` grouped by `keys` as (starts, members): group g is
+    `members[starts[g]:starts[g + 1]]`, in input order."""
+    starts = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=starts[1:])
+    return starts, values[np.argsort(keys, kind="stable")]
+
+
+def _expand(groups: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One entry per member of each key's group: the key's position and
+    the member, positions ascending and members in group order."""
+    starts, members = groups
+    first = starts[keys]
+    sizes = starts[keys + 1] - first
+    position = np.repeat(np.arange(len(keys), dtype=np.int64), sizes)
+    offset = np.arange(len(position), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return position, members[first[position] + offset]
 
 
 def build_transfer_matrix(
@@ -119,8 +156,16 @@ def build_transfer_matrix(
     switches to counting word types that participate in at least one
     matched pair instead of counting pairs, for comparison.
 
-    Only candidate pairs reached through the concept inverted index are
-    scored; the dense matrix is never materialized.
+    Only candidate pairs reached through the dictionary are scored, and
+    the dense matrix is never materialized. The candidates come from array
+    joins, one block of `_BLOCK_DOCS` target documents at a time: each
+    distinct (target doc, target word) pair expands to the source words of
+    the word's concepts, and each of those to the source documents that
+    contain it; counting the (target doc, source doc) cells gives the
+    pairs numerator, and counting distinct words per cell on each side
+    gives covered types. Each row is normalized on its own slice in
+    ascending source order, so the weights equal, bit for bit, those of
+    scoring one document pair at a time.
     """
     if numerator not in ("pairs", "covered_types"):
         raise ConfigError(f"unknown numerator mode {numerator!r}")
@@ -130,53 +175,51 @@ def build_transfer_matrix(
             f"dictionary covers {sorted(langs)}, not "
             f"({target.language!r}, {source.language!r})"
         )
-    target_is_side2 = target.language == dictionary.lang2
-    by_target = dictionary.by_word2 if target_is_side2 else dictionary.by_word1
-    concepts = dictionary.concepts
+    concept_words = np.array(
+        [(c.word1, c.word2) for c in dictionary.concepts], dtype=np.int64
+    ).reshape(-1, 2)
+    if target.language == dictionary.lang2:
+        concept_words = concept_words[:, ::-1]
+    concept_target, concept_source = concept_words[:, 0], concept_words[:, 1]
 
-    def source_word(cid: int) -> int:
-        c = concepts[cid]
-        return c.word1 if target_is_side2 else c.word2
-
-    def target_word(cid: int) -> int:
-        c = concepts[cid]
-        return c.word2 if target_is_side2 else c.word1
-
-    source_types = source.doc_types()
-    target_types = target.doc_types()
-    # inverted index: source word id -> source documents containing it
-    docs_with: dict[int, list[int]] = {}
-    for j, types in enumerate(source_types):
-        for w in types:
-            docs_with.setdefault(w, []).append(j)
+    t_docs, t_words, n_target_words = _distinct_pairs(target, concept_target)
+    s_docs, s_words, n_source_words = _distinct_pairs(source, concept_source)
+    n_target, n_source = len(target), len(source)
+    t_types = np.bincount(t_docs, minlength=n_target)
+    s_types = np.bincount(s_docs, minlength=n_source)
+    translations = _grouped(concept_target, concept_source, n_target_words)
+    docs_with = _grouped(s_words, s_docs, n_source_words)  # source docs ascending
+    pairs_of_doc = np.searchsorted(t_docs, np.arange(n_target + 1))
+    n_cols = max(n_source, 1)
 
     rows: list[tuple[np.ndarray, np.ndarray]] = []
-    for t_types in target_types:
-        pair_counts: dict[int, int] = {}
-        for w_t in t_types:
-            for cid in by_target.get(w_t, ()):
-                for j in docs_with.get(source_word(cid), ()):
-                    pair_counts[j] = pair_counts.get(j, 0) + 1
-        if not pair_counts:
-            rows.append((_EMPTY_IDX, _EMPTY_W))
-            continue
-        scored: list[tuple[int, float]] = []
-        for j, n_pairs in pair_counts.items():
-            union = len(source_types[j]) + len(t_types)
-            if numerator == "pairs":
-                score = n_pairs / union
+    for first in range(0, n_target, _BLOCK_DOCS):
+        last = min(first + _BLOCK_DOCS, n_target)
+        lo, hi = pairs_of_doc[first], pairs_of_doc[last]
+        pair, w_s = _expand(translations, t_words[lo:hi])
+        hit, j = _expand(docs_with, w_s)
+        pair = lo + pair[hit]
+        cell = (t_docs[pair] - first) * n_cols + j
+        if numerator == "pairs":
+            cells, score = np.unique(cell, return_counts=True)
+        else:
+            # distinct target words plus distinct source words per cell;
+            # each cell has at least one of both, so the counts line up
+            cells = _distinct(cell)
+            score = sum(
+                np.unique(_distinct(cell * n + words) // n, return_counts=True)[1]
+                for words, n in ((t_words[pair], n_target_words), (w_s[hit], n_source_words))
+            )
+        docs = first + cells // n_cols
+        j = cells % n_cols
+        raw = score / (s_types[j] + t_types[docs])
+        bounds = np.searchsorted(docs, np.arange(first, last + 1))
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if a == b:
+                rows.append((_EMPTY_IDX, _EMPTY_W))
             else:
-                covered_t = set()
-                covered_s = set()
-                s_types = source_types[j]
-                for w_t in t_types:
-                    for cid in by_target.get(w_t, ()):
-                        if source_word(cid) in s_types:
-                            covered_t.add(w_t)
-                            covered_s.add(source_word(cid))
-                score = (len(covered_t) + len(covered_s)) / union
-            scored.append((j, score))
-        rows.append(_make_row(scored))
+                row = raw[a:b]
+                rows.append((j[a:b], row / row.sum()))
     return TransferMatrix(target.language, source.language, rows)
 
 

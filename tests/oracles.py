@@ -715,3 +715,50 @@ def concept_features_reference(word_topics, concepts, beta):
                 rows.append(counts / total)
             labels.append(side)
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def build_transfer_rows_reference(target, source, dictionary, numerator="pairs"):
+    """Transfer rows scored one target document at a time through dict
+    inverted indexes, as `build_transfer_matrix` used to: a list of
+    (source index array, weight array) pairs, indices ascending."""
+    target_is_side2 = target.language == dictionary.lang2
+    by_target = dictionary.by_word2 if target_is_side2 else dictionary.by_word1
+    concepts = dictionary.concepts
+
+    def source_word(cid):
+        c = concepts[cid]
+        return c.word1 if target_is_side2 else c.word2
+
+    source_types = source.doc_types()
+    docs_with = {}
+    for j, types in enumerate(source_types):
+        for w in types:
+            docs_with.setdefault(w, []).append(j)
+
+    rows = []
+    for t_types in target.doc_types():
+        pair_counts = {}
+        for w_t in t_types:
+            for cid in by_target.get(w_t, ()):
+                for j in docs_with.get(source_word(cid), ()):
+                    pair_counts[j] = pair_counts.get(j, 0) + 1
+        scored = []
+        for j, n_pairs in pair_counts.items():
+            union = len(source_types[j]) + len(t_types)
+            if numerator == "pairs":
+                score = n_pairs / union
+            else:
+                covered_t = set()
+                covered_s = set()
+                for w_t in t_types:
+                    for cid in by_target.get(w_t, ()):
+                        if source_word(cid) in source_types[j]:
+                            covered_t.add(w_t)
+                            covered_s.add(source_word(cid))
+                score = (len(covered_t) + len(covered_s)) / union
+            scored.append((j, score))
+        scored.sort()
+        idx = np.array([j for j, _ in scored], dtype=np.int64)
+        raw = np.array([score for _, score in scored], dtype=np.float64)
+        rows.append((idx, raw / raw.sum() if len(raw) else raw))
+    return rows

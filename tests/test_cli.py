@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multitopic import evaluate as ev
 from multitopic.cli import main
 from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
 from multitopic.dictionary import load_dictionary
@@ -293,6 +294,35 @@ def test_eval_into_a_closed_pipe_still_writes_its_report(tmp_path, toy_data):
     )
     assert (result.returncode, result.stderr) == (1, "")
     assert 0.0 <= json.loads(report_path.read_text())["lis_final"] <= 1.0
+
+
+def test_eval_report_with_nan_exits_3_and_writes_nothing(tmp_path, toy_data, monkeypatch, capsys):
+    out = run_train(tmp_path, toy_data, "nan_report")
+    reference = tmp_path / "reference.jsonl"
+    write_jsonl(reference, [{"l1_types": ["a0"], "l2_types": ["b0"]}])
+    monkeypatch.setattr(ev, "cnpmi_model", lambda model, ref, c: ([float("nan")] * 2, float("nan")))
+    report_path = tmp_path / "report.json"
+    for output in (["--output", str(report_path)], []):
+        capsys.readouterr()
+        code = main([
+            "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
+            "--reference", str(reference), *output,
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "NaN" not in captured.out
+        assert "not JSON compliant" in captured.err
+    assert not report_path.exists()
+
+
+def test_manifest_with_nan_exits_3_and_is_not_written(tmp_path, toy_data):
+    # lda never reads dictionary_fraction, so the NaN reaches the manifest
+    out_dir = tmp_path / "nan_manifest"
+    config = base_config(toy_data, out_dir, dictionary_fraction=float("nan"))
+    config_path = tmp_path / "nan_manifest.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 3
+    assert not (out_dir / "manifest.json").exists()
 
 
 def test_exit_code_2_on_config_errors(tmp_path, toy_data):

@@ -1,12 +1,15 @@
 """CNPMI fixtures and brute-force recount, classification micro-F1,
 synthetic data generation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from multitopic.corpus import Vocabulary
 from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import (
+    EvalReport,
     ReferenceCorpus,
     classify_crosslingual,
     cnpmi_model,
@@ -303,3 +306,22 @@ class TestReference:
     def test_empty_side_rejected_at_construction(self):
         with pytest.raises(DataError):
             ReferenceCorpus([(frozenset(), frozenset([1]))])
+
+
+class TestEvalReport:
+    def test_finite_report_keeps_its_bytes(self, tmp_path):
+        report = EvalReport(cnpmi_per_topic=[0.25, -0.5], cnpmi_mean=-0.125, lis_final=0.75)
+        path = tmp_path / "report.json"
+        report.save(path)
+        want = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+        assert report.to_text() + "\n" == want
+
+    def test_nan_cnpmi_mean_is_a_data_error_and_writes_nothing(self, tmp_path):
+        report = EvalReport(cnpmi_per_topic=[0.25, float("nan")], cnpmi_mean=float("nan"))
+        path = tmp_path / "report.json"
+        with pytest.raises(DataError, match="not JSON compliant"):
+            report.save(path)
+        assert not path.exists()
+        with pytest.raises(DataError, match="not JSON compliant"):
+            report.to_text()

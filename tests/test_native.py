@@ -48,13 +48,13 @@ def train_config(tmp_path: Path) -> Path:
 
 def assert_train_fails(tmp_path: Path, capsys) -> str:
     """Run CLI `train`; it must exit 2 with one stderr line, no traceback
-    and no model file. Returns the line."""
+    and no output directory. Returns the line."""
     config = train_config(tmp_path)
     capsys.readouterr()
     assert main(["train", "--config", str(config)]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("configuration error: compiled Gibbs sweeps unavailable: ")
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
     return line
 
 
@@ -127,7 +127,8 @@ def test_missing_compiler_exits_2_with_one_line(tmp_path):
         "configuration error: compiled Gibbs sweeps unavailable: "
         f"no C compiler (cc or gcc) on PATH; {_native.NEEDS}"
     )
-    assert not (tmp_path / "out" / "model.json").exists()
+    # the compiler is looked for before any input is read or output made
+    assert not (tmp_path / "out").exists()
     assert not (tmp_path / "empty").exists()
 
 

@@ -3,11 +3,13 @@
 The compiled training sweeps (`_sweeps.c`) run on int64 arrays;
 held-out inference runs all documents in lockstep, the one-vs-rest
 classifier fits every label in one stacked call, cross-validation fits
-every fold of one training-set size in one stacked call, and LIS
-features come from one gather. Each must reproduce, bit for bit, the
-one-topic / one-document / one-label / one-fold / one-concept loops kept
-in `tests/oracles.py`. The model writer must produce the bytes of one
-`json.dumps` call on the whole model.
+every fold of one training-set size in one stacked call, LIS features
+come from one gather, and the transfer build joins arrays one block of
+documents at a time. Each must reproduce, bit for bit, the one-topic /
+one-document / one-label / one-fold / one-concept loops kept in
+`tests/oracles.py`. The model writer, which formats each distinct value
+of a table once, must produce the bytes of one `json.dumps` call on the
+whole model.
 
 The sweeps are checked in a chain of two links. Each compiled kernel
 must equal its scalar reference loop: the final topics and counts, the
@@ -21,16 +23,19 @@ conditional of the state just before it.
 import copy
 import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multitopic import _native, evaluate, schedule
+from multitopic import _native, evaluate, schedule, transfer
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.errors import ConfigError
+from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import classify_crosslingual, generate_synthetic
 from multitopic.logreg import (
     LogisticRegression,
@@ -52,6 +57,7 @@ from multitopic.models import (
     train,
     voclink_conditional,
     voclink_tree_factor,
+    write_json,
 )
 from multitopic.schedule import concept_features
 from multitopic.tree import DirichletTree
@@ -64,6 +70,7 @@ from multitopic.transfer import (
 
 from oracles import (
     _tune_threshold_reference,
+    build_transfer_rows_reference,
     classify_crosslingual_reference,
     concept_features_reference,
     cross_val_accuracy_reference,
@@ -482,6 +489,118 @@ def test_model_writer_matches_one_json_dumps(tmp_path):
             stream = io.StringIO()
             json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
             assert stream.getvalue() + "\n" == want, name
+
+
+# values where float repr changes notation (1e-5, 1e-4 and 1e16, with their
+# neighbours), the extremes of the subnormal and normal ranges, and signed zeros
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0),
+    1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-4, 1.0),
+    1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), -1e16,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1.0,
+]
+
+
+@st.composite
+def float_tables(draw):
+    """2-D float64 tables, empty ones included, whose entries come from a
+    small drawn pool, so values repeat heavily."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=6,
+    ))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
+
+
+@settings(SETTINGS, max_examples=150)
+@given(table=float_tables())
+@example(table=np.zeros((0, 4)))
+@example(table=np.zeros((4, 0)))
+@example(table=np.array([[-0.0]]))
+@example(table=np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324]]))
+@example(table=np.array([EDGE_FLOATS]))
+def test_table_writer_matches_json_dumps(table):
+    want = json.dumps(table.tolist(), separators=(",", ":")) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        write_json(table, path)
+        assert path.read_text(encoding="utf-8") == want
+
+
+@SETTINGS
+@given(
+    table=float_tables().filter(lambda t: t.size > 0),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    where=st.integers(0, 2**16),
+)
+def test_non_finite_table_is_not_written(table, bad, where):
+    table.flat[where % table.size] = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        with pytest.raises(DataError, match="not JSON compliant"):
+            write_json({"theta": [table]}, path)
+        assert not path.exists()
+
+
+def transfer_corpus(language, docs, vocab_size):
+    return Corpus(
+        language=language,
+        vocabulary=Vocabulary(language, [f"{language}_{i}" for i in range(vocab_size)]),
+        documents=[
+            Document(doc_id=f"{language}{i}", language=language, tokens=tokens)
+            for i, tokens in enumerate(docs)
+        ],
+    )
+
+
+def assert_same_transfer_rows(target, source, dictionary):
+    for numerator in ("pairs", "covered_types"):
+        got = build_transfer_matrix(target, source, dictionary, numerator).rows
+        want = build_transfer_rows_reference(target, source, dictionary, numerator)
+        assert len(got) == len(want)
+        for (idx, weights), (want_idx, want_weights) in zip(got, want):
+            assert same_bits(idx, want_idx), numerator
+            assert same_bits(weights, want_weights), numerator
+
+
+@st.composite
+def transfer_cases(draw):
+    """Two small corpora with empty documents and repeated tokens, and a
+    dictionary (repeated pairs allowed) in which a word can belong to
+    several concepts."""
+    v1, v2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def docs(vocab_size):
+        return st.lists(st.lists(st.integers(0, vocab_size - 1), max_size=8), max_size=9)
+
+    pairs = draw(st.lists(st.tuples(st.integers(0, v1 - 1), st.integers(0, v2 - 1)), max_size=16))
+    side1 = transfer_corpus("l1", draw(docs(v1)), v1)
+    side2 = transfer_corpus("l2", draw(docs(v2)), v2)
+    target, source = (side2, side1) if draw(st.booleans()) else (side1, side2)
+    return target, source, BilingualDictionary("l1", "l2", pairs), draw(st.integers(1, 4))
+
+
+@settings(SETTINGS, max_examples=150)
+@given(case=transfer_cases())
+def test_transfer_build_matches_the_per_document_loop(case):
+    target, source, dictionary, block = case
+    # small blocks, so most cases span several
+    with mock.patch.object(transfer, "_BLOCK_DOCS", block):
+        assert_same_transfer_rows(target, source, dictionary)
+
+
+def test_transfer_build_matches_the_per_document_loop_across_blocks():
+    data = generate_synthetic(
+        k=4, vocab_per_lang=60, docs_per_lang=transfer._BLOCK_DOCS + 40, doc_len=12,
+        dict_coverage=0.5, topic_sharpness=4.0, seed=3,
+    )
+    corpus = data.corpus
+    assert len(corpus.side1) > transfer._BLOCK_DOCS
+    assert_same_transfer_rows(corpus.side1, corpus.side2, data.dictionary)
+    assert_same_transfer_rows(corpus.side2, corpus.side1, data.dictionary)
 
 
 @st.composite
