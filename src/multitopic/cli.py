@@ -11,12 +11,13 @@ closed output pipe or anything unexpected.
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,9 @@ from . import evaluate as ev
 from .dictionary import load_dictionary, subsample, write_dictionary_tsv
 from .errors import ConfigError, DataError
 from .models import (
-    Hyperparams,
+    HARDLINK_FORMULATIONS,
     MODEL_KINDS,
+    Hyperparams,
     SOFT_KINDS,
     TREE_KINDS,
     infer_heldout,
@@ -39,6 +41,9 @@ from .models import (
 )
 from .schedule import compute_lis, write_event_log
 from .transfer import (
+    FOCUS_SCOPES,
+    NUMERATORS,
+    SCHEDULES,
     AnnealConfig,
     FocusConfig,
     build_transfer_matrix,
@@ -50,58 +55,119 @@ logger = logging.getLogger("multitopic")
 
 MANIFEST_FORMAT_VERSION = 1
 
-DEFAULT_CONFIG = {
-    "model": "lda",
-    "seed": 0,
-    "k": 25,
-    "alpha": 0.1,
-    "beta": 0.01,
-    "beta_root": 0.01,
-    "beta_internal": 100.0,
-    "train_iterations": 1000,
-    "infer_iterations": 500,
-    "top_frequent": 100,
-    "keep_empty": False,
-    "dictionary_fraction": 1.0,
-    "numerator": "pairs",
-    "hardlink_formulation": "conditional",
-    "threads": 1,
-    "paths": {
-        "corpus1": None,
-        "corpus2": None,
-        "language1": None,
-        "language2": None,
-        "dictionary": None,
-        "stopwords1": None,
-        "stopwords2": None,
-        "output_dir": ".",
-    },
-    "focus": {"threshold": 0.0, "scope": "doc_wise"},
-    "anneal": {
-        "schedule": "none",
-        "temperature": 0.9,
-        "interval": 10,
-        "stop_iteration": 400,
-        "lis_every": 1,
-    },
+
+@dataclass(frozen=True)
+class Key:
+    """One `train` config key. `kind` is "int", "float", "bool", "enum"
+    (one of `choices`), "str" or "path" (a file path, given as a string).
+    A number must lie in `bounds`, an interval such as "(0, 1]" whose ends
+    are open or closed: an open end at inf keeps infinity out, and NaN
+    lies in no interval. A key whose default is null may be null."""
+
+    default: object
+    kind: str
+    bounds: str = ""
+    choices: tuple = ()
+
+    def check(self, name: str, value):
+        """`value` converted to this key's kind; a value of another kind or
+        outside the bounds is a configuration error."""
+        if value is None and self.default is None:
+            return None
+        if self.kind in ("int", "float"):
+            number = _number(value, name, int if self.kind == "int" else float)
+            if not _within(number, self.bounds):
+                wanted = _describe(self.bounds) if math.isfinite(number) else "finite"
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+            return number
+        if self.kind == "bool":
+            valid, wanted = isinstance(value, bool), "true or false"
+        elif self.kind == "enum":
+            valid = isinstance(value, str) and value in self.choices
+            wanted = "one of " + ", ".join(self.choices)
+        else:
+            valid, wanted = isinstance(value, str), "a string"
+        if not valid:
+            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+        return value
+
+
+# every `train` config key by its path, in README order: `load_config`
+# takes the defaults from here and `_train_plan` checks a config against it
+CONFIG_KEYS = {
+    "model": Key("lda", "enum", choices=MODEL_KINDS),
+    "seed": Key(0, "int", "[0, inf)"),
+    "k": Key(25, "int", "[2, inf)"),
+    "alpha": Key(0.1, "float", "(0, inf)"),
+    "beta": Key(0.01, "float", "(0, inf)"),
+    "beta_root": Key(0.01, "float", "(0, inf)"),
+    "beta_internal": Key(100.0, "float", "(0, inf)"),
+    "train_iterations": Key(1000, "int", "[1, inf)"),
+    "infer_iterations": Key(500, "int", "[1, inf)"),
+    "top_frequent": Key(100, "int", "[0, inf)"),
+    "keep_empty": Key(False, "bool"),
+    "dictionary_fraction": Key(1.0, "float", "(0, 1]"),
+    "numerator": Key("pairs", "enum", choices=NUMERATORS),
+    "hardlink_formulation": Key("conditional", "enum", choices=HARDLINK_FORMULATIONS),
+    "threads": Key(1, "int", "[1, inf)"),  # accepted; the sweeps run on one thread
+    "paths.corpus1": Key(None, "path"),
+    "paths.corpus2": Key(None, "path"),
+    "paths.language1": Key(None, "str"),
+    "paths.language2": Key(None, "str"),
+    "paths.dictionary": Key(None, "path"),
+    "paths.stopwords1": Key(None, "path"),
+    "paths.stopwords2": Key(None, "path"),
+    "paths.output_dir": Key(".", "path"),
+    "focus.threshold": Key(0.0, "float", "[0, 1]"),
+    "focus.scope": Key("doc_wise", "enum", choices=FOCUS_SCOPES),
+    "anneal.schedule": Key("none", "enum", choices=SCHEDULES),
+    "anneal.temperature": Key(0.9, "float", "(0, 1]"),
+    "anneal.interval": Key(10, "int", "[1, inf)"),
+    "anneal.stop_iteration": Key(400, "int", "[0, inf)"),
+    "anneal.lis_every": Key(1, "int", "[1, inf)"),
 }
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """`base` with `override` merged in; a section that is an object in
-    `base` must be an object in `override` too."""
-    out = copy.deepcopy(base)
-    for key, value in override.items():
+def _within(number, bounds: str) -> bool:
+    low, high = (float(end) for end in bounds[1:-1].split(","))
+    above = low < number if bounds[0] == "(" else low <= number
+    below = number < high if bounds[-1] == ")" else number <= high
+    return above and below
+
+
+def _describe(bounds: str) -> str:
+    """"(0, inf)" as "positive", "[0, inf)" as "non-negative", "[2, inf)"
+    as "at least 2"; an interval with a finite upper end as itself."""
+    low, high = bounds[1:-1].split(", ")
+    if high != "inf":
+        return f"in {bounds}"
+    if low == "0":
+        return "positive" if bounds[0] == "(" else "non-negative"
+    return f"{'above' if bounds[0] == '(' else 'at least'} {low}"
+
+
+def _defaults() -> dict:
+    """A fresh default config, nested by section."""
+    config: dict = {}
+    for path, key in CONFIG_KEYS.items():
+        section, _, name = path.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = key.default
+    return config
+
+
+def _merge(config: dict, user: dict, prefix: str = "") -> None:
+    """Merge `user` into `config`; a section that is an object in
+    `config` must be an object in `user` too."""
+    for key, value in user.items():
         name = prefix + key
-        if key not in out:
+        if key not in config:
             raise ConfigError(f"unknown config key {name!r}")
-        if isinstance(out[key], dict):
+        if isinstance(config[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {name!r} must be an object, got {value!r}")
-            out[key] = _merge(out[key], value, f"{name}.")
+            _merge(config[key], value, f"{name}.")
         else:
-            out[key] = value
-    return out
+            config[key] = value
 
 
 def _canonical_json(payload) -> str:
@@ -116,14 +182,27 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(user, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
+    config = _defaults()
+    _merge(config, user)
+    return config
+
+
+def _setting(config: dict, path: str):
+    """The merged config's value at key path `path`, checked against its
+    row of CONFIG_KEYS and converted to the row's kind."""
+    section, _, name = path.rpartition(".")
+    return CONFIG_KEYS[path].check(path, (config[section] if section else config)[name])
+
+
+def _required(config: dict, key: str) -> str:
+    value = _setting(config, f"paths.{key}")
+    if not value:
+        raise ConfigError(f"config paths.{key} is required for this command")
+    return value
 
 
 def _require_path(config: dict, key: str) -> Path:
-    value = config["paths"].get(key)
-    if not value:
-        raise ConfigError(f"config paths.{key} is required for this command")
-    path = Path(value)
+    path = Path(_required(config, key))
     if not path.exists():
         raise ConfigError(f"paths.{key}: {path} does not exist")
     return path
@@ -131,14 +210,14 @@ def _require_path(config: dict, key: str) -> Path:
 
 def _number(value, name: str, kind: type = float):
     """`value` converted by `kind` (float or int). A value that is not a
-    number, a boolean, or for an int a number with a fractional part, is
-    a configuration error, not an internal one."""
+    JSON number (a boolean or a string, say), or for an int a number with
+    a fractional part, is a configuration error, not an internal one."""
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             return kind(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             pass
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
@@ -151,30 +230,18 @@ def _seed_flag(text: str) -> int:
 
 
 def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
-    stopword_key = f"stopwords{side}"
     stopwords = frozenset()
-    if config["paths"].get(stopword_key):
-        stopwords = corpus_io.load_stopwords(_require_path(config, stopword_key))
-    if not isinstance(config["keep_empty"], bool):
-        raise ConfigError(f"keep_empty must be true or false, got {config['keep_empty']!r}")
+    if _setting(config, f"paths.stopwords{side}"):
+        stopwords = corpus_io.load_stopwords(_require_path(config, f"stopwords{side}"))
     return corpus_io.LoaderOptions(
         stopwords=stopwords,
-        top_frequent=_number(config["top_frequent"], "top_frequent", int),
-        keep_empty=config["keep_empty"],
+        top_frequent=_setting(config, "top_frequent"),
+        keep_empty=_setting(config, "keep_empty"),
     )
 
 
 def _hyperparams(config: dict) -> Hyperparams:
-    return Hyperparams(
-        k=_number(config["k"], "k", int),
-        alpha=_number(config["alpha"], "alpha"),
-        beta=_number(config["beta"], "beta"),
-        beta_root=_number(config["beta_root"], "beta_root"),
-        beta_internal=_number(config["beta_internal"], "beta_internal"),
-        train_iterations=_number(config["train_iterations"], "train_iterations", int),
-        infer_iterations=_number(config["infer_iterations"], "infer_iterations", int),
-        seed=_number(config["seed"], "seed", int),
-    )
+    return Hyperparams(**{f.name: _setting(config, f.name) for f in fields(Hyperparams)})
 
 
 def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
@@ -195,15 +262,58 @@ def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
 
 
 def _load_bilingual(config: dict):
-    path1 = _require_path(config, "corpus1")
-    path2 = _require_path(config, "corpus2")
-    lang1 = config["paths"].get("language1")
-    lang2 = config["paths"].get("language2")
-    if not lang1 or not lang2:
-        raise ConfigError("config paths.language1 and paths.language2 are required")
-    c1 = corpus_io.load_corpus(path1, lang1, _loader_options(config, 1))
-    c2 = corpus_io.load_corpus(path2, lang2, _loader_options(config, 2))
+    c1, c2 = (
+        corpus_io.load_corpus(
+            _require_path(config, f"corpus{side}"),
+            _required(config, f"language{side}"),
+            _loader_options(config, side),
+        )
+        for side in (1, 2)
+    )
     return corpus_io.pair_corpora(c1, c2)
+
+
+@dataclass(frozen=True)
+class TrainPlan:
+    """What `cmd_train` passes on, built from a checked config."""
+
+    kind: str
+    hp: Hyperparams
+    focus: FocusConfig
+    anneal: AnnealConfig | None  # None for the "none" schedule
+    numerator: str
+    hardlink_formulation: str
+    dictionary_fraction: float
+    output_dir: Path
+
+
+def _train_plan(config: dict) -> TrainPlan:
+    """Check every key of the merged config against CONFIG_KEYS, whichever
+    model is chosen, then the rules the config alone decides: both
+    languages are set, the files the model reads exist, and only soft-link
+    models anneal. Reads no input and creates nothing."""
+    value = {path: _setting(config, path) for path in CONFIG_KEYS}
+    kind = value["model"]
+    for side in (1, 2):
+        _required(config, f"language{side}")
+        _require_path(config, f"corpus{side}")
+        if value[f"paths.stopwords{side}"]:
+            _require_path(config, f"stopwords{side}")
+    if kind in SOFT_KINDS or kind in TREE_KINDS:
+        _require_path(config, "dictionary")
+    if value["anneal.schedule"] != "none" and kind not in SOFT_KINDS:
+        raise ConfigError("annealing schedules only apply to soft-link models")
+    anneal = AnnealConfig(**{f.name: value[f"anneal.{f.name}"] for f in fields(AnnealConfig)})
+    return TrainPlan(
+        kind=kind,
+        hp=_hyperparams(config),
+        focus=FocusConfig(**{f.name: value[f"focus.{f.name}"] for f in fields(FocusConfig)}),
+        anneal=anneal if anneal.schedule != "none" else None,
+        numerator=value["numerator"],
+        hardlink_formulation=value["hardlink_formulation"],
+        dictionary_fraction=value["dictionary_fraction"],
+        output_dir=Path(value["paths.output_dir"]),
+    )
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -214,71 +324,46 @@ def cmd_train(args: argparse.Namespace) -> int:
         config["paths"]["output_dir"] = args.output_dir
     if args.threads is not None:
         config["threads"] = args.threads
-    if _number(config["threads"], "threads", int) < 1:
-        raise ConfigError("threads must be >= 1")
-    kind = config["model"]
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model {kind!r}; choose from {MODEL_KINDS}")
+    plan = _train_plan(config)
     _native.load()  # no compiler: stop before any output or loading
 
-    output_dir = Path(config["paths"]["output_dir"])
-    output_dir.mkdir(parents=True, exist_ok=True)
-
+    plan.output_dir.mkdir(parents=True, exist_ok=True)
     bicorpus = _load_bilingual(config)
-    hp = _hyperparams(config)
 
     dictionary = None
-    if kind in SOFT_KINDS or kind in TREE_KINDS:
+    if plan.kind in SOFT_KINDS or plan.kind in TREE_KINDS:
         dictionary = load_dictionary(
             _require_path(config, "dictionary"),
             bicorpus.side1.vocabulary,
             bicorpus.side2.vocabulary,
         )
-        fraction = _number(config["dictionary_fraction"], "dictionary_fraction")
-        if fraction < 1.0:
-            dictionary = subsample(dictionary, fraction, hp.seed)
+        if plan.dictionary_fraction < 1.0:
+            dictionary = subsample(dictionary, plan.dictionary_fraction, plan.hp.seed)
 
     transfer_to_side1 = transfer_to_side2 = None
-    if kind in SOFT_KINDS:
-        focus = FocusConfig(
-            threshold=_number(config["focus"]["threshold"], "focus.threshold"),
-            scope=config["focus"]["scope"],
-        )
-        transfer_to_side1 = static_focus(
-            build_transfer_matrix(
-                bicorpus.side1, bicorpus.side2, dictionary, config["numerator"]
-            ),
-            focus,
-        )
-        transfer_to_side2 = static_focus(
-            build_transfer_matrix(
-                bicorpus.side2, bicorpus.side1, dictionary, config["numerator"]
-            ),
-            focus,
+    if plan.kind in SOFT_KINDS:
+        transfer_to_side1, transfer_to_side2 = (
+            static_focus(build_transfer_matrix(target, source, dictionary, plan.numerator), plan.focus)
+            for target, source in (
+                (bicorpus.side1, bicorpus.side2),
+                (bicorpus.side2, bicorpus.side1),
+            )
         )
 
-    anneal = config["anneal"]
-    anneal_cfg = AnnealConfig(
-        temperature=_number(anneal["temperature"], "anneal.temperature"),
-        interval=_number(anneal["interval"], "anneal.interval", int),
-        stop_iteration=_number(anneal["stop_iteration"], "anneal.stop_iteration", int),
-        schedule=anneal["schedule"],
-        lis_every=_number(anneal["lis_every"], "anneal.lis_every", int),
-    )
     model = train(
-        kind,
+        plan.kind,
         bicorpus,
-        hp,
+        plan.hp,
         transfer_to_side1=transfer_to_side1,
         transfer_to_side2=transfer_to_side2,
         dictionary=dictionary,
-        anneal=anneal_cfg if anneal_cfg.schedule != "none" else None,
-        hardlink_formulation=config["hardlink_formulation"],
+        anneal=plan.anneal,
+        hardlink_formulation=plan.hardlink_formulation,
     )
-    save_model(model, output_dir / "model.json")
-    write_event_log(model.provenance.get("anneal_events", []), output_dir / "anneal_log.jsonl")
-    _write_manifest(config, "train", output_dir)
-    print(f"model written to {output_dir / 'model.json'}")
+    save_model(model, plan.output_dir / "model.json")
+    write_event_log(model.provenance.get("anneal_events", []), plan.output_dir / "anneal_log.jsonl")
+    _write_manifest(config, "train", plan.output_dir)
+    print(f"model written to {plan.output_dir / 'model.json'}")
     return 0
 
 
@@ -370,16 +455,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_transfer_build(args: argparse.Namespace) -> int:
+    focus = FocusConfig(threshold=args.focus_threshold, scope=args.focus_scope)
     options = corpus_io.LoaderOptions(top_frequent=args.top_frequent)
     c1 = corpus_io.load_corpus(args.corpus1, args.language1, options)
     c2 = corpus_io.load_corpus(args.corpus2, args.language2, options)
     dictionary = load_dictionary(args.dictionary, c1.vocabulary, c2.vocabulary)
     target, source = (c2, c1) if args.target_side == 2 else (c1, c2)
     matrix = build_transfer_matrix(target, source, dictionary, args.numerator)
-    if args.focus_threshold > 0.0:
-        matrix = static_focus(
-            matrix, FocusConfig(threshold=args.focus_threshold, scope=args.focus_scope)
-        )
+    if focus.threshold > 0.0:
+        matrix = static_focus(matrix, focus)
     write_matrix_tsv(matrix, target, source, args.output)
     print(f"transfer matrix written to {args.output}")
     return 0
@@ -388,8 +472,6 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.reference_pairs < 1:
         raise ConfigError(f"--reference-pairs must be at least 1, got {args.reference_pairs}")
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     data = ev.generate_synthetic(
         k=args.k,
         vocab_per_lang=args.vocab,
@@ -399,6 +481,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         topic_sharpness=args.sharpness,
         seed=args.seed,
     )
+    reference = ev.generate_reference(
+        data.phi, args.reference_pairs, args.doc_len, seed=args.seed + 1
+    )
+    output_dir = Path(args.output_dir)  # created once generation has succeeded
+    output_dir.mkdir(parents=True, exist_ok=True)
     corpus_io.write_corpus_jsonl(data.corpus.side1, output_dir / "corpus1.jsonl")
     corpus_io.write_corpus_jsonl(data.corpus.side2, output_dir / "corpus2.jsonl")
     write_dictionary_tsv(
@@ -406,9 +493,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         data.corpus.side1.vocabulary,
         data.corpus.side2.vocabulary,
         output_dir / "dictionary.tsv",
-    )
-    reference = ev.generate_reference(
-        data.phi, args.reference_pairs, args.doc_len, seed=args.seed + 1
     )
     ev.write_reference(
         reference,
@@ -490,9 +574,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb.add_argument("--language2", required=True)
     p_tb.add_argument("--dictionary", required=True)
     p_tb.add_argument("--target-side", type=int, choices=(1, 2), default=2)
-    p_tb.add_argument("--numerator", choices=("pairs", "covered_types"), default="pairs")
+    p_tb.add_argument("--numerator", choices=NUMERATORS, default="pairs")
     p_tb.add_argument("--focus-threshold", type=float, default=0.0)
-    p_tb.add_argument("--focus-scope", choices=("doc_wise", "corpus_wise"), default="doc_wise")
+    p_tb.add_argument("--focus-scope", choices=FOCUS_SCOPES, default="doc_wise")
     p_tb.add_argument("--top-frequent", type=int, default=100)
     p_tb.add_argument("--output", required=True)
     p_tb.set_defaults(func=cmd_transfer_build)

@@ -361,7 +361,7 @@ def generate_synthetic(
     """
     if not 0.0 <= dict_coverage <= 1.0:
         raise ConfigError(f"dict_coverage must be in [0, 1], got {dict_coverage}")
-    if min(k, vocab_per_lang, docs_per_lang, doc_len) <= 0 or topic_sharpness <= 0:
+    if min(k, vocab_per_lang, docs_per_lang, doc_len) <= 0 or not topic_sharpness > 0:
         raise ConfigError("synthetic parameters must be positive")
     if vocab_per_lang < k:
         raise ConfigError("need at least one word per topic block")

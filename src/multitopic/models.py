@@ -60,6 +60,7 @@ MODEL_KINDS = ("lda", "hardlink", "softlink", "voclink", "softlink_voclink")
 # draw words through the Dirichlet tree
 SOFT_KINDS = ("softlink", "softlink_voclink")
 TREE_KINDS = ("voclink", "softlink_voclink")
+HARDLINK_FORMULATIONS = ("conditional", "joint")
 
 
 @dataclass
@@ -449,7 +450,7 @@ def train(
         tree.zero_counts()
     else:
         tree = None  # a tree passed with another model kind goes unused
-    if hardlink_formulation not in ("conditional", "joint"):
+    if hardlink_formulation not in HARDLINK_FORMULATIONS:
         raise ConfigError(f"unknown hardlink formulation {hardlink_formulation!r}")
     if anneal is not None and anneal.schedule != "none" and not uses_soft:
         raise ConfigError("annealing schedules only apply to soft-link models")

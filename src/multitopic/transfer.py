@@ -15,6 +15,10 @@ from .corpus import Corpus
 from .dictionary import BilingualDictionary
 from .errors import ConfigError
 
+NUMERATORS = ("pairs", "covered_types")
+FOCUS_SCOPES = ("doc_wise", "corpus_wise")
+SCHEDULES = ("none", "fixed", "adaptive")
+
 
 @dataclass
 class FocusConfig:
@@ -27,7 +31,7 @@ class FocusConfig:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"focal threshold must be in [0, 1], got {self.threshold}")
-        if self.scope not in ("doc_wise", "corpus_wise"):
+        if self.scope not in FOCUS_SCOPES:
             raise ConfigError(f"unknown selection scope {self.scope!r}")
 
 
@@ -44,7 +48,9 @@ class AnnealConfig:
             raise ConfigError(f"temperature must be in (0, 1], got {self.temperature}")
         if self.interval < 1:
             raise ConfigError(f"interval must be >= 1, got {self.interval}")
-        if self.schedule not in ("none", "fixed", "adaptive"):
+        if self.stop_iteration < 0:
+            raise ConfigError(f"stop_iteration must be >= 0, got {self.stop_iteration}")
+        if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.lis_every < 1:
             raise ConfigError(f"lis_every must be >= 1, got {self.lis_every}")
@@ -167,7 +173,7 @@ def build_transfer_matrix(
     ascending source order, so the weights equal, bit for bit, those of
     scoring one document pair at a time.
     """
-    if numerator not in ("pairs", "covered_types"):
+    if numerator not in NUMERATORS:
         raise ConfigError(f"unknown numerator mode {numerator!r}")
     langs = {dictionary.lang1, dictionary.lang2}
     if {target.language, source.language} != langs:

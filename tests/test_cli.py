@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from multitopic import evaluate as ev
-from multitopic.cli import main
+from multitopic import _native
+from multitopic.cli import CONFIG_KEYS, _write_manifest, main
 from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
 from multitopic.dictionary import load_dictionary
 from multitopic.errors import DataError
@@ -229,7 +230,7 @@ def test_negative_top_frequent_in_config_exits_2(tmp_path, toy_data, capsys):
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "top_frequent must be non-negative" in err
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_top_frequent_flag_exits_2(tmp_path, toy_data, capsys):
@@ -315,14 +316,13 @@ def test_eval_report_with_nan_exits_3_and_writes_nothing(tmp_path, toy_data, mon
     assert not report_path.exists()
 
 
-def test_manifest_with_nan_exits_3_and_is_not_written(tmp_path, toy_data):
-    # lda never reads dictionary_fraction, so the NaN reaches the manifest
-    out_dir = tmp_path / "nan_manifest"
-    config = base_config(toy_data, out_dir, dictionary_fraction=float("nan"))
-    config_path = tmp_path / "nan_manifest.json"
-    config_path.write_text(json.dumps(config))
-    assert main(["train", "--config", str(config_path)]) == 3
-    assert not (out_dir / "manifest.json").exists()
+def test_manifest_with_nan_exits_3_and_is_not_written(tmp_path):
+    # `train` refuses a NaN in any config key before it starts, so the
+    # writer's own guard is called directly; `main` maps DataError to exit 3
+    config = {"seed": 0, "dictionary_fraction": float("nan")}
+    with pytest.raises(DataError, match="cannot write the manifest"):
+        _write_manifest(config, "train", tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_exit_code_2_on_config_errors(tmp_path, toy_data):
@@ -353,7 +353,7 @@ def test_non_finite_hyperparameter_exits_2(tmp_path, toy_data, name, value):
     # json writes NaN/Infinity literals, which json.load reads back as floats
     config_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(config_path)]) == 2
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -381,7 +381,7 @@ def test_non_numeric_config_value_exits_2(tmp_path, toy_data, capsys, overrides)
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "must be a number" in err
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -407,13 +407,171 @@ def test_integer_and_boolean_config_values_exit_2(
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and message in err
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_float_counts_as_an_integer(tmp_path, toy_data):
     ints = run_train(tmp_path, toy_data, "ints")
     floats = run_train(tmp_path, toy_data, "floats", k=2.0, seed=3.0, train_iterations=5.0)
     assert (ints / "model.json").read_bytes() == (floats / "model.json").read_bytes()
+
+
+def _bad_values(key):
+    """Values of the wrong kind or outside the range for one CONFIG_KEYS row."""
+    if key.kind in ("int", "float"):
+        low, high = (float(end) for end in key.bounds[1:-1].split(","))
+        cast = int if key.kind == "int" else float
+        values = ["1", True, None, [1], float("nan"), float("inf"), float("-inf"), cast(low) - 1]
+        if key.bounds[0] == "(":
+            values.append(cast(low))
+        if high != float("inf"):
+            values.append(high + 1)
+        if key.kind == "int":
+            values.append(low + 0.5)
+        return values
+    if key.kind == "bool":
+        return ["false", 0, None]
+    if key.kind == "enum":
+        return ["nope", [key.choices[0]], None]
+    return [5, ["x"]] + ([] if key.default is None else [None])
+
+
+@pytest.fixture
+def unloadable_inputs(tmp_path):
+    """Corpora that exist but are not JSON lines, so a check that ran
+    after loading would exit 3, not 2, and a dictionary."""
+    inputs = {
+        "corpus1": tmp_path / "c1.jsonl",
+        "corpus2": tmp_path / "c2.jsonl",
+        "dictionary": tmp_path / "dict.tsv",
+    }
+    inputs["corpus1"].write_text("this is not json\n")
+    inputs["corpus2"].write_text("this is not json\n")
+    inputs["dictionary"].write_text("a0\tb0\n")
+    return inputs
+
+
+def assert_refused_before_any_work(tmp_path, capsys, config, *words):
+    """`train` on `config`, run in `tmp_path`, exits 2 with one stderr
+    line holding `words`, never reaches the compiled-sweep loader and
+    leaves `tmp_path` as it found it."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    before = set(tmp_path.iterdir())
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp_path)
+        patch.setattr(_native, "load", lambda: pytest.fail("_native.load was reached"))
+        assert main(["train", "--config", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ")
+    for word in words:
+        assert word in line
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_the_unloadable_inputs_are_only_found_by_loading(tmp_path, unloadable_inputs):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(unloadable_inputs, tmp_path / "out")))
+    assert main(["train", "--config", str(config_path)]) == 3
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id=f"{path}={value!r}")
+    for path, key in CONFIG_KEYS.items()
+    for value in _bad_values(key)
+])
+def test_bad_value_for_any_key_exits_2_before_any_work(
+    tmp_path, capsys, unloadable_inputs, path, value
+):
+    # lda reads the fewest keys: every key is checked whichever model runs
+    config = base_config(unloadable_inputs, tmp_path / "out")
+    section, _, name = path.rpartition(".")
+    (config.setdefault(section, {}) if section else config)[name] = value
+    assert_refused_before_any_work(tmp_path, capsys, config, path)
+
+
+@pytest.mark.parametrize("overrides, paths, message", [
+    ({"model": "softlink"}, {"dictionary": None}, "paths.dictionary is required"),
+    ({"model": "voclink"}, {"dictionary": "missing.tsv"}, "paths.dictionary: missing.tsv does not"),
+    ({"anneal": {"schedule": "adaptive"}}, {}, "only apply to soft-link models"),
+    ({"model": "hardlink", "anneal": {"schedule": "fixed"}}, {}, "only apply to soft-link"),
+    ({}, {"corpus1": None}, "paths.corpus1 is required"),
+    ({}, {"corpus2": "missing.jsonl"}, "paths.corpus2: missing.jsonl does not exist"),
+    ({}, {"language2": None}, "paths.language2 is required"),
+    ({}, {"language1": ""}, "paths.language1 is required"),
+    ({}, {"stopwords1": "missing.txt"}, "paths.stopwords1: missing.txt does not exist"),
+])
+def test_rule_of_the_chosen_model_exits_2_before_any_work(
+    tmp_path, capsys, unloadable_inputs, overrides, paths, message
+):
+    config = base_config(unloadable_inputs, tmp_path / "out", **overrides)
+    config["paths"].update(paths)
+    assert_refused_before_any_work(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("corpus1", 5), ("stopwords1", 3), ("dictionary", ["dict.tsv"]), ("output_dir", 7),
+    ("language1", 5),
+])
+def test_non_string_path_or_language_exits_2(tmp_path, toy_data, capsys, key, value):
+    config = base_config(toy_data, tmp_path / "out", model="softlink")
+    config["paths"][key] = value
+    assert_refused_before_any_work(tmp_path, capsys, config, f"paths.{key} must be a string")
+
+
+@pytest.mark.parametrize("model", ["lda", "softlink"])
+@pytest.mark.parametrize("overrides, message", [
+    ({"dictionary_fraction": 2.0}, "dictionary_fraction must be in (0, 1], got 2.0"),
+    ({"dictionary_fraction": float("nan")}, "dictionary_fraction must be finite, got nan"),
+    ({"focus": {"threshold": 2.0}}, "focus.threshold must be in [0, 1], got 2.0"),
+    ({"anneal": {"stop_iteration": -5}}, "anneal.stop_iteration must be non-negative, got -5"),
+])
+def test_out_of_range_value_exits_2_for_any_model(
+    tmp_path, toy_data, capsys, model, overrides, message
+):
+    config = base_config(toy_data, tmp_path / "out", model=model, **overrides)
+    assert_refused_before_any_work(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "0"], ["--docs", "0"], ["--dict-coverage", "nan"], ["--vocab", "2"],
+    ["--sharpness", "nan"], ["--sharpness", "-1"],
+])
+def test_rejected_synth_argument_creates_no_directory(tmp_path, capsys, argv):
+    out_dir = tmp_path / "synth"
+    assert main(["synth", *argv, "--output-dir", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-0.5", "2"])
+def test_transfer_build_checks_the_focal_threshold_before_loading(
+    tmp_path, capsys, unloadable_inputs, threshold
+):
+    out_path = tmp_path / "matrix.tsv"
+    code = main([
+        "transfer-build",
+        "--corpus1", str(unloadable_inputs["corpus1"]),
+        "--corpus2", str(unloadable_inputs["corpus2"]),
+        "--language1", "l1", "--language2", "l2",
+        "--dictionary", str(unloadable_inputs["dictionary"]),
+        "--focus-threshold", threshold, "--output", str(out_path),
+    ])
+    assert code == 2
+    assert "focal threshold must be in [0, 1]" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_readme_lists_every_config_key_with_its_default_and_range():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config keys (`train`)")[1].split("```")[1]
+    lines = {line.split()[0]: line for line in block.splitlines()[2:] if line[:1].strip()}
+    assert list(lines) == list(CONFIG_KEYS)
+    for path, key in CONFIG_KEYS.items():
+        assert lines[path].split()[1] == json.dumps(key.default), path
+        assert (key.bounds or "|".join(key.choices) or key.kind) in lines[path], path
 
 
 @pytest.mark.parametrize("command", ["train", "infer", "eval", "synth"])
@@ -528,7 +686,7 @@ def test_config_section_that_is_not_an_object_exits_2(
     assert main(["train", "--config", str(config_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and f"{section!r} must be an object" in err
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("section, key", [
@@ -543,7 +701,7 @@ def test_non_finite_anneal_and_focus_values_exit_2(tmp_path, toy_data, section, 
     config_path = tmp_path / "nonfinite.json"
     config_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(config_path)]) == 2
-    assert not (tmp_path / "out" / "model.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def _malformed_models(valid: dict):

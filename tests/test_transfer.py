@@ -6,6 +6,7 @@ import pytest
 
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
+from multitopic.errors import ConfigError
 from multitopic.transfer import (
     AnnealConfig,
     FocusConfig,
@@ -250,3 +251,6 @@ def test_anneal_config_validation():
         AnnealConfig(interval=0)
     with pytest.raises(Exception):
         AnnealConfig(schedule="sometimes")
+    with pytest.raises(ConfigError, match="stop_iteration must be >= 0"):
+        AnnealConfig(stop_iteration=-5)
+    assert AnnealConfig(stop_iteration=0).stop_iteration == 0
