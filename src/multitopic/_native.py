@@ -1,5 +1,5 @@
-"""Build and load the compiled Gibbs sweeps in `_sweeps.c`, the only
-training sweeps there are.
+"""Build and load the compiled Gibbs steps in `_sweeps.c`: the training
+sweeps and held-out inference, the only sampling steps there are.
 
 The first `load()` in a process compiles the shipped C source with the
 system C compiler (`cc -O2 -ffp-contract=off -fPIC -shared`: no
@@ -12,12 +12,12 @@ its own; the build goes to a temporary name that is then renamed, so a
 concurrent run never loads a half-written file. Later processes load the
 cached file without compiling.
 
-Training therefore needs a C compiler (cc or gcc) on PATH and a writable
-cache directory until the library is cached. When either is missing, the
-build fails or the cached file cannot be loaded, `load()` raises
-`ConfigError` with one line that names the cause; nothing is remembered,
-so the next call tries again. Importing this module builds and loads
-nothing.
+Training and held-out inference therefore need a C compiler (cc or gcc)
+on PATH and a writable cache directory until the library is cached. When
+either is missing, the build fails or the cached file cannot be loaded,
+`load()` raises `ConfigError` with one line that names the cause; nothing
+is remembered, so the next call tries again. Importing this module builds
+and loads nothing.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ SOURCE = Path(__file__).with_name("_sweeps.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 BUILD_TIMEOUT_S = 120
 
-# what training needs: the remedy that `load()`'s errors name, except for a
+# what sampling needs: the remedy that `load()`'s errors name, except for a
 # cached file that cannot be loaded
 NEEDS = (
-    "train needs a C compiler (cc or gcc) on PATH and a writable cache directory "
-    "to build them"
+    "train, infer and eval --which classify need a C compiler (cc or gcc) on PATH "
+    "and a writable cache directory to build them"
 )
 
 _library = None  # the loaded library, once a load() has succeeded in this process
@@ -119,7 +119,8 @@ def _declare(lib) -> None:
         n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints, ints,
         ints, ints, ints, ints, x, x, x, x, floats, floats,
     ]
-    for kernel in (lib.sweep_plain, lib.sweep_pooled, lib.sweep_tree):
+    lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]
+    for kernel in (lib.sweep_plain, lib.sweep_pooled, lib.sweep_tree, lib.infer_doc):
         kernel.restype = None
 
 
@@ -139,13 +140,13 @@ def _open():
         reason = str(exc).removeprefix(f"{path}: ")  # dlopen names the file too
         raise _unavailable(
             f"cannot load the cached library {path} ({reason})",
-            "delete it and train builds it again",
+            "delete it and the next run builds it again",
         ) from None
     return lib
 
 
 def load():
-    """The compiled sweeps as a ctypes library, built on the first call in
+    """The compiled kernels as a ctypes library, built on the first call in
     a process that finds no cached library. Raises `ConfigError` when they
     cannot be built or loaded."""
     global _library

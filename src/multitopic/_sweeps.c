@@ -1,14 +1,16 @@
-/* Compiled collapsed Gibbs sweeps for `multitopic.models`.
+/* Compiled collapsed Gibbs steps for `multitopic.models`.
  *
- * Each kernel runs one sweep over one language's tokens, in corpus order,
- * on contiguous int64 count tables that it updates in place: the token's
- * counts are removed, every (leaf,) topic is scored, the token takes the
- * first entry of the running score sums that exceeds u * (sum of all
- * scores), clamped to the last entry, and its counts are added back.
- * Document d's tokens are tokens[doc_start[d] .. doc_start[d + 1]), z
- * holds their topics and u one uniform draw per token.
+ * Each training kernel runs one sweep over one language's tokens, in
+ * corpus order, on contiguous int64 count tables that it updates in
+ * place: the token's counts are removed, every (leaf,) topic is scored,
+ * the token takes the first entry of the running score sums that exceeds
+ * u * (sum of all scores), clamped to the last entry, and its counts are
+ * added back. Document d's tokens are tokens[doc_start[d] ..
+ * doc_start[d + 1]), z holds their topics and u one uniform draw per
+ * token. infer_doc takes the same step on one held-out document, with
+ * the topic-word table frozen.
  *
- * These are the only training sweeps. Each score is the expression of the
+ * These are the only sampling steps. Each score is the expression of the
  * scalar reference loops in tests/oracles.py, evaluated in the same order,
  * and the running sums are added left to right, so a build without
  * floating-point contraction or reassociation (-ffp-contract=off, no
@@ -183,6 +185,36 @@ void sweep_tree(
             } else {
                 utotal[k]++;
             }
+        }
+    }
+}
+
+/* Held-out inference for one document of n tokens, phi frozen: n_iter
+ * passes over the tokens in order, each token scoring topic t as
+ * ((double)nd[t] + alpha) * phi_t[w * K + t] with its own assignment
+ * removed from nd. phi_t is the V x K transpose of phi; u holds
+ * n_iter * n uniforms, one pass's after another. */
+void infer_doc(
+    int64_t n, int64_t n_topics, int64_t n_iter, const int64_t *tokens,
+    int64_t *z, int64_t *nd, const double *phi_t, double alpha,
+    const double *u, double *cdf)
+{
+    const int64_t K = n_topics;
+    for (int64_t it = 0; it < n_iter; it++) {
+        const double *ui = u + it * n;
+        for (int64_t i = 0; i < n; i++) {
+            const double *pw = phi_t + tokens[i] * K;
+            int64_t k = z[i];
+            nd[k]--;
+            double acc = 0.0;
+            for (int64_t t = 0; t < K; t++) {
+                double score = ((double)nd[t] + alpha) * pw[t];
+                acc = t ? acc + score : score;
+                cdf[t] = acc;
+            }
+            k = pick(cdf, K, ui[i] * acc);
+            z[i] = k;
+            nd[k]++;
         }
     }
 }

@@ -3,9 +3,10 @@
 Training is driven by a JSON config file; command-line flags override
 config values. Every command is deterministic given (config, seed), and a
 manifest capturing the resolved config and its hash is written next to
-the outputs. Exit codes: 2 for configuration errors (including `train`
-finding no C compiler to build its sweeps), 3 for data errors, 1 for a
-closed output pipe or anything unexpected.
+the outputs. Exit codes: 2 for configuration errors (including `train`,
+`infer` or `eval --which classify` finding no C compiler to build the
+compiled sampler, and an output path that cannot be written), 3 for data
+errors, 1 for a closed output pipe or anything unexpected.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .transfer import (
 logger = logging.getLogger("multitopic")
 
 MANIFEST_FORMAT_VERSION = 1
+EVALUATIONS = ("cnpmi", "classify", "lis")  # what `eval --which` may list
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,24 @@ def _number(value, name: str, kind: type = float):
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def _make_dir(path: Path, name: str) -> None:
+    """Create the output directory `path`, which `name` gave."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot create {path}: {exc.strerror or exc}") from None
+
+
+def _check_output_file(path: str, flag: str) -> None:
+    """Refuse an output file that cannot be created: `path` is a
+    directory, or its directory does not exist."""
+    target = Path(path)
+    if target.is_dir():
+        raise ConfigError(f"{flag} {path} is a directory")
+    if not target.parent.is_dir():
+        raise ConfigError(f"{flag} {path}: directory {target.parent} does not exist")
+
+
 def _seed_flag(text: str) -> int:
     """Type of every `--seed` flag: a non-negative integer."""
     if not text.isdecimal():
@@ -327,7 +347,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     plan = _train_plan(config)
     _native.load()  # no compiler: stop before any output or loading
 
-    plan.output_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(plan.output_dir, "paths.output_dir")
     bicorpus = _load_bilingual(config)
 
     dictionary = None
@@ -385,6 +405,8 @@ def _load_heldout(model, path: str, language: str) -> corpus_io.Corpus:
 
 def cmd_infer(args: argparse.Namespace) -> int:
     _check_threads(args)
+    _check_output_file(args.output, "--output")
+    _native.load()  # no compiler: stop before any input is read
     model = load_model(args.model)
     heldout = _load_heldout(model, args.corpus, args.language)
     theta = infer_heldout(model, heldout, seed=args.seed)
@@ -409,22 +431,29 @@ def _infer_for_eval(model, path: str, language: str, seed: int):
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_threads(args)
-    model = load_model(args.model)
     which = {w.strip() for w in args.which.split(",") if w.strip()}
-    unknown = which - {"cnpmi", "classify", "lis"}
-    if unknown:
-        raise ConfigError(f"unknown evaluations: {sorted(unknown)}")
+    if not which or which - set(EVALUATIONS):
+        raise ConfigError(
+            f"--which must list one or more of {', '.join(EVALUATIONS)}, got {args.which!r}"
+        )
+    if "cnpmi" in which and not args.reference:
+        raise ConfigError("--reference is required for cnpmi")
+    if "classify" in which and not (args.test_corpus1 and args.test_corpus2):
+        raise ConfigError("--test-corpus1 and --test-corpus2 are required for classify")
+    if "lis" in which and not args.dictionary:
+        raise ConfigError("--dictionary is required for lis")
+    if args.output:
+        _check_output_file(args.output, "--output")
+    if "classify" in which:
+        _native.load()  # no compiler: stop before any input is read
+    model = load_model(args.model)
     report = ev.EvalReport()
     if "cnpmi" in which:
-        if not args.reference:
-            raise ConfigError("--reference is required for cnpmi")
         ref = ev.load_reference(args.reference, *model.vocabularies)
         report.cnpmi_per_topic, report.cnpmi_mean = ev.cnpmi_model(
             model, ref, c=args.top_words
         )
     if "classify" in which:
-        if not args.test_corpus1 or not args.test_corpus2:
-            raise ConfigError("--test-corpus1 and --test-corpus2 are required for classify")
         lang1, lang2 = model.languages
         theta1, labels1 = _infer_for_eval(model, args.test_corpus1, lang1, args.seed)
         theta2, labels2 = _infer_for_eval(model, args.test_corpus2, lang2, args.seed)
@@ -435,8 +464,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             theta2, labels2, theta1, labels1, seed=args.seed
         )
     if "lis" in which:
-        if not args.dictionary:
-            raise ConfigError("--dictionary is required for lis")
         if not model.counts:
             raise DataError("model file does not carry count tables needed for LIS")
         dictionary = load_dictionary(args.dictionary, *model.vocabularies)
@@ -455,6 +482,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_transfer_build(args: argparse.Namespace) -> int:
+    _check_output_file(args.output, "--output")
     focus = FocusConfig(threshold=args.focus_threshold, scope=args.focus_scope)
     options = corpus_io.LoaderOptions(top_frequent=args.top_frequent)
     c1 = corpus_io.load_corpus(args.corpus1, args.language1, options)
@@ -470,8 +498,16 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.reference_pairs < 1:
-        raise ConfigError(f"--reference-pairs must be at least 1, got {args.reference_pairs}")
+    for flag, value in (
+        ("--k", args.k), ("--vocab", args.vocab), ("--docs", args.docs),
+        ("--doc-len", args.doc_len), ("--reference-pairs", args.reference_pairs),
+    ):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
+    if args.vocab < args.k:  # every topic's block needs a word
+        raise ConfigError(f"--vocab must be at least --k ({args.k}), got {args.vocab}")
+    if not args.sharpness > 0:
+        raise ConfigError(f"--sharpness must be positive, got {args.sharpness}")
     data = ev.generate_synthetic(
         k=args.k,
         vocab_per_lang=args.vocab,
@@ -485,7 +521,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         data.phi, args.reference_pairs, args.doc_len, seed=args.seed + 1
     )
     output_dir = Path(args.output_dir)  # created once generation has succeeded
-    output_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(output_dir, "--output-dir")
     corpus_io.write_corpus_jsonl(data.corpus.side1, output_dir / "corpus1.jsonl")
     corpus_io.write_corpus_jsonl(data.corpus.side2, output_dir / "corpus2.jsonl")
     write_dictionary_tsv(

@@ -6,8 +6,6 @@ soft+vocabulary combination.
 All randomness flows through NumPy's PCG64 generator seeded from the run
 seed; held-out inference spawns one child stream per document, so results
 are reproducible across platforms and independent of corpus composition.
-Inference samples all documents in lockstep, one token position at a
-time, with numpy; it is bit-identical to sampling each document alone.
 
 One class holds a language's assignments and counts: `SideState`, whose
 tables are contiguous int64 arrays that the training sweeps update in
@@ -18,12 +16,13 @@ compares. The public conditional-distribution functions read a
 `SideState`'s rows and expect the current token's assignment to already
 be removed from all counts.
 
-Each training sweep runs a compiled kernel from `_sweeps.c`, built and
-loaded by `_native`, so `train` needs a C compiler the first time it runs
-on a machine (`_native.load` raises `ConfigError` without one); inference,
-evaluation and serialization do not. The kernels draw one uniform per
-token, a side's in corpus order, and are tested bit for bit against the
-scalar loops in `tests/oracles.py`.
+Each training sweep, and held-out inference of each document, runs a
+compiled kernel from `_sweeps.c`, built and loaded by `_native`, so
+`train` and `infer_heldout` need a C compiler the first time they run on
+a machine (`_native.load` raises `ConfigError` without one); the other
+evaluations and serialization do not. The kernels draw one uniform per
+token, a side's or a document's in order, and are tested bit for bit
+against the scalar loops in `tests/oracles.py`.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
@@ -61,6 +60,9 @@ MODEL_KINDS = ("lda", "hardlink", "softlink", "voclink", "softlink_voclink")
 SOFT_KINDS = ("softlink", "softlink_voclink")
 TREE_KINDS = ("voclink", "softlink_voclink")
 HARDLINK_FORMULATIONS = ("conditional", "joint")
+# the most uniforms held-out inference draws at once (512 KB of doubles); a
+# document draws as many whole iterations' worth as fit, at least one
+_UNIFORM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -633,20 +635,13 @@ def infer_heldout(
     trained topic-word table frozen: only document counts are resampled,
     under the symmetric alpha prior (no transfer at inference time).
 
-    Each document gets its own spawned random stream and draws from it
-    exactly as a one-document-at-a-time sampler would: `integers(0, K, n)`
-    for the initial topics, then one `random(n)` per iteration. Documents
-    are nevertheless sampled in lockstep: at token position i, every
-    document still that long resamples its i-th token in one vectorised
-    step. Documents are ordered longest first, so the ones active at
-    position i form a prefix, and tokens are stored position-major, so
-    memory grows with the held-out token count. Results therefore do not
-    depend on document order or on what else is in the corpus.
-
-    The step is bit-identical to walking the unnormalised CDF one topic
-    at a time: `np.cumsum` adds left to right like the walk does, and the
-    first topic with `u < cdf[k]` is the number of entries `<= u`,
-    because the CDF never decreases.
+    Each document is sampled alone by the compiled `infer_doc` kernel,
+    from its own spawned random stream: `integers(0, K, n)` for the
+    initial topics, then one `random(n)` per iteration, drawn a block of
+    whole iterations at a time (one `random(b * n)` call gives the doubles
+    of b `random(n)` calls), at most `_UNIFORM_BLOCK` doubles per draw.
+    Results therefore do not depend on document order or on what else is
+    in the corpus. An empty document keeps the uniform row.
     """
     side = model.side_of_language(heldout.language)
     if heldout.vocabulary != model.vocabularies[side]:
@@ -659,61 +654,39 @@ def infer_heldout(
     alpha = hp.alpha
     n_topics = hp.k
     docs = heldout.documents
+    vocab_size = heldout.vocabulary.size
+    # the kernel indexes phi with the word ids and topics unchecked
+    if model.phi[side].shape != (n_topics, vocab_size):
+        raise DataError(
+            f"phi of shape {model.phi[side].shape} does not match k = {n_topics} "
+            f"and {vocab_size} words"
+        )
+    if any(
+        len(doc.tokens) and not 0 <= min(doc.tokens) <= max(doc.tokens) < vocab_size
+        for doc in docs
+    ):
+        raise DataError(f"word ids must lie in [0, {vocab_size})")
+    lib = _native.load()
+    phi_t = np.ascontiguousarray(model.phi[side].T)  # V rows of K floats
+    cdf = np.empty(n_topics)
 
     theta = np.full((len(docs), n_topics), 1.0 / n_topics)
     streams = np.random.SeedSequence(seed).spawn(len(docs))
-    lengths = np.array([len(doc.tokens) for doc in docs], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
-    order = order[lengths[order] > 0]  # empty documents keep the uniform row
-    if len(order) == 0:
-        return theta
-    lens = lengths[order]
-    rngs = [np.random.default_rng(streams[d]) for d in order]
-
-    # document-major layout: document j's tokens at [starts[j], starts[j+1])
-    starts = np.concatenate(([0], np.cumsum(lens)))
-    tokens_dm = np.fromiter(
-        (w for d in order for w in docs[d].tokens), dtype=np.int64, count=int(starts[-1])
-    )
-    z_dm = np.empty_like(tokens_dm)
-    for j, rng in enumerate(rngs):
-        z_dm[starts[j]:starts[j + 1]] = rng.integers(0, n_topics, size=lens[j])
-    doc_dm = np.repeat(np.arange(len(order)), lens)
-    nd = np.bincount(
-        doc_dm * n_topics + z_dm, minlength=len(order) * n_topics
-    ).reshape(len(order), n_topics)
-
-    # position-major layout: the active[i] documents at position i sit at
-    # [pos_starts[i], pos_starts[i+1]), in document order
-    active = np.bincount(lens - 1)[::-1].cumsum()[::-1]
-    pos_starts = np.concatenate(([0], np.cumsum(active)))
-    pos_of_pm = np.repeat(np.arange(len(active)), active)
-    doc_of_pm = np.arange(len(pos_of_pm)) - pos_starts[pos_of_pm]
-    dm_of_pm = starts[doc_of_pm] + pos_of_pm
-    tokens_pm = tokens_dm[dm_of_pm]
-    z_pm = z_dm[dm_of_pm]
-
-    phi_t = np.ascontiguousarray(model.phi[side].T)  # V rows of K floats
-    # flat index of row j's topic k in nd is row_base[j] + k
-    row_base = np.arange(len(order)) * n_topics
-    nd_flat = nd.reshape(-1)
-    uniforms_dm = np.empty(len(tokens_dm), dtype=np.float64)
-    last = n_topics - 1
-    for _ in range(n_iter):
-        for j, rng in enumerate(rngs):
-            uniforms_dm[starts[j]:starts[j + 1]] = rng.random(lens[j])
-        uniforms_pm = uniforms_dm[dm_of_pm]
-        for i, n_active in enumerate(active):
-            lo, hi = pos_starts[i], pos_starts[i + 1]
-            base = row_base[:n_active]
-            nd_flat[base + z_pm[lo:hi]] -= 1
-            cdf = np.cumsum((nd[:n_active] + alpha) * phi_t[tokens_pm[lo:hi]], axis=1)
-            u = uniforms_pm[lo:hi] * cdf[:, last]
-            k_new = np.count_nonzero(cdf <= u[:, None], axis=1)
-            np.minimum(k_new, last, out=k_new)
-            z_pm[lo:hi] = k_new
-            nd_flat[base + k_new] += 1
-    theta[order] = (nd + alpha) / (lens[:, None] + n_topics * alpha)
+    for d, doc in enumerate(docs):
+        n = len(doc.tokens)
+        if n == 0:
+            continue
+        rng = np.random.default_rng(streams[d])
+        tokens = np.array(doc.tokens, dtype=np.int64)
+        z = rng.integers(0, n_topics, size=n)
+        nd = np.bincount(z, minlength=n_topics)
+        per_draw = max(1, _UNIFORM_BLOCK // n)
+        for done in range(0, n_iter, per_draw):
+            block = min(per_draw, n_iter - done)
+            lib.infer_doc(
+                n, n_topics, block, tokens, z, nd, phi_t, alpha, rng.random(block * n), cdf
+            )
+        theta[d] = (nd + alpha) / (n + n_topics * alpha)
     return theta
 
 

@@ -325,7 +325,7 @@ def test_manifest_with_nan_exits_3_and_is_not_written(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
-def test_exit_code_2_on_config_errors(tmp_path, toy_data):
+def test_exit_code_2_on_config_errors(tmp_path, toy_data, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"model": "nonesuch"}))
@@ -333,6 +333,11 @@ def test_exit_code_2_on_config_errors(tmp_path, toy_data):
     unknown_key = tmp_path / "unknown.json"
     unknown_key.write_text(json.dumps({"modle": "lda"}))
     assert main(["train", "--config", str(unknown_key)]) == 2
+    # checked before the (missing) model file is read, which would exit 3
+    for which in ("", " , ", "cnpmi,bogus"):
+        capsys.readouterr()
+        assert main(["eval", "--model", str(tmp_path / "missing.json"), "--which", which]) == 2
+        assert "--which must list one or more of cnpmi, classify, lis" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_data_errors(tmp_path, toy_data):
@@ -544,6 +549,62 @@ def test_rejected_synth_argument_creates_no_directory(tmp_path, capsys, argv):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("configuration error: ")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--k", "0", "--k must be at least 1, got 0"),
+    ("--docs", "0", "--docs must be at least 1, got 0"),
+    ("--doc-len", "0", "--doc-len must be at least 1, got 0"),
+    ("--vocab", "0", "--vocab must be at least 1, got 0"),
+    ("--vocab", "2", "--vocab must be at least --k (5), got 2"),
+    ("--sharpness", "nan", "--sharpness must be positive, got nan"),
+])
+def test_rejected_synth_argument_is_named(tmp_path, capsys, flag, value, message):
+    assert main(["synth", flag, value, "--output-dir", str(tmp_path / "synth")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"configuration error: {message}"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("infer", "missing/t.json"),
+    ("infer", "."),
+    ("eval", "missing/r.json"),
+    ("transfer-build", "missing/x.tsv"),
+    ("synth", "file/data"),
+    ("train", "file/out"),
+])
+def test_output_that_cannot_be_written_exits_2_with_one_line(
+    tmp_path, capsys, unloadable_inputs, command, target
+):
+    # every input here exits 3 once read: infer, eval and transfer-build
+    # check their output before reading any, and train fails to create its
+    # output directory below a regular file before reading any too
+    (tmp_path / "file").write_text("")
+    output = str(tmp_path / target)
+    argv = {
+        "infer": ["infer", "--model", str(tmp_path / "missing.json"),
+                  "--corpus", str(unloadable_inputs["corpus1"]), "--language", "l1",
+                  "--output", output],
+        "eval": ["eval", "--model", str(tmp_path / "missing.json"), "--which", "lis",
+                 "--dictionary", str(unloadable_inputs["dictionary"]), "--output", output],
+        "transfer-build": ["transfer-build",
+                           "--corpus1", str(unloadable_inputs["corpus1"]),
+                           "--corpus2", str(unloadable_inputs["corpus2"]),
+                           "--language1", "l1", "--language2", "l2",
+                           "--dictionary", str(unloadable_inputs["dictionary"]),
+                           "--output", output],
+        "synth": ["synth", "--output-dir", output],
+    }.get(command)
+    if command == "train":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_config(unloadable_inputs, output)))
+        argv = ["train", "--config", str(config)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: ") and output in line
+    assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "file").read_text() == ""
 
 
 @pytest.mark.parametrize("threshold", ["nan", "-0.5", "2"])

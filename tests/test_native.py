@@ -1,6 +1,6 @@
-"""The compiled sweeps, the only training sweeps: building and caching
-them, and the one-line error that `train` exits with when they cannot be
-built or loaded."""
+"""The compiled kernels, the only sampling steps: building and caching
+them, and the one-line error that `train`, `infer` and `eval --which
+classify` exit with when they cannot be built or loaded."""
 
 import json
 import subprocess
@@ -113,23 +113,73 @@ def test_a_failed_load_is_not_remembered(monkeypatch, fresh_loader):
     assert _native.load() is not None
 
 
-def test_missing_compiler_exits_2_with_one_line(tmp_path):
-    config = train_config(tmp_path)
-    # a child process with no cc or gcc on an empty PATH and an empty cache
+NO_COMPILER = (
+    "configuration error: compiled Gibbs sweeps unavailable: "
+    f"no C compiler (cc or gcc) on PATH; {_native.NEEDS}"
+)
+
+
+def run_without_compiler(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process with no cc or gcc on an empty PATH and
+    an empty cache at `tmp_path / "empty"`."""
     env = {"PATH": "", "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path / "empty")}
-    result = subprocess.run(
-        [sys.executable, "-m", "multitopic.cli", "train", "--config", str(config)],
+    return subprocess.run(
+        [sys.executable, "-m", "multitopic.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_missing_compiler_exits_2_with_one_line(tmp_path):
+    config = train_config(tmp_path)
+    result = run_without_compiler(tmp_path, "train", "--config", str(config))
     assert result.returncode == 2
     (line,) = result.stderr.splitlines()
-    assert line == (
-        "configuration error: compiled Gibbs sweeps unavailable: "
-        f"no C compiler (cc or gcc) on PATH; {_native.NEEDS}"
-    )
+    assert line == NO_COMPILER
     # the compiler is looked for before any input is read or output made
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "empty").exists()
+
+
+@pytest.fixture
+def trained(tmp_path):
+    """`tmp_path` after training `train_config`'s model to `out/model.json`."""
+    assert main(["train", "--config", str(train_config(tmp_path))]) == 0
+    return tmp_path
+
+
+def held_out_argv(tmp_path: Path, command: str) -> list[str]:
+    """`infer` on side 1, or `eval --which <command>` with every input
+    any evaluation needs; either writes `tmp_path / "result.json"`."""
+    data = tmp_path / "data"
+    model, output = str(tmp_path / "out" / "model.json"), str(tmp_path / "result.json")
+    if command == "infer":
+        return ["infer", "--model", model, "--corpus", str(data / "corpus1.jsonl"),
+                "--language", "l1", "--output", output]
+    return [
+        "eval", "--model", model, "--which", command,
+        "--reference", str(data / "reference.jsonl"),
+        "--dictionary", str(data / "dictionary.tsv"),
+        "--test-corpus1", str(data / "corpus1.jsonl"), "--test-corpus2", str(data / "corpus2.jsonl"),
+        "--output", output,
+    ]
+
+
+@pytest.mark.parametrize("command", ["infer", "classify", "classify,lis"])
+def test_held_out_inference_without_a_compiler_exits_2_with_one_line(trained, command):
+    result = run_without_compiler(trained, *held_out_argv(trained, command))
+    assert result.returncode == 2
+    (line,) = result.stderr.splitlines()
+    assert line == NO_COMPILER
+    assert not (trained / "result.json").exists()
+    assert not (trained / "empty").exists()
+
+
+def test_evaluations_without_inference_need_no_compiler(trained):
+    result = run_without_compiler(trained, *held_out_argv(trained, "cnpmi,lis"))
+    assert result.returncode == 0, result.stderr
+    report = json.loads((trained / "result.json").read_text())
+    assert report["cnpmi_mean"] is not None and report["lis_final"] is not None
+    assert not (trained / "empty").exists()
 
 
 def test_relative_cache_home_is_ignored(monkeypatch):

@@ -1,7 +1,7 @@
 """Bitwise parity of the fast paths with their loop references.
 
-The compiled training sweeps (`_sweeps.c`) run on int64 arrays;
-held-out inference runs all documents in lockstep, the one-vs-rest
+The compiled training sweeps and the compiled per-document inference
+kernel (`_sweeps.c`) run on int64 arrays, the one-vs-rest
 classifier fits every label in one stacked call, cross-validation fits
 every fold of one training-set size in one stacked call, LIS features
 come from one gather, and the transfer build joins arrays one block of
@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from multitopic import _native, evaluate, schedule, transfer
+from multitopic import _native, evaluate, models, schedule, transfer
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
 from multitopic.errors import ConfigError, DataError
@@ -654,6 +654,36 @@ def test_lockstep_inference_word_without_mass_falls_to_last_topic():
     got = infer_heldout(model, corpus, seed=3)
     assert same_bits(got, infer_heldout_reference(model, corpus, seed=3))
     assert got[0, 2] >= (3 + 0.1) / (4 + 3 * 0.1)
+
+
+@pytest.mark.parametrize("block", [1, 5, 16])
+def test_lockstep_inference_draws_uniforms_in_blocks_of_iterations(block):
+    # with a block of 5 doubles the 7-token document draws one iteration at
+    # a time and the 2-token one two, the last block short; the doubles
+    # concatenate, so theta does not change
+    rng = np.random.default_rng(block)
+    model = make_model(rng.dirichlet(np.ones(6), size=4), 0.1)
+    docs = [
+        Document(f"d{i}", "l1", rng.integers(0, 6, size=n).tolist())
+        for i, n in enumerate([7, 2, 3, 0, 5, 20])
+    ]
+    corpus = Corpus("l1", model.vocabularies[0], docs)
+    with mock.patch.object(models, "_UNIFORM_BLOCK", block):
+        got = infer_heldout(model, corpus, seed=2, iterations=5)
+    assert same_bits(got, infer_heldout_reference(model, corpus, seed=2, iterations=5))
+
+
+@pytest.mark.parametrize("word, k, message", [
+    (-1, 2, r"word ids must lie in \[0, 6\)"),
+    (6, 2, r"word ids must lie in \[0, 6\)"),
+    (0, 3, r"phi of shape \(2, 6\) does not match k = 3"),
+])
+def test_lockstep_inference_refuses_what_the_kernel_cannot_index(word, k, message):
+    model = make_model(np.full((2, 6), 1 / 6), 0.1)
+    model.hyperparams = Hyperparams(k=k, alpha=0.1)
+    corpus = Corpus("l1", model.vocabularies[0], [Document("d", "l1", [0, word])])
+    with pytest.raises(DataError, match=message):
+        infer_heldout(model, corpus)
 
 
 def test_sigmoid_matches_masked_reference():
