@@ -224,6 +224,17 @@ def _number(value, name: str, kind: type = float):
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
+def _check_output_dir(path: Path, name: str) -> None:
+    """Refuse an output directory that cannot be created: it, or the
+    nearest of its ancestors that exists, is not a writable directory.
+    Creates nothing."""
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{name}: cannot create {path}: {existing} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"{name}: cannot create {path}: {existing} is not writable")
+
+
 def _make_dir(path: Path, name: str) -> None:
     """Create the output directory `path`, which `name` gave."""
     try:
@@ -346,8 +357,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         config["threads"] = args.threads
     plan = _train_plan(config)
     _native.load()  # no compiler: stop before any output or loading
+    # created only once the model is trained, so a failed run leaves none
+    _check_output_dir(plan.output_dir, "paths.output_dir")
 
-    _make_dir(plan.output_dir, "paths.output_dir")
     bicorpus = _load_bilingual(config)
 
     dictionary = None
@@ -380,6 +392,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         anneal=plan.anneal,
         hardlink_formulation=plan.hardlink_formulation,
     )
+    _make_dir(plan.output_dir, "paths.output_dir")
     save_model(model, plan.output_dir / "model.json")
     write_event_log(model.provenance.get("anneal_events", []), plan.output_dir / "anneal_log.jsonl")
     _write_manifest(config, "train", plan.output_dir)

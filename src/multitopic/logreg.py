@@ -17,7 +17,10 @@ whose sums are not.) `LogisticRegression.fit` is the one-problem case.
 `cross_val_fits` fits every fold of a stratified split that way: folds
 with the same number of training rows share one stack, so a split needs
 one call per distinct training-set size (at most a few, because
-`stratified_folds` deals each class round-robin).
+`stratified_folds` deals each class round-robin). `cross_val_accuracies`
+does the same for B feature matrices that share their labels, and so
+their split: all B x folds problems of one training-set size go into one
+stack.
 """
 
 from __future__ import annotations
@@ -149,6 +152,38 @@ class FoldFit(NamedTuple):
     posteriors: np.ndarray
 
 
+def _stacked_fold_fits(
+    xs: np.ndarray, y: np.ndarray, n_folds: int, seed: int
+) -> list[list[FoldFit]]:
+    """Every fold of one stratified split of `y`, fitted on each matrix of
+    the B x m x n stack `xs`: B lists of FoldFit, in fold order.
+
+    The B x folds problems with the same number of training rows are
+    fitted together by one `fit_binary_stack` call."""
+    folds = stratified_folds(y, n_folds, np.random.default_rng(seed))
+    train_rows = [np.delete(np.arange(len(y)), fold) for fold in folds]
+    if any(len(rows) == 0 for rows in train_rows):
+        raise ConfigError(
+            f"{len(y)} rows in {n_folds} folds leave a fold with no training rows"
+        )
+    fits: list[list[FoldFit | None]] = [[None] * len(folds) for _ in xs]
+    for size in dict.fromkeys(len(rows) for rows in train_rows):
+        group = [i for i, rows in enumerate(train_rows) if len(rows) == size]
+        group_rows = np.stack([train_rows[i] for i in group])
+        # problem b * len(group) + g is matrix b on fold group[g]
+        weights, bias = fit_binary_stack(
+            xs[:, group_rows].reshape(-1, size, xs.shape[2]),
+            np.tile(y[group_rows], (len(xs), 1)),
+        )
+        for b, x in enumerate(xs):
+            for g, i in enumerate(group):
+                row = b * len(group) + g
+                held_out = folds[i]
+                posteriors = sigmoid(x[held_out] @ weights[row] + bias[row])
+                fits[b][i] = FoldFit(held_out, weights[row], float(bias[row]), posteriors)
+    return fits
+
+
 def cross_val_fits(
     x: np.ndarray, y: np.ndarray, n_folds: int, seed: int
 ) -> list[FoldFit]:
@@ -159,25 +194,28 @@ def cross_val_fits(
     is bit-identical to `LogisticRegression().fit` on its training rows,
     and its posteriors to `predict_proba` on the held-out rows."""
     x = np.asarray(x, dtype=np.float64)
+    return _stacked_fold_fits(x[None], np.asarray(y, dtype=np.int64), n_folds, seed)[0]
+
+
+def cross_val_accuracies(
+    xs, y: np.ndarray, n_folds: int, seed: int
+) -> list[float]:
+    """`cross_val_accuracy` of each of B feature matrices that share the
+    labels `y`, and so the split: one `fit_binary_stack` call per distinct
+    training-set size fits all B x folds problems, and each accuracy is
+    bit-identical to scoring its matrix alone."""
+    xs = np.asarray(xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    folds = stratified_folds(y, n_folds, np.random.default_rng(seed))
-    train_rows = [np.delete(np.arange(len(y)), fold) for fold in folds]
-    if any(len(rows) == 0 for rows in train_rows):
-        raise ConfigError(
-            f"{len(y)} rows in {n_folds} folds leave a fold with no training rows"
-        )
-    fits: list[FoldFit | None] = [None] * len(folds)
-    for size in dict.fromkeys(len(rows) for rows in train_rows):
-        group = [i for i, rows in enumerate(train_rows) if len(rows) == size]
-        weights, bias = fit_binary_stack(
-            np.stack([x[train_rows[i]] for i in group]),
-            np.stack([y[train_rows[i]] for i in group]),
-        )
-        for row, i in enumerate(group):
-            held_out = folds[i]
-            posteriors = sigmoid(x[held_out] @ weights[row] + bias[row])
-            fits[i] = FoldFit(held_out, weights[row], float(bias[row]), posteriors)
-    return fits
+    accuracies = []
+    for fits in _stacked_fold_fits(xs, y, n_folds, seed):
+        if any(len(fit.held_out) == 0 for fit in fits):
+            raise ConfigError(
+                f"{len(y)} rows in {n_folds} folds leave a fold with no held-out rows"
+            )
+        accuracies.append(float(np.mean(
+            [float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean()) for fit in fits]
+        )))
+    return accuracies
 
 
 def cross_val_accuracy(
@@ -185,13 +223,4 @@ def cross_val_accuracy(
 ) -> float:
     """Mean held-out accuracy of the binary learner over stratified folds;
     every fold must hold out at least one row."""
-    y = np.asarray(y, dtype=np.int64)
-    fits = cross_val_fits(x, y, n_folds, seed)
-    if any(len(fit.held_out) == 0 for fit in fits):
-        raise ConfigError(
-            f"{len(y)} rows in {n_folds} folds leave a fold with no held-out rows"
-        )
-    accuracies = [
-        float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean()) for fit in fits
-    ]
-    return float(np.mean(accuracies))
+    return cross_val_accuracies(np.asarray(x)[None], y, n_folds, seed)[0]

@@ -456,8 +456,13 @@ def train(
         raise ConfigError(f"unknown hardlink formulation {hardlink_formulation!r}")
     if anneal is not None and anneal.schedule != "none" and not uses_soft:
         raise ConfigError("annealing schedules only apply to soft-link models")
-    if anneal is not None and anneal.schedule == "adaptive" and dictionary is None:
-        raise ConfigError("the adaptive schedule needs a dictionary for its LIS scorer")
+    # built before any sampling: it refuses an adaptive schedule without a
+    # dictionary, or with too few concepts for LIS
+    scheduler = AnnealScheduler(
+        anneal,
+        [transfer_to_side1, transfer_to_side2] if uses_soft else [],
+        dictionary=dictionary, hp=hp, seed=hp.seed,
+    )
 
     lib = _native.load()
     rng = np.random.default_rng(hp.seed)
@@ -480,12 +485,6 @@ def train(
         for s in (0, 1):
             pool_of_doc[s][links[:, s]] = np.arange(len(links))
     partner_links = links[:0] if joint else links
-
-    scheduler = AnnealScheduler(
-        anneal,
-        [transfer_to_side1, transfer_to_side2] if uses_soft else [],
-        dictionary=dictionary, hp=hp, seed=hp.seed,
-    )
 
     alpha = hp.alpha
     priors = tuple(np.full((len(side.doc_topic), hp.k), alpha) for side in sides)
@@ -512,6 +511,7 @@ def train(
         if debug_checks:
             _run_debug_checks(sides, tree, links, pool_of_doc, pools)
 
+    scheduler.finish()
     return _assemble_model(model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation)
 
 

@@ -54,6 +54,12 @@ class AnnealConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.lis_every < 1:
             raise ConfigError(f"lis_every must be >= 1, got {self.lis_every}")
+        if self.schedule == "adaptive" and self.lis_every > self.interval:
+            # the first window, (0, interval], would then hold no LIS value
+            raise ConfigError(
+                f"anneal.lis_every ({self.lis_every}) must not exceed anneal.interval "
+                f"({self.interval}) under the adaptive schedule"
+            )
 
 
 class TransferMatrix:

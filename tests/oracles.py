@@ -717,6 +717,34 @@ def concept_features_reference(word_topics, concepts, beta):
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
+def adaptive_schedule_reference(cfg, matrices, tables, dictionary, beta, seed):
+    """The adaptive schedule scoring LIS as each LIS iteration comes, one
+    `compute_lis` call at a time; `tables[i]` holds the word-topic tables
+    at the end of iteration i + 1. Returns the LisHistory and the events."""
+    from multitopic.schedule import LisHistory, compute_lis, should_anneal
+    from multitopic.transfer import anneal_matrix
+
+    history = LisHistory(interval=cfg.interval)
+    events = []
+    for iteration, word_topics in enumerate(tables, start=1):
+        if iteration % cfg.lis_every == 0:
+            history.add(iteration, compute_lis(word_topics, dictionary, beta, seed=seed))
+        if (
+            iteration % cfg.interval == 0
+            and 2 * cfg.interval <= iteration <= cfg.stop_iteration
+            and should_anneal(history, iteration)
+        ):
+            matrices = [anneal_matrix(m, cfg.temperature) for m in matrices]
+            events.append({
+                "iteration": iteration,
+                "mode": "adaptive",
+                "lis": history.values[-1],
+                "rows_annealed": sum(m.nonempty_rows() for m in matrices),
+                "max_weight_mean": float(np.mean([m.mean_row_max() for m in matrices])),
+            })
+    return history, events
+
+
 def build_transfer_rows_reference(target, source, dictionary, numerator="pairs"):
     """Transfer rows scored one target document at a time through dict
     inverted indexes, as `build_transfer_matrix` used to: a list of

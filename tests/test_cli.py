@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from multitopic import evaluate as ev
-from multitopic import _native
+from multitopic import _native, models
 from multitopic.cli import CONFIG_KEYS, _write_manifest, main
 from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
 from multitopic.dictionary import load_dictionary
@@ -348,6 +348,27 @@ def test_exit_code_3_on_data_errors(tmp_path, toy_data):
     config_path = tmp_path / "broken_config.json"
     config_path.write_text(json.dumps(config))
     assert main(["train", "--config", str(config_path)]) == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_dictionary_too_small_for_lis_exits_2_before_training(
+    tmp_path, toy_data, capsys, monkeypatch
+):
+    # 30% of the 12 toy concepts leaves 4, too few for 5-fold LIS
+    config = base_config(
+        toy_data, tmp_path / "out" / "run", model="softlink", dictionary_fraction=0.3,
+        anneal={"schedule": "adaptive", "interval": 2},
+    )
+    config_path = tmp_path / "small_dictionary.json"
+    config_path.write_text(json.dumps(config))
+    monkeypatch.setattr(
+        models, "_plain_sweep", lambda *a: pytest.fail("a sweep ran before the check")
+    )
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "configuration error: need at least 10 concepts for 5-fold LIS, got 4"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta", "beta_root", "beta_internal"])
@@ -506,6 +527,8 @@ def test_bad_value_for_any_key_exits_2_before_any_work(
     ({}, {"language2": None}, "paths.language2 is required"),
     ({}, {"language1": ""}, "paths.language1 is required"),
     ({}, {"stopwords1": "missing.txt"}, "paths.stopwords1: missing.txt does not exist"),
+    ({"model": "softlink", "anneal": {"schedule": "adaptive", "interval": 2, "lis_every": 3}}, {},
+     "anneal.lis_every (3) must not exceed anneal.interval (2)"),
 ])
 def test_rule_of_the_chosen_model_exits_2_before_any_work(
     tmp_path, capsys, unloadable_inputs, overrides, paths, message

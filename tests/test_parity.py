@@ -39,6 +39,7 @@ from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import classify_crosslingual, generate_synthetic
 from multitopic.logreg import (
     LogisticRegression,
+    cross_val_accuracies,
     cross_val_accuracy,
     cross_val_fits,
     fit_binary_stack,
@@ -59,7 +60,7 @@ from multitopic.models import (
     voclink_tree_factor,
     write_json,
 )
-from multitopic.schedule import concept_features
+from multitopic.schedule import AnnealScheduler, compute_lis, concept_features, lis_scores
 from multitopic.tree import DirichletTree
 from multitopic.transfer import (
     AnnealConfig,
@@ -70,6 +71,7 @@ from multitopic.transfer import (
 
 from oracles import (
     _tune_threshold_reference,
+    adaptive_schedule_reference,
     build_transfer_rows_reference,
     classify_crosslingual_reference,
     concept_features_reference,
@@ -918,13 +920,117 @@ def test_adaptive_training_matches_per_fold_lis(monkeypatch):
         return model, json.dumps(model_to_json(model), sort_keys=True)
 
     stacked, stacked_json = run()
-    monkeypatch.setattr(schedule, "cross_val_accuracy", cross_val_accuracy_reference)
+    scored = []
+
+    def one_fit_per_snapshot(xs, y, n_folds, seed):
+        scored.extend(xs)
+        return [cross_val_accuracy_reference(x, y, n_folds, seed) for x in xs]
+
+    monkeypatch.setattr(schedule, "cross_val_accuracies", one_fit_per_snapshot)
     looped, looped_json = run()
+    assert len(scored) == 16
     assert len(stacked.provenance["lis_history"]) == 16
     assert stacked.provenance["anneal_events"]
     assert stacked.provenance["lis_history"] == looped.provenance["lis_history"]
     assert stacked.provenance["anneal_events"] == looped.provenance["anneal_events"]
     assert stacked_json == looped_json
+
+
+@st.composite
+def shared_label_problems(draw):
+    """1-20 feature matrices of 2-50 columns over one set of labels, the
+    rows not a multiple of the fold count."""
+    n_folds = draw(st.integers(2, 10))
+    rows = draw(st.integers(10, 120).filter(lambda r: r % n_folds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = rng.normal(scale=3.0, size=(draw(st.integers(1, 20)), rows, draw(st.integers(2, 50))))
+    y = rng.permutation(np.arange(rows) < draw(st.integers(1, rows - 1))).astype(np.int64)
+    return xs, y, n_folds, draw(st.integers(0, 1000))
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
+@settings(SETTINGS, max_examples=5)
+@given(shared_label_problems())
+def test_stacked_matrices_match_one_cross_validation_each(case):
+    xs, y, n_folds, seed = case
+    # the last matrix, the farthest into the stack, through the per-fold loop
+    want_last = cross_val_accuracy_reference(xs[-1], y, n_folds, seed)
+    if np.isnan(want_last):
+        with pytest.raises(ConfigError, match="no held-out rows"):
+            cross_val_accuracies(xs, y, n_folds, seed)
+        return
+    got = cross_val_accuracies(xs, y, n_folds, seed)
+    assert len(got) == len(xs) and same_bits(got[-1], want_last)
+    for got_accuracy, x in zip(got, xs):
+        assert type(got_accuracy) is float
+        assert same_bits(got_accuracy, cross_val_accuracy(x, y, n_folds, seed))
+
+
+@st.composite
+def lis_snapshots(draw):
+    """1-20 word-topic snapshots, K 2-50, of a dictionary of 10-60
+    concepts (mostly not a multiple of the five folds)."""
+    k = draw(st.integers(2, 50))
+    n_concepts = draw(st.integers(10, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v1, v2 = n_concepts + 3, n_concepts + 5
+    pairs = list(zip(
+        rng.permutation(v1)[:n_concepts].tolist(), rng.permutation(v2)[:n_concepts].tolist()
+    ))
+    snapshots = [
+        (rng.integers(0, 30, size=(v1, k)), rng.integers(0, 30, size=(v2, k)))
+        for _ in range(draw(st.integers(1, 20)))
+    ]
+    beta = draw(st.sampled_from([0.01, 0.5]))
+    return snapshots, BilingualDictionary("l1", "l2", pairs), beta, draw(st.integers(0, 1000))
+
+
+@settings(SETTINGS, max_examples=10)
+@given(lis_snapshots())
+def test_lis_scores_match_one_compute_lis_per_snapshot(case):
+    snapshots, dictionary, beta, seed = case
+    features = [concept_features(tables, dictionary, beta) for tables in snapshots]
+    got = lis_scores([x for x, _ in features], features[0][1], seed=seed)
+    want = [compute_lis(tables, dictionary, beta, seed=seed) for tables in snapshots]
+    assert len(got) == len(snapshots)
+    for got_lis, want_lis in zip(got, want):
+        assert type(got_lis) is float and same_bits(got_lis, want_lis)
+    # the first snapshot through the per-fold loop as well
+    x, y = features[0]
+    order = np.random.default_rng(seed).permutation(len(y))
+    assert same_bits(got[0], cross_val_accuracy_reference(x[order], y[order], 5, seed))
+
+
+@pytest.mark.parametrize("lis_every", [1, 2])
+def test_scheduler_scores_in_stacks_as_if_one_at_a_time(monkeypatch, lis_every):
+    # 23 concepts x 2 rows x K=3, in the 4 training sets of 5 folds: a cap
+    # of three snapshots makes the stack flush between decisions, and
+    # iterations 17-24 are a tail after stop_iteration
+    k, n_concepts, iterations = 3, 23, 24
+    monkeypatch.setattr(schedule, "LIS_STACK_DOUBLES", 3 * 4 * 2 * n_concepts * k)
+    rng = np.random.default_rng(0)
+    dictionary = BilingualDictionary("l1", "l2", [(i, i) for i in range(n_concepts)])
+    tables = [
+        tuple(rng.integers(0, 20, size=(n_concepts, k)) for _ in range(2))
+        for _ in range(iterations)
+    ]
+    cfg = AnnealConfig(schedule="adaptive", interval=4, stop_iteration=16, lis_every=lis_every)
+    matrices = [
+        transfer.TransferMatrix("l1", "l2", [(np.array([0, 1]), np.array([0.6, 0.4]))] * 3)
+    ]
+    hp = Hyperparams(k=k, beta=0.05, train_iterations=iterations)
+    monkeypatch.setattr(schedule, "lis_scores", mock.Mock(wraps=schedule.lis_scores))
+    scheduler = AnnealScheduler(cfg, matrices, dictionary=dictionary, hp=hp, seed=7)
+    for iteration, word_topics in enumerate(tables, start=1):
+        scheduler.after_iteration(iteration, lambda: word_topics)
+    scheduler.finish()
+    batches = [len(call.args[0]) for call in schedule.lis_scores.call_args_list]
+    history, events = adaptive_schedule_reference(cfg, matrices, tables, dictionary, 0.05, 7)
+    assert scheduler.history.iterations == history.iterations
+    assert same_bits(scheduler.lis_values, history.values)
+    assert scheduler.events == events
+    assert 0 < len(events) < 3  # decisions at 8, 12 and 16 go both ways
+    assert sum(batches) == iterations // lis_every and max(batches) == 3 and len(batches) > 3
 
 
 @st.composite

@@ -186,12 +186,15 @@ class TestScheduler:
         if lis_sequence is not None:
             values = iter(lis_sequence)
             monkeypatch.setattr(
-                "multitopic.schedule.compute_lis",
-                lambda *a, **kw: next(values),
+                "multitopic.schedule.lis_scores",
+                lambda features, *a, **kw: [next(values) for _ in features],
             )
         scheduler = AnnealScheduler(cfg, [matrix], dictionary=dictionary, hp=hp)
         for it in range(1, iterations + 1):
             scheduler.after_iteration(it, lambda: (np.zeros((20, 2)), np.zeros((20, 2))))
+        scheduler.finish()
+        if lis_sequence is not None:
+            assert next(values, None) is None, "the scheduler did not score every snapshot"
         return scheduler
 
     def test_fixed_schedule_event_accounting(self):
