@@ -112,15 +112,12 @@ def _declare(lib) -> None:
     lib.sweep_plain.argtypes = [
         n, n, ints, ints, ints, ints, floats, ints, ints, x, x, floats, floats,
     ]
-    lib.sweep_pooled.argtypes = [
-        n, n, ints, ints, ints, ints, ints, ints, x, ints, ints, x, x, floats, floats,
-    ]
     lib.sweep_tree.argtypes = [
         n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints, ints,
         ints, ints, ints, ints, x, x, x, x, floats, floats,
     ]
     lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]
-    for kernel in (lib.sweep_plain, lib.sweep_pooled, lib.sweep_tree, lib.infer_doc):
+    for kernel in (lib.sweep_plain, lib.sweep_tree, lib.infer_doc):
         kernel.restype = None
 
 

@@ -1,14 +1,15 @@
 /* Compiled collapsed Gibbs steps for `multitopic.models`.
  *
- * Each training kernel runs one sweep over one language's tokens, in
- * corpus order, on contiguous int64 count tables that it updates in
- * place: the token's counts are removed, every (leaf,) topic is scored,
- * the token takes the first entry of the running score sums that exceeds
- * u * (sum of all scores), clamped to the last entry, and its counts are
- * added back. Document d's tokens are tokens[doc_start[d] ..
- * doc_start[d + 1]), z holds their topics and u one uniform draw per
- * token. infer_doc takes the same step on one held-out document, with
- * the topic-word table frozen.
+ * Two training kernels, sweep_plain (LDA, soft links and both hard-link
+ * formulations) and sweep_tree (vocabulary links), each run one sweep
+ * over one language's tokens, in corpus order, on contiguous int64 count
+ * tables that they update in place: the token's counts are removed, every
+ * (leaf,) topic is scored, the token takes the first entry of the running
+ * score sums that exceeds u * (sum of all scores), clamped to the last
+ * entry, and its counts are added back. Document d's tokens are
+ * tokens[doc_start[d] .. doc_start[d + 1]), z holds their topics and u
+ * one uniform draw per token. infer_doc takes the same step on one
+ * held-out document, with the topic-word table frozen.
  *
  * These are the only sampling steps. Each score is the expression of the
  * scalar reference loops in tests/oracles.py, evaluated in the same order,
@@ -28,10 +29,12 @@ static int64_t pick(const double *cdf, int64_t n, double x)
     return i;
 }
 
-/* LDA, soft links and conditional hard links: document d's topic prior is
- * the float row priors[d] (alpha, or alpha plus transfer pseudo-counts);
- * under conditional hard links the caller has added the partner's counts
- * to ndk. Score: ((nd + pr) * (nw + beta)) / (nk + vbeta). */
+/* LDA, soft links and hard links: document d's topic prior is the float
+ * row priors[d] (alpha, or alpha plus transfer pseudo-counts). Under hard
+ * links, in either formulation, the caller has added the partner's counts
+ * to ndk: a linked pair sharing one theta (joint) samples exactly as a
+ * document whose prior carries its partner's counts (conditional).
+ * Score: ((nd + pr) * (nw + beta)) / (nk + vbeta). */
 void sweep_plain(
     int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
     const int64_t *tokens, int64_t *z, int64_t *ndk, const double *priors,
@@ -60,47 +63,6 @@ void sweep_plain(
             nd[k]++;
             nw[k]++;
             nk[k]++;
-        }
-    }
-}
-
-/* Joint hard links: a linked document (pool_of_doc[d] >= 0) scores its
- * topics with the pooled row it shares with its partner; its own row is
- * kept for bookkeeping. Score: ((row + alpha) * (nw + beta)) / (nk + vbeta). */
-void sweep_pooled(
-    int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
-    const int64_t *tokens, int64_t *z, int64_t *ndk,
-    const int64_t *pool_of_doc, int64_t *pools, double alpha,
-    int64_t *nwk, int64_t *nk, double beta, double vbeta,
-    const double *u, double *cdf)
-{
-    const int64_t K = n_topics;
-    for (int64_t d = 0; d < n_docs; d++) {
-        int64_t *nd = ndk + d * K;
-        int64_t *pool = pool_of_doc[d] >= 0 ? pools + pool_of_doc[d] * K : 0;
-        const int64_t *row = pool ? pool : nd;
-        for (int64_t i = doc_start[d]; i < doc_start[d + 1]; i++) {
-            int64_t *nw = nwk + tokens[i] * K;
-            int64_t k = z[i];
-            nd[k]--;
-            nw[k]--;
-            nk[k]--;
-            if (pool)
-                pool[k]--;
-            double acc = 0.0;
-            for (int64_t t = 0; t < K; t++) {
-                double score = (((double)row[t] + alpha) * ((double)nw[t] + beta))
-                               / ((double)nk[t] + vbeta);
-                acc = t ? acc + score : score;
-                cdf[t] = acc;
-            }
-            k = pick(cdf, K, u[i] * acc);
-            z[i] = k;
-            nd[k]++;
-            nw[k]++;
-            nk[k]++;
-            if (pool)
-                pool[k]++;
         }
     }
 }

@@ -1,6 +1,7 @@
 """Collapsed Gibbs samplers for the model family: per-language LDA,
-hard document links (joint and conditional formulations), soft links via
-transfer distributions, vocabulary links via a Dirichlet tree, and the
+hard document links (joint and conditional formulations, which sample
+identically and so share one sweep), soft links via transfer
+distributions, vocabulary links via a Dirichlet tree, and the
 soft+vocabulary combination.
 
 All randomness flows through NumPy's PCG64 generator seeded from the run
@@ -219,7 +220,7 @@ def softlink_prior(
     k = source_doc_topic.shape[1]
     if len(idx) == 0:
         return np.zeros(k, dtype=np.float64)
-    if idx.max() >= source_doc_topic.shape[0]:
+    if idx.min() < 0 or idx.max() >= source_doc_topic.shape[0]:
         raise DataError("transfer row refers to a missing source document")
     return weights @ source_doc_topic[idx].astype(np.float64)
 
@@ -356,19 +357,6 @@ def _plain_sweep(lib, side: SideState, priors: np.ndarray, beta: float, rng) -> 
     )
 
 
-def _pooled_sweep(
-    lib, side: SideState, pool_of_doc: np.ndarray, pools: np.ndarray, hp: Hyperparams, rng
-) -> None:
-    """The `sweep_pooled` kernel over one side: document d draws from row
-    `pools[pool_of_doc[d]]`, or from its own row where that is -1."""
-    k = side.n_topics
-    lib.sweep_pooled(
-        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
-        pool_of_doc, pools, hp.alpha, side.word_topic, side.topic_total,
-        hp.beta, side.vocab_size * hp.beta, rng.random(len(side.tokens)), np.empty(k),
-    )
-
-
 def _tree_sweep(
     lib, side: SideState, paths: np.ndarray, priors: np.ndarray,
     tree: DirichletTree, s: int, hp: Hyperparams, rng,
@@ -398,8 +386,30 @@ def _validate_matrix(matrix: TransferMatrix, target: Corpus, source: Corpus) -> 
         raise ConfigError("transfer matrix row count does not match target corpus")
     n_source = len(source.documents)
     for idx, _ in matrix.rows:
-        if len(idx) and idx.max() >= n_source:
+        if len(idx) and (idx.min() < 0 or idx.max() >= n_source):
             raise ConfigError("transfer matrix refers to a missing source document")
+
+
+def _hard_links(corpus: BilingualCorpus) -> np.ndarray:
+    """The corpus's hard links as an n x 2 int64 array. A link to a missing
+    document, or a document in more than one link, is a `DataError`: the
+    sweeps index the count tables with them unchecked, and only one-to-one
+    links make the joint and conditional formulations the same sampler."""
+    links = np.array(corpus.hard_links, dtype=np.int64).reshape(-1, 2)
+    for s, side in enumerate((corpus.side1, corpus.side2)):
+        docs, n = links[:, s], len(side.documents)
+        bad = np.flatnonzero((docs < 0) | (docs >= n))
+        if len(bad):
+            i1, i2 = links[bad[0]].tolist()
+            raise DataError(
+                f"hard link ({i1}, {i2}) names a side {s + 1} document outside [0, {n})"
+            )
+        values, counts = np.unique(docs, return_counts=True)
+        if (counts > 1).any():
+            raise DataError(
+                f"side {s + 1} document {values[counts > 1][0]} has more than one hard link"
+            )
+    return links
 
 
 def train(
@@ -423,6 +433,14 @@ def train(
     snapshotted at the sweep start. Annealing, when scheduled, fires at
     iteration end; the scheduler keeps the annealed matrices, and the
     caller's transfer matrices are left unchanged.
+
+    Hard links must be one-to-one and name documents of both sides. A
+    linked pair that shares one theta (the joint formulation) samples
+    exactly as a document whose prior carries its partner's topic counts
+    (the conditional one), so `hardlink_formulation` selects no code: it
+    is recorded in the provenance, and both formulations run the plain
+    sweep with each document's partner counts added to its own row while
+    its side is swept.
     """
     from .schedule import AnnealScheduler  # local import to avoid a cycle
 
@@ -431,6 +449,7 @@ def train(
     for s, side in enumerate((corpus.side1, corpus.side2), start=1):
         if not side.documents:
             raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
+    links = _hard_links(corpus) if model_kind == "hardlink" else np.zeros((0, 2), np.int64)
     uses_soft = model_kind in SOFT_KINDS
     uses_tree = model_kind in TREE_KINDS
 
@@ -470,22 +489,6 @@ def train(
         _init_side(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))
     ))
 
-    # hard links, one (side-1 document, side-2 document) row per pair:
-    # under the conditional formulation each side's rows carry their
-    # partners' counts while that side is swept; under the joint one each
-    # pair shares one row of `pools`, and pool_of_doc[s][d] names document
-    # d's row (-1 for an unlinked document)
-    joint = model_kind == "hardlink" and hardlink_formulation == "joint"
-    links = np.array(corpus.hard_links if model_kind == "hardlink" else [], dtype=np.int64)
-    links = links.reshape(-1, 2)
-    pool_of_doc = tuple(np.full(len(side.doc_topic), -1, dtype=np.int64) for side in sides)
-    pools = np.zeros((0, hp.k), dtype=np.int64)
-    if joint:
-        pools = sides[0].doc_topic[links[:, 0]] + sides[1].doc_topic[links[:, 1]]
-        for s in (0, 1):
-            pool_of_doc[s][links[:, s]] = np.arange(len(links))
-    partner_links = links[:0] if joint else links
-
     alpha = hp.alpha
     priors = tuple(np.full((len(side.doc_topic), hp.k), alpha) for side in sides)
     for iteration in range(1, hp.train_iterations + 1):
@@ -498,41 +501,32 @@ def train(
             side = sides[s]
             if uses_tree:
                 _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
-            elif joint:
-                _pooled_sweep(lib, side, pool_of_doc[s], pools, hp, rng)
             else:
-                # the partner rows belong to the other side, so they hold
-                # still while this side is swept
-                own, partner = partner_links[:, s], partner_links[:, 1 - s]
+                # hard links (none for LDA and soft links), one (side-1
+                # document, side-2 document) row per pair: each side's rows
+                # carry their partners' counts while that side is swept; the
+                # partner rows belong to the other side, so they hold still
+                own, partner = links[:, s], links[:, 1 - s]
                 side.doc_topic[own] += sides[1 - s].doc_topic[partner]
                 _plain_sweep(lib, side, priors[s], hp.beta, rng)
                 side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
         scheduler.after_iteration(iteration, lambda: tuple(side.word_topic for side in sides))
         if debug_checks:
-            _run_debug_checks(sides, tree, links, pool_of_doc, pools)
+            _run_debug_checks(sides, tree)
 
     scheduler.finish()
-    return _assemble_model(model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation)
+    return _assemble_model(
+        model_kind, corpus, hp, sides, tree, scheduler, links, hardlink_formulation
+    )
 
 
-def _run_debug_checks(sides, tree, links, pool_of_doc, pools) -> None:
+def _run_debug_checks(sides, tree) -> None:
     for s, side in enumerate(sides, start=1):
         tallied = _tally(side.tokens, side.z, side.doc_start, side.n_topics, side.vocab_size)
         if not all(map(np.array_equal, tallied, (side.doc_topic, side.word_topic, side.topic_total))):
             raise DataError(f"side {s} count tables out of sync with its assignments")
     if tree is not None:
         tree.check_consistency(tuple(side.word_topic for side in sides))
-    # joint hard links: each pooled row must stay the sum of its two
-    # linked rows
-    pooled = links[pool_of_doc[0][links[:, 0]] >= 0]
-    sums = sides[0].doc_topic[pooled[:, 0]] + sides[1].doc_topic[pooled[:, 1]]
-    bad = np.flatnonzero((pools[pool_of_doc[0][pooled[:, 0]]] != sums).any(axis=1))
-    if len(bad):
-        i1, i2 = pooled[bad[0]].tolist()
-        raise DataError(
-            f"pooled hard-link counts of documents {i1} and {i2} are not "
-            "the sum of their topic counts"
-        )
 
 
 def _phi_plain(state: SideState, hp: Hyperparams) -> np.ndarray:
@@ -563,7 +557,7 @@ def _phi_tree(state: SideState, tree: DirichletTree, side: int, hp: Hyperparams)
 
 
 def _assemble_model(
-    model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation
+    model_kind, corpus, hp, sides, tree, scheduler, links, hardlink_formulation
 ) -> TopicModel:
     uses_soft = model_kind in SOFT_KINDS
     alpha = hp.alpha
@@ -573,7 +567,6 @@ def _assemble_model(
         for s in (0, 1)
     )
 
-    links = np.array(corpus.hard_links, dtype=np.int64).reshape(-1, 2)
     thetas = []
     for s in (0, 1):
         side = sides[s]
@@ -583,9 +576,8 @@ def _assemble_model(
             pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic)
         else:
             pseudo = np.zeros_like(ndk)
-        if model_kind == "hardlink":
-            # the linked partner's topic counts
-            pseudo[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]]
+        # hard links (none for other kinds): the linked partner's topic counts
+        pseudo[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]]
         numer = ndk + pseudo + alpha
         denom = lengths + pseudo.sum(axis=1) + hp.k * alpha
         thetas.append(numer / denom[:, None])

@@ -404,7 +404,10 @@ def sweep_pooled_reference(
     tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng, trace=None
 ):
     """Joint-formulation hard links: each linked pair shares one pooled
-    topic-count row (pools[d]); per-document rows are kept for bookkeeping."""
+    topic-count row (pools[d]); per-document rows are kept for bookkeeping.
+    Training runs no kernel of this form: it adds the partner's counts to
+    the document's own row and runs the plain sweep, which samples the
+    same topics."""
     for d, toks in enumerate(tokens):
         if not toks:
             continue

@@ -127,6 +127,13 @@ class TestSoftlinkPrior:
         with pytest.raises(DataError):
             softlink_prior(row, counts)
 
+    def test_negative_index_rejected(self):
+        # numpy would read -1 as the last source document
+        counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
+        row = (np.array([-1]), np.array([1.0]))
+        with pytest.raises(DataError, match="missing source document"):
+            softlink_prior(row, counts)
+
 
 class TestSoftlinkConditional:
     def test_zero_pseudo_equals_lda(self):
@@ -315,6 +322,39 @@ class TestTrain:
                     assert np.array_equal(m_cond.phi[s], m_joint.phi[s])
                     assert np.array_equal(m_cond.theta[s], m_joint.theta[s])
 
+    @pytest.mark.parametrize("formulation", ["conditional", "joint"])
+    def test_linked_rows_carry_the_partner_counts_while_their_side_is_swept(
+        self, monkeypatch, formulation
+    ):
+        corpus = build_bilingual(np.random.default_rng(25), links={0: 1, 2: 0, 4: 3})
+        links = np.array(corpus.hard_links)
+        init, sweep = models._init_side, models._plain_sweep
+        sides, swept = [], []
+
+        def recording_init(*args):
+            state, paths = init(*args)
+            sides.append(state)
+            return state, paths
+
+        def checking_sweep(lib, side, *args):
+            s = sides.index(side)
+            swept.append(s)
+            own, partner = (
+                models._tally(x.tokens, x.z, x.doc_start, x.n_topics, x.vocab_size)[0]
+                for x in (side, sides[1 - s])
+            )
+            own[links[:, s]] += partner[links[:, 1 - s]]
+            assert np.array_equal(side.doc_topic, own)
+            sweep(lib, side, *args)
+
+        monkeypatch.setattr(models, "_init_side", recording_init)
+        monkeypatch.setattr(models, "_plain_sweep", checking_sweep)
+        train(
+            "hardlink", corpus, Hyperparams(k=3, train_iterations=3, seed=2),
+            hardlink_formulation=formulation, debug_checks=True,
+        )
+        assert swept == [0, 1] * 3
+
     def test_annealing_leaves_the_callers_transfer_matrices_unchanged(self):
         rng = np.random.default_rng(18)
         corpus = build_bilingual(rng)
@@ -356,23 +396,6 @@ class TestTrain:
         train("voclink", corpus, hp, dictionary=dictionary, debug_checks=True)
         train("softlink_voclink", corpus, hp, transfer_to_side1=t1,
               transfer_to_side2=t2, dictionary=dictionary, debug_checks=True)
-
-    def test_debug_checks_catch_a_pooled_row_out_of_sync(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        corpus = build_bilingual(rng, links={0: 0, 1: 2})
-        sweep = models._pooled_sweep
-
-        def corrupting_sweep(lib, side, pool_of_doc, pools, *args):
-            sweep(lib, side, pool_of_doc, pools, *args)
-            # extra counts leave every count non-negative
-            pools[0, 0] += 7
-
-        monkeypatch.setattr(models, "_pooled_sweep", corrupting_sweep)
-        with pytest.raises(DataError, match="pooled hard-link counts"):
-            train(
-                "hardlink", corpus, Hyperparams(k=3, train_iterations=1, seed=1),
-                hardlink_formulation="joint", debug_checks=True,
-            )
 
     @pytest.mark.parametrize("table", ["doc_topic", "word_topic", "topic_total"])
     def test_debug_checks_catch_a_side_table_out_of_sync(self, monkeypatch, table):
@@ -486,6 +509,40 @@ class TestTrain:
         )
         with pytest.raises(DataError, match=f"side {empty_side} .* has no documents"):
             train("lda", corpus, Hyperparams(k=2, train_iterations=1))
+
+    @pytest.mark.parametrize("formulation", ["conditional", "joint"])
+    @pytest.mark.parametrize("links, message", [
+        ([(-1, 0)], r"hard link \(-1, 0\) names a side 1 document outside \[0, 6\)"),
+        ([(0, 6)], r"hard link \(0, 6\) names a side 2 document outside \[0, 6\)"),
+        ([(0, 0), (0, 1)], "side 1 document 0 has more than one hard link"),
+        ([(0, 3), (2, 3)], "side 2 document 3 has more than one hard link"),
+    ])
+    def test_hard_links_out_of_range_or_shared_are_data_errors(
+        self, monkeypatch, links, message, formulation
+    ):
+        # a library caller can build the links directly; a negative index
+        # would silently link the last document, and a shared document
+        # would make the two formulations sample differently
+        corpus = build_bilingual(np.random.default_rng(23), d1=6, d2=6)
+        corpus.hard_links = links
+        monkeypatch.setattr(
+            models._native, "load", lambda: pytest.fail("loaded before the check")
+        )
+        with pytest.raises(DataError, match=message):
+            train(
+                "hardlink", corpus, Hyperparams(k=2, train_iterations=1),
+                hardlink_formulation=formulation,
+            )
+
+    def test_transfer_row_with_a_negative_index_is_a_config_error(self):
+        corpus = build_bilingual(np.random.default_rng(24))
+        m1, m2 = empty_matrices(corpus)
+        m1.rows[0] = (np.array([-1]), np.array([1.0]))
+        with pytest.raises(ConfigError, match="missing source document"):
+            train(
+                "softlink", corpus, Hyperparams(k=2, train_iterations=1),
+                transfer_to_side1=m1, transfer_to_side2=m2,
+            )
 
 
 class TestModelSerialization:

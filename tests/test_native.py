@@ -3,9 +3,11 @@ them, and the one-line error that `train`, `infer` and `eval --which
 classify` exit with when they cannot be built or loaded."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,6 +182,26 @@ def test_evaluations_without_inference_need_no_compiler(trained):
     report = json.loads((trained / "result.json").read_text())
     assert report["cnpmi_mean"] is not None and report["lis_final"] is not None
     assert not (trained / "empty").exists()
+
+
+def test_every_kernel_in_the_source_is_declared_and_no_other():
+    # a declaration without its kernel would surface as a cached library
+    # that cannot be loaded, which no rebuild mends
+    defined = set(re.findall(r"^void (\w+)\(", _native.SOURCE.read_text(), re.MULTILINE))
+
+    class Library:
+        def __init__(self):
+            self.kernels = {}
+
+        def __getattr__(self, name):
+            return self.kernels.setdefault(name, SimpleNamespace())
+
+    lib = Library()
+    _native._declare(lib)
+    assert set(lib.kernels) - defined == set(), "declared, but not defined in _sweeps.c"
+    assert defined - set(lib.kernels) == set(), "defined in _sweeps.c, but not declared"
+    for name, kernel in lib.kernels.items():
+        assert getattr(kernel, "argtypes", None) and kernel.restype is None, name
 
 
 def test_relative_cache_home_is_ignored(monkeypatch):

@@ -222,10 +222,13 @@ def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
 @SETTINGS
 @given(sweep_states())
 def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
+    """Joint hard links run the plain kernel: a pooled document's own row
+    plus the pool's extra counts, alpha priors, and the extra counts taken
+    off again after the sweep."""
     k, ndk, rng, alpha, beta = state["k"], state["ndk"], state["rng"], state["alpha"], state["beta"]
+    extras = {d: rng.integers(0, 5, size=k) for d in range(1, len(ndk), 2)}
     pools = [
-        [own + extra for own, extra in zip(nd, rng.integers(0, 5, size=k).tolist())]
-        if d % 2 else None
+        [own + extra for own, extra in zip(nd, extras[d].tolist())] if d in extras else None
         for d, nd in enumerate(ndk)
     ]
     vbeta = len(state["nwk"]) * beta
@@ -235,17 +238,19 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
         tokens, doc_start = flat(state["tokens"])
         z, _ = flat(state["z"])
         nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
-        pool_rows = table([pool for pool in pools if pool is not None], k)
-        pool_of_doc = np.cumsum([pool is not None for pool in pools]) - 1
-        pool_of_doc[[pool is None for pool in pools]] = -1
+        pooled = np.array(sorted(extras), dtype=np.int64)
+        extra = table([extras[d] for d in pooled], k)
+        priors = np.full((len(nd), k), alpha)
         for _ in range(state["sweeps"]):
-            lib.sweep_pooled(
-                len(nd), k, doc_start, tokens, z, nd, pool_of_doc, pool_rows, alpha,
+            nd[pooled] += extra
+            lib.sweep_plain(
+                len(nd), k, doc_start, tokens, z, nd, priors,
                 nw, nk, beta, vbeta, rng.random(len(tokens)), cdf,
             )
+            nd[pooled] -= extra
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(),
-            [pool_rows[p].tolist() if p >= 0 else None for p in pool_of_doc],
+            [(nd[d] + extras[d]).tolist() if d in extras else None for d in range(len(nd))],
             alpha, nw.tolist(), nk.tolist(), beta, vbeta, k,
         )
 
