@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import _native
 from . import corpus as corpus_io
 from . import evaluate as ev
@@ -480,12 +478,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not model.counts:
             raise DataError("model file does not carry count tables needed for LIS")
         dictionary = load_dictionary(args.dictionary, *model.vocabularies)
-        tables = (
-            np.array(model.counts["word_topic"][0], dtype=np.int64),
-            np.array(model.counts["word_topic"][1], dtype=np.int64),
-        )
         report.lis_final = compute_lis(
-            tables, dictionary, model.hyperparams.beta, seed=args.seed
+            model.counts["word_topic"], dictionary, model.hyperparams.beta, seed=args.seed
         )
     # saved first, so the report is written even when stdout is gone
     if args.output:
@@ -502,9 +496,7 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
     c2 = corpus_io.load_corpus(args.corpus2, args.language2, options)
     dictionary = load_dictionary(args.dictionary, c1.vocabulary, c2.vocabulary)
     target, source = (c2, c1) if args.target_side == 2 else (c1, c2)
-    matrix = build_transfer_matrix(target, source, dictionary, args.numerator)
-    if focus.threshold > 0.0:
-        matrix = static_focus(matrix, focus)
+    matrix = static_focus(build_transfer_matrix(target, source, dictionary, args.numerator), focus)
     write_matrix_tsv(matrix, target, source, args.output)
     print(f"transfer matrix written to {args.output}")
     return 0
@@ -549,13 +541,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         data.corpus.side2.vocabulary,
         output_dir / "reference.jsonl",
     )
-    truth = {
-        "phi": [p.tolist() for p in data.phi],
-        "theta": [t.tolist() for t in data.theta],
-    }
-    with open(output_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json({"phi": list(data.phi), "theta": list(data.theta)}, output_dir / "truth.json")
     print(f"synthetic data written to {output_dir}")
     return 0
 

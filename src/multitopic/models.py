@@ -27,11 +27,13 @@ against the scalar loops in `tests/oracles.py`.
 
 `save_model` writes the same bytes as one `json.dumps` call, but encodes
 one innermost row at a time so the text of the whole model is never held
-in memory. The phi and theta tables go to the writer as arrays: each
-distinct value in a table is formatted once (phi and theta repeat a few
-values, such as a topic's (n_kw + beta) / (n_k + V beta) for a handful of
-counts), and each row is joined from those strings, still one row at a
-time.
+in memory. Every numeric table goes through one table writer as an
+array: phi and theta as float64, the count tables as the int64 arrays
+the sweep updated, which `TopicModel.counts` holds and `load_model`
+rebuilds. Each distinct value in a table is formatted once (phi and
+theta repeat a few values, such as a topic's (n_kw + beta) / (n_k + V
+beta) for a handful of counts, and counts repeat small integers), and
+each row is joined from those strings, still one row at a time.
 """
 
 from __future__ import annotations
@@ -594,8 +596,8 @@ def _assemble_model(
         provenance["hardlink_formulation"] = hardlink_formulation
 
     counts = {
-        "doc_topic": [side.doc_topic.tolist() for side in sides],
-        "word_topic": [side.word_topic.tolist() for side in sides],
+        "doc_topic": [side.doc_topic for side in sides],
+        "word_topic": [side.word_topic for side in sides],
     }
     doc_labels = tuple(
         [sorted(d.labels) if d.labels else None for d in side.documents]
@@ -688,7 +690,8 @@ def infer_heldout(
 
 
 def _model_parts(model: TopicModel, include_counts: bool) -> dict:
-    """The model container, with phi and theta as float64 arrays."""
+    """The model container, with phi and theta as float64 arrays and the
+    count tables as int64 arrays."""
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "model_kind": model.model_kind,
@@ -709,38 +712,47 @@ def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
     payload = _model_parts(model, include_counts)
     for key in ("phi", "theta"):
         payload[key] = [table.tolist() for table in payload[key]]
+    if payload["counts"] is not None:
+        payload["counts"] = {
+            key: [table.tolist() for table in tables]
+            for key, tables in payload["counts"].items()
+        }
     return payload
 
 
 def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np.ndarray:
-    """A finite, non-negative float table of exactly `shape`; with `counts`,
-    a table of integers instead."""
+    """A finite, non-negative float64 table of exactly `shape`; with
+    `counts`, an int64 table instead."""
     try:
         table = np.array(value, dtype=None if counts else np.float64)
     except (TypeError, ValueError, OverflowError):
         raise DataError(f"model {name} is not a numeric table") from None
     if table.size == 0 and 0 in shape:
-        return table.reshape(shape)
+        return np.zeros(shape, np.int64 if counts else np.float64)
     if table.shape != shape:
         raise DataError(f"model {name} has shape {table.shape}, expected {shape}")
-    if counts and table.dtype.kind not in "iu":
+    if counts and table.dtype != np.int64:
         raise DataError(f"model {name} must hold integer counts")
     if not np.isfinite(table).all() or (table < 0).any():
         raise DataError(f"model {name} must be finite and non-negative")
     return table
 
 
-def _validate_counts(counts, doc_ids: tuple, vocabs: tuple, k: int) -> None:
-    """The optional count tables: per-language `doc_topic` (D x K) and
-    `word_topic` (V x K) pairs of non-negative integers."""
+def _validate_counts(counts, doc_ids: tuple, vocabs: tuple, k: int) -> dict:
+    """The optional count tables as int64 arrays: per-language `doc_topic`
+    (D x K) and `word_topic` (V x K) pairs of non-negative integers."""
     if not isinstance(counts, dict):
         raise DataError("model 'counts' must be an object or null")
+    tables = {}
     for key in ("doc_topic", "word_topic"):
         if key not in counts:
             raise DataError(f"model counts are missing {key!r}")
-        for side, table in enumerate(_pair(counts, key)):
-            rows = len(doc_ids[side]) if key == "doc_topic" else vocabs[side].size
-            _table(table, (rows, k), f"counts[{key!r}][{side}]", counts=True)
+        rows = [len(ids) for ids in doc_ids] if key == "doc_topic" else [v.size for v in vocabs]
+        tables[key] = [
+            _table(table, (rows[side], k), f"counts[{key!r}][{side}]", counts=True)
+            for side, table in enumerate(_pair(counts, key))
+        ]
+    return tables
 
 
 def _pair(payload: dict, key: str, of_lists: bool = False) -> list:
@@ -791,13 +803,10 @@ def model_from_json(payload: dict) -> TopicModel:
     except (ConfigError, TypeError) as exc:
         raise DataError(f"model hyperparams: {exc}") from None
     langs = _pair(payload, "languages")
-    try:
-        vocabs = tuple(
-            Vocabulary(lang, words)
-            for lang, words in zip(langs, _pair(payload, "vocabularies", True))
-        )
-    except TypeError:
-        raise DataError("model vocabularies must be lists of words") from None
+    words = _pair(payload, "vocabularies", True)
+    if not all(isinstance(word, str) for side in words for word in side):
+        raise DataError("model vocabularies must be lists of words")
+    vocabs = tuple(Vocabulary(lang, side) for lang, side in zip(langs, words))
     doc_ids = tuple(_pair(payload, "doc_ids", True))
     phi = tuple(
         _table(p, (hp.k, vocabs[side].size), f"phi[{side}]")
@@ -809,7 +818,7 @@ def model_from_json(payload: dict) -> TopicModel:
     )
     counts = payload.get("counts")
     if counts is not None:
-        _validate_counts(counts, doc_ids, vocabs, hp.k)
+        counts = _validate_counts(counts, doc_ids, vocabs, hp.k)
     return TopicModel(
         model_kind=payload["model_kind"],
         hyperparams=hp,
@@ -828,11 +837,11 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False
 
 
 def _write_table(table: np.ndarray, write) -> None:
-    """Write `_dumps(table.tolist())` for a 2-D float64 table through
-    `write`, one row at a time. Each distinct value is formatted once:
-    `np.unique` on the raw bits (so -0.0 and 0.0 keep their own text)
-    gives one `repr` per value, the text the encoder writes for a float,
-    and every row is joined from those strings."""
+    """Write `_dumps(table.tolist())` for a 2-D float64 or int64 table
+    through `write`, one row at a time. Each distinct value is formatted
+    once: `np.unique` on the raw bits (so -0.0 and 0.0 keep their own
+    text) gives one `repr` per value, the text the encoder writes for a
+    float or a Python int, and every row is joined from those strings."""
     if not np.isfinite(table).all():
         raise ValueError("Out of range float values are not JSON compliant")
     n_rows, n_cols = table.shape
@@ -841,7 +850,7 @@ def _write_table(table: np.ndarray, write) -> None:
         return
     bits = np.ascontiguousarray(table).view(np.uint64).ravel()
     distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+    text = np.array([repr(v) for v in distinct.view(table.dtype).tolist()], dtype=object)
     sep = "["
     for row in text[inverse.reshape(n_rows, n_cols)].tolist():
         write(sep + "[" + ",".join(row) + "]")
@@ -851,12 +860,12 @@ def _write_table(table: np.ndarray, write) -> None:
 
 def _write_parts(value, write) -> None:
     """Write `_dumps(value)` through `write` piece by piece: objects with
-    string keys and lists of lists or objects are opened here, a 2-D
-    float64 array goes to `_write_table` (and writes as its `tolist()`
-    would), and every other value (an innermost row, a string, a number)
-    goes to the C encoder whole. Only one row's text is held at a time;
-    encoding the whole payload at once keeps a string per number until
-    the end."""
+    string keys and lists of lists or objects are opened here, a numpy
+    array (a 2-D float64 or int64 table) goes to `_write_table` (and
+    writes as its `tolist()` would), and every other value (an innermost
+    row, a string, a number) goes to the C encoder whole. Only one row's
+    text is held at a time; encoding the whole payload at once keeps a
+    string per number until the end."""
     if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
         sep = "{"
         for key in sorted(value):
@@ -865,10 +874,7 @@ def _write_parts(value, write) -> None:
             sep = ","
         write("}")
     elif isinstance(value, np.ndarray):
-        if value.dtype == np.float64 and value.ndim == 2:
-            _write_table(value, write)
-        else:
-            _write_parts(value.tolist(), write)
+        _write_table(value, write)
     elif isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
         sep = "["
         for item in value:
@@ -883,8 +889,10 @@ def _write_parts(value, write) -> None:
 def write_json(payload, path: str | Path) -> None:
     """Write `payload` as one line of compact JSON with sorted keys: the
     bytes of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
-    plus a newline, with each numpy array in it written as its `tolist()`. A NaN or infinity raises `DataError` and leaves no
-    file behind, so a non-finite table is never saved."""
+    plus a newline, with each numpy array in it (a 2-D float64 or int64
+    table) written as its `tolist()`. A NaN or infinity raises
+    `DataError` and leaves no file behind, so a non-finite table is never
+    saved."""
     with open(path, "w", encoding="utf-8") as fh:
         try:
             _write_parts(payload, fh.write)

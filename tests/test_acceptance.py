@@ -62,7 +62,7 @@ from multitopic.transfer import (
 )
 from multitopic.tree import build_tree
 
-from test_models import build_bilingual, random_side
+from test_models import assert_same_counts, build_bilingual, random_side
 from test_transfer import brute_force_rows, dense, make_matrix, toy_corpus
 
 
@@ -115,7 +115,7 @@ def test_c01_joint_conditional_equivalence():
         hp = Hyperparams(k=4, train_iterations=iters, seed=31)
         cond = train("hardlink", corpus, hp, hardlink_formulation="conditional")
         joint = train("hardlink", corpus, hp, hardlink_formulation="joint")
-        assert cond.counts == joint.counts
+        assert_same_counts(cond.counts, joint.counts)
         for s in (0, 1):
             assert np.array_equal(cond.phi[s], joint.phi[s])
             assert np.array_equal(cond.theta[s], joint.theta[s])

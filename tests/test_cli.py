@@ -861,6 +861,9 @@ def _malformed_models(valid: dict):
     yield "string count", with_counts(
         "word_topic", 1, [["3"] + row[1:] for row in word_topic[1]]
     )
+    yield "count beyond int64", with_counts(
+        "word_topic", 0, [[2**63] + row[1:] for row in word_topic[0]]
+    )
 
 
 def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):
@@ -893,6 +896,29 @@ def test_model_without_count_tables_cannot_score_lis(tmp_path, toy_data, capsys)
         "--dictionary", str(toy_data["dictionary"]),
     ]) == 3
     assert "does not carry count tables" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("word", [7, 1.5, True, None, ["a0"]])
+def test_model_with_a_non_string_word_exits_3(tmp_path, toy_data, capsys, word):
+    out = run_train(tmp_path, toy_data, "valid")
+    payload = json.loads((out / "model.json").read_text())
+    payload["vocabularies"][0][0] = word
+    path = tmp_path / "bad_word.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="model vocabularies must be lists of words"):
+        load_model(path)
+    for argv in (
+        ["inspect", "--model", str(path)],
+        ["eval", "--model", str(path), "--which", "lis",
+         "--dictionary", str(toy_data["dictionary"])],
+        ["infer", "--model", str(path), "--corpus", str(toy_data["corpus1"]),
+         "--language", "l1", "--output", str(tmp_path / "theta.json")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err == "data error: model vocabularies must be lists of words\n", argv[0]
+    assert not (tmp_path / "theta.json").exists()
 
 
 @pytest.mark.parametrize("line, message", [

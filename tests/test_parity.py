@@ -52,6 +52,7 @@ from multitopic.models import (
     hardlink_conditional,
     infer_heldout,
     lda_conditional,
+    load_model,
     model_to_json,
     save_model,
     softlink_conditional,
@@ -496,6 +497,20 @@ def test_model_writer_matches_one_json_dumps(tmp_path):
             stream = io.StringIO()
             json.dump(payload, stream, sort_keys=True, separators=(",", ":"))
             assert stream.getvalue() + "\n" == want, name
+            # the trained and the loaded model hold the same int64 tables, and
+            # the loaded one saves the same bytes
+            loaded = load_model(path)
+            again = tmp_path / f"{name}_{include_counts}_again.json"
+            save_model(loaded, again, include_counts=include_counts)
+            assert again.read_bytes() == path.read_bytes(), name
+            if not include_counts:
+                assert loaded.counts is None
+                continue
+            for key in ("doc_topic", "word_topic"):
+                for trained, table in zip(model.counts[key], loaded.counts[key]):
+                    for t in (trained, table):
+                        assert t.dtype == np.int64 and t.flags.c_contiguous, (name, key)
+                    assert np.array_equal(table, trained), (name, key)
 
 
 # values where float repr changes notation (1e-5, 1e-4 and 1e16, with their
@@ -522,13 +537,37 @@ def float_tables(draw):
     return np.array(values, dtype=np.float64).reshape(n_rows, n_cols)
 
 
-@settings(SETTINGS, max_examples=150)
-@given(table=float_tables())
+INT64 = np.iinfo(np.int64)
+# zero, negatives, the int64 extremes, and values above 2**53, where a
+# detour through float64 would change the text
+EDGE_INTS = [
+    0, 1, -1, 7, -7, INT64.min, INT64.max, INT64.min + 1, INT64.max - 1,
+    2**53, 2**53 + 1, -(2**53) - 1, 2**62 + 3,
+]
+
+
+@st.composite
+def int_tables(draw):
+    """2-D int64 tables, empty ones included, drawn from a small pool."""
+    n_rows, n_cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from(EDGE_INTS), st.integers(INT64.min, INT64.max)),
+        min_size=1, max_size=6,
+    ))
+    values = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return np.array(values, dtype=np.int64).reshape(n_rows, n_cols)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(table=st.one_of(float_tables(), int_tables()))
 @example(table=np.zeros((0, 4)))
 @example(table=np.zeros((4, 0)))
 @example(table=np.array([[-0.0]]))
 @example(table=np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324]]))
 @example(table=np.array([EDGE_FLOATS]))
+@example(table=np.zeros((0, 4), dtype=np.int64))
+@example(table=np.zeros((4, 0), dtype=np.int64))
+@example(table=np.array([EDGE_INTS, EDGE_INTS[::-1]], dtype=np.int64))
 def test_table_writer_matches_json_dumps(table):
     want = json.dumps(table.tolist(), separators=(",", ":")) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
