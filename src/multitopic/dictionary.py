@@ -1,6 +1,10 @@
 """Bilingual dictionary: translation-pair concepts indexed against the
 two vocabularies, plus deterministic subsampling for resource-size
 experiments.
+
+The concepts live in one table, `BilingualDictionary.words`, whose row c
+holds concept c's (word1, word2); the tree, the transfer build and LIS
+read it, and group it by word through `grouped`.
 """
 
 from __future__ import annotations
@@ -27,26 +31,48 @@ class Concept:
 
 
 class BilingualDictionary:
+    """`words` is the C x 2 int64 concept table; `concepts` holds its rows
+    as `Concept` records. A negative word id is a `DataError`."""
+
     def __init__(self, lang1: str, lang2: str, pairs: list[tuple[int, int]]):
         self.lang1 = lang1
         self.lang2 = lang2
+        self.words = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        negative = np.flatnonzero((self.words < 0).any(axis=1))
+        if len(negative):
+            raise DataError(f"concept {negative[0]} has a negative word id")
         self.concepts: list[Concept] = [
-            Concept(i, w1, w2) for i, (w1, w2) in enumerate(pairs)
+            Concept(i, w1, w2) for i, (w1, w2) in enumerate(self.words.tolist())
         ]
-        self.by_word1: dict[int, list[int]] = {}
-        self.by_word2: dict[int, list[int]] = {}
-        for c in self.concepts:
-            self.by_word1.setdefault(c.word1, []).append(c.concept_id)
-            self.by_word2.setdefault(c.word2, []).append(c.concept_id)
 
     def __len__(self) -> int:
         return len(self.concepts)
 
     def pair_set(self) -> set[tuple[int, int]]:
-        return {(c.word1, c.word2) for c in self.concepts}
+        return set(map(tuple, self.words.tolist()))
+
+    def check_vocabularies(self, sizes: tuple[int, int]) -> None:
+        """Refuse a concept word id at or above its language's vocabulary
+        size (`sizes`, first language first)."""
+        outside = np.argwhere(self.words >= np.asarray(sizes))
+        if len(outside):
+            c, side = outside[0]
+            raise DataError(
+                f"concept {c} names word {self.words[c, side]}, outside the "
+                f"{sizes[side]}-word vocabulary of {(self.lang1, self.lang2)[side]!r}"
+            )
 
     def __repr__(self) -> str:
         return f"BilingualDictionary({self.lang1!r}-{self.lang2!r}, {len(self)} concepts)"
+
+
+def grouped(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """`values` grouped by `keys` (each in [0, n_keys)) as (starts,
+    members): group g is `members[starts[g]:starts[g + 1]]`, in input
+    order."""
+    starts = np.zeros(n_keys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n_keys), out=starts[1:])
+    return starts, values[np.argsort(keys, kind="stable")]
 
 
 def load_dictionary(
@@ -104,17 +130,13 @@ def subsample(
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    n = len(dictionary.concepts)
+    n = len(dictionary)
     if fraction == 1.0 or n == 0:
-        pairs = [(c.word1, c.word2) for c in dictionary.concepts]
-        return BilingualDictionary(dictionary.lang1, dictionary.lang2, pairs)
+        return BilingualDictionary(dictionary.lang1, dictionary.lang2, dictionary.words)
     m = int(np.ceil(fraction * n))
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(n, size=m, replace=False))
-    pairs = [
-        (dictionary.concepts[i].word1, dictionary.concepts[i].word2) for i in chosen
-    ]
-    return BilingualDictionary(dictionary.lang1, dictionary.lang2, pairs)
+    return BilingualDictionary(dictionary.lang1, dictionary.lang2, dictionary.words[chosen])
 
 
 def write_dictionary_tsv(

@@ -254,8 +254,9 @@ def voclink_tree_factor(
     den = tree.root_total(side_index) + tree.root_children_prior(
         side_index, hp.beta_root, hp.beta
     )
-    memberships = tree.concepts_of_word[side_index][word]
-    if not memberships:
+    starts = tree.member_start[side_index]
+    memberships = tree.member_concepts[side_index][starts[word]:starts[word + 1]]
+    if not len(memberships):
         return (np.asarray(side.word_topic[word]) + hp.beta) / den
     total = np.zeros(tree.n_topics, dtype=np.float64)
     for c in memberships:
@@ -312,25 +313,27 @@ class TopicModel:
 def _init_side(
     corpus: Corpus, k: int, rng, tree: DirichletTree | None, side: int
 ) -> tuple[SideState, np.ndarray]:
-    """Draw each document's topics; with a `tree`, also draw each token's
-    tree leaf right after its document's topics (a word in several
-    concepts draws one of them) and count the paths in the tree. Returns
-    the tallied state and the flat tree paths (-1 for a word's own root
-    leaf; empty without a tree)."""
+    """Draw each document's topics; with a `tree`, then its words' tree
+    leaves (one `rng.integers(0, counts)` call over the words in several
+    concepts, in token order) and count the paths in the tree. Returns the
+    tallied state and the flat tree paths (-1 for a word's own root leaf;
+    empty without a tree)."""
     tokens = [d.tokens for d in corpus.documents]
-    z = []
-    paths: list[int] = []
+    z, paths = [], [np.empty(0, dtype=np.int64)]
     for toks in tokens:
         z.append(rng.integers(0, k, size=len(toks)))
         if tree is not None:
-            for w in toks:
-                ms = tree.concepts_of_word[side][w]
-                if not ms:
-                    paths.append(-1)
-                else:
-                    paths.append(ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))])
+            words, starts = np.array(toks, dtype=np.int64), tree.member_start[side]
+            first = starts[words]
+            counts = starts[words + 1] - first
+            several = counts > 1
+            if several.any():
+                first[several] += rng.integers(0, counts[several])
+            path = np.full(len(words), -1, dtype=np.int64)
+            path[counts > 0] = tree.member_concepts[side][first[counts > 0]]
+            paths.append(path)
     state = tally_side(tokens, z, k, corpus.vocabulary.size)
-    flat_paths = np.array(paths, dtype=np.int64)
+    flat_paths = np.concatenate(paths)
     if tree is not None:
         tree.add_paths(side, state.z, flat_paths)
     return state, flat_paths
@@ -452,6 +455,8 @@ def train(
         if not side.documents:
             raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
     links = _hard_links(corpus) if model_kind == "hardlink" else np.zeros((0, 2), np.int64)
+    if dictionary is not None:
+        dictionary.check_vocabularies((corpus.side1.vocabulary.size, corpus.side2.vocabulary.size))
     uses_soft = model_kind in SOFT_KINDS
     uses_tree = model_kind in TREE_KINDS
 
@@ -549,8 +554,7 @@ def _phi_tree(state: SideState, tree: DirichletTree, side: int, hp: Hyperparams)
         node + 2.0 * hp.beta_internal
     )
     vals = np.zeros((state.vocab_size, hp.k), dtype=np.float64)
-    if tree.n_concepts:
-        np.add.at(vals, tree.concept_word[side], concept_vals)
+    np.add.at(vals, tree.words[:, side], concept_vals)
     untranslated = np.diff(tree.member_start[side]) == 0
     nwk = state.word_topic.astype(np.float64)
     vals[untranslated] = nwk[untranslated] + hp.beta
@@ -721,8 +725,8 @@ def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
 
 
 def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np.ndarray:
-    """A finite, non-negative float64 table of exactly `shape`; with
-    `counts`, an int64 table instead."""
+    """A finite, non-negative float64 table of exactly `shape`, read from
+    JSON rows of numbers; with `counts`, an int64 table instead."""
     try:
         table = np.array(value, dtype=None if counts else np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -731,6 +735,9 @@ def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np
         return np.zeros(shape, np.int64 if counts else np.float64)
     if table.shape != shape:
         raise DataError(f"model {name} has shape {table.shape}, expected {shape}")
+    # numpy would read a JSON true/false as 1/0, and a string as its number
+    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
+        raise DataError(f"model {name} must hold only numbers")
     if counts and table.dtype != np.int64:
         raise DataError(f"model {name} must hold integer counts")
     if not np.isfinite(table).all() or (table < 0).any():

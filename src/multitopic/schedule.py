@@ -77,11 +77,8 @@ def concept_words(dictionary: BilingualDictionary) -> tuple[np.ndarray, np.ndarr
     """Each concept's first- and second-language word id, concepts in
     canonical (word1, word2) order, so the LIS features do not depend on
     how the dictionary happens to be ordered."""
-    concepts = sorted(dictionary.concepts, key=lambda c: (c.word1, c.word2))
-    return (
-        np.array([c.word1 for c in concepts], dtype=np.int64),
-        np.array([c.word2 for c in concepts], dtype=np.int64),
-    )
+    words = dictionary.words[np.lexsort((dictionary.words[:, 1], dictionary.words[:, 0]))]
+    return words[:, 0], words[:, 1]
 
 
 def concept_features(
@@ -151,6 +148,7 @@ def compute_lis(
     Invariant to concept ordering: rows are shuffled deterministically
     under `seed` before the stratified folds are cut."""
     check_lis_concepts(len(dictionary.concepts), folds)
+    dictionary.check_vocabularies(tuple(len(table) for table in word_topics))
     x, y = concept_features(word_topics, dictionary, beta)
     return lis_scores([x], y, folds, seed)[0]
 

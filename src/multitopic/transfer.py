@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus
-from .dictionary import BilingualDictionary
+from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError
 
 NUMERATORS = ("pairs", "covered_types")
@@ -80,9 +80,6 @@ class TransferMatrix:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.rows[i]
-
     def nonempty_rows(self) -> int:
         return sum(1 for idx, _ in self.rows if len(idx))
 
@@ -134,14 +131,6 @@ def _distinct_pairs(corpus: Corpus, concept_words: np.ndarray) -> tuple[np.ndarr
     return keys // n_words, keys % n_words, n_words
 
 
-def _grouped(keys: np.ndarray, values: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """`values` grouped by `keys` as (starts, members): group g is
-    `members[starts[g]:starts[g + 1]]`, in input order."""
-    starts = np.zeros(n_keys + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=n_keys), out=starts[1:])
-    return starts, values[np.argsort(keys, kind="stable")]
-
-
 def _expand(groups: tuple[np.ndarray, np.ndarray], keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One entry per member of each key's group: the key's position and
     the member, positions ascending and members in group order."""
@@ -187,20 +176,18 @@ def build_transfer_matrix(
             f"dictionary covers {sorted(langs)}, not "
             f"({target.language!r}, {source.language!r})"
         )
-    concept_words = np.array(
-        [(c.word1, c.word2) for c in dictionary.concepts], dtype=np.int64
-    ).reshape(-1, 2)
-    if target.language == dictionary.lang2:
-        concept_words = concept_words[:, ::-1]
-    concept_target, concept_source = concept_words[:, 0], concept_words[:, 1]
+    to_side2 = target.language == dictionary.lang2
+    side1, side2 = (source, target) if to_side2 else (target, source)
+    dictionary.check_vocabularies((side1.vocabulary.size, side2.vocabulary.size))
+    concept_target, concept_source = dictionary.words.T[::-1] if to_side2 else dictionary.words.T
 
     t_docs, t_words, n_target_words = _distinct_pairs(target, concept_target)
     s_docs, s_words, n_source_words = _distinct_pairs(source, concept_source)
     n_target, n_source = len(target), len(source)
     t_types = np.bincount(t_docs, minlength=n_target)
     s_types = np.bincount(s_docs, minlength=n_source)
-    translations = _grouped(concept_target, concept_source, n_target_words)
-    docs_with = _grouped(s_words, s_docs, n_source_words)  # source docs ascending
+    translations = grouped(concept_target, concept_source, n_target_words)
+    docs_with = grouped(s_words, s_docs, n_source_words)  # source docs ascending
     pairs_of_doc = np.searchsorted(t_docs, np.arange(n_target + 1))
     n_cols = max(n_source, 1)
 

@@ -13,10 +13,9 @@ tree with no concepts reduces exactly to per-language LDA.
 The counts are contiguous int64 arrays, the ones the training sweep
 updates in place: `concept_topic` (C x K, pooled over both languages),
 `leaf_topic` (2 x C x K, one table per language), `concept_total` (K) and
-`untrans_total` (2 x K). Each word's concepts are kept both as lists
-(`concepts_of_word`) and in CSR form for the compiled sweep: word w's
-concepts on side s are `member_concepts[s][member_start[s][w]:
-member_start[s][w + 1]]`, in the same order.
+`untrans_total` (2 x K). Concept c's word on side s is `words[c, s]`, the
+dictionary's own table; word w's concepts on side s, ascending, are the
+CSR slice `member_concepts[s][member_start[s][w]:member_start[s][w + 1]]`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import Vocabulary
-from .dictionary import BilingualDictionary
+from .dictionary import BilingualDictionary, grouped
 from .errors import DataError
 
 
@@ -37,30 +36,16 @@ class DirichletTree:
         k: int,
     ):
         self.n_topics = k
-        self.n_concepts = len(dictionary.concepts)
+        self.n_concepts = len(dictionary)
         self.vocab_sizes = (v1.size, v2.size)
-        self.concepts_of_word: tuple[list[list[int]], list[list[int]]] = (
-            [[] for _ in range(v1.size)],
-            [[] for _ in range(v2.size)],
-        )
-        for c in dictionary.concepts:
-            self.concepts_of_word[0][c.word1].append(c.concept_id)
-            self.concepts_of_word[1][c.word2].append(c.concept_id)
-        self.concept_word = (
-            np.array([c.word1 for c in dictionary.concepts], dtype=np.int64),
-            np.array([c.word2 for c in dictionary.concepts], dtype=np.int64),
-        )
-        self.member_start = tuple(
-            np.cumsum([0] + [len(ms) for ms in side], dtype=np.int64)
-            for side in self.concepts_of_word
-        )
-        self.member_concepts = tuple(
-            np.array([c for ms in side for c in ms], dtype=np.int64)
-            for side in self.concepts_of_word
+        dictionary.check_vocabularies(self.vocab_sizes)
+        self.words = dictionary.words
+        concepts = np.arange(self.n_concepts, dtype=np.int64)
+        self.member_start, self.member_concepts = zip(
+            *(grouped(self.words[:, s], concepts, n) for s, n in enumerate(self.vocab_sizes))
         )
         self.n_untranslated = tuple(
-            sum(1 for memberships in side if not memberships)
-            for side in self.concepts_of_word
+            int(np.count_nonzero(np.diff(starts) == 0)) for starts in self.member_start
         )
         self.zero_counts()
 
@@ -108,18 +93,18 @@ class DirichletTree:
         if not np.array_equal(self.concept_total, concept.sum(axis=0)):
             raise DataError("pooled concept totals out of sync")
         for side in (0, 1):
-            expected_untrans = np.zeros(self.n_topics, dtype=np.int64)
-            for w, memberships in enumerate(self.concepts_of_word[side]):
-                if memberships:
-                    total = word_topic[side][w]
-                    summed = leaf[side][memberships].sum(axis=0)
-                    if not np.array_equal(total, summed):
-                        raise DataError(
-                            f"leaf counts for word {w} on side {side} do not sum to its word-topic counts"
-                        )
-                else:
-                    expected_untrans += word_topic[side][w]
-            if not np.array_equal(expected_untrans, self.untrans_total[side]):
+            starts, table = self.member_start[side], np.asarray(word_topic[side])
+            # each word's leaves summed over its CSR group: running sums
+            running = np.zeros((len(self.member_concepts[side]) + 1, self.n_topics), np.int64)
+            np.cumsum(leaf[side][self.member_concepts[side]], axis=0, out=running[1:])
+            summed = running[starts[1:]] - running[starts[:-1]]
+            translated = starts[1:] > starts[:-1]
+            wrong = np.flatnonzero(translated & (summed != table).any(axis=1))
+            if len(wrong):
+                raise DataError(
+                    f"leaf counts for word {wrong[0]} on side {side} do not sum to its word-topic counts"
+                )
+            if not np.array_equal(table[~translated].sum(axis=0), self.untrans_total[side]):
                 raise DataError(f"untranslated totals out of sync on side {side}")
 
     def zero_counts(self) -> None:

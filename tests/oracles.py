@@ -142,6 +142,38 @@ def tree_counts_without_token(
     return tree
 
 
+def concepts_of_word(tree: DirichletTree, side: int) -> list[list[int]]:
+    """Each word's concepts on `side` as lists, read from the tree's CSR."""
+    starts, members = tree.member_start[side].tolist(), tree.member_concepts[side]
+    return [members[a:b].tolist() for a, b in zip(starts, starts[1:])]
+
+
+def memberships_reference(dictionary, side: int, vocab_size: int) -> list[list[int]]:
+    """Each word's concepts on `side`, in dictionary order, built from the
+    `Concept` records alone."""
+    memberships = [[] for _ in range(vocab_size)]
+    for c in dictionary.concepts:
+        memberships[c.word2 if side else c.word1].append(c.concept_id)
+    return memberships
+
+
+def init_side_reference(tokens_docs, k, rng, memberships):
+    """Initial topics and tree paths, one token at a time: each document's
+    topics in one draw, then each of its tokens' paths in order; a word in
+    several concepts draws one of them, a word in one takes it, and a word
+    in none gets -1."""
+    z, paths = [], []
+    for toks in tokens_docs:
+        z.append(rng.integers(0, k, size=len(toks)).tolist())
+        for w in toks:
+            ms = memberships[w]
+            if not ms:
+                paths.append(-1)
+            else:
+                paths.append(ms[0] if len(ms) == 1 else ms[int(rng.integers(0, len(ms)))])
+    return z, paths
+
+
 # ---------------------------------------------------------------------------
 # exhaustive per-sampler checkers: enumerate every assignment of a tiny
 # instance and compare each conditional against the likelihood ratio
@@ -282,7 +314,7 @@ def check_voclink(
     v_a = Vocabulary("l1", [f"a{i}" for i in range(vocab_size)])
     v_b = Vocabulary("l2", [f"b{i}" for i in range(vocab_size)])
     tree = build_tree(dictionary, v_a, v_b, n_topics)
-    memberships = tree.concepts_of_word[side]
+    memberships = concepts_of_word(tree, side)
     if pseudo is None:
         priors = [[hp.alpha] * n_topics for _ in tokens_docs]
     else:
@@ -753,8 +785,10 @@ def build_transfer_rows_reference(target, source, dictionary, numerator="pairs")
     inverted indexes, as `build_transfer_matrix` used to: a list of
     (source index array, weight array) pairs, indices ascending."""
     target_is_side2 = target.language == dictionary.lang2
-    by_target = dictionary.by_word2 if target_is_side2 else dictionary.by_word1
     concepts = dictionary.concepts
+    by_target = {}
+    for c in concepts:
+        by_target.setdefault(c.word2 if target_is_side2 else c.word1, []).append(c.concept_id)
 
     def source_word(cid):
         c = concepts[cid]

@@ -864,6 +864,22 @@ def _malformed_models(valid: dict):
     yield "count beyond int64", with_counts(
         "word_topic", 0, [[2**63] + row[1:] for row in word_topic[0]]
     )
+    # numpy reads true/false as 1/0 and a numeric string as its number
+    yield "boolean count", with_counts(
+        "word_topic", 1, [[True] + row[1:] for row in word_topic[1]]
+    )
+    yield "boolean doc_topic", with_counts(
+        "doc_topic", 0, [[False] + row[1:] for row in doc_topic[0]]
+    )
+    yield "boolean phi", json.dumps(
+        with_table("phi", 0, [[True] + row[1:] for row in valid["phi"][0]])
+    )
+    yield "boolean theta", json.dumps(
+        with_table("theta", 1, [row[:-1] + [False] for row in valid["theta"][1]])
+    )
+    yield "string phi", json.dumps(
+        with_table("phi", 1, [[str(row[0])] + row[1:] for row in valid["phi"][1]])
+    )
 
 
 def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multitopic.corpus import Vocabulary
-from multitopic.dictionary import BilingualDictionary, load_dictionary, subsample
+from multitopic.dictionary import BilingualDictionary, grouped, load_dictionary, subsample
 from multitopic.errors import ConfigError, DataError
 
 
@@ -80,11 +80,22 @@ def test_duplicate_pairs_collapsed(tmp_path):
 
 def test_indexes_are_exact_inverses():
     d = BilingualDictionary("l1", "l2", [(0, 1), (0, 2), (3, 1)])
-    for c in d.concepts:
-        assert c.concept_id in d.by_word1[c.word1]
-        assert c.concept_id in d.by_word2[c.word2]
-    total = sum(len(v) for v in d.by_word1.values())
-    assert total == len(d.concepts)
+    assert d.words.dtype == np.int64
+    assert d.words.tolist() == [[c.word1, c.word2] for c in d.concepts]
+    for side in (0, 1):
+        starts, members = grouped(d.words[:, side], np.arange(len(d)), 4)
+        # every concept once, under its own word, ascending within a word
+        assert sorted(members.tolist()) == list(range(len(d)))
+        for w in range(4):
+            group = members[starts[w]:starts[w + 1]].tolist()
+            assert group == sorted(group)
+            assert all(d.words[c, side] == w for c in group)
+
+
+@pytest.mark.parametrize("pairs", [[(-1, 0)], [(0, 0), (2, -3)]])
+def test_negative_word_ids_are_refused(pairs):
+    with pytest.raises(DataError, match=f"^concept {len(pairs) - 1} has a negative word id$"):
+        BilingualDictionary("l1", "l2", pairs)
 
 
 def test_subsample_identity_at_full_fraction():

@@ -436,6 +436,36 @@ class TestTrain:
         with pytest.raises(DataError, match="sum of their leaves"):
             tree.check_consistency(word_topic)
 
+    @pytest.mark.parametrize("table, cell, message", [
+        ("concept_total", 0, "pooled concept totals out of sync"),
+        # side-1 word 1 is in two concepts: its leaves sum over both
+        ("word_topic[0]", (1, 2),
+         "leaf counts for word 1 on side 0 do not sum to its word-topic counts"),
+        ("untrans_total", (1, 0), "untranslated totals out of sync on side 1"),
+    ])
+    def test_tree_consistency_check_names_the_table_out_of_sync(self, table, cell, message):
+        rng = np.random.default_rng(13)
+        corpus = build_bilingual(rng)
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0), (1, 1), (1, 2), (2, 3)])
+        tree = build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, 3)
+        model = train("voclink", corpus, Hyperparams(k=3, train_iterations=3, seed=1), tree=tree)
+        word_topic = tuple(np.array(table) for table in model.counts["word_topic"])
+        tree.check_consistency(word_topic)
+        tables = {
+            "concept_total": tree.concept_total,
+            "untrans_total": tree.untrans_total,
+            "word_topic[0]": word_topic[0],
+        }
+        tables[table][cell] += 1
+        with pytest.raises(DataError, match=f"^{message}$"):
+            tree.check_consistency(word_topic)
+
+    def test_tree_refuses_a_concept_word_outside_its_vocabulary(self):
+        corpus = build_bilingual(np.random.default_rng(13))
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0), (12, 1)])
+        with pytest.raises(DataError, match="^concept 1 names word 12, outside the 12-word"):
+            build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, 3)
+
     def test_count_tables_match_document_lengths(self):
         rng = np.random.default_rng(14)
         corpus = build_bilingual(rng)
@@ -543,6 +573,22 @@ class TestTrain:
                 "hardlink", corpus, Hyperparams(k=2, train_iterations=1),
                 hardlink_formulation=formulation,
             )
+
+    @pytest.mark.parametrize("model_kind", ["voclink", "lda"])
+    @pytest.mark.parametrize("pair, message", [
+        ((12, 0), "concept 1 names word 12, outside the 12-word vocabulary of 'l1'"),
+        ((0, 10), "concept 1 names word 10, outside the 10-word vocabulary of 'l2'"),
+    ])
+    def test_dictionary_word_outside_the_vocabulary_is_a_data_error(
+        self, monkeypatch, pair, message, model_kind
+    ):
+        corpus = build_bilingual(np.random.default_rng(25))
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0), pair])
+        monkeypatch.setattr(
+            models._native, "load", lambda: pytest.fail("loaded before the check")
+        )
+        with pytest.raises(DataError, match=f"^{message}$"):
+            train(model_kind, corpus, Hyperparams(k=2, train_iterations=1), dictionary=dictionary)
 
     def test_transfer_row_with_a_negative_index_is_a_config_error(self):
         corpus = build_bilingual(np.random.default_rng(24))

@@ -76,10 +76,13 @@ from oracles import (
     build_transfer_rows_reference,
     classify_crosslingual_reference,
     concept_features_reference,
+    concepts_of_word,
     cross_val_accuracy_reference,
     cross_val_folds_reference,
     fit_reference,
     infer_heldout_reference,
+    init_side_reference,
+    memberships_reference,
     side_state_without_token,
     sigmoid_reference,
     sweep_plain_reference,
@@ -410,7 +413,7 @@ def test_tree_sweep_draws_from_the_reference_conditional(state, extra, side, sof
     ]
     dictionary = BilingualDictionary("l1", "l2", pairs)
     tree, reference = (DirichletTree(dictionary, *vocabularies, k) for _ in range(2))
-    memberships = tree.concepts_of_word[side]
+    memberships = concepts_of_word(tree, side)
     paths = [[int(rng.choice(memberships[w])) if memberships[w] else -1 for w in toks]
              for toks in tokens]
     # the other language's traffic through each concept
@@ -444,6 +447,55 @@ def test_tree_sweep_draws_from_the_reference_conditional(state, extra, side, sof
             else:
                 want = voclink_conditional(counts, reference, side, d, i, hp)
             np.testing.assert_allclose(normalised_scores(cdf, k), want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def path_init_cases(draw):
+    """One to five documents per side over vocabularies of 3 to 11 words,
+    and a dictionary of up to 3V concepts in which, on both sides, word 0
+    is in several concepts, word 1 in at least one and the last word in
+    none; `k` topics and a generator seed."""
+    sizes = (draw(st.integers(3, 11)), draw(st.integers(3, 11)))
+    extra = draw(st.lists(
+        st.tuples(st.integers(0, sizes[0] - 2), st.integers(0, sizes[1] - 2)),
+        max_size=3 * max(sizes) - 3,
+    ))
+    dictionary = BilingualDictionary("l1", "l2", [(0, 0), (0, 1), (1, 0)] + extra)
+    docs = [
+        draw(st.lists(st.lists(st.integers(0, size - 1), max_size=9), min_size=1, max_size=5))
+        for size in sizes
+    ]
+    return docs, sizes, dictionary, draw(st.integers(2, 7)), draw(st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(path_init_cases())
+def test_path_initialisation_matches_the_per_token_loop(case):
+    """`_init_side` draws a side's topics and tree paths from the tree's
+    CSR with one draw per document for its multi-concept words; the
+    per-token loop in `tests/oracles.py` is the reference. Both sides run
+    on one generator, as in `train`."""
+    docs, sizes, dictionary, k, seed = case
+    corpora = [transfer_corpus(lang, d, n) for lang, d, n in zip(("l1", "l2"), docs, sizes)]
+    tree, reference = (
+        DirichletTree(dictionary, corpora[0].vocabulary, corpora[1].vocabulary, k)
+        for _ in range(2)
+    )
+    rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    for s, corpus in enumerate(corpora):
+        memberships = memberships_reference(dictionary, s, sizes[s])
+        assert concepts_of_word(tree, s) == memberships
+        state, paths = models._init_side(corpus, k, rng, tree, s)
+        want_z, want_paths = init_side_reference(docs[s], k, want_rng, memberships)
+        assert per_doc(state.z, state.doc_start) == want_z
+        assert paths.tolist() == want_paths
+        words = [w for toks in docs[s] for w in toks]
+        topics = [t for zd in want_z for t in zd]
+        for w, t, c in zip(words, topics, want_paths):
+            reference.increment(s, w, c, t, +1)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    for name in ("concept_topic", "leaf_topic", "concept_total", "untrans_total"):
+        assert same_bits(getattr(tree, name), getattr(reference, name)), name
 
 
 def trained_models() -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from multitopic.dictionary import BilingualDictionary, Concept
-from multitopic.errors import ConfigError
+from multitopic.errors import ConfigError, DataError
 from multitopic.logreg import (
     LogisticRegression,
     cross_val_accuracy,
@@ -137,6 +137,13 @@ class TestComputeLis:
         shuffled = BilingualDictionary("l1", "l2", pairs[::-1])
         tables = tables_for(counts1, counts2)
         assert compute_lis(tables, base, beta=0.01) == compute_lis(tables, shuffled, beta=0.01)
+
+    def test_concept_word_outside_the_tables_is_a_data_error(self):
+        # 12 words per side; a last-word concept would read row 11
+        tables = tables_for(np.ones((12, 2)), np.ones((12, 2)))
+        dictionary = BilingualDictionary("l1", "l2", [(i, i) for i in range(11)] + [(12, 0)])
+        with pytest.raises(DataError, match="^concept 11 names word 12, outside the 12-word"):
+            compute_lis(tables, dictionary, beta=0.01)
 
     def test_too_few_concepts_rejected(self):
         with pytest.raises(ConfigError, match="concepts"):

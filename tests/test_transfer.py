@@ -6,7 +6,7 @@ import pytest
 
 from multitopic.corpus import Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.errors import ConfigError
+from multitopic.errors import ConfigError, DataError
 from multitopic.transfer import (
     AnnealConfig,
     FocusConfig,
@@ -71,6 +71,19 @@ def test_empty_dictionary_gives_empty_rows():
     source = toy_corpus("l1", [[0]], 1)
     matrix = build_transfer_matrix(target, source, make_dictionary([]))
     assert all(len(idx) == 0 for idx, _ in matrix.rows)
+
+
+@pytest.mark.parametrize("to_side2", [False, True])
+@pytest.mark.parametrize("pair, message", [
+    ((0, 5), "concept 1 names word 5, outside the 3-word vocabulary of 'l2'"),
+    ((3, 0), "concept 1 names word 3, outside the 3-word vocabulary of 'l1'"),
+])
+def test_concept_word_outside_its_vocabulary_is_a_data_error(pair, message, to_side2):
+    side1 = toy_corpus("l1", [[0, 1]], 3)
+    side2 = toy_corpus("l2", [[0, 2]], 3)
+    target, source = (side2, side1) if to_side2 else (side1, side2)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        build_transfer_matrix(target, source, make_dictionary([(0, 0), pair]))
 
 
 def test_identical_sources_share_weight_equally():
