@@ -440,8 +440,17 @@ def _infer_for_eval(model, path: str, language: str, seed: int):
     return theta, labels
 
 
+def _check_top_words(args: argparse.Namespace) -> None:
+    """`--top-words` is checked before any input is read."""
+    if args.top_words < 1:
+        raise ConfigError(
+            f"--top-words: the number of top words must be positive, got {args.top_words}"
+        )
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_threads(args)
+    _check_top_words(args)
     which = {w.strip() for w in args.which.split(",") if w.strip()}
     if not which or which - set(EVALUATIONS):
         raise ConfigError(
@@ -547,8 +556,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    _check_top_words(args)
     model = load_model(args.model)
-    # built whole before printing, so a bad --top-words prints nothing
     lines = [
         f"model_kind: {model.model_kind}",
         f"languages: {model.languages[0]}, {model.languages[1]}",

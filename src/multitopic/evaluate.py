@@ -12,6 +12,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,31 +30,33 @@ CLASSIFIER_NOTE = "one-vs-rest logistic regression (in place of an SVM)"
 
 class ReferenceCorpus:
     """Paired word-type sets from a parallel corpus, id-encoded against the
-    same vocabularies as the model under evaluation."""
+    same vocabularies as the model under evaluation.
+
+    Besides `pairs`, each side keeps its (pair, word) entries as one
+    (n, 2) int64 array in `entries`, pair by pair, one row per distinct
+    type of a pair: the layout CNPMI counts on."""
 
     def __init__(self, pairs: list[tuple[frozenset[int], frozenset[int]]]):
         for side1, side2 in pairs:
             if not side1 or not side2:
                 raise DataError("reference pairs must be nonempty on both sides")
         self.pairs = pairs
-        self._index: tuple[dict[int, set[int]], dict[int, set[int]]] | None = None
+        self.entries = tuple(_entry_table([pair[side] for pair in pairs]) for side in (0, 1))
+        if any(len(table) and table[:, 1].min() < 0 for table in self.entries):
+            raise DataError("reference word ids must be non-negative")
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
 
-    def index(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
-        """word id -> set of pair indices containing it, per side."""
-        if self._index is None:
-            idx1: dict[int, set[int]] = {}
-            idx2: dict[int, set[int]] = {}
-            for i, (side1, side2) in enumerate(self.pairs):
-                for w in side1:
-                    idx1.setdefault(w, set()).add(i)
-                for w in side2:
-                    idx2.setdefault(w, set()).add(i)
-            self._index = (idx1, idx2)
-        return self._index
+
+def _entry_table(sides: list[frozenset[int]]) -> np.ndarray:
+    """One (pair index, word id) row per type of each pair, pair by pair."""
+    lengths = [len(types) for types in sides]
+    table = np.empty((sum(lengths), 2), dtype=np.int64)
+    table[:, 0] = np.repeat(np.arange(len(sides), dtype=np.int64), lengths)
+    table[:, 1] = np.fromiter(chain.from_iterable(sides), dtype=np.int64, count=len(table))
+    return table
 
 
 def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> ReferenceCorpus:
@@ -73,20 +76,17 @@ def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> Referenc
                 raise DataError(f"{path}:{lineno}: a reference pair must be a JSON object")
             if "l1_types" not in rec or "l2_types" not in rec:
                 raise DataError(f"{path}:{lineno}: need 'l1_types' and 'l2_types'")
-            for key in ("l1_types", "l2_types"):
+            sides = []
+            for key, vocab in (("l1_types", v1), ("l2_types", v2)):
                 types = rec[key]
-                if not isinstance(types, list) or not all(isinstance(w, str) for w in types):
+                if not isinstance(types, list) or not {str}.issuperset(map(type, types)):
                     raise DataError(f"{path}:{lineno}: {key!r} must be a list of strings")
-            side1 = frozenset(
-                v1.id_of_word[w] for w in rec["l1_types"] if w in v1.id_of_word
-            )
-            side2 = frozenset(
-                v2.id_of_word[w] for w in rec["l2_types"] if w in v2.id_of_word
-            )
-            if not side1 or not side2:
+                ids = frozenset(map(vocab.id_of_word.get, types))
+                sides.append(ids - {None} if None in ids else ids)  # None: out of vocabulary
+            if not sides[0] or not sides[1]:
                 skipped += 1
                 continue
-            pairs.append((side1, side2))
+            pairs.append(tuple(sides))
     if skipped:
         logger.warning("%s: skipped %d pairs empty after vocabulary encoding", path, skipped)
     if not pairs:
@@ -107,67 +107,132 @@ def write_reference(
             fh.write("\n")
 
 
-def top_words(phi_row: np.ndarray, c: int = 20) -> list[int]:
-    """Ids of the `c` most probable words; ties broken by ascending id."""
-    phi_row = np.asarray(phi_row)
+def _top_word_ids(phi: np.ndarray, c: int) -> np.ndarray:
+    """Ids of the `c` most probable words of each row; ties broken by
+    ascending id."""
     if c < 1:
         raise ConfigError(f"the number of top words must be positive, got {c}")
-    if c > len(phi_row):
-        raise ConfigError(f"asked for {c} words from a {len(phi_row)}-word distribution")
-    order = np.argsort(-phi_row, kind="stable")
-    return [int(w) for w in order[:c]]
+    if c > phi.shape[-1]:
+        raise ConfigError(f"asked for {c} words from a {phi.shape[-1]}-word distribution")
+    return np.argsort(-phi, axis=-1, kind="stable")[..., :c]
 
 
-def _npmi(c1: int, c2: int, c12: int, total: int) -> float:
-    """Normalized pointwise mutual information from co-occurrence counts.
+def top_words(phi_row: np.ndarray, c: int = 20) -> list[int]:
+    """Ids of the `c` most probable words; ties broken by ascending id."""
+    return _top_word_ids(np.asarray(phi_row), c).tolist()
 
-    Conventions: a zero marginal gives 0 (no evidence); positive marginals
-    with zero joint count give -1 (the analytic limit); words present in
-    every pair give 0 (co-occurrence carries no information). PMI is
-    divided by -log(p_joint) so perfect co-occurrence scores +1.
+
+# bytes of one chunk of topics' ANDed membership words: small enough that
+# the popcount's passes stay in cache
+_CHUNK_BYTES = 1 << 17
+_M1, _M2, _M4, _H01 = (
+    np.uint64(m)
+    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, counted in place by the SWAR method
+    (Warren, Hacker's Delight, 5-1): bit counts of 2-, 4- and 8-bit
+    fields, then their sum in the top byte."""
+    t = x >> np.uint64(1)
+    t &= _M1
+    x -= t
+    np.right_shift(x, np.uint64(2), out=t)
+    t &= _M2
+    x &= _M2
+    x += t
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= _M4
+    x *= _H01  # wraps modulo 2**64: only the top byte is read
+    x >>= np.uint64(56)
+    return x
+
+
+def _membership(entries: np.ndarray, words: np.ndarray, total: int):
+    """Pair counts of the queried `words` on one reference side.
+
+    Returns the number of pairs that hold each word, its row in a table
+    of pair-membership bits packed into uint64 words, and that table, with
+    one row per distinct queried word. An id the side never holds
+    (negative, or past its largest id) is read as the first id past the
+    largest, which no pair holds: it counts 0 and gets an all-zero row.
     """
-    if c1 == 0 or c2 == 0:
-        return 0.0
-    if c12 == 0:
-        return -1.0
-    if c12 == total:
-        return 0.0
-    lp1 = math.log(c1 / total)
-    lp2 = math.log(c2 / total)
-    lp12 = math.log(c12 / total)
-    value = (lp12 - lp1 - lp2) / (-lp12)
-    return max(-1.0, min(1.0, value))
+    pair, word = entries[:, 0], entries[:, 1]
+    n_words = int(word.max()) + 1
+    ids = np.where((words >= 0) & (words < n_words), words, n_words)
+    frequency = np.bincount(word, minlength=n_words + 1)[ids]
+    queried = np.zeros(n_words + 1, dtype=bool)
+    queried[ids] = True
+    row_of = np.cumsum(queried) - 1
+    hit = queried[word]
+    member = np.zeros((row_of[-1] + 1, -(-total // 64) * 64), dtype=bool)
+    member[row_of[word[hit]], pair[hit]] = True
+    return frequency, row_of[ids], np.packbits(member, axis=1).view(np.uint64)
+
+
+def _cnpmi_scores(words1: np.ndarray, words2: np.ndarray, ref: ReferenceCorpus) -> list[float]:
+    """CNPMI of each row pair of the (K, c1) and (K, c2) word-id arrays.
+
+    Each term is the NPMI of one cross-language word pair, from counts of
+    the reference pairs holding the first word on side 1, the second on
+    side 2, and both. Counts are exact integers (the set bits of ANDed
+    membership words); logs come from libm through `math.log`, so no
+    value depends on the BLAS kernel or numpy's SIMD level. Conventions,
+    in order of precedence: a zero marginal gives 0 (no evidence); a zero
+    joint count gives -1 (the analytic limit); words together in every
+    pair give 0 (no information). Otherwise PMI is divided by
+    -log(p_joint), so perfect co-occurrence scores +1, and clipped to
+    [-1, 1]. A topic's score is the `math.fsum` of its terms over their
+    number, so it does not depend on the order of the word lists.
+    """
+    if ref.n_pairs == 0:
+        raise ConfigError("reference corpus is empty")
+    total = ref.n_pairs
+    count1, rows1, bits1 = _membership(ref.entries[0], words1, total)
+    count2, rows2, bits2 = _membership(ref.entries[1], words2, total)
+    n_topics, c1 = words1.shape
+    c2 = words2.shape[1]
+    joint = np.empty((n_topics, c1, c2), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (c1 * c2 * bits1[0].nbytes))
+    for start in range(0, n_topics, step):
+        a = bits1[rows1[start : start + step]][:, :, None, :]
+        b = bits2[rows2[start : start + step]][:, None, :, :]
+        joint[start : start + step] = _popcount(a & b).sum(axis=-1, dtype=np.int64)
+    count1 = np.broadcast_to(count1[:, :, None], joint.shape)
+    count2 = np.broadcast_to(count2[:, None, :], joint.shape)
+
+    informative = (count1 > 0) & (count2 > 0)
+    terms = np.where(informative & (joint == 0), -1.0, 0.0)
+    regular = informative & (joint > 0) & (joint < total)
+    n1, n2, n12 = count1[regular], count2[regular], joint[regular]
+    logp = np.zeros(total + 1)
+    needed = np.zeros(total + 1, dtype=bool)
+    needed[n1] = needed[n2] = needed[n12] = True
+    for n in np.flatnonzero(needed).tolist():
+        logp[n] = math.log(n / total)
+    lp12 = logp[n12]
+    terms[regular] = np.clip((lp12 - logp[n1] - logp[n2]) / (-lp12), -1.0, 1.0)
+    return [math.fsum(row) / (c1 * c2) for row in terms.reshape(n_topics, -1).tolist()]
 
 
 def cnpmi_topic(words1: list[int], words2: list[int], ref: ReferenceCorpus) -> float:
     """Mean NPMI over all cross-language pairs of the two top-word lists,
     with co-occurrence counted over whole reference document pairs."""
-    if not words1 or not words2:
+    if not len(words1) or not len(words2):
         raise ConfigError("need nonempty top-word lists")
-    if ref.n_pairs == 0:
-        raise ConfigError("reference corpus is empty")
-    idx1, idx2 = ref.index()
-    total = ref.n_pairs
-    empty: set[int] = set()
-    terms = []
-    for w1 in words1:
-        docs1 = idx1.get(w1, empty)
-        c1 = len(docs1)
-        for w2 in words2:
-            docs2 = idx2.get(w2, empty)
-            terms.append(_npmi(c1, len(docs2), len(docs1 & docs2), total))
-    # fsum keeps the mean invariant to the order of the word lists
-    return math.fsum(terms) / len(terms)
+    ids1 = np.asarray(words1, dtype=np.int64).reshape(1, -1)
+    ids2 = np.asarray(words2, dtype=np.int64).reshape(1, -1)
+    return _cnpmi_scores(ids1, ids2, ref)[0]
 
 
 def cnpmi_model(
     model: TopicModel, ref: ReferenceCorpus, c: int = 20
 ) -> tuple[list[float], float]:
     """Per-topic CNPMI using each language's top `c` words, plus the mean."""
-    phi1, phi2 = model.phi
-    scores = []
-    for k in range(model.hyperparams.k):
-        scores.append(cnpmi_topic(top_words(phi1[k], c), top_words(phi2[k], c), ref))
+    phi1, phi2 = (np.asarray(phi) for phi in model.phi)
+    scores = _cnpmi_scores(_top_word_ids(phi1, c), _top_word_ids(phi2, c), ref)
     return scores, float(np.mean(scores))
 
 

@@ -5,7 +5,10 @@ Everything here recomputes collapsed likelihoods from first principles
 the package's sampling formulas, so agreement is meaningful evidence.
 """
 
+import io
 import itertools
+import json
+import math
 from math import exp, lgamma
 
 import numpy as np
@@ -827,3 +830,66 @@ def build_transfer_rows_reference(target, source, dictionary, numerator="pairs")
         raw = np.array([score for _, score in scored], dtype=np.float64)
         rows.append((idx, raw / raw.sum() if len(raw) else raw))
     return rows
+
+
+def npmi_reference(c1, c2, c12, total):
+    """NPMI of one word pair from its counts, with the special cases in
+    their order of precedence: a zero marginal gives 0, a zero joint
+    count -1, words in every pair 0."""
+    if c1 == 0 or c2 == 0:
+        return 0.0
+    if c12 == 0:
+        return -1.0
+    if c12 == total:
+        return 0.0
+    lp1 = math.log(c1 / total)
+    lp2 = math.log(c2 / total)
+    lp12 = math.log(c12 / total)
+    value = (lp12 - lp1 - lp2) / (-lp12)
+    return max(-1.0, min(1.0, value))
+
+
+def cnpmi_topic_reference(words1, words2, pairs):
+    """CNPMI of one topic as `evaluate.cnpmi_topic` used to count it: an
+    inverted index of pair-index sets per word and side, and one set
+    intersection per cross-language word pair."""
+    index1, index2 = {}, {}
+    for i, (side1, side2) in enumerate(pairs):
+        for w in side1:
+            index1.setdefault(w, set()).add(i)
+        for w in side2:
+            index2.setdefault(w, set()).add(i)
+    total = len(pairs)
+    terms = []
+    for w1 in words1:
+        docs1 = index1.get(w1, set())
+        for w2 in words2:
+            docs2 = index2.get(w2, set())
+            terms.append(npmi_reference(len(docs1), len(docs2), len(docs1 & docs2), total))
+    return math.fsum(terms) / len(terms)
+
+
+def parse_reference_reference(text, v1, v2):
+    """The pairs a reference file holds, or None when `load_reference`
+    must refuse it: a nonblank line that is not a JSON object with
+    `l1_types` and `l2_types` lists of strings, or no pair left with
+    in-vocabulary types on both sides."""
+    pairs = []
+    for line in io.StringIO(text, newline=None):  # the lines a text-mode file yields
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            return None
+        if not isinstance(rec, dict) or "l1_types" not in rec or "l2_types" not in rec:
+            return None
+        sides = []
+        for key, vocab in (("l1_types", v1), ("l2_types", v2)):
+            types = rec[key]
+            if not isinstance(types, list) or any(not isinstance(w, str) for w in types):
+                return None
+            sides.append(frozenset(vocab.id_of_word[w] for w in types if w in vocab.id_of_word))
+        if sides[0] and sides[1]:
+            pairs.append(tuple(sides))
+    return pairs or None

@@ -745,13 +745,19 @@ def test_top_words_below_one_exits_2(tmp_path, toy_data, capsys, count):
     out = run_train(tmp_path, toy_data, "valid")
     reference = tmp_path / "reference.jsonl"
     reference.write_text('{"l1_types": ["a0"], "l2_types": ["b0"]}\n')
+    missing = tmp_path / "no_such_model.json"
     for argv in (
         ["eval", "--model", str(out / "model.json"), "--which", "cnpmi",
          "--reference", str(reference)],
         ["inspect", "--model", str(out / "model.json")],
+        # checked whatever --which lists, and before any input is read
+        ["eval", "--model", str(out / "model.json"), "--which", "lis",
+         "--dictionary", str(toy_data["dictionary"])],
+        ["eval", "--model", str(missing), "--which", "cnpmi", "--reference", str(reference)],
+        ["inspect", "--model", str(missing)],
     ):
         capsys.readouterr()
-        assert main([*argv, "--top-words", count]) == 2, argv[0]
+        assert main([*argv, "--top-words", count]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "number of top words must be positive" in captured.err

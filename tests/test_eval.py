@@ -1,11 +1,15 @@
-"""CNPMI fixtures and brute-force recount, classification micro-F1,
-synthetic data generation."""
+"""CNPMI fixtures, brute-force recount and set-intersection parity,
+reference loading, classification micro-F1, synthetic data generation."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from oracles import cnpmi_topic_reference, npmi_reference, parse_reference_reference
 
+from multitopic import evaluate
 from multitopic.corpus import Vocabulary
 from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import (
@@ -25,10 +29,22 @@ from multitopic.evaluate import (
 from multitopic.models import Hyperparams, TopicModel
 
 
+# derandomized: every run checks the same generated cases
+SETTINGS = settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+
+
 def ref_from_sets(pairs):
     return ReferenceCorpus(
         [(frozenset(a), frozenset(b)) for a, b in pairs]
     )
+
+
+def entry_rows(ref, side):
+    """The (pair, word) rows of one side, sorted."""
+    return sorted(map(tuple, ref.entries[side].tolist()))
 
 
 class TestTopWords:
@@ -130,7 +146,7 @@ class TestCnpmiTopic:
                     acc += term
             return acc / (len(words1) * len(words2))
 
-        assert cnpmi_topic(words1, words2, ref) == pytest.approx(brute(), abs=1e-15)
+        assert cnpmi_topic(words1, words2, ref) == brute()
 
     def test_all_terms_within_bounds(self):
         rng = np.random.default_rng(2)
@@ -197,6 +213,98 @@ class TestCnpmiModel:
         ]
         assert per_topic == expected
         assert mean == pytest.approx(np.mean(expected), abs=1e-15)
+
+
+@st.composite
+def references(draw, vocab):
+    """Random reference pairs over `vocab` word ids per side, sometimes
+    with one word present in every pair on both sides."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.4, 0.9]))
+    pairs = []
+    # past 64 pairs a membership row spans more than one uint64 word
+    for _ in range(draw(st.integers(1, 150))):
+        sides = []
+        for _ in range(2):
+            types = np.flatnonzero(rng.random(vocab) < density).tolist()
+            sides.append(frozenset(types or [int(rng.integers(vocab))]))
+        pairs.append(tuple(sides))
+    if draw(st.booleans()):
+        everywhere = draw(st.integers(0, vocab - 1))
+        pairs = [(s1 | {everywhere}, s2 | {everywhere}) for s1, s2 in pairs]
+    return pairs
+
+
+@st.composite
+def cnpmi_topic_cases(draw):
+    vocab = draw(st.integers(1, 12))
+    # ids absent from the reference, negative or far beyond its vocabulary;
+    # a list may repeat a word, and the two lists may differ in length
+    word = st.integers(-2, vocab + 3) | st.integers(0, 10**6)
+    words = st.lists(word, min_size=1, max_size=8)
+    return draw(references(vocab)), draw(words), draw(words)
+
+
+# every _npmi branch: (0, 0) is in both pairs, (1, 1) co-occurs once,
+# (1, 3) never, and word 9 is in no pair
+FOUR_BRANCHES = ([({0, 1}, {0, 1}), ({0, 2}, {0, 3})], [0, 1, 2, 9], [0, 1, 3, 9])
+
+
+class TestCnpmiParity:
+    """The array path against the per-pair set-intersection loop it
+    replaced (`tests/oracles.py`), compared with `==`."""
+
+    def test_popcount_counts_every_bit_of_a_word(self):
+        rng = np.random.default_rng(5)
+        values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA]
+        values += rng.integers(0, 2**64, size=50, dtype=np.uint64).tolist()
+        words = np.array(values, dtype=np.uint64)
+        assert evaluate._popcount(words).tolist() == [bin(v).count("1") for v in values]
+
+    def test_fixture_reaches_every_npmi_branch(self):
+        pairs, words1, words2 = FOUR_BRANCHES
+        counts = {}
+        for w1 in words1:
+            for w2 in words2:
+                c1 = sum(w1 in a for a, _ in pairs)
+                c2 = sum(w2 in b for _, b in pairs)
+                c12 = sum(w1 in a and w2 in b for a, b in pairs)
+                branch = (
+                    "zero marginal" if not (c1 and c2) else "never together" if not c12
+                    else "always together" if c12 == len(pairs) else "regular"
+                )
+                counts.setdefault(branch, []).append(npmi_reference(c1, c2, c12, len(pairs)))
+        assert set(counts) == {"zero marginal", "never together", "always together", "regular"}
+        assert set(counts["never together"]) == {-1.0}
+
+    @SETTINGS
+    @example(case=FOUR_BRANCHES)
+    @given(case=cnpmi_topic_cases())
+    def test_topic_matches_set_intersections(self, case):
+        pairs, words1, words2 = case
+        ref = ref_from_sets(pairs)
+        assert cnpmi_topic(words1, words2, ref) == cnpmi_topic_reference(words1, words2, pairs)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 22])
+    @settings(SETTINGS, max_examples=30)
+    @given(data=st.data())
+    def test_model_matches_set_intersections_per_topic(self, monkeypatch, chunk_bytes, data):
+        # chunk_bytes=1 scores one topic per chunk
+        monkeypatch.setattr(evaluate, "_CHUNK_BYTES", chunk_bytes)
+        v1, v2 = data.draw(st.integers(1, 10)), data.draw(st.integers(1, 10))
+        k = data.draw(st.integers(2, 6))
+        c = data.draw(st.integers(1, min(v1, v2)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # few distinct values, so the top words have ties
+        phi1 = rng.integers(0, 3, size=(k, v1)) / 4.0
+        phi2 = rng.integers(0, 3, size=(k, v2)) / 4.0
+        pairs = data.draw(references(max(v1, v2)))
+        per_topic, mean = cnpmi_model(tiny_model(phi1, phi2, k), ref_from_sets(pairs), c=c)
+        assert per_topic == [
+            cnpmi_topic_reference(top_words(phi1[t], c), top_words(phi2[t], c), pairs)
+            for t in range(k)
+        ]
+        assert mean == float(np.mean(per_topic))
 
 
 class TestMicroF1:
@@ -306,6 +414,86 @@ class TestReference:
     def test_empty_side_rejected_at_construction(self):
         with pytest.raises(DataError):
             ReferenceCorpus([(frozenset(), frozenset([1]))])
+
+    def test_negative_word_id_rejected_at_construction(self):
+        with pytest.raises(DataError, match="non-negative"):
+            ReferenceCorpus([(frozenset([0]), frozenset([-1]))])
+
+    def test_entries_hold_each_pairs_types_once(self):
+        ref = ref_from_sets([([3, 0], [1]), ([0], [2, 1, 2])])
+        assert ref.entries[0].dtype == ref.entries[1].dtype == np.int64
+        assert entry_rows(ref, 0) == [(0, 0), (0, 3), (1, 0)]
+        assert entry_rows(ref, 1) == [(0, 1), (1, 1), (1, 2)]
+
+    def test_type_repeated_within_a_line_counts_once(self, tmp_path):
+        v1 = Vocabulary("l1", ["a0", "a1"])
+        v2 = Vocabulary("l2", ["b0", "b1"])
+        path = tmp_path / "ref.jsonl"
+        path.write_text(
+            '{"l1_types": ["a0", "a0", "a1"], "l2_types": ["b0", "b0"]}\n'
+            '{"l1_types": ["a1"], "l2_types": ["b1"]}\n'
+        )
+        loaded = load_reference(path, v1, v2)
+        assert loaded.pairs == [(frozenset([0, 1]), frozenset([0])), (frozenset([1]), frozenset([1]))]
+        assert entry_rows(loaded, 0) == [(0, 0), (0, 1), (1, 1)]
+        assert entry_rows(loaded, 1) == [(0, 0), (1, 1)]
+        # a0 and b0 share their one pair of two: NPMI 1, not inflated by the repeats
+        assert cnpmi_topic([0], [0], loaded) == 1.0
+
+
+FUZZ_VOCABULARIES = (Vocabulary("l1", ["a0", "a1", "a2"]), Vocabulary("l2", ["b0", "b1"]))
+KEYS = ("l1_types", "l2_types")
+
+
+@st.composite
+def mutated_reference_files(draw):
+    """A valid reference file with a few lines mutated: a key dropped, a
+    type list replaced by a non-list or given a non-string, a type
+    repeated, a line truncated or blanked."""
+    types = {
+        "l1_types": st.lists(st.sampled_from(["a0", "a1", "a2", "zz"]), max_size=4),
+        "l2_types": st.lists(st.sampled_from(["b0", "b1", "zz"]), max_size=4),
+    }
+    lines = draw(st.lists(st.fixed_dictionaries(types), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line, key = lines[i], draw(st.sampled_from(KEYS))
+        mutation = draw(st.sampled_from(
+            ["drop key", "not a list", "not a string", "repeat", "truncate", "blank"]
+        ))
+        if mutation == "truncate" or mutation == "blank":
+            text = line if isinstance(line, str) else json.dumps(line)
+            lines[i] = (
+                text[: draw(st.integers(0, max(0, len(text) - 1)))] if mutation == "truncate"
+                else draw(st.sampled_from(["", " ", "\t"]))
+            )
+        elif isinstance(line, dict) and key in line:
+            if mutation == "drop key":
+                del line[key]
+            elif mutation == "not a list":
+                line[key] = draw(st.sampled_from(["a0", 3, None, {"a0": 1}, True]))
+            elif isinstance(line[key], list):
+                extra = draw(st.sampled_from([1, None, ["a0"], 2.5, False]))
+                line[key] = line[key] + (line[key][:1] if mutation == "repeat" else [extra])
+    return "".join((ln if isinstance(ln, str) else json.dumps(ln)) + "\n" for ln in lines)
+
+
+@SETTINGS
+@given(text=mutated_reference_files())
+def test_mutated_reference_file_loads_as_the_oracle_parses_or_is_a_data_error(tmp_path, text):
+    path = tmp_path / "ref.jsonl"
+    path.write_text(text, encoding="utf-8")
+    want = parse_reference_reference(text, *FUZZ_VOCABULARIES)
+    try:
+        loaded = load_reference(path, *FUZZ_VOCABULARIES)
+    except DataError:
+        assert want is None
+        return
+    assert loaded.pairs == want
+    for side in (0, 1):
+        assert entry_rows(loaded, side) == sorted(
+            (i, w) for i, pair in enumerate(want) for w in pair[side]
+        )
 
 
 class TestEvalReport:

@@ -5,8 +5,10 @@ run the `multitopic train` children in the benchmark harness's
 environment, and compare the sha256 of each `model.json` and
 `anneal_log.jsonl` with the seed-0, `--trace 0` run recorded in
 `benchmarks/BENCH_0.json`; then run `eval --which cnpmi,classify,lis` on
-the last model and compare its quality numbers too. A change that moves
-any of them changes what the program outputs for a fixed (config, seed).
+the last model and compare its quality numbers too, and its per-topic
+CNPMI with the set-intersection oracle in `tests/oracles.py`. A change
+that moves any of them changes what the program outputs for a fixed
+(config, seed).
 """
 
 import hashlib
@@ -22,7 +24,11 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "benchmarks"
 sys.path.insert(0, str(BENCH_DIR))
 
+from oracles import cnpmi_topic_reference, parse_reference_reference  # noqa: E402
 from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+from multitopic.evaluate import top_words  # noqa: E402
+from multitopic.models import load_model  # noqa: E402
 
 CLI = [sys.executable, "-m", "multitopic.cli"]
 # the environment `benchmarks/run.py` gives its children
@@ -75,6 +81,15 @@ def test_outputs_match_the_benchmark_baseline(name, tmp_path):
         "--output", str(report_path),
     )
     report = json.loads(report_path.read_text(encoding="utf-8"))
+    # every topic's score, so a per-topic drift cannot hide behind the mean
+    model = load_model(inputs.outputs[-1] / "model.json")
+    pairs = parse_reference_reference(
+        inputs.reference.read_text(encoding="utf-8"), *model.vocabularies
+    )
+    assert report["cnpmi_per_topic"] == [
+        cnpmi_topic_reference(top_words(phi1, 20), top_words(phi2, 20), pairs)
+        for phi1, phi2 in zip(*model.phi)
+    ]
     assert {
         "cnpmi_mean": report["cnpmi_mean"],
         "lis_final": report["lis_final"],
