@@ -467,6 +467,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if "classify" in which:
         _native.load()  # no compiler: stop before any input is read
     model = load_model(args.model)
+    size = min(vocab.size for vocab in model.vocabularies)
+    if "cnpmi" in which and args.top_words > size:  # before the reference is read
+        raise ConfigError(f"--top-words {args.top_words} exceeds the {size}-word vocabulary")
     report = ev.EvalReport()
     if "cnpmi" in which:
         ref = ev.load_reference(args.reference, *model.vocabularies)

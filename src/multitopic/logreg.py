@@ -134,7 +134,8 @@ def stratified_folds(
     if n_folds < 2:
         raise ConfigError(f"need at least 2 folds, got {n_folds}")
     folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for cls in np.unique(y):
+    # with counts, `np.unique` skips the `numpy.ma` import of its plain form
+    for cls in np.unique(y, return_counts=True)[0]:
         members = np.flatnonzero(y == cls)
         members = members[rng.permutation(len(members))]
         for i, idx in enumerate(members):

@@ -339,19 +339,6 @@ def _init_side(
     return state, flat_paths
 
 
-def _pseudo_counts(matrix: TransferMatrix, source_ndk: np.ndarray) -> np.ndarray:
-    """Soft-link pseudo-counts (D x K): row d is the weighted mixture of the
-    source documents' topic counts that transfer row d names, zero for an
-    empty row. One `weights @ source[idx]` per row keeps the summation
-    order of `softlink_prior`."""
-    source = source_ndk.astype(np.float64)
-    pseudo = np.zeros((len(matrix.rows), source.shape[1]), dtype=np.float64)
-    for d, (idx, weights) in enumerate(matrix.rows):
-        if len(idx):
-            pseudo[d] = weights @ source[idx]
-    return pseudo
-
-
 def _plain_sweep(lib, side: SideState, priors: np.ndarray, beta: float, rng) -> None:
     """The `sweep_plain` kernel over one side; `priors` is D x K."""
     k = side.n_topics
@@ -379,20 +366,6 @@ def _tree_sweep(
         hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
         rng.random(len(side.tokens)), cdf,
     )
-
-
-def _validate_matrix(matrix: TransferMatrix, target: Corpus, source: Corpus) -> None:
-    if matrix.target_language != target.language or matrix.source_language != source.language:
-        raise ConfigError(
-            f"transfer matrix direction ({matrix.target_language!r} <- "
-            f"{matrix.source_language!r}) does not match corpora"
-        )
-    if len(matrix.rows) != len(target.documents):
-        raise ConfigError("transfer matrix row count does not match target corpus")
-    n_source = len(source.documents)
-    for idx, _ in matrix.rows:
-        if len(idx) and (idx.min() < 0 or idx.max() >= n_source):
-            raise ConfigError("transfer matrix refers to a missing source document")
 
 
 def _hard_links(corpus: BilingualCorpus) -> np.ndarray:
@@ -463,8 +436,8 @@ def train(
     if uses_soft:
         if transfer_to_side1 is None or transfer_to_side2 is None:
             raise ConfigError(f"{model_kind} requires transfer matrices in both directions")
-        _validate_matrix(transfer_to_side1, corpus.side1, corpus.side2)
-        _validate_matrix(transfer_to_side2, corpus.side2, corpus.side1)
+        transfer_to_side1.check(corpus.side1, corpus.side2)
+        transfer_to_side2.check(corpus.side2, corpus.side1)
     if uses_tree:
         if tree is None:
             if dictionary is None:
@@ -500,10 +473,7 @@ def train(
     priors = tuple(np.full((len(side.doc_topic), hp.k), alpha) for side in sides)
     for iteration in range(1, hp.train_iterations + 1):
         if uses_soft:
-            priors = tuple(
-                _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic) + alpha
-                for s in (0, 1)
-            )
+            priors = tuple(scheduler.matrices[s].mix(sides[1 - s].doc_topic) + alpha for s in (0, 1))
         for s in (0, 1):
             side = sides[s]
             if uses_tree:
@@ -578,10 +548,7 @@ def _assemble_model(
         side = sides[s]
         ndk = side.doc_topic.astype(np.float64)
         lengths = np.diff(side.doc_start).astype(np.float64)
-        if uses_soft:
-            pseudo = _pseudo_counts(scheduler.matrices[s], sides[1 - s].doc_topic)
-        else:
-            pseudo = np.zeros_like(ndk)
+        pseudo = scheduler.matrices[s].mix(sides[1 - s].doc_topic) if uses_soft else np.zeros_like(ndk)
         # hard links (none for other kinds): the linked partner's topic counts
         pseudo[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]]
         numer = ndk + pseudo + alpha

@@ -1,11 +1,18 @@
 """Transfer distributions: sparse per-document weights over the other
 language's documents, derived from dictionary word overlap, with static
 (threshold) focusing and deterministic annealing.
+
+A `TransferMatrix` is one CSR table (`start`, `idx`, `weights`) that only
+this module reads; callers take `rows`, (idx, weights) views of each row,
+and `mix`, the soft-link pseudo-counts. Build, focus and anneal are array
+passes, except the two per-row loops whose float order fixes the output
+bits: `_row_sums` (numpy's 1-D pairwise sum of each row) and `mix` (one
+gemv per row).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -62,47 +69,81 @@ class AnnealConfig:
             )
 
 
+@dataclass(eq=False)
 class TransferMatrix:
-    """Sparse row-stochastic matrix: one row per target document, weights
-    over source documents. Rows are (index array, weight array) pairs with
-    indices strictly increasing; an empty row means no transfer."""
+    """Row-stochastic weights over source documents, one row per target
+    document; row d is entries `start[d]:start[d + 1]` of `idx` (ascending)
+    and `weights`, and an empty row means no transfer. Never mutated."""
 
-    def __init__(
-        self,
-        target_language: str,
-        source_language: str,
-        rows: list[tuple[np.ndarray, np.ndarray]],
-    ):
-        self.target_language = target_language
-        self.source_language = source_language
-        self.rows = rows
+    target_language: str
+    source_language: str
+    start: np.ndarray
+    idx: np.ndarray
+    weights: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.start) - 1
+
+    @property
+    def rows(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every row as an (idx, weights) pair of views into the table."""
+        return [(self.idx[a:b], self.weights[a:b]) for a, b in _bounds(self.start)]
 
     def nonempty_rows(self) -> int:
-        return sum(1 for idx, _ in self.rows if len(idx))
-
-    def max_weight(self) -> float:
-        """Largest weight anywhere in the matrix (0.0 if all rows empty)."""
-        best = 0.0
-        for _, weights in self.rows:
-            if len(weights):
-                best = max(best, float(weights.max()))
-        return best
+        return int(np.count_nonzero(np.diff(self.start)))
 
     def mean_row_max(self) -> float:
         """Mean of per-row maxima over nonempty rows (0.0 if none)."""
-        maxima = [float(w.max()) for _, w in self.rows if len(w)]
-        return float(np.mean(maxima)) if maxima else 0.0
+        maxima = _row_maxima(self.weights, self.start)
+        return float(np.mean(maxima)) if len(maxima) else 0.0
 
-    def copy(self) -> "TransferMatrix":
-        rows = [(idx.copy(), w.copy()) for idx, w in self.rows]
-        return TransferMatrix(self.target_language, self.source_language, rows)
+    def mix(self, source_counts: np.ndarray) -> np.ndarray:
+        """Soft-link pseudo-counts (D x K): row d mixes the topic counts of
+        the source documents it names (zero if empty), by one `weights @
+        source[idx]` per row, the summation order of `models.softlink_prior`."""
+        source = source_counts.astype(np.float64)
+        pseudo = np.zeros((len(self), source.shape[1]), dtype=np.float64)
+        for d, (a, b) in enumerate(_bounds(self.start)):
+            if a < b:
+                pseudo[d] = self.weights[a:b] @ source[self.idx[a:b]]
+        return pseudo
+
+    def check(self, target: Corpus, source: Corpus) -> None:
+        """Refuse (`ConfigError`) a table that does not run from `source`'s
+        documents to `target`'s: the sampler indexes with it unchecked."""
+        if (self.target_language, self.source_language) != (target.language, source.language):
+            raise ConfigError(
+                f"transfer matrix direction ({self.target_language!r} <- "
+                f"{self.source_language!r}) does not match corpora"
+            )
+        start, idx = self.start, self.idx
+        if len(start) != len(target) + 1:
+            raise ConfigError("transfer matrix row count does not match target corpus")
+        if start[0] or (np.diff(start) < 0).any() or not start[-1] == len(idx) == len(self.weights):
+            raise ConfigError("transfer matrix start must run from 0 up to the entry count")
+        if len(idx) and (idx.min() < 0 or idx.max() >= len(source)):
+            raise ConfigError("transfer matrix refers to a missing source document")
 
 
-_EMPTY_IDX = np.empty(0, dtype=np.int64)
-_EMPTY_W = np.empty(0, dtype=np.float64)
+def _bounds(start: np.ndarray):
+    """(first, end) entry of every row, as Python ints."""
+    return zip(start[:-1].tolist(), start[1:].tolist())
+
+
+def _row_maxima(values: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The maximum of each nonempty row, in row order."""
+    return np.maximum.reduceat(values, start[:-1][np.diff(start) > 0])
+
+
+def _row_sums(values: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The sum of each row (0.0 when empty), each by numpy's 1-D pairwise
+    summation of the row alone: that order fixes the weights' bits."""
+    return np.array([values[a:b].sum() for a, b in _bounds(start)], dtype=np.float64)
+
+
+def _normalised(values: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """`values` with every row divided by its own sum."""
+    return values / np.repeat(_row_sums(values, start), np.diff(start))
 
 
 # target documents scored together: the candidate expansion, and with it
@@ -191,7 +232,8 @@ def build_transfer_matrix(
     pairs_of_doc = np.searchsorted(t_docs, np.arange(n_target + 1))
     n_cols = max(n_source, 1)
 
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
+    # one empty block first, so that a corpus without documents concatenates
+    docs, idx, raw = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
     for first in range(0, n_target, _BLOCK_DOCS):
         last = min(first + _BLOCK_DOCS, n_target)
         lo, hi = pairs_of_doc[first], pairs_of_doc[last]
@@ -209,59 +251,46 @@ def build_transfer_matrix(
                 np.unique(_distinct(cell * n + words) // n, return_counts=True)[1]
                 for words, n in ((t_words[pair], n_target_words), (w_s[hit], n_source_words))
             )
-        docs = first + cells // n_cols
-        j = cells % n_cols
-        raw = score / (s_types[j] + t_types[docs])
-        bounds = np.searchsorted(docs, np.arange(first, last + 1))
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            if a == b:
-                rows.append((_EMPTY_IDX, _EMPTY_W))
-            else:
-                row = raw[a:b]
-                rows.append((j[a:b], row / row.sum()))
-    return TransferMatrix(target.language, source.language, rows)
+        docs.append(first + cells // n_cols)
+        idx.append(cells % n_cols)
+        raw.append(score / (s_types[idx[-1]] + t_types[docs[-1]]))
+    # cells ascend within a block and blocks ascend, so rows come in order
+    start = np.searchsorted(np.concatenate(docs), np.arange(n_target + 1))
+    weights = _normalised(np.concatenate(raw), start)
+    return TransferMatrix(target.language, source.language, start, np.concatenate(idx), weights)
 
 
 def static_focus(matrix: TransferMatrix, cfg: FocusConfig) -> TransferMatrix:
     """Zero out entries not strictly above threshold * max and renormalize
     the survivors. A row whose entries all fall at or below the cutoff
-    becomes empty (that document then receives no transfer)."""
-    corpus_max = matrix.max_weight() if cfg.scope == "corpus_wise" else None
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    for idx, weights in matrix.rows:
-        if not len(idx):
-            rows.append((_EMPTY_IDX, _EMPTY_W))
-            continue
-        reference = corpus_max if corpus_max is not None else float(weights.max())
-        keep = weights > cfg.threshold * reference
-        if keep.all():
-            rows.append((idx.copy(), weights.copy()))
-        elif not keep.any():
-            rows.append((_EMPTY_IDX, _EMPTY_W))
-        else:
-            kept = weights[keep]
-            rows.append((idx[keep].copy(), kept / kept.sum()))
-    return TransferMatrix(matrix.target_language, matrix.source_language, rows)
+    becomes empty (that document then receives no transfer); a row that
+    keeps every entry keeps its weights as they were."""
+    start, weights = matrix.start, matrix.weights
+    lengths = np.diff(start)
+    if cfg.scope == "corpus_wise":
+        reference = weights.max(initial=0.0)
+    else:
+        reference = np.repeat(_row_maxima(weights, start), lengths[lengths > 0])
+    keep = weights > cfg.threshold * reference
+    kept_start = np.concatenate(([0], np.cumsum(keep)))[start]
+    kept, kept_lengths = weights[keep], np.diff(kept_start)
+    # a whole row divides by 1.0, which leaves every weight as it was
+    sums = np.where(kept_lengths == lengths, 1.0, _row_sums(kept, kept_start))
+    weights = kept / np.repeat(sums, kept_lengths)
+    return replace(matrix, start=kept_start, idx=matrix.idx[keep], weights=weights)
 
 
 def anneal_matrix(matrix: TransferMatrix, temperature: float) -> TransferMatrix:
     """Sharpen every nonempty row: raise weights to the power 1/temperature
     and renormalize. Support and per-row argmax are preserved; temperature
-    1.0 is the exact identity. Weights below ~1e-277 flush to zero under
-    the exponentiation (double-precision limit)."""
+    1.0 is the exact identity and returns `matrix` itself. Weights below
+    ~1e-277 flush to zero under the exponentiation (double-precision
+    limit)."""
     if not 0.0 < temperature <= 1.0:
         raise ConfigError(f"temperature must be in (0, 1], got {temperature}")
     if temperature == 1.0:
-        return matrix.copy()
-    power = 1.0 / temperature
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    for idx, weights in matrix.rows:
-        if not len(idx):
-            rows.append((_EMPTY_IDX, _EMPTY_W))
-            continue
-        sharpened = weights**power
-        rows.append((idx.copy(), sharpened / sharpened.sum()))
-    return TransferMatrix(matrix.target_language, matrix.source_language, rows)
+        return matrix
+    return replace(matrix, weights=_normalised(matrix.weights ** (1.0 / temperature), matrix.start))
 
 
 def write_matrix_tsv(
@@ -270,11 +299,6 @@ def write_matrix_tsv(
     """Dump rows as `target_id<TAB>source_id<TAB>weight`, target docs in
     corpus order, entries by descending weight (ties by source id)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, (idx, weights) in enumerate(matrix.rows):
-            order = sorted(range(len(idx)), key=lambda p: (-weights[p], idx[p]))
-            for p in order:
-                fh.write(
-                    f"{target.documents[i].doc_id}\t"
-                    f"{source.documents[int(idx[p])].doc_id}\t"
-                    f"{float(weights[p])!r}\n"
-                )
+        for doc, (idx, weights) in zip(target.documents, matrix.rows):
+            for p in np.lexsort((idx, -weights)).tolist():
+                fh.write(f"{doc.doc_id}\t{source.documents[idx[p]].doc_id}\t{float(weights[p])!r}\n")

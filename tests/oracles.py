@@ -14,6 +14,7 @@ from math import exp, lgamma
 import numpy as np
 
 from multitopic.models import SideState, tally_side
+from multitopic.transfer import TransferMatrix
 from multitopic.tree import DirichletTree
 
 
@@ -830,6 +831,99 @@ def build_transfer_rows_reference(target, source, dictionary, numerator="pairs")
         raw = np.array([score for _, score in scored], dtype=np.float64)
         rows.append((idx, raw / raw.sum() if len(raw) else raw))
     return rows
+
+
+def matrix_from_rows(target_language, source_language, rows):
+    """A `TransferMatrix` holding `rows`, a list of (index array, weight
+    array) pairs, as its CSR table."""
+    lengths = [len(idx) for idx, _ in rows]
+    return TransferMatrix(
+        target_language, source_language,
+        np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        np.concatenate([np.asarray(idx, dtype=np.int64) for idx, _ in rows] or [np.empty(0, np.int64)]),
+        np.concatenate([np.asarray(w, dtype=np.float64) for _, w in rows] or [np.empty(0)]),
+    )
+
+
+# The list-of-rows transfer code that the CSR table replaced: one
+# (index array, weight array) pair per row, each row its own allocation.
+_EMPTY_IDX = np.empty(0, dtype=np.int64)
+_EMPTY_W = np.empty(0, dtype=np.float64)
+
+
+def normalise_block_reference(docs, j, raw, first, last):
+    """The tail of `build_transfer_matrix` for one block of target
+    documents [first, last): its cells' documents `docs` (ascending),
+    source documents `j` and raw scores, one row per document, each
+    divided by its own sum."""
+    rows = []
+    bounds = np.searchsorted(docs, np.arange(first, last + 1))
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a == b:
+            rows.append((_EMPTY_IDX, _EMPTY_W))
+        else:
+            row = raw[a:b]
+            rows.append((j[a:b], row / row.sum()))
+    return rows
+
+
+def max_weight_reference(rows):
+    best = 0.0
+    for _, weights in rows:
+        if len(weights):
+            best = max(best, float(weights.max()))
+    return best
+
+
+def static_focus_reference(rows, cfg):
+    corpus_max = max_weight_reference(rows) if cfg.scope == "corpus_wise" else None
+    out = []
+    for idx, weights in rows:
+        if not len(idx):
+            out.append((_EMPTY_IDX, _EMPTY_W))
+            continue
+        reference = corpus_max if corpus_max is not None else float(weights.max())
+        keep = weights > cfg.threshold * reference
+        if keep.all():
+            out.append((idx.copy(), weights.copy()))
+        elif not keep.any():
+            out.append((_EMPTY_IDX, _EMPTY_W))
+        else:
+            kept = weights[keep]
+            out.append((idx[keep].copy(), kept / kept.sum()))
+    return out
+
+
+def anneal_rows_reference(rows, temperature):
+    if temperature == 1.0:
+        return [(idx.copy(), w.copy()) for idx, w in rows]
+    power = 1.0 / temperature
+    out = []
+    for idx, weights in rows:
+        if not len(idx):
+            out.append((_EMPTY_IDX, _EMPTY_W))
+            continue
+        sharpened = weights**power
+        out.append((idx.copy(), sharpened / sharpened.sum()))
+    return out
+
+
+def pseudo_counts_reference(rows, source_ndk):
+    source = source_ndk.astype(np.float64)
+    pseudo = np.zeros((len(rows), source.shape[1]), dtype=np.float64)
+    for d, (idx, weights) in enumerate(rows):
+        if len(idx):
+            pseudo[d] = weights @ source[idx]
+    return pseudo
+
+
+def nonempty_rows_reference(rows):
+    return sum(1 for idx, _ in rows if len(idx))
+
+
+def mean_row_max_reference(rows):
+    maxima = [float(w.max()) for _, w in rows if len(w)]
+    return float(np.mean(maxima)) if maxima else 0.0
 
 
 def npmi_reference(c1, c2, c12, total):

@@ -269,7 +269,10 @@ def run_into_closed_pipe(tmp_path, *argv: str) -> subprocess.CompletedProcess:
     empty cache."""
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = {"PATH": "", "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    env = {
+        "PATH": "", "PYTHONPATH": str(SRC), "XDG_CACHE_HOME": str(tmp_path / "cache"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     try:
         return subprocess.run(
             [sys.executable, "-m", "multitopic.cli", *argv],
@@ -307,7 +310,7 @@ def test_eval_report_with_nan_exits_3_and_writes_nothing(tmp_path, toy_data, mon
         capsys.readouterr()
         code = main([
             "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
-            "--reference", str(reference), *output,
+            "--reference", str(reference), "--top-words", "5", *output,
         ])
         assert code == 3
         captured = capsys.readouterr()
@@ -735,7 +738,7 @@ def test_reference_that_cannot_be_read_exits_3(tmp_path, toy_data, capsys, kind)
     capsys.readouterr()
     assert main([
         "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
-        "--reference", str(bad),
+        "--reference", str(bad), "--top-words", "5",
     ]) == 3
     assert capsys.readouterr().err.startswith("data error: ")
 
@@ -761,6 +764,32 @@ def test_top_words_below_one_exits_2(tmp_path, toy_data, capsys, count):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "number of top words must be positive" in captured.err
+
+
+def test_eval_top_words_above_the_vocabulary_exits_2_before_the_reference(tmp_path, capsys):
+    k, size = 2, 500
+    phi = np.full((k, size), 1.0 / size)
+    model = models.TopicModel(
+        model_kind="lda",
+        hyperparams=models.Hyperparams(k=k, train_iterations=1),
+        vocabularies=tuple(Vocabulary(lang, [f"{lang}_{i}" for i in range(size)]) for lang in ("l1", "l2")),
+        phi=(phi, phi.copy()),
+        theta=(np.zeros((0, k)), np.zeros((0, k))),
+        doc_ids=([], []),
+        doc_labels=([], []),
+    )
+    models.save_model(model, tmp_path / "model.json")
+    argv = [
+        "eval", "--model", str(tmp_path / "model.json"), "--which", "cnpmi",
+        "--reference", str(tmp_path / "no_such_reference.jsonl"),
+    ]
+    assert main([*argv, "--top-words", "600"]) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: --top-words 600 exceeds the 500-word vocabulary\n"
+    # at the vocabulary size the check passes and the missing reference is read
+    assert main([*argv, "--top-words", "500"]) == 3
+    # `inspect` clamps to the vocabulary instead
+    assert main(["inspect", "--model", str(tmp_path / "model.json"), "--top-words", "600"]) == 0
 
 
 @pytest.mark.parametrize("section, value", [
@@ -957,9 +986,10 @@ def test_malformed_reference_file_exits_3(tmp_path, toy_data, capsys, line, mess
     reference = tmp_path / "reference.jsonl"
     reference.write_text('{"l1_types": ["a0"], "l2_types": ["b0"]}\n' + line + "\n")
     capsys.readouterr()
+    # five top words fit the 12-word vocabulary, so the reference is read
     assert main([
         "eval", "--model", str(out / "model.json"), "--which", "cnpmi",
-        "--reference", str(reference),
+        "--reference", str(reference), "--top-words", "5",
     ]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{reference}:2: {message}" in err

@@ -1,6 +1,6 @@
-"""Geweke's successive-conditional test of the compiled inference kernel
-(Geweke 2004, *Getting it right*; Grosse & Duvenaud 2014, *Testing MCMC
-code*).
+"""Geweke's successive-conditional tests of the compiled inference kernel
+and the soft-link training sweep (Geweke 2004, *Getting it right*; Grosse
+& Duvenaud 2014, *Testing MCMC code*).
 
 With phi fixed, one document's joint distribution is theta ~ Dir(alpha),
 z_i ~ theta, w_i ~ phi[z_i]. Alternating "draw every word from phi given
@@ -15,6 +15,7 @@ import numpy as np
 from scipy import stats
 
 from multitopic import _native
+from multitopic.transfer import TransferMatrix
 
 K, V, N = 3, 4, 5  # topics, words, tokens in the one document
 ALPHA = 0.7
@@ -53,3 +54,78 @@ def test_inference_kernel_keeps_the_joint_distribution():
     # its counts goes past N
     table = np.array([np.bincount(np.minimum(x, N), minlength=N + 1) for x in (chain, forward)])
     assert stats.chi2_contingency(table).pvalue > 0.01, table
+
+
+# The soft-link training sweep with its priors held fixed: two documents of
+# four tokens, K = 2, V = 4. Document 0's prior is alpha plus the transfer
+# mixture of three source documents' topic counts; document 1 has an empty
+# transfer row, so its prior is alpha alone.
+SOFT_K, SOFT_V, SOFT_N, SOFT_DOCS = 2, 4, 4, 2
+SOFT_ALPHA, SOFT_BETA = 0.4, 0.5
+SOFT_PRIORS = TransferMatrix(
+    "l1", "l2", np.array([0, 2, 2]), np.array([0, 1]), np.array([0.75, 0.25])
+).mix(np.array([[3, 0], [1, 2], [0, 4]])) + SOFT_ALPHA
+SOFT_DOC_OF = np.repeat(np.arange(SOFT_DOCS), SOFT_N)
+SOFT_THIN = 4
+
+
+def draw_words(z, rng) -> np.ndarray:
+    """Every word given the topics, phi integrated out: a fresh phi ~
+    Dir(beta) per topic, then each word from its topic's row."""
+    phi = rng.dirichlet(np.full(SOFT_V, SOFT_BETA), size=SOFT_K)
+    return np.argmax(rng.random(len(z))[:, None] < np.cumsum(phi, axis=1)[z], axis=1)
+
+
+def tally(index, z, n_rows) -> np.ndarray:
+    table = np.zeros((n_rows, SOFT_K), dtype=np.int64)
+    np.add.at(table, (index, z), 1)
+    return table
+
+
+def soft_statistics(nd, nw) -> tuple[int, int, int]:
+    """Topic-0 counts of both documents, N and above in one bin, and the
+    sum of squared word-topic counts."""
+    return min(nd[0, 0], SOFT_N), min(nd[1, 0], SOFT_N), int((nw**2).sum())
+
+
+def forward_soft(rng) -> tuple[np.ndarray, np.ndarray]:
+    theta = np.array([rng.dirichlet(prior) for prior in SOFT_PRIORS])
+    u = rng.random(len(SOFT_DOC_OF))[:, None]
+    z = np.argmax(u < np.cumsum(theta, axis=1)[SOFT_DOC_OF], axis=1)
+    return z, draw_words(z, rng)
+
+
+def successive_conditional_soft(rng) -> np.ndarray:
+    """The statistics after every SOFT_THIN-th alternation of "draw every
+    word given z" with one `sweep_plain` pass. The sweep keeps its own
+    document and topic totals, which the word draws leave valid; only the
+    word-topic table is tallied again for the new words."""
+    lib = _native.load()
+    z, _ = forward_soft(rng)
+    nd, nk = tally(SOFT_DOC_OF, z, SOFT_DOCS), np.bincount(z, minlength=SOFT_K)
+    doc_start = np.array([0, SOFT_N, 2 * SOFT_N])
+    cdf = np.empty(SOFT_K)
+    kept = []
+    for _ in range(SAMPLES):
+        for _ in range(SOFT_THIN):
+            words = draw_words(z, rng)
+            nw = tally(words, z, SOFT_V)
+            lib.sweep_plain(
+                SOFT_DOCS, SOFT_K, doc_start, words, z, nd, SOFT_PRIORS, nw, nk,
+                SOFT_BETA, SOFT_V * SOFT_BETA, rng.random(len(z)), cdf,
+            )
+        kept.append(soft_statistics(nd, nw))
+    return np.array(kept)
+
+
+def test_softlink_sweep_with_fixed_priors_keeps_the_joint_distribution():
+    rng = np.random.default_rng(0)
+    chain = successive_conditional_soft(rng)
+    forward = np.array([
+        soft_statistics(tally(SOFT_DOC_OF, z, SOFT_DOCS), tally(w, z, SOFT_V))
+        for z, w in (forward_soft(rng) for _ in range(SAMPLES))
+    ])
+    for column in range(chain.shape[1]):
+        values = np.unique(np.concatenate([chain[:, column], forward[:, column]]))
+        table = np.array([[np.sum(x[:, column] == v) for v in values] for x in (chain, forward)])
+        assert stats.chi2_contingency(table).pvalue > 0.01, (column, table)

@@ -20,7 +20,6 @@ from multitopic.models import (
     train,
     voclink_conditional,
 )
-from multitopic.transfer import TransferMatrix
 from multitopic.tree import build_tree
 
 import oracles
@@ -281,7 +280,7 @@ def empty_matrices(corpus):
         rows = [
             (np.empty(0, dtype=np.int64), np.empty(0)) for _ in target.documents
         ]
-        return TransferMatrix(target.language, source.language, rows)
+        return oracles.matrix_from_rows(target.language, source.language, rows)
 
     return (
         empty_for(corpus.side1, corpus.side2),
@@ -590,11 +589,37 @@ class TestTrain:
         with pytest.raises(DataError, match=f"^{message}$"):
             train(model_kind, corpus, Hyperparams(k=2, train_iterations=1), dictionary=dictionary)
 
-    def test_transfer_row_with_a_negative_index_is_a_config_error(self):
+    def test_transfer_row_with_a_negative_index_is_a_config_error(self, monkeypatch):
+        self.check_corrupted_matrix(monkeypatch, "idx", 0, -1, "missing source document")
+
+    @pytest.mark.parametrize("field, position, value, message", [
+        # side 2 has five documents, so index 5 names none of them
+        ("idx", 3, 5, "missing source document"),
+        ("start", 0, 1, "start must run from 0 up to the entry count"),
+        ("start", 2, 0, "start must run from 0 up to the entry count"),
+        ("start", -1, 5, "start must run from 0 up to the entry count"),
+    ])
+    def test_transfer_table_outside_its_corpora_is_a_config_error(
+        self, monkeypatch, field, position, value, message
+    ):
+        self.check_corrupted_matrix(monkeypatch, field, position, value, message)
+
+    @staticmethod
+    def check_corrupted_matrix(monkeypatch, field, position, value, message):
         corpus = build_bilingual(np.random.default_rng(24))
-        m1, m2 = empty_matrices(corpus)
-        m1.rows[0] = (np.array([-1]), np.array([1.0]))
-        with pytest.raises(ConfigError, match="missing source document"):
+        # one entry per row, then one value of the side-1 table overwritten
+        m1, m2 = (
+            oracles.matrix_from_rows(
+                target.language, source.language,
+                [(np.array([i % len(source.documents)]), np.array([1.0])) for i in range(len(target.documents))],
+            )
+            for target, source in ((corpus.side1, corpus.side2), (corpus.side2, corpus.side1))
+        )
+        getattr(m1, field)[position] = value
+        monkeypatch.setattr(
+            models._native, "load", lambda: pytest.fail("loaded before the check")
+        )
+        with pytest.raises(ConfigError, match=message):
             train(
                 "softlink", corpus, Hyperparams(k=2, train_iterations=1),
                 transfer_to_side1=m1, transfer_to_side2=m2,

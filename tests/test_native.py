@@ -124,7 +124,10 @@ NO_COMPILER = (
 def run_without_compiler(tmp_path: Path, *argv: str) -> subprocess.CompletedProcess:
     """The CLI in a child process with no cc or gcc on an empty PATH and
     an empty cache at `tmp_path / "empty"`."""
-    env = {"PATH": "", "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path / "empty")}
+    env = {
+        "PATH": "", "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path / "empty"),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     return subprocess.run(
         [sys.executable, "-m", "multitopic.cli", *argv],
         env=env, capture_output=True, text=True, timeout=120,
@@ -215,6 +218,9 @@ def test_importing_the_package_builds_and_loads_nothing(tmp_path):
         "from multitopic import _native\n"
         "assert _native._library is None\n"
     )
-    env = {"PATH": "", "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path)}
+    env = {
+        "PATH": "", "PYTHONPATH": str(ROOT / "src"), "XDG_CACHE_HOME": str(tmp_path),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
     subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)
     assert list(tmp_path.iterdir()) == []

@@ -66,6 +66,7 @@ from multitopic.tree import DirichletTree
 from multitopic.transfer import (
     AnnealConfig,
     FocusConfig,
+    anneal_matrix,
     build_transfer_matrix,
     static_focus,
 )
@@ -73,6 +74,7 @@ from multitopic.transfer import (
 from oracles import (
     _tune_threshold_reference,
     adaptive_schedule_reference,
+    anneal_rows_reference,
     build_transfer_rows_reference,
     classify_crosslingual_reference,
     concept_features_reference,
@@ -82,9 +84,15 @@ from oracles import (
     fit_reference,
     infer_heldout_reference,
     init_side_reference,
+    matrix_from_rows,
+    mean_row_max_reference,
     memberships_reference,
+    nonempty_rows_reference,
+    normalise_block_reference,
+    pseudo_counts_reference,
     side_state_without_token,
     sigmoid_reference,
+    static_focus_reference,
     sweep_plain_reference,
     sweep_pooled_reference,
     sweep_tree_reference,
@@ -701,6 +709,98 @@ def test_transfer_build_matches_the_per_document_loop_across_blocks():
     assert_same_transfer_rows(corpus.side2, corpus.side1, data.dictionary)
 
 
+def assert_same_table(matrix, rows):
+    """`matrix` is a CSR table whose rows equal `rows` bit for bit."""
+    start = matrix.start
+    assert start[0] == 0 and (np.diff(start) >= 0).all()
+    assert start[-1] == len(matrix.idx) == len(matrix.weights)
+    assert len(matrix) == len(rows)
+    for (idx, weights), (want_idx, want_weights) in zip(matrix.rows, rows):
+        assert same_bits(idx, want_idx)
+        assert same_bits(weights, want_weights)
+
+
+# row lengths past 128 reach numpy's pairwise-summation blocks
+ROW_LENGTHS = st.sampled_from([0, 0, 1, 2, 3, 8, 9, 17, 128, 129, 300])
+
+
+@st.composite
+def transfer_tables(draw):
+    """Rows of a transfer matrix: empty rows, rows past 128 entries, and
+    weights drawn from a few powers of two, so that focus cut-offs tie
+    with weights. A row is normalised on its own as the build does, or
+    left unnormalised, so that its sum is seldom exactly 1."""
+    n_source = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for length in draw(st.lists(ROW_LENGTHS, max_size=6)):
+        idx = np.sort(rng.choice(n_source, size=min(length, n_source), replace=False))
+        if draw(st.booleans()):
+            raw = rng.choice([1.0, 2.0, 4.0, 8.0], size=len(idx))
+        else:
+            raw = rng.gamma(0.3, size=len(idx)) + 1e-12
+        rows.append((idx.astype(np.int64), raw / raw.sum() if len(raw) and draw(st.booleans()) else raw))
+    return n_source, rows
+
+
+@SETTINGS
+@given(case=transfer_tables(), block=st.integers(1, 400))
+def test_transfer_normalisation_matches_the_per_row_tail(case, block):
+    # the build's scored cells in document order, cut into blocks as the
+    # list build did: each block normalised row by row against the table
+    _, rows = case
+    docs = np.repeat(np.arange(len(rows), dtype=np.int64), [len(idx) for idx, _ in rows])
+    j = np.concatenate([idx for idx, _ in rows] or [np.empty(0, np.int64)])
+    raw = np.concatenate([w for _, w in rows] or [np.empty(0)]) * 3.0 + 0.1
+    want = []
+    for first in range(0, len(rows), block):
+        last = min(first + block, len(rows))
+        cells = (docs >= first) & (docs < last)
+        want += normalise_block_reference(docs[cells], j[cells], raw[cells].copy(), first, last)
+    start = np.searchsorted(docs, np.arange(len(rows) + 1))
+    got = transfer.TransferMatrix("l1", "l2", start, j, transfer._normalised(raw, start))
+    assert_same_table(got, want)
+
+
+@SETTINGS
+@example(case=(3, [(np.array([0, 1, 2]), np.array([0.5, 0.25, 0.25])), (np.empty(0, np.int64), np.empty(0))]),
+         threshold=0.5, scope="doc_wise")
+@given(
+    case=transfer_tables(),
+    threshold=st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+    scope=st.sampled_from(["doc_wise", "corpus_wise"]),
+)
+def test_static_focus_matches_the_per_row_loop(case, threshold, scope):
+    # threshold 0 keeps rows whole, 1 empties them, ties drop entries
+    _, rows = case
+    cfg = FocusConfig(threshold=threshold, scope=scope)
+    assert_same_table(static_focus(matrix_from_rows("l1", "l2", rows), cfg), static_focus_reference(rows, cfg))
+
+
+@SETTINGS
+@given(
+    case=transfer_tables(),
+    temperature=st.sampled_from([1.0, 0.9, 0.5]) | st.floats(0.05, 1.0, exclude_min=True),
+)
+def test_anneal_matches_the_per_row_loop(case, temperature):
+    _, rows = case
+    matrix = matrix_from_rows("l1", "l2", rows)
+    annealed = anneal_matrix(matrix, temperature)
+    assert_same_table(annealed, anneal_rows_reference(rows, temperature))
+    assert (annealed is matrix) == (temperature == 1.0)
+
+
+@SETTINGS
+@given(case=transfer_tables(), k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_mix_and_row_statistics_match_the_per_row_loops(case, k, seed):
+    n_source, rows = case
+    matrix = matrix_from_rows("l1", "l2", rows)
+    source = np.random.default_rng(seed).integers(0, 50, size=(n_source, k))
+    assert same_bits(matrix.mix(source), pseudo_counts_reference(rows, source))
+    assert matrix.nonempty_rows() == nonempty_rows_reference(rows)
+    assert same_bits(matrix.mean_row_max(), mean_row_max_reference(rows))
+
+
 @st.composite
 def inference_cases(draw):
     k = draw(st.integers(2, 50))
@@ -1112,7 +1212,7 @@ def test_scheduler_scores_in_stacks_as_if_one_at_a_time(monkeypatch, lis_every):
     ]
     cfg = AnnealConfig(schedule="adaptive", interval=4, stop_iteration=16, lis_every=lis_every)
     matrices = [
-        transfer.TransferMatrix("l1", "l2", [(np.array([0, 1]), np.array([0.6, 0.4]))] * 3)
+        matrix_from_rows("l1", "l2", [(np.array([0, 1]), np.array([0.6, 0.4]))] * 3)
     ]
     hp = Hyperparams(k=k, beta=0.05, train_iterations=iterations)
     monkeypatch.setattr(schedule, "lis_scores", mock.Mock(wraps=schedule.lis_scores))

@@ -1,5 +1,10 @@
 """LIS scorer, logistic regression, annealing triggers and schedules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,7 +24,9 @@ from multitopic.schedule import (
     concept_topic_distribution,
     should_anneal,
 )
-from multitopic.transfer import AnnealConfig, TransferMatrix
+from multitopic.transfer import AnnealConfig
+
+from oracles import matrix_from_rows
 
 
 class TestConceptTopicDistribution:
@@ -145,6 +152,23 @@ class TestComputeLis:
         with pytest.raises(DataError, match="^concept 11 names word 12, outside the 12-word"):
             compute_lis(tables, dictionary, beta=0.01)
 
+    def test_leaves_numpy_ma_unimported(self):
+        # a plain `np.unique` imports numpy.ma on first use, about 13 ms in
+        # every child process that scores LIS
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from multitopic.dictionary import BilingualDictionary\n"
+            "from multitopic.schedule import compute_lis\n"
+            "counts = np.random.default_rng(3).integers(0, 30, size=(40, 4))\n"
+            "dictionary = BilingualDictionary('l1', 'l2', [(i, i) for i in range(40)])\n"
+            "compute_lis((counts, counts[::-1]), dictionary, beta=0.01)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)
+
     def test_too_few_concepts_rejected(self):
         with pytest.raises(ConfigError, match="concepts"):
             compute_lis(tables_for(np.zeros((3, 2)), np.zeros((3, 2))),
@@ -180,7 +204,7 @@ def dummy_matrix(n_rows=4):
     rows = [
         (np.array([0, 1], dtype=np.int64), np.array([0.7, 0.3])) for _ in range(n_rows)
     ]
-    return TransferMatrix("l2", "l1", rows)
+    return matrix_from_rows("l2", "l1", rows)
 
 
 class TestScheduler:

@@ -14,7 +14,10 @@ from multitopic.transfer import (
     anneal_matrix,
     build_transfer_matrix,
     static_focus,
+    write_matrix_tsv,
 )
+
+from oracles import matrix_from_rows
 
 
 def toy_corpus(lang, docs_tokens, vocab_size):
@@ -154,15 +157,21 @@ def test_covered_types_numerator_differs_with_multiple_translations():
 
 
 def make_matrix(rows):
-    built = []
-    for entries in rows:
-        if not entries:
-            built.append((np.empty(0, dtype=np.int64), np.empty(0)))
-        else:
-            idx = np.array([i for i, _ in entries], dtype=np.int64)
-            weights = np.array([w for _, w in entries], dtype=np.float64)
-            built.append((idx, weights))
-    return TransferMatrix("l2", "l1", built)
+    built = [
+        (np.array([i for i, _ in entries], dtype=np.int64), np.array([w for _, w in entries]))
+        for entries in rows
+    ]
+    return matrix_from_rows("l2", "l1", built)
+
+
+def test_matrix_dump_orders_by_weight_then_source_id(tmp_path):
+    target = toy_corpus("l2", [[0]] * 3, 1)
+    source = toy_corpus("l1", [[0]] * 4, 1)
+    matrix = make_matrix([[(0, 0.25), (1, 0.5), (3, 0.25)], [], [(2, 1.0)]])
+    write_matrix_tsv(matrix, target, source, tmp_path / "m.tsv")
+    assert (tmp_path / "m.tsv").read_text() == (
+        "l20\tl11\t0.5\nl20\tl10\t0.25\nl20\tl13\t0.25\nl22\tl12\t1.0\n"
+    )
 
 
 class TestStaticFocus:
