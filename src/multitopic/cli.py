@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import logging
 import math
 import os
@@ -36,7 +35,6 @@ from .models import (
     load_model,
     save_model,
     train,
-    write_json,
 )
 from .schedule import compute_lis, write_event_log
 from .transfer import (
@@ -170,20 +168,9 @@ def _merge(config: dict, user: dict, prefix: str = "") -> None:
             config[key] = value
 
 
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def load_config(path: str | Path) -> dict:
-    try:
-        with corpus_io.open_text(path, "config file", ConfigError) as fh:
-            user = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
     config = _defaults()
-    _merge(config, user)
+    _merge(config, corpus_io.read_json(path, "config file", ConfigError))
     return config
 
 
@@ -274,7 +261,7 @@ def _hyperparams(config: dict) -> Hyperparams:
 
 
 def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
-    canonical = _canonical_json(config)
+    canonical = corpus_io.json_text(config, "the manifest")
     manifest = {
         "format_version": MANIFEST_FORMAT_VERSION,
         "command": command,
@@ -282,12 +269,8 @@ def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": config["seed"],
     }
-    try:
-        text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:  # a NaN or infinity in the config
-        raise DataError(f"cannot write the manifest: {exc}") from None
-    with open(output_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    text = corpus_io.json_text(manifest, "the manifest", indent=True)
+    corpus_io.write_text(output_dir / "manifest.json", (text, "\n"))
 
 
 def _load_bilingual(config: dict):
@@ -428,7 +411,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         "labels": [sorted(d.labels) if d.labels else None for d in heldout.documents],
         "theta": theta,
     }
-    write_json(payload, args.output)
+    corpus_io.write_json(payload, args.output)
     print(f"theta written to {args.output}")
     return 0
 
@@ -553,7 +536,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         data.corpus.side2.vocabulary,
         output_dir / "reference.jsonl",
     )
-    write_json({"phi": list(data.phi), "theta": list(data.theta)}, output_dir / "truth.json")
+    truth = {"phi": list(data.phi), "theta": list(data.theta)}
+    corpus_io.write_json(truth, output_dir / "truth.json")
     print(f"synthetic data written to {output_dir}")
     return 0
 

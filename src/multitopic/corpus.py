@@ -4,16 +4,24 @@ versioned serialization format.
 
 Input documents are assumed pre-tokenized and pre-stemmed; no text
 normalization happens here.
+
+The package's one JSON layer lives here too: every JSON and JSON-lines
+file is read by `read_json` or `read_jsonl` and written by `write_json`,
+`write_jsonl` or `write_text` from `json_text`.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError, DataError
 
@@ -127,6 +135,135 @@ def open_text(path: str | Path, what: str, error: type = DataError):
         raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
+# The escape of a UTF-16 surrogate. Only a high one followed by a low one
+# makes a character; a lone one decodes to a string UTF-8 cannot encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_unescaped = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _parse_object(text: str, where: str, item: str, error: type) -> dict:
+    """`text` decoded as a JSON object. Text that is not JSON (a BOM, an
+    integer past the interpreter's digit limit, a lone surrogate escape),
+    nests too deeply for the decoder or holds another value raises
+    `error`, one line that starts with `where`."""
+    try:
+        value = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            _unescaped(value).encode("utf-8")
+    except ValueError as exc:  # JSONDecodeError, too many digits, UnicodeEncodeError
+        raise error(f"{where}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise error(f"{where}: JSON nested too deeply") from None
+    if not isinstance(value, dict):
+        raise error(f"{where}: {item} must be a JSON object")
+    return value
+
+
+def read_json(path: str | Path, what: str, error: type = DataError) -> dict:
+    """The object held by the JSON file `path`, a `what` ("model file").
+    Any failure of `open_text` or `_parse_object` raises `error`."""
+    with open_text(path, what, error) as fh:
+        return _parse_object(fh.read(), f"{what} {path}", "the file", error)
+
+
+def read_jsonl(path: str | Path, what: str, item: str):
+    """Yield (where, record) for each non-blank line of the JSON-lines
+    file `path` (a `what`), each record an object (an `item`) and `where`
+    "path:line". A failure raises `DataError`, as in `read_json`."""
+    with open_text(path, what) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield where, _parse_object(line, where, item, DataError)
+
+
+# The encoders of every JSON output: sorted keys, and a NaN or infinity
+# refused (ValueError), since JSON has no such number.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_indented = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).encode
+
+
+def json_text(value, what: str, indent: bool = False) -> str:
+    """`value` as compact JSON with sorted keys, or indented by 2; a NaN
+    or infinity raises `DataError` ("cannot write {what}")."""
+    try:
+        return (_indented if indent else _dumps)(value)
+    except ValueError as exc:
+        raise DataError(f"cannot write {what}: {exc}") from None
+
+
+def write_text(path: str | Path, pieces) -> None:
+    """Write the strings `pieces` yields to `path`. A NaN or infinity that
+    the encoder meets on the way raises `DataError` and leaves no file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh.writelines(pieces)
+        except ValueError as exc:
+            fh.close()
+            Path(path).unlink()
+            raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _table_pieces(table: np.ndarray):
+    """Yield `_dumps(table.tolist())` for a 2-D float64 or int64 table,
+    one row at a time. Each distinct value is formatted once: `np.unique`
+    on the raw bits (so -0.0 and 0.0 keep their own text) gives one
+    `repr` per value, the text the encoder writes for a float or a Python
+    int, and every row is joined from those strings."""
+    if not np.isfinite(table).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    n_rows, n_cols = table.shape
+    bits = np.ascontiguousarray(table).view(np.uint64).ravel()
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(table.dtype).tolist()], dtype=object)
+    sep = "["
+    for row in text[inverse.reshape(n_rows, n_cols)].tolist():
+        yield sep + "[" + ",".join(row) + "]"
+        sep = ","
+    yield "]" if n_rows else "[]"
+
+
+def _pieces(value):
+    """Yield `_dumps(value)` one innermost row at a time, so a string per
+    number is never held for the whole payload: objects with string keys
+    and lists of lists or objects are opened here, a numpy array (a 2-D
+    float64 or int64 table) goes to `_table_pieces`, and every other value
+    goes to the C encoder whole."""
+    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
+        sep = "{"
+        for key in sorted(value):
+            yield sep + _dumps(key) + ":"
+            yield from _pieces(value[key])
+            sep = ","
+        yield "}"
+    elif isinstance(value, np.ndarray):
+        yield from _table_pieces(value)
+    elif isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _pieces(item)
+            sep = ","
+        yield "]"
+    else:
+        yield _dumps(value)
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Write `payload` as one line of compact JSON with sorted keys: the
+    bytes of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
+    plus a newline, with each numpy array in it (a 2-D float64 or int64
+    table) written as its `tolist()`. A NaN or infinity raises
+    `DataError` and leaves no file behind."""
+    write_text(path, chain(_pieces(payload), ("\n",)))
+
+
+def write_jsonl(records, path: str | Path) -> None:
+    """Write each record as one line of compact JSON with sorted keys. A
+    NaN or infinity raises `DataError` and leaves no file behind."""
+    write_text(path, (_dumps(record) + "\n" for record in records))
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Read a one-word-per-line stopword file."""
     words = set()
@@ -169,32 +306,22 @@ def _doc_id(rec: dict, seen: set[str], where: str) -> str:
 def _parse_records(path: str | Path, language: str) -> list[dict]:
     records = []
     seen_ids: set[str] = set()
-    with open_text(path, "corpus file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: record is not an object")
-            for key in ("id", "lang", "tokens"):
-                if key not in rec:
-                    raise DataError(f"{path}:{lineno}: missing field {key!r}")
-            if rec["lang"] != language:
-                raise DataError(
-                    f"{path}:{lineno}: language {rec['lang']!r} does not match expected {language!r}"
-                )
-            if not isinstance(rec["tokens"], list) or not all(
-                isinstance(t, str) for t in rec["tokens"]
-            ):
-                raise DataError(f"{path}:{lineno}: 'tokens' must be a list of strings")
-            where = f"{path}:{lineno}"
-            _doc_id(rec, seen_ids, where)
-            rec["labels"] = _labels(rec.get("labels"), where)
-            rec["link"] = _link(rec.get("link"), where)
-            records.append(rec)
+    for where, rec in read_jsonl(path, "corpus file", "a corpus record"):
+        for key in ("id", "lang", "tokens"):
+            if key not in rec:
+                raise DataError(f"{where}: missing field {key!r}")
+        if rec["lang"] != language:
+            raise DataError(
+                f"{where}: language {rec['lang']!r} does not match expected {language!r}"
+            )
+        if not isinstance(rec["tokens"], list) or not all(
+            isinstance(t, str) for t in rec["tokens"]
+        ):
+            raise DataError(f"{where}: 'tokens' must be a list of strings")
+        _doc_id(rec, seen_ids, where)
+        rec["labels"] = _labels(rec.get("labels"), where)
+        rec["link"] = _link(rec.get("link"), where)
+        records.append(rec)
     return records
 
 
@@ -320,8 +447,6 @@ def corpus_to_json(corpus: Corpus) -> dict:
 def corpus_from_json(payload: dict) -> Corpus:
     """Rebuild a corpus from its container, rejecting any malformed part
     with `DataError`."""
-    if not isinstance(payload, dict):
-        raise DataError("corpus file must contain a JSON object")
     if payload.get("format_version") != CORPUS_FORMAT_VERSION:
         raise DataError(
             f"unsupported corpus format_version {payload.get('format_version')!r}"
@@ -363,35 +488,20 @@ def corpus_from_json(payload: dict) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(corpus_to_json(corpus), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    write_json(corpus_to_json(corpus), path)
 
 
 def load_serialized_corpus(path: str | Path) -> Corpus:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read corpus file {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"corpus file {path} is not valid JSON: {exc}") from None
-    return corpus_from_json(payload)
+    return corpus_from_json(read_json(path, "corpus file"))
 
 
 def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:
     """Write documents back out in the loader's JSON-lines input format."""
     words = corpus.vocabulary.word_of_id
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            rec: dict = {
-                "id": doc.doc_id,
-                "lang": corpus.language,
-                "tokens": [words[t] for t in doc.tokens],
-            }
-            if doc.labels:
-                rec["labels"] = sorted(doc.labels)
-            if doc.link_id:
-                rec["link"] = doc.link_id
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    records = (
+        {"id": doc.doc_id, "lang": corpus.language, "tokens": [words[t] for t in doc.tokens]}
+        | ({"labels": sorted(doc.labels)} if doc.labels else {})
+        | ({"link": doc.link_id} if doc.link_id else {})
+        for doc in corpus.documents
+    )
+    write_jsonl(records, path)

@@ -8,7 +8,6 @@ one-vs-rest logistic regression; every report records this substitution.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -17,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BilingualCorpus, Corpus, Document, Vocabulary, open_text
+from .corpus import BilingualCorpus, Corpus, Document, Vocabulary
+from .corpus import json_text, read_jsonl, write_jsonl, write_text
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .logreg import cross_val_fits, fit_binary_stack, sigmoid
@@ -64,29 +64,20 @@ def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> Referenc
     types are dropped and pairs left empty on either side are skipped."""
     pairs = []
     skipped = 0
-    with open_text(path, "reference file") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: a reference pair must be a JSON object")
-            if "l1_types" not in rec or "l2_types" not in rec:
-                raise DataError(f"{path}:{lineno}: need 'l1_types' and 'l2_types'")
-            sides = []
-            for key, vocab in (("l1_types", v1), ("l2_types", v2)):
-                types = rec[key]
-                if not isinstance(types, list) or not {str}.issuperset(map(type, types)):
-                    raise DataError(f"{path}:{lineno}: {key!r} must be a list of strings")
-                ids = frozenset(map(vocab.id_of_word.get, types))
-                sides.append(ids - {None} if None in ids else ids)  # None: out of vocabulary
-            if not sides[0] or not sides[1]:
-                skipped += 1
-                continue
-            pairs.append(tuple(sides))
+    for where, rec in read_jsonl(path, "reference file", "a reference pair"):
+        if "l1_types" not in rec or "l2_types" not in rec:
+            raise DataError(f"{where}: need 'l1_types' and 'l2_types'")
+        sides = []
+        for key, vocab in (("l1_types", v1), ("l2_types", v2)):
+            types = rec[key]
+            if not isinstance(types, list) or not {str}.issuperset(map(type, types)):
+                raise DataError(f"{where}: {key!r} must be a list of strings")
+            ids = frozenset(map(vocab.id_of_word.get, types))
+            sides.append(ids - {None} if None in ids else ids)  # None: out of vocabulary
+        if not sides[0] or not sides[1]:
+            skipped += 1
+            continue
+        pairs.append(tuple(sides))
     if skipped:
         logger.warning("%s: skipped %d pairs empty after vocabulary encoding", path, skipped)
     if not pairs:
@@ -97,14 +88,14 @@ def load_reference(path: str | Path, v1: Vocabulary, v2: Vocabulary) -> Referenc
 def write_reference(
     ref: ReferenceCorpus, v1: Vocabulary, v2: Vocabulary, path: str | Path
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for side1, side2 in ref.pairs:
-            rec = {
-                "l1_types": sorted(v1.word_of_id[w] for w in side1),
-                "l2_types": sorted(v2.word_of_id[w] for w in side2),
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    records = (
+        {
+            "l1_types": sorted(v1.word_of_id[w] for w in side1),
+            "l2_types": sorted(v2.word_of_id[w] for w in side2),
+        }
+        for side1, side2 in ref.pairs
+    )
+    write_jsonl(records, path)
 
 
 def _top_word_ids(phi: np.ndarray, c: int) -> np.ndarray:
@@ -363,17 +354,12 @@ class EvalReport:
     def to_text(self) -> str:
         """The report as indented JSON with sorted keys. A NaN or infinity
         raises `DataError`: JSON has no such number."""
-        try:
-            return json.dumps(self.to_json(), indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:
-            raise DataError(f"cannot write the evaluation report: {exc}") from None
+        return json_text(self.to_json(), "the evaluation report", indent=True)
 
     def save(self, path: str | Path) -> None:
         """Write `to_text()` and a newline; a report that cannot be
         encoded leaves no file."""
-        text = self.to_text()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text(path, (self.to_text(), "\n"))
 
 
 # ---------------------------------------------------------------------------

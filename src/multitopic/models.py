@@ -25,20 +25,16 @@ evaluations and serialization do not. The kernels draw one uniform per
 token, a side's or a document's in order, and are tested bit for bit
 against the scalar loops in `tests/oracles.py`.
 
-`save_model` writes the same bytes as one `json.dumps` call, but encodes
-one innermost row at a time so the text of the whole model is never held
-in memory. Every numeric table goes through one table writer as an
-array: phi and theta as float64, the count tables as the int64 arrays
-the sweep updated, which `TopicModel.counts` holds and `load_model`
-rebuilds. Each distinct value in a table is formatted once (phi and
-theta repeat a few values, such as a topic's (n_kw + beta) / (n_k + V
-beta) for a handful of counts, and counts repeat small integers), and
-each row is joined from those strings, still one row at a time.
+`save_model` hands every numeric table to `corpus.write_json` as an
+array, which formats each distinct value once (phi and theta repeat a
+few values, such as a topic's (n_kw + beta) / (n_k + V beta) for a
+handful of counts, and counts repeat small integers): phi and theta as
+float64, the count tables as the int64 arrays the sweep updated, which
+`TopicModel.counts` holds and `load_model` rebuilds.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
@@ -48,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _native
-from .corpus import BilingualCorpus, Corpus, Vocabulary
+from .corpus import BilingualCorpus, Corpus, Vocabulary, read_json, write_json
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .transfer import AnnealConfig, TransferMatrix
@@ -217,13 +213,15 @@ def softlink_prior(
     row: tuple[np.ndarray, np.ndarray], source_doc_topic: np.ndarray
 ) -> np.ndarray:
     """Transfer pseudo-counts for one document: the row's weighted mixture
-    of source-document topic counts. An empty row yields the zero vector."""
+    of source-document topic counts. An empty row yields the zero vector;
+    an index outside the source documents is a `ConfigError`, as in
+    `TransferMatrix.check`."""
     idx, weights = row
     k = source_doc_topic.shape[1]
     if len(idx) == 0:
         return np.zeros(k, dtype=np.float64)
     if idx.min() < 0 or idx.max() >= source_doc_topic.shape[0]:
-        raise DataError("transfer row refers to a missing source document")
+        raise ConfigError("transfer matrix refers to a missing source document")
     return weights @ source_doc_topic[idx].astype(np.float64)
 
 
@@ -744,8 +742,6 @@ def _pair(payload: dict, key: str, of_lists: bool = False) -> list:
 def model_from_json(payload: dict) -> TopicModel:
     """Rebuild a model from its container, rejecting any malformed part
     with `DataError`."""
-    if not isinstance(payload, dict):
-        raise DataError("model file must contain a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported model format_version {payload.get('format_version')!r}"
@@ -777,6 +773,8 @@ def model_from_json(payload: dict) -> TopicModel:
     except (ConfigError, TypeError) as exc:
         raise DataError(f"model hyperparams: {exc}") from None
     langs = _pair(payload, "languages")
+    if not all(isinstance(lang, str) and lang for lang in langs) or langs[0] == langs[1]:
+        raise DataError("model languages must be two different non-empty strings")
     words = _pair(payload, "vocabularies", True)
     if not all(isinstance(word, str) for side in words for word in side):
         raise DataError("model vocabularies must be lists of words")
@@ -806,77 +804,6 @@ def model_from_json(payload: dict) -> TopicModel:
     )
 
 
-# one encoder for every piece: json.dumps would build a new one per call
-_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
-
-
-def _write_table(table: np.ndarray, write) -> None:
-    """Write `_dumps(table.tolist())` for a 2-D float64 or int64 table
-    through `write`, one row at a time. Each distinct value is formatted
-    once: `np.unique` on the raw bits (so -0.0 and 0.0 keep their own
-    text) gives one `repr` per value, the text the encoder writes for a
-    float or a Python int, and every row is joined from those strings."""
-    if not np.isfinite(table).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    n_rows, n_cols = table.shape
-    if n_rows == 0:
-        write("[]")
-        return
-    bits = np.ascontiguousarray(table).view(np.uint64).ravel()
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([repr(v) for v in distinct.view(table.dtype).tolist()], dtype=object)
-    sep = "["
-    for row in text[inverse.reshape(n_rows, n_cols)].tolist():
-        write(sep + "[" + ",".join(row) + "]")
-        sep = ","
-    write("]")
-
-
-def _write_parts(value, write) -> None:
-    """Write `_dumps(value)` through `write` piece by piece: objects with
-    string keys and lists of lists or objects are opened here, a numpy
-    array (a 2-D float64 or int64 table) goes to `_write_table` (and
-    writes as its `tolist()` would), and every other value (an innermost
-    row, a string, a number) goes to the C encoder whole. Only one row's
-    text is held at a time; encoding the whole payload at once keeps a
-    string per number until the end."""
-    if isinstance(value, dict) and value and all(isinstance(key, str) for key in value):
-        sep = "{"
-        for key in sorted(value):
-            write(sep + _dumps(key) + ":")
-            _write_parts(value[key], write)
-            sep = ","
-        write("}")
-    elif isinstance(value, np.ndarray):
-        _write_table(value, write)
-    elif isinstance(value, list) and value and isinstance(value[0], (list, dict, np.ndarray)):
-        sep = "["
-        for item in value:
-            write(sep)
-            _write_parts(item, write)
-            sep = ","
-        write("]")
-    else:
-        write(_dumps(value))
-
-
-def write_json(payload, path: str | Path) -> None:
-    """Write `payload` as one line of compact JSON with sorted keys: the
-    bytes of `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
-    plus a newline, with each numpy array in it (a 2-D float64 or int64
-    table) written as its `tolist()`. A NaN or infinity raises
-    `DataError` and leaves no file behind, so a non-finite table is never
-    saved."""
-    with open(path, "w", encoding="utf-8") as fh:
-        try:
-            _write_parts(payload, fh.write)
-        except ValueError as exc:  # the encoder met a NaN or infinity
-            fh.close()
-            Path(path).unlink()
-            raise DataError(f"cannot write {path}: {exc}") from None
-        fh.write("\n")
-
-
 def save_model(model: TopicModel, path: str | Path, include_counts: bool = True) -> None:
     """Write the versioned model container. Count tables are needed for
     LIS evaluation and resumable work; drop them for a smaller file."""
@@ -884,11 +811,4 @@ def save_model(model: TopicModel, path: str | Path, include_counts: bool = True)
 
 
 def load_model(path: str | Path) -> TopicModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc.strerror}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
-    return model_from_json(payload)
+    return model_from_json(read_json(path, "model file"))

@@ -15,12 +15,12 @@ bit-identical to scoring its snapshot alone.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import write_jsonl
 from .dictionary import BilingualDictionary, Concept
 from .errors import ConfigError
 from .logreg import cross_val_accuracies
@@ -297,7 +297,4 @@ class AnnealScheduler:
 
 def write_event_log(events: list[dict], path) -> None:
     """JSON-lines event log, one annealing event per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in events:
-            fh.write(json.dumps(event, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_jsonl(events, path)

@@ -862,6 +862,9 @@ def _malformed_models(valid: dict):
         with_table("phi", 0, [[-x for x in row] for row in valid["phi"][0]])
     )
     yield "one language only", json.dumps({**valid, "languages": ["l1"]})
+    yield "a language that is not a string", json.dumps({**valid, "languages": [1, "l2"]})
+    yield "an empty language", json.dumps({**valid, "languages": ["", "l2"]})
+    yield "the same language twice", json.dumps({**valid, "languages": ["l1", "l1"]})
 
     def with_counts(key, side=None, table=None):
         counts = dict(valid["counts"])
@@ -993,3 +996,59 @@ def test_malformed_reference_file_exits_3(tmp_path, toy_data, capsys, line, mess
     ]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and f"{reference}:2: {message}" in err
+
+
+# Values that are no syntax error but that no loader may take: nesting
+# deeper than the decoder's recursion limit (900 levels still decode), an
+# integer longer than the interpreter converts, and a lone surrogate
+# escape, whose string cannot be printed or written as UTF-8.
+UNDECODABLE = {
+    "nested too deeply": ("[" * 5000 + "]" * 5000, ": JSON nested too deeply"),
+    "5000 digits": ("7" * 5000, "(Exceeds the limit (4300 digits) for integer string conversion"),
+    "lone surrogate": ('["a0", "\\ud800"]', "surrogates not allowed"),
+}
+
+
+@pytest.mark.parametrize("value", UNDECODABLE)
+@pytest.mark.parametrize("case", [
+    "inspect --model", "eval --model", "train --config", "train corpus1", "infer --corpus",
+    "eval --reference",
+])
+def test_undecodable_json_input_exits_with_one_line(tmp_path, toy_data, case, value):
+    bad, message = UNDECODABLE[value]
+    model = run_train(tmp_path, toy_data, "valid") / "model.json"
+    path = tmp_path / "bad.json"
+    path.write_text({
+        "inspect --model": '{"format_version": 1, "phi": ' + bad + "}",
+        "eval --model": '{"format_version": 1, "phi": ' + bad + "}",
+        "train --config": '{"seed": ' + bad + "}",
+        "train corpus1": '{"id": "x0", "lang": "l1", "tokens": ' + bad + "}\n",
+        "infer --corpus": '{"id": "x0", "lang": "l1", "tokens": ' + bad + "}\n",
+        "eval --reference": '{"l1_types": ' + bad + ', "l2_types": ["b0"]}\n',
+    }[case])
+    config = base_config(toy_data, tmp_path / "out")
+    config["paths"]["corpus1"] = str(path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    output = tmp_path / "output.json"
+    argv = {
+        "inspect --model": ["inspect", "--model", path],
+        "eval --model": ["eval", "--model", path, "--which", "lis",
+                         "--dictionary", toy_data["dictionary"], "--output", output],
+        "train --config": ["train", "--config", path],
+        "train corpus1": ["train", "--config", tmp_path / "config.json"],
+        "infer --corpus": ["infer", "--model", model, "--corpus", path, "--language", "l1",
+                           "--output", output],
+        "eval --reference": ["eval", "--model", model, "--which", "cnpmi", "--reference", path,
+                             "--top-words", "5", "--output", output],
+    }[case]
+    result = subprocess.run(
+        [sys.executable, "-m", "multitopic.cli", *map(str, argv)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    code, kind = (2, "configuration error") if case == "train --config" else (3, "data error")
+    assert result.returncode == code, result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"{kind}: ") and str(path) in line and message in line, line
+    assert result.stdout == ""
+    assert not output.exists() and not (tmp_path / "out").exists()

@@ -332,6 +332,9 @@ def _serialized(**changes) -> str:
 
 MALFORMED_SERIALIZED = {
     "invalid JSON": "{not json",
+    "nested too deeply": "[" * 5000 + "]" * 5000,
+    "integer of 5000 digits": _serialized().replace("[0]", f"[{'7' * 5000}]"),
+    "lone surrogate escape": _serialized(vocabulary=["\ud800"]),
     "not an object": "[]",
     "no language": _serialized(language=...),
     "language not a string": _serialized(language=7),

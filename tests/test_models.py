@@ -123,14 +123,14 @@ class TestSoftlinkPrior:
     def test_out_of_range_index_rejected(self):
         counts = np.array([[4, 0]], dtype=np.int64)
         row = (np.array([5]), np.array([1.0]))
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="transfer matrix refers to a missing source document"):
             softlink_prior(row, counts)
 
     def test_negative_index_rejected(self):
         # numpy would read -1 as the last source document
         counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
         row = (np.array([-1]), np.array([1.0]))
-        with pytest.raises(DataError, match="missing source document"):
+        with pytest.raises(ConfigError, match="missing source document"):
             softlink_prior(row, counts)
 
 
