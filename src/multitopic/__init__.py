@@ -36,7 +36,7 @@ from .models import (
     train,
     voclink_conditional,
 )
-from .schedule import LisHistory, compute_lis, concept_topic_distribution, should_anneal
+from .schedule import LisHistory, compute_lis, should_anneal
 from .transfer import (
     AnnealConfig,
     FocusConfig,

@@ -1,5 +1,5 @@
 """Build and load the compiled Gibbs steps in `_sweeps.c`: the training
-sweeps and held-out inference, the only sampling steps there are.
+sweep and held-out inference, the only sampling steps there are.
 
 The first `load()` in a process compiles the shipped C source with the
 system C compiler (`cc -O2 -ffp-contract=off -fPIC -shared`: no
@@ -109,15 +109,12 @@ def _declare(lib) -> None:
     # ndpointer checks each array's dtype and layout on every call
     ints = ndpointer("int64", flags="C_CONTIGUOUS")
     floats = ndpointer("float64", flags="C_CONTIGUOUS")
-    lib.sweep_plain.argtypes = [
-        n, n, ints, ints, ints, ints, floats, ints, ints, x, x, floats, floats,
-    ]
     lib.sweep_tree.argtypes = [
         n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints, ints,
-        ints, ints, ints, ints, x, x, x, x, floats, floats,
+        ints, ints, ints, ints, x, x, x, x, floats, floats, floats,
     ]
     lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]
-    for kernel in (lib.sweep_plain, lib.sweep_tree, lib.infer_doc):
+    for kernel in (lib.sweep_tree, lib.infer_doc):
         kernel.restype = None
 
 

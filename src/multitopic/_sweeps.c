@@ -1,12 +1,11 @@
 /* Compiled collapsed Gibbs steps for `multitopic.models`.
  *
- * Two training kernels, sweep_plain (LDA, soft links and both hard-link
- * formulations) and sweep_tree (vocabulary links), each run one sweep
- * over one language's tokens, in corpus order, on contiguous int64 count
- * tables that they update in place: the token's counts are removed, every
- * (leaf,) topic is scored, the token takes the first entry of the running
- * score sums that exceeds u * (sum of all scores), clamped to the last
- * entry, and its counts are added back. Document d's tokens are
+ * One training kernel, sweep_tree, serves every model kind: it runs one
+ * sweep over one language's tokens, in corpus order, on contiguous int64
+ * count tables that it updates in place: the token's counts are removed,
+ * every (leaf, topic) pair is scored, the token takes the first entry of
+ * the running score sums that exceeds u * (sum of all scores), clamped to
+ * the last entry, and its counts are added back. Document d's tokens are
  * tokens[doc_start[d] .. doc_start[d + 1]), z holds their topics and u
  * one uniform draw per token. infer_doc takes the same step on one
  * held-out document, with the topic-word table frozen.
@@ -29,53 +28,24 @@ static int64_t pick(const double *cdf, int64_t n, double x)
     return i;
 }
 
-/* LDA, soft links and hard links: document d's topic prior is the float
- * row priors[d] (alpha, or alpha plus transfer pseudo-counts). Under hard
- * links, in either formulation, the caller has added the partner's counts
- * to ndk: a linked pair sharing one theta (joint) samples exactly as a
- * document whose prior carries its partner's counts (conditional).
- * Score: ((nd + pr) * (nw + beta)) / (nk + vbeta). */
-void sweep_plain(
-    int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
-    const int64_t *tokens, int64_t *z, int64_t *ndk, const double *priors,
-    int64_t *nwk, int64_t *nk, double beta, double vbeta,
-    const double *u, double *cdf)
-{
-    const int64_t K = n_topics;
-    for (int64_t d = 0; d < n_docs; d++) {
-        int64_t *nd = ndk + d * K;
-        const double *pr = priors + d * K;
-        for (int64_t i = doc_start[d]; i < doc_start[d + 1]; i++) {
-            int64_t *nw = nwk + tokens[i] * K;
-            int64_t k = z[i];
-            nd[k]--;
-            nw[k]--;
-            nk[k]--;
-            double acc = 0.0;
-            for (int64_t t = 0; t < K; t++) {
-                double score = (((double)nd[t] + pr[t]) * ((double)nw[t] + beta))
-                               / ((double)nk[t] + vbeta);
-                acc = t ? acc + score : score;
-                cdf[t] = acc;
-            }
-            k = pick(cdf, K, u[i] * acc);
-            z[i] = k;
-            nd[k]++;
-            nw[k]++;
-            nk[k]++;
-        }
-    }
-}
-
-/* Vocabulary links: topic and tree leaf are drawn jointly over the
- * word's concepts, concept by concept (entry c * K + t of the running
- * sums); a word without concepts sits on its own root leaf (path -1).
+/* Topic and tree leaf are drawn jointly over the word's concepts, concept
+ * by concept (entry c * K + t of the running sums); a word without
+ * concepts sits on its own root leaf (path -1). LDA, soft links and hard
+ * links sweep a tree without concepts, where every word is a root leaf:
+ * there root_prior is V * beta and utotal equals nk, so a root leaf
+ * scores what LDA scores.
+ * Document d's topic prior is the float row priors[d] (alpha, or alpha
+ * plus transfer pseudo-counts); under hard links, in either formulation,
+ * the caller has added the partner's counts to ndk, as a linked pair
+ * sharing one theta (joint) samples exactly as a document whose prior
+ * carries its partner's counts (conditional).
  * ncp and ctotal pool both languages, nleaf and utotal are this side's.
- * With root = (double)(ctotal + utotal) + root_prior, a concept leaf
- * scores (((ndp * (node + beta_root)) / root) * (leaf + beta_internal))
+ * With root = (double)(ctotal + utotal) + root_prior, kept per topic in
+ * den and refreshed whenever a total changes, a concept leaf scores
+ * (((ndp * (node + beta_root)) / root) * (leaf + beta_internal))
  * / (node + 2 * beta_internal) and a root leaf (ndp * (nw + beta)) / root,
  * where ndp = nd + pr. cdf holds K entries per concept of the word with
- * the most concepts. */
+ * the most concepts, den K entries. */
 void sweep_tree(
     int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
     const int64_t *tokens, int64_t *z, int64_t *paths, int64_t *ndk,
@@ -83,10 +53,12 @@ void sweep_tree(
     const int64_t *member_start, const int64_t *member_concepts,
     int64_t *ncp, int64_t *nleaf, int64_t *ctotal, int64_t *utotal,
     double beta, double beta_root, double beta_internal, double root_prior,
-    const double *u, double *cdf)
+    const double *u, double *cdf, double *den)
 {
     const int64_t K = n_topics;
     const double beta_int2 = 2.0 * beta_internal;
+    for (int64_t t = 0; t < K; t++)
+        den[t] = (double)(ctotal[t] + utotal[t]) + root_prior;
     for (int64_t d = 0; d < n_docs; d++) {
         int64_t *nd = ndk + d * K;
         const double *pr = priors + d * K;
@@ -107,34 +79,34 @@ void sweep_tree(
             } else {
                 utotal[k]--;
             }
+            den[k] = (double)(ctotal[k] + utotal[k]) + root_prior;
             double acc = 0.0;
             if (n_ms == 0) {
                 for (int64_t t = 0; t < K; t++) {
-                    double root = (double)(ctotal[t] + utotal[t]) + root_prior;
                     double ndp = (double)nd[t] + pr[t];
-                    double score = (ndp * ((double)nw[t] + beta)) / root;
+                    double score = (ndp * ((double)nw[t] + beta)) / den[t];
                     acc = t ? acc + score : score;
                     cdf[t] = acc;
                 }
+                k = pick(cdf, K, u[i] * acc);
+                c = -1;
             } else {
                 for (int64_t j = 0; j < n_ms; j++) {
                     const int64_t *node = ncp + ms[j] * K;
                     const int64_t *leaf = nleaf + ms[j] * K;
                     for (int64_t t = 0; t < K; t++) {
-                        double root = (double)(ctotal[t] + utotal[t]) + root_prior;
                         double ndp = (double)nd[t] + pr[t];
-                        double score = (((ndp * ((double)node[t] + beta_root)) / root)
+                        double score = (((ndp * ((double)node[t] + beta_root)) / den[t])
                                         * ((double)leaf[t] + beta_internal))
                                        / ((double)node[t] + beta_int2);
                         acc = (j || t) ? acc + score : score;
                         cdf[j * K + t] = acc;
                     }
                 }
+                const int64_t p = pick(cdf, n_ms * K, u[i] * acc);
+                k = p % K;
+                c = ms[p / K];
             }
-            const int64_t n = (n_ms ? n_ms : 1) * K;
-            const int64_t p = pick(cdf, n, u[i] * acc);
-            k = p % K;
-            c = n_ms ? ms[p / K] : -1;
             z[i] = k;
             paths[i] = c;
             nd[k]++;
@@ -147,6 +119,7 @@ void sweep_tree(
             } else {
                 utotal[k]++;
             }
+            den[k] = (double)(ctotal[k] + utotal[k]) + root_prior;
         }
     }
 }

@@ -85,10 +85,6 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def doc_types(self) -> list[set[int]]:
-        """Distinct word ids per document."""
-        return [set(d.tokens) for d in self.documents]
-
 
 @dataclass
 class BilingualCorpus:

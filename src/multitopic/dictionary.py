@@ -48,9 +48,6 @@ class BilingualDictionary:
     def __len__(self) -> int:
         return len(self.concepts)
 
-    def pair_set(self) -> set[tuple[int, int]]:
-        return set(map(tuple, self.words.tolist()))
-
     def check_vocabularies(self, sizes: tuple[int, int]) -> None:
         """Refuse a concept word id at or above its language's vocabulary
         size (`sizes`, first language first)."""

@@ -201,10 +201,12 @@ def cross_val_fits(
 def cross_val_accuracies(
     xs, y: np.ndarray, n_folds: int, seed: int
 ) -> list[float]:
-    """`cross_val_accuracy` of each of B feature matrices that share the
-    labels `y`, and so the split: one `fit_binary_stack` call per distinct
-    training-set size fits all B x folds problems, and each accuracy is
-    bit-identical to scoring its matrix alone."""
+    """Mean held-out accuracy of the binary learner over stratified folds,
+    for each of B feature matrices that share the labels `y`, and so the
+    split; every fold must hold out at least one row. One
+    `fit_binary_stack` call per distinct training-set size fits all
+    B x folds problems, and each accuracy is bit-identical to scoring its
+    matrix alone."""
     xs = np.asarray(xs, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     accuracies = []
@@ -217,11 +219,3 @@ def cross_val_accuracies(
             [float(((fit.posteriors >= 0.5) == y[fit.held_out]).mean()) for fit in fits]
         )))
     return accuracies
-
-
-def cross_val_accuracy(
-    x: np.ndarray, y: np.ndarray, n_folds: int, seed: int
-) -> float:
-    """Mean held-out accuracy of the binary learner over stratified folds;
-    every fold must hold out at least one row."""
-    return cross_val_accuracies(np.asarray(x)[None], y, n_folds, seed)[0]

@@ -17,8 +17,11 @@ compares. The public conditional-distribution functions read a
 `SideState`'s rows and expect the current token's assignment to already
 be removed from all counts.
 
-Each training sweep, and held-out inference of each document, runs a
-compiled kernel from `_sweeps.c`, built and loaded by `_native`, so
+Every model kind trains with one compiled kernel, the Dirichlet-tree
+sweep: vocabulary-link kinds over the dictionary's tree, the others over
+a tree without concepts, where each word is its own root leaf and the
+sweep scores exactly what LDA scores. It and held-out inference of each
+document run from `_sweeps.c`, built and loaded by `_native`, so
 `train` and `infer_heldout` need a C compiler the first time they run on
 a machine (`_native.load` raises `ConfigError` without one); the other
 evaluations and serialization do not. The kernels draw one uniform per
@@ -309,42 +312,31 @@ class TopicModel:
 
 
 def _init_side(
-    corpus: Corpus, k: int, rng, tree: DirichletTree | None, side: int
+    corpus: Corpus, k: int, rng, tree: DirichletTree, side: int
 ) -> tuple[SideState, np.ndarray]:
-    """Draw each document's topics; with a `tree`, then its words' tree
-    leaves (one `rng.integers(0, counts)` call over the words in several
-    concepts, in token order) and count the paths in the tree. Returns the
-    tallied state and the flat tree paths (-1 for a word's own root leaf;
-    empty without a tree)."""
+    """Draw each document's topics, then its words' tree leaves (one
+    `rng.integers(0, counts)` call over the words in several concepts, in
+    token order; none in a tree without such words) and count the paths in
+    the tree. Returns the tallied state and the flat tree paths (-1 for a
+    word's own root leaf)."""
     tokens = [d.tokens for d in corpus.documents]
+    starts = tree.member_start[side]
     z, paths = [], [np.empty(0, dtype=np.int64)]
     for toks in tokens:
         z.append(rng.integers(0, k, size=len(toks)))
-        if tree is not None:
-            words, starts = np.array(toks, dtype=np.int64), tree.member_start[side]
-            first = starts[words]
-            counts = starts[words + 1] - first
-            several = counts > 1
-            if several.any():
-                first[several] += rng.integers(0, counts[several])
-            path = np.full(len(words), -1, dtype=np.int64)
-            path[counts > 0] = tree.member_concepts[side][first[counts > 0]]
-            paths.append(path)
+        words = np.array(toks, dtype=np.int64)
+        first = starts[words]
+        counts = starts[words + 1] - first
+        several = counts > 1
+        if several.any():
+            first[several] += rng.integers(0, counts[several])
+        path = np.full(len(words), -1, dtype=np.int64)
+        path[counts > 0] = tree.member_concepts[side][first[counts > 0]]
+        paths.append(path)
     state = tally_side(tokens, z, k, corpus.vocabulary.size)
     flat_paths = np.concatenate(paths)
-    if tree is not None:
-        tree.add_paths(side, state.z, flat_paths)
+    tree.add_paths(side, state.z, flat_paths)
     return state, flat_paths
-
-
-def _plain_sweep(lib, side: SideState, priors: np.ndarray, beta: float, rng) -> None:
-    """The `sweep_plain` kernel over one side; `priors` is D x K."""
-    k = side.n_topics
-    lib.sweep_plain(
-        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, side.doc_topic,
-        priors, side.word_topic, side.topic_total, beta, side.vocab_size * beta,
-        rng.random(len(side.tokens)), np.empty(k),
-    )
 
 
 def _tree_sweep(
@@ -354,15 +346,16 @@ def _tree_sweep(
     """The `sweep_tree` kernel over side `s`, with its flat `paths`,
     updating the tree's counts too."""
     starts = tree.member_start[s]
+    k = side.n_topics
     # the running sums of the word with the most concepts
-    cdf = np.empty(int(np.diff(starts).max(initial=1)) * side.n_topics)
+    cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
     lib.sweep_tree(
-        len(side.doc_topic), side.n_topics, side.doc_start, side.tokens, side.z, paths,
+        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
         side.doc_topic, priors, side.word_topic, side.topic_total,
         starts, tree.member_concepts[s], tree.concept_topic, tree.leaf_topic[s],
         tree.concept_total, tree.untrans_total[s],
         hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
-        rng.random(len(side.tokens)), cdf,
+        rng.random(len(side.tokens)), cdf, np.empty(k),
     )
 
 
@@ -414,9 +407,14 @@ def train(
     linked pair that shares one theta (the joint formulation) samples
     exactly as a document whose prior carries its partner's topic counts
     (the conditional one), so `hardlink_formulation` selects no code: it
-    is recorded in the provenance, and both formulations run the plain
-    sweep with each document's partner counts added to its own row while
-    its side is swept.
+    is recorded in the provenance, and both formulations run the sweep
+    with each document's partner counts added to its own row while its
+    side is swept.
+
+    Every kind runs the one Dirichlet-tree sweep. Kinds without
+    vocabulary links run it over a tree without concepts, where every
+    word sits on its own root leaf and the tree is the ordinary Dirichlet
+    prior of LDA; their phi is read from the side tables.
     """
     from .schedule import AnnealScheduler  # local import to avoid a cycle
 
@@ -436,19 +434,21 @@ def train(
             raise ConfigError(f"{model_kind} requires transfer matrices in both directions")
         transfer_to_side1.check(corpus.side1, corpus.side2)
         transfer_to_side2.check(corpus.side2, corpus.side1)
+    v1, v2 = corpus.side1.vocabulary, corpus.side2.vocabulary
     if uses_tree:
         if tree is None:
             if dictionary is None:
                 raise ConfigError(f"{model_kind} requires a Dirichlet tree or a dictionary")
-            tree = build_tree(dictionary, corpus.side1.vocabulary, corpus.side2.vocabulary, hp.k)
+            tree = build_tree(dictionary, v1, v2, hp.k)
         if tree.n_topics != hp.k:
             raise ConfigError("tree topic count does not match hyperparameters")
-        if tree.vocab_sizes != (corpus.side1.vocabulary.size, corpus.side2.vocabulary.size):
+        if tree.vocab_sizes != (v1.size, v2.size):
             raise ConfigError("tree was built against different vocabularies")
         # the sweeps update the tree's count arrays in place
         tree.zero_counts()
     else:
-        tree = None  # a tree passed with another model kind goes unused
+        # a tree passed with another model kind goes unused
+        tree = build_tree(BilingualDictionary(v1.language, v2.language, []), v1, v2, hp.k)
     if hardlink_formulation not in HARDLINK_FORMULATIONS:
         raise ConfigError(f"unknown hardlink formulation {hardlink_formulation!r}")
     if anneal is not None and anneal.schedule != "none" and not uses_soft:
@@ -474,24 +474,23 @@ def train(
             priors = tuple(scheduler.matrices[s].mix(sides[1 - s].doc_topic) + alpha for s in (0, 1))
         for s in (0, 1):
             side = sides[s]
-            if uses_tree:
-                _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
-            else:
-                # hard links (none for LDA and soft links), one (side-1
-                # document, side-2 document) row per pair: each side's rows
-                # carry their partners' counts while that side is swept; the
-                # partner rows belong to the other side, so they hold still
-                own, partner = links[:, s], links[:, 1 - s]
-                side.doc_topic[own] += sides[1 - s].doc_topic[partner]
-                _plain_sweep(lib, side, priors[s], hp.beta, rng)
-                side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
+            # hard links (none for other kinds), one (side-1 document,
+            # side-2 document) row per pair: each side's rows carry their
+            # partners' counts while that side is swept; the partner rows
+            # belong to the other side, so they hold still
+            own, partner = links[:, s], links[:, 1 - s]
+            side.doc_topic[own] += sides[1 - s].doc_topic[partner]
+            _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
+            side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
         scheduler.after_iteration(iteration, lambda: tuple(side.word_topic for side in sides))
         if debug_checks:
             _run_debug_checks(sides, tree)
 
     scheduler.finish()
+    # a concept-free tree's phi is the plain one, without _phi_tree's renormalisation
     return _assemble_model(
-        model_kind, corpus, hp, sides, tree, scheduler, links, hardlink_formulation
+        model_kind, corpus, hp, sides, tree if uses_tree else None, scheduler, links,
+        hardlink_formulation,
     )
 
 
@@ -500,8 +499,7 @@ def _run_debug_checks(sides, tree) -> None:
         tallied = _tally(side.tokens, side.z, side.doc_start, side.n_topics, side.vocab_size)
         if not all(map(np.array_equal, tallied, (side.doc_topic, side.word_topic, side.topic_total))):
             raise DataError(f"side {s} count tables out of sync with its assignments")
-    if tree is not None:
-        tree.check_consistency(tuple(side.word_topic for side in sides))
+    tree.check_consistency(tuple(side.word_topic for side in sides))
 
 
 def _phi_plain(state: SideState, hp: Hyperparams) -> np.ndarray:
@@ -780,6 +778,14 @@ def model_from_json(payload: dict) -> TopicModel:
         raise DataError("model vocabularies must be lists of words")
     vocabs = tuple(Vocabulary(lang, side) for lang, side in zip(langs, words))
     doc_ids = tuple(_pair(payload, "doc_ids", True))
+    if not all(isinstance(doc_id, str) and doc_id for ids in doc_ids for doc_id in ids):
+        raise DataError("model doc_ids must be lists of non-empty strings")
+    doc_labels = tuple(_pair(payload, "doc_labels", True))
+    if any(len(labels) != len(ids) for labels, ids in zip(doc_labels, doc_ids)) or not all(
+        entry is None or isinstance(entry, list) and all(isinstance(x, str) for x in entry)
+        for labels in doc_labels for entry in labels
+    ):
+        raise DataError("model doc_labels must hold, per document, null or a list of strings")
     phi = tuple(
         _table(p, (hp.k, vocabs[side].size), f"phi[{side}]")
         for side, p in enumerate(_pair(payload, "phi"))
@@ -798,7 +804,7 @@ def model_from_json(payload: dict) -> TopicModel:
         phi=phi,
         theta=theta,
         doc_ids=doc_ids,
-        doc_labels=tuple(_pair(payload, "doc_labels", True)),
+        doc_labels=doc_labels,
         provenance=payload.get("provenance", {}),
         counts=counts,
     )

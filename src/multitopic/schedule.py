@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import write_jsonl
-from .dictionary import BilingualDictionary, Concept
+from .dictionary import BilingualDictionary
 from .errors import ConfigError
 from .logreg import cross_val_accuracies
 from .transfer import AnnealConfig, TransferMatrix, anneal_matrix
@@ -58,21 +58,6 @@ class LisHistory:
         return float(np.mean(window))
 
 
-def concept_topic_distribution(
-    word_topics, concept: Concept, side: int, beta: float
-) -> np.ndarray:
-    """Topic distribution of a concept's word on one side of the (side1,
-    side2) pair of word-topic tables: counts smoothed by beta, normalized;
-    uniform when there is no evidence at all."""
-    word_topic = word_topics[side]
-    word = concept.word1 if side == 0 else concept.word2
-    counts = word_topic[word].astype(np.float64) + beta
-    total = counts.sum()
-    if total <= 0.0:
-        return np.full(word_topic.shape[1], 1.0 / word_topic.shape[1])
-    return counts / total
-
-
 def concept_words(dictionary: BilingualDictionary) -> tuple[np.ndarray, np.ndarray]:
     """Each concept's first- and second-language word id, concepts in
     canonical (word1, word2) order, so the LIS features do not depend on
@@ -87,7 +72,8 @@ def concept_features(
     """One labeled row per (concept, language): the concept's topic
     distribution on that side, labeled with the side index. Row 2i is
     concept i's first-language word, row 2i+1 its second-language word;
-    each row is `concept_topic_distribution`, built for all concepts at
+    each row is that word's topic counts smoothed by beta and normalized
+    (uniform when there is no evidence at all), built for all concepts at
     once by one gather per side."""
     rows = _concept_rows(word_topics, concept_words(dictionary), beta)
     return rows, _side_labels(len(dictionary.concepts))

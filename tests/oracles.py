@@ -13,6 +13,8 @@ from math import exp, lgamma
 
 import numpy as np
 
+from multitopic.corpus import Vocabulary
+from multitopic.dictionary import BilingualDictionary
 from multitopic.models import SideState, tally_side
 from multitopic.transfer import TransferMatrix
 from multitopic.tree import DirichletTree
@@ -436,14 +438,35 @@ def sweep_plain_reference(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics
             nk[k1] += 1
 
 
+def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, nk, beta, u, cdf):
+    """The one compiled training sweep as LDA, soft links and hard links
+    run it: over a tree built from an empty dictionary, where every word
+    is its own root leaf, whose root-leaf totals start as `nk`. Updates
+    the int64 arrays `z`, `ndk`, `nwk` and `nk` in place, as the scalar
+    `sweep_plain_reference` updates its lists."""
+    n_topics = len(nk)
+    vocabularies = (
+        Vocabulary("l1", [f"w{i}" for i in range(len(nwk))]), Vocabulary("l2", []),
+    )
+    tree = DirichletTree(BilingualDictionary("l1", "l2", []), *vocabularies, n_topics)
+    tree.untrans_total[0] += nk
+    lib.sweep_tree(
+        len(ndk), n_topics, doc_start, tokens, z, np.full(len(tokens), -1, dtype=np.int64),
+        ndk, priors, nwk, nk, tree.member_start[0], tree.member_concepts[0],
+        tree.concept_topic, tree.leaf_topic[0], tree.concept_total, tree.untrans_total[0],
+        beta, 0.01, 100.0, tree.root_children_prior(0, 0.01, beta), u, cdf,
+        np.empty(n_topics),
+    )
+
+
 def sweep_pooled_reference(
     tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng, trace=None
 ):
     """Joint-formulation hard links: each linked pair shares one pooled
     topic-count row (pools[d]); per-document rows are kept for bookkeeping.
     Training runs no kernel of this form: it adds the partner's counts to
-    the document's own row and runs the plain sweep, which samples the
-    same topics."""
+    the document's own row and runs the one sweep over a tree without
+    concepts, which samples the same topics."""
     for d, toks in enumerate(tokens):
         if not toks:
             continue
@@ -739,21 +762,38 @@ def classify_crosslingual_reference(
     return micro_f1(tp, fp, fn), fitted
 
 
+def concept_topic_distribution(word_topics, concept, side, beta):
+    """Topic distribution of a concept's word on one side of the (side1,
+    side2) pair of word-topic tables: counts smoothed by beta, normalized;
+    uniform when there is no evidence at all."""
+    word_topic = word_topics[side]
+    word = concept.word1 if side == 0 else concept.word2
+    counts = word_topic[word].astype(np.float64) + beta
+    total = counts.sum()
+    if total <= 0.0:
+        return np.full(word_topic.shape[1], 1.0 / word_topic.shape[1])
+    return counts / total
+
+
 def concept_features_reference(word_topics, concepts, beta):
     """LIS feature rows built one concept and one side at a time."""
     rows = []
     labels = []
     for concept in sorted(concepts, key=lambda c: (c.word1, c.word2)):
         for side in (0, 1):
-            word = concept.word1 if side == 0 else concept.word2
-            counts = word_topics[side][word].astype(np.float64) + beta
-            total = counts.sum()
-            if total <= 0.0:
-                rows.append(np.full(word_topics[side].shape[1], 1.0 / word_topics[side].shape[1]))
-            else:
-                rows.append(counts / total)
+            rows.append(concept_topic_distribution(word_topics, concept, side, beta))
             labels.append(side)
     return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+def pair_set(dictionary):
+    """A dictionary's concepts as a set of (word1, word2) pairs."""
+    return set(map(tuple, dictionary.words.tolist()))
+
+
+def doc_types(corpus):
+    """Distinct word ids per document."""
+    return [set(d.tokens) for d in corpus.documents]
 
 
 def adaptive_schedule_reference(cfg, matrices, tables, dictionary, beta, seed):
@@ -798,14 +838,14 @@ def build_transfer_rows_reference(target, source, dictionary, numerator="pairs")
         c = concepts[cid]
         return c.word1 if target_is_side2 else c.word2
 
-    source_types = source.doc_types()
+    source_types = doc_types(source)
     docs_with = {}
     for j, types in enumerate(source_types):
         for w in types:
             docs_with.setdefault(w, []).append(j)
 
     rows = []
-    for t_types in target.doc_types():
+    for t_types in doc_types(target):
         pair_counts = {}
         for w_t in t_types:
             for cid in by_target.get(w_t, ()):

@@ -365,7 +365,7 @@ def test_dictionary_too_small_for_lis_exits_2_before_training(
     config_path = tmp_path / "small_dictionary.json"
     config_path.write_text(json.dumps(config))
     monkeypatch.setattr(
-        models, "_plain_sweep", lambda *a: pytest.fail("a sweep ran before the check")
+        models, "_tree_sweep", lambda *a: pytest.fail("a sweep ran before the check")
     )
     capsys.readouterr()
     assert main(["train", "--config", str(config_path)]) == 2
@@ -866,6 +866,23 @@ def _malformed_models(valid: dict):
     yield "an empty language", json.dumps({**valid, "languages": ["", "l2"]})
     yield "the same language twice", json.dumps({**valid, "languages": ["l1", "l1"]})
 
+    def with_entry(key, side, doc, value):
+        pair = [list(entries) for entries in valid[key]]
+        pair[side][doc] = value
+        return json.dumps({**valid, key: pair})
+
+    yield "an integer document id", with_entry("doc_ids", 0, 0, 7)
+    yield "an empty document id", with_entry("doc_ids", 1, 2, "")
+    yield "a null document id", with_entry("doc_ids", 0, 1, None)
+    yield "labels missing a document", json.dumps(
+        {**valid, "doc_labels": [valid["doc_labels"][0][1:], valid["doc_labels"][1]]}
+    )
+    yield "labels for an extra document", json.dumps(
+        {**valid, "doc_labels": [valid["doc_labels"][0], valid["doc_labels"][1] + [None]]}
+    )
+    yield "labels that are a string", with_entry("doc_labels", 0, 0, "t0")
+    yield "a label that is not a string", with_entry("doc_labels", 1, 0, ["t0", 1])
+
     def with_counts(key, side=None, table=None):
         counts = dict(valid["counts"])
         if side is None:
@@ -934,7 +951,7 @@ def test_malformed_model_files_exit_3(tmp_path, toy_data, capsys):
             capsys.readouterr()
             assert main(argv) == 3, (name, argv[0])
             err = capsys.readouterr().err
-            assert err.startswith("data error:") and "Traceback" not in err, name
+            assert err.startswith("data error:") and err.count("\n") == 1, name
     assert main(["inspect", "--model", str(tmp_path / "no_such_model.json")]) == 3
 
 

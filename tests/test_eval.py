@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import cnpmi_topic_reference, npmi_reference, parse_reference_reference
+from oracles import cnpmi_topic_reference, npmi_reference, pair_set, parse_reference_reference
 
 from multitopic import evaluate
 from multitopic.corpus import Vocabulary
@@ -362,7 +362,7 @@ class TestSynthetic:
     def test_coverage_counts_pairs(self):
         data = generate_synthetic(2, 20, 4, 10, 0.25, 8.0, seed=0)
         assert len(data.dictionary) == 5
-        assert data.dictionary.pair_set() == {(i, i) for i in range(5)}
+        assert pair_set(data.dictionary) == {(i, i) for i in range(5)}
 
     def test_infinite_sharpness_gives_single_topic_documents(self):
         data = generate_synthetic(4, 40, 12, 20, 0.5, float("inf"), seed=1)

@@ -16,6 +16,7 @@ from scipy import stats
 
 from multitopic import _native
 from multitopic.transfer import TransferMatrix
+from oracles import concept_free_sweep
 
 K, V, N = 3, 4, 5  # topics, words, tokens in the one document
 ALPHA = 0.7
@@ -97,9 +98,10 @@ def forward_soft(rng) -> tuple[np.ndarray, np.ndarray]:
 
 def successive_conditional_soft(rng) -> np.ndarray:
     """The statistics after every SOFT_THIN-th alternation of "draw every
-    word given z" with one `sweep_plain` pass. The sweep keeps its own
-    document and topic totals, which the word draws leave valid; only the
-    word-topic table is tallied again for the new words."""
+    word given z" with one pass of the training sweep over a tree without
+    concepts, as soft links run it. The sweep keeps its own document and
+    topic totals, which the word draws leave valid; only the word-topic
+    table is tallied again for the new words."""
     lib = _native.load()
     z, _ = forward_soft(rng)
     nd, nk = tally(SOFT_DOC_OF, z, SOFT_DOCS), np.bincount(z, minlength=SOFT_K)
@@ -110,9 +112,9 @@ def successive_conditional_soft(rng) -> np.ndarray:
         for _ in range(SOFT_THIN):
             words = draw_words(z, rng)
             nw = tally(words, z, SOFT_V)
-            lib.sweep_plain(
-                SOFT_DOCS, SOFT_K, doc_start, words, z, nd, SOFT_PRIORS, nw, nk,
-                SOFT_BETA, SOFT_V * SOFT_BETA, rng.random(len(z)), cdf,
+            concept_free_sweep(
+                lib, doc_start, words, z, nd, SOFT_PRIORS, nw, nk, SOFT_BETA,
+                rng.random(len(z)), cdf,
             )
         kept.append(soft_statistics(nd, nw))
     return np.array(kept)

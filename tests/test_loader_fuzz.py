@@ -127,7 +127,14 @@ def check_model(model) -> None:
     k = model.hyperparams.k
     for side in (0, 1):
         check_text(model.languages[side], *model.vocabularies[side].word_of_id)
+        assert all(isinstance(doc_id, str) and doc_id for doc_id in model.doc_ids[side])
         check_text(*model.doc_ids[side])
+        assert len(model.doc_labels[side]) == len(model.doc_ids[side])
+        for labels in model.doc_labels[side]:
+            assert labels is None or isinstance(labels, list) and all(
+                isinstance(label, str) for label in labels
+            )
+            check_text(*(labels or ()))
     for side in (0, 1):
         assert model.phi[side].shape == (k, model.vocabularies[side].size)
         assert model.theta[side].shape == (len(model.doc_ids[side]), k)

@@ -316,6 +316,13 @@ class TestTrain:
                 assert np.array_equal(m_lda.phi[s], other.phi[s])
                 assert np.array_equal(m_lda.theta[s], other.theta[s])
             assert_same_counts(m_lda.counts, other.counts)
+        # vocabulary links with an empty dictionary sweep the same
+        # concept-free tree, so they draw the same topics; their phi is
+        # read through the tree and renormalised, so it is not compared
+        m_voc = train("voclink", corpus, hp, dictionary=BilingualDictionary("l1", "l2", []))
+        assert_same_counts(m_lda.counts, m_voc.counts)
+        for s in (0, 1):
+            assert np.array_equal(m_lda.theta[s], m_voc.theta[s])
 
     def test_hardlink_joint_and_conditional_trajectories_identical(self):
         rng = np.random.default_rng(12)
@@ -337,7 +344,7 @@ class TestTrain:
     ):
         corpus = build_bilingual(np.random.default_rng(25), links={0: 1, 2: 0, 4: 3})
         links = np.array(corpus.hard_links)
-        init, sweep = models._init_side, models._plain_sweep
+        init, sweep = models._init_side, models._tree_sweep
         sides, swept = [], []
 
         def recording_init(*args):
@@ -357,7 +364,7 @@ class TestTrain:
             sweep(lib, side, *args)
 
         monkeypatch.setattr(models, "_init_side", recording_init)
-        monkeypatch.setattr(models, "_plain_sweep", checking_sweep)
+        monkeypatch.setattr(models, "_tree_sweep", checking_sweep)
         train(
             "hardlink", corpus, Hyperparams(k=3, train_iterations=3, seed=2),
             hardlink_formulation=formulation, debug_checks=True,
@@ -410,14 +417,14 @@ class TestTrain:
     def test_debug_checks_catch_a_side_table_out_of_sync(self, monkeypatch, table):
         rng = np.random.default_rng(13)
         corpus = build_bilingual(rng)
-        sweep = models._plain_sweep
+        sweep = models._tree_sweep
 
         def corrupting_sweep(lib, side, *args):
             sweep(lib, side, *args)
             # one extra count leaves every count non-negative
             np.atleast_2d(getattr(side, table))[-1, 0] += 1
 
-        monkeypatch.setattr(models, "_plain_sweep", corrupting_sweep)
+        monkeypatch.setattr(models, "_tree_sweep", corrupting_sweep)
         with pytest.raises(DataError, match="out of sync"):
             train("lda", corpus, Hyperparams(k=3, train_iterations=1, seed=1), debug_checks=True)
 

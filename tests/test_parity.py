@@ -40,7 +40,6 @@ from multitopic.evaluate import classify_crosslingual, generate_synthetic
 from multitopic.logreg import (
     LogisticRegression,
     cross_val_accuracies,
-    cross_val_accuracy,
     cross_val_fits,
     fit_binary_stack,
     sigmoid,
@@ -78,6 +77,7 @@ from oracles import (
     build_transfer_rows_reference,
     classify_crosslingual_reference,
     concept_features_reference,
+    concept_free_sweep,
     concepts_of_word,
     cross_val_accuracy_reference,
     cross_val_folds_reference,
@@ -219,9 +219,9 @@ def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
         z, _ = flat(state["z"])
         nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
         for _ in range(state["sweeps"]):
-            lib.sweep_plain(
-                len(nd), k, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k),
-                nw, nk, beta, vbeta, rng.random(len(tokens)), cdf,
+            concept_free_sweep(
+                lib, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k),
+                nw, nk, beta, rng.random(len(tokens)), cdf,
             )
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(), priors, nw.tolist(),
@@ -234,9 +234,9 @@ def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
 @SETTINGS
 @given(sweep_states())
 def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
-    """Joint hard links run the plain kernel: a pooled document's own row
-    plus the pool's extra counts, alpha priors, and the extra counts taken
-    off again after the sweep."""
+    """Joint hard links run the one kernel over a tree without concepts: a
+    pooled document's own row plus the pool's extra counts, alpha priors,
+    and the extra counts taken off again after the sweep."""
     k, ndk, rng, alpha, beta = state["k"], state["ndk"], state["rng"], state["alpha"], state["beta"]
     extras = {d: rng.integers(0, 5, size=k) for d in range(1, len(ndk), 2)}
     pools = [
@@ -255,9 +255,8 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
         priors = np.full((len(nd), k), alpha)
         for _ in range(state["sweeps"]):
             nd[pooled] += extra
-            lib.sweep_plain(
-                len(nd), k, doc_start, tokens, z, nd, priors,
-                nw, nk, beta, vbeta, rng.random(len(tokens)), cdf,
+            concept_free_sweep(
+                lib, doc_start, tokens, z, nd, priors, nw, nk, beta, rng.random(len(tokens)), cdf,
             )
             nd[pooled] -= extra
         return (
@@ -270,7 +269,7 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
 
 
 @SETTINGS
-@given(sweep_states(), st.integers(1, 5), st.booleans(), st.sampled_from([1.0, 100.0]))
+@given(sweep_states(), st.integers(0, 5), st.booleans(), st.sampled_from([1.0, 100.0]))
 def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, beta_internal):
     k, tokens, z, rng, alpha = state["k"], state["tokens"], state["z"], state["rng"], state["alpha"]
     vocab_size = len(state["nwk"])
@@ -295,7 +294,7 @@ def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, b
                 utotal[topic] += 1
             pathd.append(c)
         paths.append(pathd)
-    ctotal = [sum(col) for col in zip(*ncp)]
+    ctotal = [sum(row[t] for row in ncp) for t in range(k)]
     priors = [[alpha] * k] * len(tokens)
     if soft:
         priors = (rng.random((len(tokens), k)) * 3 + alpha).tolist()
@@ -320,7 +319,7 @@ def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, b
                 len(nd), k, doc_start, flat_tokens, flat_z, flat_paths, nd,
                 np.array(priors).reshape(-1, k), nw, nk, member_start, member_concepts,
                 node, leaf, c_total, u_total, beta, beta_root, beta_internal, root_prior,
-                rng.random(len(flat_tokens)), cdf,
+                rng.random(len(flat_tokens)), cdf, np.empty(k),
             )
         return (
             tokens, per_doc(flat_z, doc_start), per_doc(flat_paths, doc_start), nd.tolist(),
@@ -1041,7 +1040,7 @@ def fold_problems(draw):
 
 
 # unbalanced classes can leave a fold with no held-out rows: the reference's
-# accuracy is then NaN, and cross_val_accuracy refuses the split
+# accuracy is then NaN, and cross_val_accuracies refuses the split
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
 @settings(SETTINGS, max_examples=25)
 @given(fold_problems())
@@ -1062,9 +1061,9 @@ def test_stacked_folds_match_one_fit_per_fold(case):
     if any(len(fit.held_out) == 0 for fit in fits):
         assert np.isnan(want_accuracy)
         with pytest.raises(ConfigError, match="no held-out rows"):
-            cross_val_accuracy(x, y, n_folds, seed)
+            cross_val_accuracies(x[None], y, n_folds, seed)
     else:
-        assert same_bits(cross_val_accuracy(x, y, n_folds, seed), want_accuracy)
+        assert same_bits(cross_val_accuracies(x[None], y, n_folds, seed)[0], want_accuracy)
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value encountered")
@@ -1085,7 +1084,7 @@ def test_fold_without_held_out_rows_is_a_config_error():
     x = rng.normal(size=(11, 3))
     y = np.array([1] * 3 + [0] * 8)
     with pytest.raises(ConfigError, match="11 rows in 10 folds leave a fold with no held-out rows"):
-        cross_val_accuracy(x, y, 10, seed=0)
+        cross_val_accuracies(x[None], y, 10, seed=0)
     assert np.isnan(cross_val_accuracy_reference(x, y, 10, seed=0))
     # threshold tuning only pools the out-of-fold posteriors, so it still runs
     assert evaluate._tune_threshold(x, y, 10, 0) == _tune_threshold_reference(x, y, 10, 0)
@@ -1159,7 +1158,7 @@ def test_stacked_matrices_match_one_cross_validation_each(case):
     assert len(got) == len(xs) and same_bits(got[-1], want_last)
     for got_accuracy, x in zip(got, xs):
         assert type(got_accuracy) is float
-        assert same_bits(got_accuracy, cross_val_accuracy(x, y, n_folds, seed))
+        assert same_bits(got_accuracy, cross_val_accuracies(x[None], y, n_folds, seed)[0])
 
 
 @st.composite

@@ -12,7 +12,7 @@ from multitopic.dictionary import BilingualDictionary, Concept
 from multitopic.errors import ConfigError, DataError
 from multitopic.logreg import (
     LogisticRegression,
-    cross_val_accuracy,
+    cross_val_accuracies,
     loss_and_gradient,
     stratified_folds,
 )
@@ -21,12 +21,11 @@ from multitopic.schedule import (
     LisHistory,
     compute_lis,
     concept_features,
-    concept_topic_distribution,
     should_anneal,
 )
 from multitopic.transfer import AnnealConfig
 
-from oracles import matrix_from_rows
+from oracles import concept_topic_distribution, matrix_from_rows
 
 
 class TestConceptTopicDistribution:
@@ -93,7 +92,7 @@ class TestLogisticRegression:
         rng = np.random.default_rng(3)
         x = np.vstack([rng.normal(-1, 0.2, (30, 2)), rng.normal(1, 0.2, (30, 2))])
         y = np.array([0] * 30 + [1] * 30)
-        assert cross_val_accuracy(x, y, 5, seed=0) >= 0.95
+        assert cross_val_accuracies(x[None], y, 5, seed=0)[0] >= 0.95
 
 
 def tables_for(counts1, counts2):
