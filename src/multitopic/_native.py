@@ -110,7 +110,7 @@ def _declare(lib) -> None:
     ints = ndpointer("int64", flags="C_CONTIGUOUS")
     floats = ndpointer("float64", flags="C_CONTIGUOUS")
     lib.sweep_tree.argtypes = [
-        n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints, ints,
+        n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints,
         ints, ints, ints, ints, x, x, x, x, floats, floats, floats,
     ]
     lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]

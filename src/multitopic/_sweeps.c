@@ -32,8 +32,8 @@ static int64_t pick(const double *cdf, int64_t n, double x)
  * by concept (entry c * K + t of the running sums); a word without
  * concepts sits on its own root leaf (path -1). LDA, soft links and hard
  * links sweep a tree without concepts, where every word is a root leaf:
- * there root_prior is V * beta and utotal equals nk, so a root leaf
- * scores what LDA scores.
+ * there root_prior is V * beta and utotal holds the topic totals, so a
+ * root leaf scores what LDA scores.
  * Document d's topic prior is the float row priors[d] (alpha, or alpha
  * plus transfer pseudo-counts); under hard links, in either formulation,
  * the caller has added the partner's counts to ndk, as a linked pair
@@ -49,7 +49,7 @@ static int64_t pick(const double *cdf, int64_t n, double x)
 void sweep_tree(
     int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
     const int64_t *tokens, int64_t *z, int64_t *paths, int64_t *ndk,
-    const double *priors, int64_t *nwk, int64_t *nk,
+    const double *priors, int64_t *nwk,
     const int64_t *member_start, const int64_t *member_concepts,
     int64_t *ncp, int64_t *nleaf, int64_t *ctotal, int64_t *utotal,
     double beta, double beta_root, double beta_internal, double root_prior,
@@ -71,7 +71,6 @@ void sweep_tree(
             int64_t c = paths[i];
             nd[k]--;
             nw[k]--;
-            nk[k]--;
             if (c >= 0) {
                 ncp[c * K + k]--;
                 nleaf[c * K + k]--;
@@ -111,7 +110,6 @@ void sweep_tree(
             paths[i] = c;
             nd[k]++;
             nw[k]++;
-            nk[k]++;
             if (c >= 0) {
                 ncp[c * K + k]++;
                 nleaf[c * K + k]++;

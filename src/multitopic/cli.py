@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
-import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import _native
 from . import corpus as corpus_io
 from . import evaluate as ev
-from .dictionary import load_dictionary, subsample, write_dictionary_tsv
+from .dictionary import DICTIONARY_FRACTION, load_dictionary, subsample, write_dictionary_tsv
 from .errors import ConfigError, DataError
 from .models import (
     HARDLINK_FORMULATIONS,
@@ -37,10 +36,9 @@ from .models import (
     train,
 )
 from .schedule import compute_lis, write_event_log
+from .settings import Key, declared
 from .transfer import (
-    FOCUS_SCOPES,
     NUMERATORS,
-    SCHEDULES,
     AnnealConfig,
     FocusConfig,
     build_transfer_matrix,
@@ -54,57 +52,14 @@ MANIFEST_FORMAT_VERSION = 1
 EVALUATIONS = ("cnpmi", "classify", "lis")  # what `eval --which` may list
 
 
-@dataclass(frozen=True)
-class Key:
-    """One `train` config key. `kind` is "int", "float", "bool", "enum"
-    (one of `choices`), "str" or "path" (a file path, given as a string).
-    A number must lie in `bounds`, an interval such as "(0, 1]" whose ends
-    are open or closed: an open end at inf keeps infinity out, and NaN
-    lies in no interval. A key whose default is null may be null."""
-
-    default: object
-    kind: str
-    bounds: str = ""
-    choices: tuple = ()
-
-    def check(self, name: str, value):
-        """`value` converted to this key's kind; a value of another kind or
-        outside the bounds is a configuration error."""
-        if value is None and self.default is None:
-            return None
-        if self.kind in ("int", "float"):
-            number = _number(value, name, int if self.kind == "int" else float)
-            if not _within(number, self.bounds):
-                wanted = _describe(self.bounds) if math.isfinite(number) else "finite"
-                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-            return number
-        if self.kind == "bool":
-            valid, wanted = isinstance(value, bool), "true or false"
-        elif self.kind == "enum":
-            valid = isinstance(value, str) and value in self.choices
-            wanted = "one of " + ", ".join(self.choices)
-        else:
-            valid, wanted = isinstance(value, str), "a string"
-        if not valid:
-            raise ConfigError(f"{name} must be {wanted}, got {value!r}")
-        return value
-
-
 # every `train` config key by its path, in README order: `load_config`
-# takes the defaults from here and `_train_plan` checks a config against it
+# takes the defaults from here and `_train_plan` checks a config against
+# it. The rows written out are the settings no library object carries.
 CONFIG_KEYS = {
     "model": Key("lda", "enum", choices=MODEL_KINDS),
-    "seed": Key(0, "int", "[0, inf)"),
-    "k": Key(25, "int", "[2, inf)"),
-    "alpha": Key(0.1, "float", "(0, inf)"),
-    "beta": Key(0.01, "float", "(0, inf)"),
-    "beta_root": Key(0.01, "float", "(0, inf)"),
-    "beta_internal": Key(100.0, "float", "(0, inf)"),
-    "train_iterations": Key(1000, "int", "[1, inf)"),
-    "infer_iterations": Key(500, "int", "[1, inf)"),
-    "top_frequent": Key(100, "int", "[0, inf)"),
-    "keep_empty": Key(False, "bool"),
-    "dictionary_fraction": Key(1.0, "float", "(0, 1]"),
+    **declared(Hyperparams),
+    **declared(corpus_io.LoaderOptions),
+    "dictionary_fraction": DICTIONARY_FRACTION,
     "numerator": Key("pairs", "enum", choices=NUMERATORS),
     "hardlink_formulation": Key("conditional", "enum", choices=HARDLINK_FORMULATIONS),
     "threads": Key(1, "int", "[1, inf)"),  # accepted; the sweeps run on one thread
@@ -116,32 +71,9 @@ CONFIG_KEYS = {
     "paths.stopwords1": Key(None, "path"),
     "paths.stopwords2": Key(None, "path"),
     "paths.output_dir": Key(".", "path"),
-    "focus.threshold": Key(0.0, "float", "[0, 1]"),
-    "focus.scope": Key("doc_wise", "enum", choices=FOCUS_SCOPES),
-    "anneal.schedule": Key("none", "enum", choices=SCHEDULES),
-    "anneal.temperature": Key(0.9, "float", "(0, 1]"),
-    "anneal.interval": Key(10, "int", "[1, inf)"),
-    "anneal.stop_iteration": Key(400, "int", "[0, inf)"),
-    "anneal.lis_every": Key(1, "int", "[1, inf)"),
+    **declared(FocusConfig),
+    **declared(AnnealConfig),
 }
-
-
-def _within(number, bounds: str) -> bool:
-    low, high = (float(end) for end in bounds[1:-1].split(","))
-    above = low < number if bounds[0] == "(" else low <= number
-    below = number < high if bounds[-1] == ")" else number <= high
-    return above and below
-
-
-def _describe(bounds: str) -> str:
-    """"(0, inf)" as "positive", "[0, inf)" as "non-negative", "[2, inf)"
-    as "at least 2"; an interval with a finite upper end as itself."""
-    low, high = bounds[1:-1].split(", ")
-    if high != "inf":
-        return f"in {bounds}"
-    if low == "0":
-        return "positive" if bounds[0] == "(" else "non-negative"
-    return f"{'above' if bounds[0] == '(' else 'at least'} {low}"
 
 
 def _defaults() -> dict:
@@ -195,20 +127,6 @@ def _require_path(config: dict, key: str) -> Path:
     return path
 
 
-def _number(value, name: str, kind: type = float):
-    """`value` converted by `kind` (float or int). A value that is not a
-    JSON number (a boolean or a string, say), or for an int a number with
-    a fractional part, is a configuration error, not an internal one."""
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return kind(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
 def _check_output_dir(path: Path, name: str) -> None:
     """Refuse an output directory that cannot be created: it, or the
     nearest of its ancestors that exists, is not a writable directory.
@@ -245,19 +163,21 @@ def _seed_flag(text: str) -> int:
     return int(text)
 
 
+def _from_config(cls, config: dict, **others):
+    """`cls` built from the merged config's values for its setting fields."""
+    settings = {path.removeprefix(cls.SECTION): _setting(config, path) for path in declared(cls)}
+    return cls(**settings, **others)
+
+
 def _loader_options(config: dict, side: int) -> corpus_io.LoaderOptions:
     stopwords = frozenset()
     if _setting(config, f"paths.stopwords{side}"):
         stopwords = corpus_io.load_stopwords(_require_path(config, f"stopwords{side}"))
-    return corpus_io.LoaderOptions(
-        stopwords=stopwords,
-        top_frequent=_setting(config, "top_frequent"),
-        keep_empty=_setting(config, "keep_empty"),
-    )
+    return _from_config(corpus_io.LoaderOptions, config, stopwords=stopwords)
 
 
 def _hyperparams(config: dict) -> Hyperparams:
-    return Hyperparams(**{f.name: _setting(config, f.name) for f in fields(Hyperparams)})
+    return _from_config(Hyperparams, config)
 
 
 def _write_manifest(config: dict, command: str, output_dir: Path) -> None:
@@ -315,11 +235,11 @@ def _train_plan(config: dict) -> TrainPlan:
         _require_path(config, "dictionary")
     if value["anneal.schedule"] != "none" and kind not in SOFT_KINDS:
         raise ConfigError("annealing schedules only apply to soft-link models")
-    anneal = AnnealConfig(**{f.name: value[f"anneal.{f.name}"] for f in fields(AnnealConfig)})
+    anneal = _from_config(AnnealConfig, config)
     return TrainPlan(
         kind=kind,
         hp=_hyperparams(config),
-        focus=FocusConfig(**{f.name: value[f"focus.{f.name}"] for f in fields(FocusConfig)}),
+        focus=_from_config(FocusConfig, config),
         anneal=anneal if anneal.schedule != "none" else None,
         numerator=value["numerator"],
         hardlink_formulation=value["hardlink_formulation"],
@@ -350,8 +270,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             bicorpus.side1.vocabulary,
             bicorpus.side2.vocabulary,
         )
-        if plan.dictionary_fraction < 1.0:
-            dictionary = subsample(dictionary, plan.dictionary_fraction, plan.hp.seed)
+        dictionary = subsample(dictionary, plan.dictionary_fraction, plan.hp.seed)
 
     transfer_to_side1 = transfer_to_side2 = None
     if plan.kind in SOFT_KINDS:
@@ -605,10 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb.add_argument("--language2", required=True)
     p_tb.add_argument("--dictionary", required=True)
     p_tb.add_argument("--target-side", type=int, choices=(1, 2), default=2)
-    p_tb.add_argument("--numerator", choices=NUMERATORS, default="pairs")
-    p_tb.add_argument("--focus-threshold", type=float, default=0.0)
-    p_tb.add_argument("--focus-scope", choices=FOCUS_SCOPES, default="doc_wise")
-    p_tb.add_argument("--top-frequent", type=int, default=100)
+    for flag, path, kind in (
+        ("--numerator", "numerator", None),
+        ("--focus-threshold", "focus.threshold", float),
+        ("--focus-scope", "focus.scope", None),
+        ("--top-frequent", "top_frequent", int),
+    ):
+        key = CONFIG_KEYS[path]
+        p_tb.add_argument(flag, type=kind, choices=key.choices or None, default=key.default)
     p_tb.add_argument("--output", required=True)
     p_tb.set_defaults(func=cmd_transfer_build)
 

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .settings import Settings, setting
 
 logger = logging.getLogger(__name__)
 
@@ -99,21 +100,17 @@ class BilingualCorpus:
 
 
 @dataclass
-class LoaderOptions:
-    """Knobs for `load_corpus`.
-
-    top_frequent removes the N most frequent remaining word types after
-    stopword removal; frequency is token frequency, ties broken by word
-    string so the cut is deterministic.
-    """
+class LoaderOptions(Settings):
+    """Knobs for `load_corpus`. top_frequent removes the N most frequent
+    remaining word types after stopword removal (token frequency, ties
+    broken by word string, so the cut is deterministic); keep_empty keeps
+    the documents that filtering empties. Both are `train` settings,
+    declared here and checked on construction (`ConfigError` naming the
+    key)."""
 
     stopwords: frozenset[str] = frozenset()
-    top_frequent: int = 100
-    keep_empty: bool = False
-
-    def __post_init__(self):
-        if self.top_frequent < 0:
-            raise ConfigError(f"top_frequent must be non-negative, got {self.top_frequent}")
+    top_frequent: int = setting(100, "int", "[0, inf)")
+    keep_empty: bool = setting(False, "bool")
 
 
 @contextmanager

@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Vocabulary, open_text
-from .errors import ConfigError, DataError
+from .errors import DataError
+from .settings import Key
 
 logger = logging.getLogger(__name__)
+DICTIONARY_FRACTION = Key(1.0, "float", "(0, 1]")  # the share `subsample` keeps
 
 
 @dataclass(frozen=True)
@@ -120,13 +122,11 @@ def load_dictionary(
 def subsample(
     dictionary: BilingualDictionary, fraction: float, seed: int
 ) -> BilingualDictionary:
-    """Uniformly sample ceil(fraction * n) concepts without replacement.
-
-    Deterministic under `seed`; surviving concepts keep their relative
-    order and are re-indexed densely.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+    """Uniformly sample ceil(fraction * n) concepts without replacement,
+    deterministic under `seed`: the survivors keep their relative order
+    and are re-indexed densely. `fraction` is the `dictionary_fraction`
+    setting, refused (`ConfigError`) outside (0, 1] as the config is."""
+    fraction = DICTIONARY_FRACTION.check("dictionary_fraction", fraction)
     n = len(dictionary)
     if fraction == 1.0 or n == 0:
         return BilingualDictionary(dictionary.lang1, dictionary.lang2, dictionary.words)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -50,6 +50,7 @@ from . import _native
 from .corpus import BilingualCorpus, Corpus, Vocabulary, read_json, write_json
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
+from .settings import Settings, declared, setting
 from .transfer import AnnealConfig, TransferMatrix
 from .tree import DirichletTree, build_tree
 
@@ -68,65 +69,43 @@ _UNIFORM_BLOCK = 1 << 16
 
 
 @dataclass
-class Hyperparams:
-    k: int = 25
-    alpha: float = 0.1
-    beta: float = 0.01
-    beta_root: float = 0.01
-    beta_internal: float = 100.0
-    train_iterations: int = 1000
-    infer_iterations: int = 500
-    seed: int = 0
+class Hyperparams(Settings):
+    """The sampler's settings, each declared on its field and checked on
+    construction: a value the `train` config refuses raises `ConfigError`
+    naming the key."""
 
-    def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"need at least 2 topics, got {self.k}")
-        for name in ("alpha", "beta", "beta_root", "beta_internal"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if value <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.train_iterations < 1 or self.infer_iterations < 1:
-            raise ConfigError("iteration counts must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "beta_root": self.beta_root,
-            "beta_internal": self.beta_internal,
-            "train_iterations": self.train_iterations,
-            "infer_iterations": self.infer_iterations,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Hyperparams":
-        return cls(**payload)
+    k: int = setting(25, "int", "[2, inf)")
+    alpha: float = setting(0.1, "float", "(0, inf)")
+    beta: float = setting(0.01, "float", "(0, inf)")
+    beta_root: float = setting(0.01, "float", "(0, inf)")
+    beta_internal: float = setting(100.0, "float", "(0, inf)")
+    train_iterations: int = setting(1000, "int", "[1, inf)")
+    infer_iterations: int = setting(500, "int", "[1, inf)")
+    seed: int = setting(0, "int", "[0, inf)")
 
 
-@dataclass(eq=False)
 class SideState:
     """Assignments and count tables for one language, as contiguous int64
     arrays that the training sweeps update in place. Document d's tokens
     are `tokens[doc_start[d]:doc_start[d + 1]]`, and `z` holds their topics
-    at the same positions; `doc_topic` is D x K, `word_topic` V x K and
-    `topic_total` has K entries."""
+    at the same positions; `doc_topic` is D x K and `word_topic` V x K.
+    `topic_total` is summed from `word_topic` when read, unless the state
+    was built with totals of its own."""
 
-    tokens: np.ndarray
-    z: np.ndarray
-    doc_start: np.ndarray
-    doc_topic: np.ndarray
-    word_topic: np.ndarray
-    topic_total: np.ndarray
+    def __init__(self, tokens, z, doc_start, doc_topic, word_topic, topic_total=None):
+        self.tokens, self.z, self.doc_start = tokens, z, doc_start
+        self.doc_topic, self.word_topic = doc_topic, word_topic
+        self._given_total = topic_total
+
+    @property
+    def topic_total(self) -> np.ndarray:
+        if self._given_total is None:
+            return self.word_topic.sum(axis=0)
+        return self._given_total
 
     @property
     def n_topics(self) -> int:
-        return len(self.topic_total)
+        return self.word_topic.shape[1]
 
     @property
     def vocab_size(self) -> int:
@@ -137,14 +116,12 @@ class SideState:
 
 
 def _tally(tokens, z, doc_start, k: int, vocab_size: int):
-    """The document-topic, word-topic and topic-total counts of flat
-    assignments."""
+    """The document-topic and word-topic counts of flat assignments."""
     n_docs = len(doc_start) - 1
     doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(doc_start))
     return (
         np.bincount(doc * k + z, minlength=n_docs * k).reshape(n_docs, k),
         np.bincount(tokens * k + z, minlength=vocab_size * k).reshape(vocab_size, k),
-        np.bincount(z, minlength=k),
     )
 
 
@@ -351,12 +328,23 @@ def _tree_sweep(
     cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
     lib.sweep_tree(
         len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
-        side.doc_topic, priors, side.word_topic, side.topic_total,
-        starts, tree.member_concepts[s], tree.concept_topic, tree.leaf_topic[s],
-        tree.concept_total, tree.untrans_total[s],
+        side.doc_topic, priors, side.word_topic, starts, tree.member_concepts[s],
+        tree.concept_topic, tree.leaf_topic[s], tree.concept_total, tree.untrans_total[s],
         hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
         rng.random(len(side.tokens)), cdf, np.empty(k),
     )
+
+
+def _sweep_sides(lib, sides, paths, priors, tree, links, hp, rng) -> None:
+    """One training iteration, side 1 then side 2. The hard links (none for
+    other kinds), one (side-1 doc, side-2 doc) row each, add the partners'
+    counts to a side's rows while it is swept; the partners hold still."""
+    for s in (0, 1):
+        side = sides[s]
+        own, partner = links[:, s], links[:, 1 - s]
+        side.doc_topic[own] += sides[1 - s].doc_topic[partner]
+        _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
+        side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
 
 
 def _hard_links(corpus: BilingualCorpus) -> np.ndarray:
@@ -472,16 +460,7 @@ def train(
     for iteration in range(1, hp.train_iterations + 1):
         if uses_soft:
             priors = tuple(scheduler.matrices[s].mix(sides[1 - s].doc_topic) + alpha for s in (0, 1))
-        for s in (0, 1):
-            side = sides[s]
-            # hard links (none for other kinds), one (side-1 document,
-            # side-2 document) row per pair: each side's rows carry their
-            # partners' counts while that side is swept; the partner rows
-            # belong to the other side, so they hold still
-            own, partner = links[:, s], links[:, 1 - s]
-            side.doc_topic[own] += sides[1 - s].doc_topic[partner]
-            _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
-            side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
+        _sweep_sides(lib, sides, paths, priors, tree, links, hp, rng)
         scheduler.after_iteration(iteration, lambda: tuple(side.word_topic for side in sides))
         if debug_checks:
             _run_debug_checks(sides, tree)
@@ -497,7 +476,7 @@ def train(
 def _run_debug_checks(sides, tree) -> None:
     for s, side in enumerate(sides, start=1):
         tallied = _tally(side.tokens, side.z, side.doc_start, side.n_topics, side.vocab_size)
-        if not all(map(np.array_equal, tallied, (side.doc_topic, side.word_topic, side.topic_total))):
+        if not all(map(np.array_equal, tallied, (side.doc_topic, side.word_topic))):
             raise DataError(f"side {s} count tables out of sync with its assignments")
     tree.check_consistency(tuple(side.word_topic for side in sides))
 
@@ -662,7 +641,7 @@ def _model_parts(model: TopicModel, include_counts: bool) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "model_kind": model.model_kind,
-        "hyperparams": model.hyperparams.to_dict(),
+        "hyperparams": asdict(model.hyperparams),
         "languages": list(model.languages),
         "vocabularies": [v.word_of_id for v in model.vocabularies],
         "phi": list(model.phi),
@@ -737,6 +716,33 @@ def _pair(payload: dict, key: str, of_lists: bool = False) -> list:
     return value
 
 
+def _list_of(value, valid) -> bool:
+    return isinstance(value, list) and all(map(valid, value))
+
+
+# each provenance key that `train` writes: what it holds, and a check
+_PROVENANCE = {
+    "seed": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "train_iterations": ("a non-negative integer", lambda v: type(v) is int and v >= 0),
+    "schedule": ("an object or null", lambda v: v is None or isinstance(v, dict)),
+    "anneal_events": ("a list of objects", lambda v: _list_of(v, lambda e: isinstance(e, dict))),
+    "lis_history": ("a list of finite numbers", lambda v: _list_of(
+        v, lambda x: type(x) is int or type(x) is float and math.isfinite(x)
+    )),
+    "hardlink_formulation": (" or ".join(HARDLINK_FORMULATIONS), lambda v: v in HARDLINK_FORMULATIONS),
+}
+
+
+def _provenance(value) -> dict:
+    """`value`, an object whose keys that `train` writes hold what it writes."""
+    if not isinstance(value, dict):
+        raise DataError("model 'provenance' must be an object")
+    for key, (wanted, valid) in _PROVENANCE.items():
+        if key in value and not valid(value[key]):
+            raise DataError(f"model provenance {key!r} must be {wanted}")
+    return value
+
+
 def model_from_json(payload: dict) -> TopicModel:
     """Rebuild a model from its container, rejecting any malformed part
     with `DataError`."""
@@ -756,19 +762,17 @@ def model_from_json(payload: dict) -> TopicModel:
     hp_payload = payload["hyperparams"]
     if not isinstance(hp_payload, dict):
         raise DataError("model 'hyperparams' must be an object")
-    expected = {f.name for f in fields(Hyperparams)}
-    if set(hp_payload) != expected:
-        unknown = sorted(set(hp_payload) - expected)
-        absent = sorted(expected - set(hp_payload))
-        raise DataError(
-            f"model hyperparams: unknown keys {unknown}, missing keys {absent}"
-        )
-    integer_keys = ("k", "train_iterations", "infer_iterations", "seed")
+    keys = declared(Hyperparams)
+    if set(hp_payload) != set(keys):
+        unknown, absent = sorted(set(hp_payload) - set(keys)), sorted(set(keys) - set(hp_payload))
+        raise DataError(f"model hyperparams: unknown keys {unknown}, missing keys {absent}")
+    # a config may give an integer as 5.0; a model file holds what train wrote
+    integer_keys = [name for name, key in keys.items() if key.kind == "int"]
     if not all(type(hp_payload[name]) is int for name in integer_keys):
         raise DataError(f"model hyperparams {', '.join(integer_keys)} must be integers")
     try:
-        hp = Hyperparams.from_dict(hp_payload)
-    except (ConfigError, TypeError) as exc:
+        hp = Hyperparams(**hp_payload)
+    except ConfigError as exc:
         raise DataError(f"model hyperparams: {exc}") from None
     langs = _pair(payload, "languages")
     if not all(isinstance(lang, str) and lang for lang in langs) or langs[0] == langs[1]:
@@ -805,7 +809,7 @@ def model_from_json(payload: dict) -> TopicModel:
         theta=theta,
         doc_ids=doc_ids,
         doc_labels=doc_labels,
-        provenance=payload.get("provenance", {}),
+        provenance=_provenance(payload.get("provenance", {})),
         counts=counts,
     )
 

@@ -16,7 +16,7 @@ bit-identical to scoring its snapshot alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -194,20 +194,20 @@ class AnnealScheduler:
     def describe(self) -> dict | None:
         if self.cfg is None:
             return None
-        return {
-            "schedule": self.cfg.schedule,
-            "temperature": self.cfg.temperature,
-            "interval": self.cfg.interval,
-            "stop_iteration": self.cfg.stop_iteration,
-        }
+        return {key: value for key, value in asdict(self.cfg).items() if key != "lis_every"}
 
-    def _anneal_all(self) -> tuple[int, float]:
-        """Replace each matrix by its annealed copy; the matrices passed to
-        the constructor are never modified."""
+    def _anneal_all(self, iteration: int, mode: str, lis: float | None) -> None:
+        """Replace each matrix by its annealed copy (the matrices passed to
+        the constructor are never modified) and record the event."""
         self.matrices = [anneal_matrix(m, self.cfg.temperature) for m in self.matrices]
-        rows = sum(m.nonempty_rows() for m in self.matrices)
         maxima = [m.mean_row_max() for m in self.matrices]
-        return rows, float(np.mean(maxima)) if maxima else 0.0
+        self.events.append({
+            "iteration": iteration,
+            "mode": mode,
+            "lis": lis,
+            "rows_annealed": sum(m.nonempty_rows() for m in self.matrices),
+            "max_weight_mean": float(np.mean(maxima)) if maxima else 0.0,
+        })
 
     def _score_pending(self) -> None:
         """Score every kept snapshot in one stacked fit and record the
@@ -236,16 +236,7 @@ class AnnealScheduler:
         cfg = self.cfg
         if cfg.schedule == "fixed":
             if iteration % cfg.interval == 0 and iteration <= cfg.stop_iteration:
-                rows, mean_max = self._anneal_all()
-                self.events.append(
-                    {
-                        "iteration": iteration,
-                        "mode": "fixed",
-                        "lis": None,
-                        "rows_annealed": rows,
-                        "max_weight_mean": mean_max,
-                    }
-                )
+                self._anneal_all(iteration, "fixed", None)
             return
         # adaptive
         if iteration % cfg.lis_every == 0:
@@ -254,31 +245,19 @@ class AnnealScheduler:
             # each stacked snapshot adds its rows to folds - 1 training sets
             if (len(self._pending) + 1) * (LIS_FOLDS - 1) * x.size > LIS_STACK_DOUBLES:
                 self._score_pending()
-        if (
-            iteration % cfg.interval == 0
-            and iteration >= 2 * cfg.interval
-            and iteration <= cfg.stop_iteration
-        ):
+        if iteration % cfg.interval == 0 and 2 * cfg.interval <= iteration <= cfg.stop_iteration:
             self._score_pending()
+            # `should_anneal`'s rule, on the two means the log reports
             start = iteration - cfg.interval
             recent = self.history.window_mean(start, iteration)
             previous = self.history.window_mean(start - cfg.interval, start)
-            anneal = should_anneal(self.history, iteration)
+            anneal = recent > previous
             logger.info(
                 "iteration %d: LIS window mean %.6f after %.6f: %s",
                 iteration, recent, previous, "anneal" if anneal else "no anneal",
             )
             if anneal:
-                rows, mean_max = self._anneal_all()
-                self.events.append(
-                    {
-                        "iteration": iteration,
-                        "mode": "adaptive",
-                        "lis": self.history.values[-1],
-                        "rows_annealed": rows,
-                        "max_weight_mean": mean_max,
-                    }
-                )
+                self._anneal_all(iteration, "adaptive", self.history.values[-1])
 
 
 def write_event_log(events: list[dict], path) -> None:

@@ -21,6 +21,7 @@ import numpy as np
 from .corpus import Corpus
 from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError
+from .settings import Settings, setting
 
 NUMERATORS = ("pairs", "covered_types")
 FOCUS_SCOPES = ("doc_wise", "corpus_wise")
@@ -28,39 +29,35 @@ SCHEDULES = ("none", "fixed", "adaptive")
 
 
 @dataclass
-class FocusConfig:
+class FocusConfig(Settings):
     """Static focusing: zero entries at or below threshold * max, where the
-    max is taken per row (doc_wise) or over the whole matrix (corpus_wise)."""
+    max is taken per row (doc_wise) or over the whole matrix (corpus_wise).
+    The fields are the `focus.*` settings of the `train` config, declared
+    here and checked on construction (`ConfigError` naming the key)."""
 
-    threshold: float = 0.0
-    scope: str = "doc_wise"  # or "corpus_wise"
+    SECTION = "focus."
 
-    def __post_init__(self):
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"focal threshold must be in [0, 1], got {self.threshold}")
-        if self.scope not in FOCUS_SCOPES:
-            raise ConfigError(f"unknown selection scope {self.scope!r}")
+    threshold: float = setting(0.0, "float", "[0, 1]")
+    scope: str = setting("doc_wise", "enum", choices=FOCUS_SCOPES)
 
 
 @dataclass
-class AnnealConfig:
-    temperature: float = 0.9
-    interval: int = 10
-    stop_iteration: int = 400
-    schedule: str = "none"  # none | fixed | adaptive
-    lis_every: int = 1
+class AnnealConfig(Settings):
+    """When the transfer matrices anneal (`schedule`, see `AnnealScheduler`)
+    and how sharply. The fields are the `anneal.*` settings of the `train`
+    config, declared here and checked on construction (`ConfigError`
+    naming the key)."""
+
+    SECTION = "anneal."
+
+    temperature: float = setting(0.9, "float", "(0, 1]")
+    interval: int = setting(10, "int", "[1, inf)")
+    stop_iteration: int = setting(400, "int", "[0, inf)")
+    schedule: str = setting("none", "enum", choices=SCHEDULES)
+    lis_every: int = setting(1, "int", "[1, inf)")
 
     def __post_init__(self):
-        if not 0.0 < self.temperature <= 1.0:
-            raise ConfigError(f"temperature must be in (0, 1], got {self.temperature}")
-        if self.interval < 1:
-            raise ConfigError(f"interval must be >= 1, got {self.interval}")
-        if self.stop_iteration < 0:
-            raise ConfigError(f"stop_iteration must be >= 0, got {self.stop_iteration}")
-        if self.schedule not in SCHEDULES:
-            raise ConfigError(f"unknown schedule {self.schedule!r}")
-        if self.lis_every < 1:
-            raise ConfigError(f"lis_every must be >= 1, got {self.lis_every}")
+        super().__post_init__()
         if self.schedule == "adaptive" and self.lis_every > self.interval:
             # the first window, (0, interval], would then hold no LIS value
             raise ConfigError(
@@ -282,12 +279,11 @@ def static_focus(matrix: TransferMatrix, cfg: FocusConfig) -> TransferMatrix:
 
 def anneal_matrix(matrix: TransferMatrix, temperature: float) -> TransferMatrix:
     """Sharpen every nonempty row: raise weights to the power 1/temperature
-    and renormalize. Support and per-row argmax are preserved; temperature
-    1.0 is the exact identity and returns `matrix` itself. Weights below
-    ~1e-277 flush to zero under the exponentiation (double-precision
-    limit)."""
-    if not 0.0 < temperature <= 1.0:
-        raise ConfigError(f"temperature must be in (0, 1], got {temperature}")
+    (checked as `anneal.temperature` is) and renormalize. Support and
+    per-row argmax are preserved; temperature 1.0 is the exact identity and
+    returns `matrix` itself. Weights below ~1e-277 flush to zero under the
+    exponentiation (double-precision limit)."""
+    temperature = AnnealConfig.checked("temperature", temperature)
     if temperature == 1.0:
         return matrix
     return replace(matrix, weights=_normalised(matrix.weights ** (1.0 / temperature), matrix.start))

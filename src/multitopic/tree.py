@@ -58,16 +58,6 @@ class DirichletTree:
         concept-edge counts plus that language's untranslated-leaf counts."""
         return self.concept_total + self.untrans_total[side]
 
-    def increment(self, side: int, word: int, concept: int, topic: int, delta: int) -> None:
-        """Apply `delta` (+1/-1) along the path of one token. `concept` is -1
-        for an untranslated word (direct root leaf)."""
-        if concept >= 0:
-            self.concept_topic[concept, topic] += delta
-            self.leaf_topic[side, concept, topic] += delta
-            self.concept_total[topic] += delta
-        else:
-            self.untrans_total[side, topic] += delta
-
     def add_paths(self, side: int, topics: np.ndarray, paths: np.ndarray) -> None:
         """Count one side's tokens, with their `topics`, along their `paths`
         (-1 for a direct root leaf)."""

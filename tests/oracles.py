@@ -121,7 +121,6 @@ def side_state_without_token(tokens_docs, z_docs, n_topics, vocab_size, doc, pos
     t = z_docs[doc][pos]
     state.doc_topic[doc][t] -= 1
     state.word_topic[w][t] -= 1
-    state.topic_total[t] -= 1
     return state
 
 
@@ -144,8 +143,19 @@ def tree_counts_without_token(
         for i, (w, t, c) in enumerate(zip(toks, zd, pd)):
             if skip is not None and (d, i) == skip:
                 continue
-            tree.increment(side, w, c, t, +1)
+            add_path(tree, side, c, t)
     return tree
+
+
+def add_path(tree: DirichletTree, side: int, concept: int, topic: int) -> None:
+    """Count one token of `topic` along its path, one count at a time:
+    `concept` is -1 for a word's own root leaf."""
+    if concept >= 0:
+        tree.concept_topic[concept, topic] += 1
+        tree.leaf_topic[side, concept, topic] += 1
+        tree.concept_total[topic] += 1
+    else:
+        tree.untrans_total[side, topic] += 1
 
 
 def concepts_of_word(tree: DirichletTree, side: int) -> list[list[int]]:
@@ -438,21 +448,22 @@ def sweep_plain_reference(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics
             nk[k1] += 1
 
 
-def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, nk, beta, u, cdf):
+def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, beta, u, cdf):
     """The one compiled training sweep as LDA, soft links and hard links
     run it: over a tree built from an empty dictionary, where every word
-    is its own root leaf, whose root-leaf totals start as `nk`. Updates
-    the int64 arrays `z`, `ndk`, `nwk` and `nk` in place, as the scalar
-    `sweep_plain_reference` updates its lists."""
-    n_topics = len(nk)
+    is its own root leaf, whose root-leaf totals start as the column sums
+    of `nwk`. Updates the int64 arrays `z`, `ndk` and `nwk` in place, as
+    the scalar `sweep_plain_reference` updates its lists (its `nk` is
+    then `nwk.sum(axis=0)`)."""
+    n_topics = nwk.shape[1]
     vocabularies = (
         Vocabulary("l1", [f"w{i}" for i in range(len(nwk))]), Vocabulary("l2", []),
     )
     tree = DirichletTree(BilingualDictionary("l1", "l2", []), *vocabularies, n_topics)
-    tree.untrans_total[0] += nk
+    tree.untrans_total[0] += nwk.sum(axis=0)
     lib.sweep_tree(
         len(ndk), n_topics, doc_start, tokens, z, np.full(len(tokens), -1, dtype=np.int64),
-        ndk, priors, nwk, nk, tree.member_start[0], tree.member_concepts[0],
+        ndk, priors, nwk, tree.member_start[0], tree.member_concepts[0],
         tree.concept_topic, tree.leaf_topic[0], tree.concept_total, tree.untrans_total[0],
         beta, 0.01, 100.0, tree.root_children_prior(0, 0.01, beta), u, cdf,
         np.empty(n_topics),

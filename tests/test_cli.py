@@ -14,10 +14,12 @@ from multitopic import evaluate as ev
 from multitopic import _native, models
 from multitopic.cli import CONFIG_KEYS, _write_manifest, main
 from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
-from multitopic.dictionary import load_dictionary
-from multitopic.errors import DataError
+from multitopic.dictionary import BilingualDictionary, load_dictionary, subsample
+from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import load_reference
-from multitopic.models import load_model
+from multitopic.models import Hyperparams, load_model
+from multitopic.settings import declared
+from multitopic.transfer import AnnealConfig, FocusConfig, TransferMatrix, anneal_matrix
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -520,6 +522,58 @@ def test_bad_value_for_any_key_exits_2_before_any_work(
     assert_refused_before_any_work(tmp_path, capsys, config, path)
 
 
+# the library objects whose fields declare `train` settings
+SETTING_CLASSES = (Hyperparams, LoaderOptions, FocusConfig, AnnealConfig)
+
+
+def test_config_keys_read_the_field_declarations():
+    for cls in SETTING_CLASSES:
+        for path, key in declared(cls).items():
+            assert CONFIG_KEYS[path] is key, path
+
+
+@pytest.mark.parametrize("cls, path, value", [
+    pytest.param(cls, path, value, id=f"{path}={value!r}")
+    for cls in SETTING_CLASSES
+    for path, key in declared(cls).items()
+    for value in _bad_values(key)
+])
+def test_library_object_refuses_what_the_config_refuses(cls, path, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be "):
+        cls(**{path.removeprefix(cls.SECTION): value})
+
+
+def _refusing_calls():
+    matrix = TransferMatrix("l1", "l2", np.array([0, 1]), np.array([0]), np.array([1.0]))
+    dictionary = BilingualDictionary("l1", "l2", [(0, 0), (1, 1)])
+    for path, call in (
+        ("anneal.temperature", lambda value: anneal_matrix(matrix, value)),
+        ("dictionary_fraction", lambda value: subsample(dictionary, value, seed=0)),
+    ):
+        for value in _bad_values(CONFIG_KEYS[path]):
+            yield pytest.param(path, call, value, id=f"{path}={value!r}")
+
+
+@pytest.mark.parametrize("path, call, value", _refusing_calls())
+def test_library_function_refuses_what_the_config_refuses(path, call, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be "):
+        call(value)
+
+
+def test_library_objects_take_what_the_config_takes():
+    # the defaults, an integral float for an int, and numpy scalars
+    for cls in SETTING_CLASSES:
+        assert cls() == cls(**{
+            path.removeprefix(cls.SECTION): key.default for path, key in declared(cls).items()
+        })
+    hp = Hyperparams(k=np.int64(5), alpha=np.float64(0.5), seed=3.0, train_iterations=np.int32(7))
+    assert (hp.k, hp.alpha, hp.seed, hp.train_iterations) == (5, 0.5, 3, 7)
+    assert [type(value) for value in (hp.k, hp.alpha, hp.seed)] == [int, float, int]
+    assert FocusConfig(threshold=np.float64(0.5)).threshold == 0.5
+    assert AnnealConfig(interval=np.int64(4), temperature=1).interval == 4
+    assert LoaderOptions(top_frequent=np.uint8(3)).top_frequent == 3
+
+
 @pytest.mark.parametrize("overrides, paths, message", [
     ({"model": "softlink"}, {"dictionary": None}, "paths.dictionary is required"),
     ({"model": "voclink"}, {"dictionary": "missing.tsv"}, "paths.dictionary: missing.tsv does not"),
@@ -647,7 +701,8 @@ def test_transfer_build_checks_the_focal_threshold_before_loading(
         "--focus-threshold", threshold, "--output", str(out_path),
     ])
     assert code == 2
-    assert "focal threshold must be in [0, 1]" in capsys.readouterr().err
+    wanted = "finite, got nan" if threshold == "nan" else f"in [0, 1], got {float(threshold)}"
+    assert f"focus.threshold must be {wanted}" in capsys.readouterr().err
     assert not out_path.exists()
 
 
@@ -882,6 +937,22 @@ def _malformed_models(valid: dict):
     )
     yield "labels that are a string", with_entry("doc_labels", 0, 0, "t0")
     yield "a label that is not a string", with_entry("doc_labels", 1, 0, ["t0", 1])
+
+    def with_provenance(**changes):
+        return json.dumps({**valid, "provenance": {**valid["provenance"], **changes}})
+
+    yield "provenance a number", json.dumps({**valid, "provenance": 5})
+    yield "provenance a list", json.dumps({**valid, "provenance": [1]})
+    yield "provenance null", json.dumps({**valid, "provenance": None})
+    yield "anneal events a number", json.dumps({**valid, "provenance": {"anneal_events": 3}})
+    yield "schedule a number", json.dumps({**valid, "provenance": {"schedule": 7}})
+    yield "an anneal event that is not an object", with_provenance(anneal_events=[1])
+    yield "a negative seed in provenance", with_provenance(seed=-1)
+    yield "a boolean seed in provenance", with_provenance(seed=True)
+    yield "fractional train iterations in provenance", with_provenance(train_iterations=2.5)
+    yield "a LIS value that is a string", with_provenance(lis_history=[0.5, "0.6"])
+    yield "LIS history an object", with_provenance(lis_history={"1": 0.5})
+    yield "an unknown hardlink formulation", with_provenance(hardlink_formulation="both")
 
     def with_counts(key, side=None, table=None):
         counts = dict(valid["counts"])

@@ -1,6 +1,6 @@
-"""Geweke's successive-conditional tests of the compiled inference kernel
-and the soft-link training sweep (Geweke 2004, *Getting it right*; Grosse
-& Duvenaud 2014, *Testing MCMC code*).
+"""Geweke's successive-conditional tests of the compiled inference kernel,
+the soft-link training sweep and the hard-link training iteration (Geweke
+2004, *Getting it right*; Grosse & Duvenaud 2014, *Testing MCMC code*).
 
 With phi fixed, one document's joint distribution is theta ~ Dir(alpha),
 z_i ~ theta, w_i ~ phi[z_i]. Alternating "draw every word from phi given
@@ -14,8 +14,12 @@ right conditional, which bit-parity with a shared mistake would not.
 import numpy as np
 from scipy import stats
 
-from multitopic import _native
+from multitopic import _native, models
+from multitopic.corpus import Vocabulary
+from multitopic.dictionary import BilingualDictionary
+from multitopic.models import Hyperparams, tally_side
 from multitopic.transfer import TransferMatrix
+from multitopic.tree import build_tree
 from oracles import concept_free_sweep
 
 K, V, N = 3, 4, 5  # topics, words, tokens in the one document
@@ -77,8 +81,8 @@ def draw_words(z, rng) -> np.ndarray:
     return np.argmax(rng.random(len(z))[:, None] < np.cumsum(phi, axis=1)[z], axis=1)
 
 
-def tally(index, z, n_rows) -> np.ndarray:
-    table = np.zeros((n_rows, SOFT_K), dtype=np.int64)
+def tally(index, z, n_rows, k=SOFT_K) -> np.ndarray:
+    table = np.zeros((n_rows, k), dtype=np.int64)
     np.add.at(table, (index, z), 1)
     return table
 
@@ -99,12 +103,12 @@ def forward_soft(rng) -> tuple[np.ndarray, np.ndarray]:
 def successive_conditional_soft(rng) -> np.ndarray:
     """The statistics after every SOFT_THIN-th alternation of "draw every
     word given z" with one pass of the training sweep over a tree without
-    concepts, as soft links run it. The sweep keeps its own document and
-    topic totals, which the word draws leave valid; only the word-topic
-    table is tallied again for the new words."""
+    concepts, as soft links run it. The sweep keeps its own document
+    counts, which the word draws leave valid; only the word-topic table is
+    tallied again for the new words."""
     lib = _native.load()
     z, _ = forward_soft(rng)
-    nd, nk = tally(SOFT_DOC_OF, z, SOFT_DOCS), np.bincount(z, minlength=SOFT_K)
+    nd = tally(SOFT_DOC_OF, z, SOFT_DOCS)
     doc_start = np.array([0, SOFT_N, 2 * SOFT_N])
     cdf = np.empty(SOFT_K)
     kept = []
@@ -113,7 +117,7 @@ def successive_conditional_soft(rng) -> np.ndarray:
             words = draw_words(z, rng)
             nw = tally(words, z, SOFT_V)
             concept_free_sweep(
-                lib, doc_start, words, z, nd, SOFT_PRIORS, nw, nk, SOFT_BETA,
+                lib, doc_start, words, z, nd, SOFT_PRIORS, nw, SOFT_BETA,
                 rng.random(len(z)), cdf,
             )
         kept.append(soft_statistics(nd, nw))
@@ -127,6 +131,100 @@ def test_softlink_sweep_with_fixed_priors_keeps_the_joint_distribution():
         soft_statistics(tally(SOFT_DOC_OF, z, SOFT_DOCS), tally(w, z, SOFT_V))
         for z, w in (forward_soft(rng) for _ in range(SAMPLES))
     ])
+    for column in range(chain.shape[1]):
+        values = np.unique(np.concatenate([chain[:, column], forward[:, column]]))
+        table = np.array([[np.sum(x[:, column] == v) for v in values] for x in (chain, forward)])
+        assert stats.chi2_contingency(table).pvalue > 0.01, (column, table)
+
+
+# Hard links through the iteration `train` runs (`models._sweep_sides`):
+# side-1 document 0 and side-2 document 1 share one theta; side-1
+# document 1 and side-2 document 0 are unlinked. K = 2, V = 3 per
+# language, HARD_N tokens per document.
+HARD_K, HARD_V, HARD_N, HARD_DOCS = 2, 3, 3, 2
+HARD_ALPHA, HARD_BETA = 0.4, 0.5
+HARD_LINKS = np.array([[0, 1]], dtype=np.int64)
+HARD_DOC_OF = np.repeat(np.arange(HARD_DOCS), HARD_N)
+HARD_THIN = 4
+
+
+def forward_hard_topics(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' topics, document by document: the linked pair draws from
+    one shared theta, each unlinked document from its own."""
+    shared = rng.dirichlet(np.full(HARD_K, HARD_ALPHA))
+    thetas = [
+        [shared, rng.dirichlet(np.full(HARD_K, HARD_ALPHA))],
+        [rng.dirichlet(np.full(HARD_K, HARD_ALPHA)), shared],
+    ]
+    return tuple(
+        np.concatenate([rng.choice(HARD_K, size=HARD_N, p=theta) for theta in side])
+        for side in thetas
+    )
+
+
+def draw_hard_words(z, rng) -> np.ndarray:
+    """One side's words given its topics, phi ~ Dir(beta) integrated out."""
+    phi = rng.dirichlet(np.full(HARD_V, HARD_BETA), size=HARD_K)
+    return np.argmax(rng.random(len(z))[:, None] < np.cumsum(phi, axis=1)[z], axis=1)
+
+
+def hard_statistics(nd1, nd2, nw1, nw2) -> tuple[int, ...]:
+    """Topic-0 counts of the linked documents, of the pair together and of
+    an unlinked document, each past its largest possible value in one
+    bin, and the sum of squared word-topic counts."""
+    pair = (int(nd1[0, 0]), int(nd2[1, 0]))
+    return (
+        *(min(x, HARD_N + 1) for x in pair),
+        min(sum(pair), 2 * HARD_N + 1),
+        min(nd1[1, 0], HARD_N + 1),
+        int((nw1**2).sum() + (nw2**2).sum()),
+    )
+
+
+def successive_conditional_hard(rng) -> np.ndarray:
+    """The statistics after every HARD_THIN-th alternation of "draw every
+    word given z" with one training iteration over a tree without
+    concepts, as hard links run it: each side's linked rows carry their
+    partners' counts while that side is swept. The sweep keeps its own
+    document counts and, in the tree, topic totals, which the word draws
+    leave valid; only the word-topic tables are tallied again."""
+    lib = _native.load()
+    hp = Hyperparams(k=HARD_K, alpha=HARD_ALPHA, beta=HARD_BETA)
+    vocabularies = [Vocabulary(lang, [f"{lang}{i}" for i in range(HARD_V)]) for lang in ("l1", "l2")]
+    tree = build_tree(BilingualDictionary("l1", "l2", []), *vocabularies, HARD_K)
+    sides, paths = [], []
+    for s, z in enumerate(forward_hard_topics(rng)):
+        words = draw_hard_words(z, rng)
+        split = np.split(np.arange(len(z)), HARD_DOCS)
+        sides.append(tally_side([words[i] for i in split], [z[i] for i in split], HARD_K, HARD_V))
+        paths.append(np.full(len(z), -1, dtype=np.int64))
+        tree.add_paths(s, sides[-1].z, paths[-1])
+    priors = [np.full((HARD_DOCS, HARD_K), HARD_ALPHA)] * 2
+    kept = []
+    for _ in range(SAMPLES):
+        for _ in range(HARD_THIN):
+            for side in sides:
+                side.tokens[:] = draw_hard_words(side.z, rng)
+                side.word_topic[:] = tally(side.tokens, side.z, HARD_V, HARD_K)
+            models._sweep_sides(lib, sides, paths, priors, tree, HARD_LINKS, hp, rng)
+        kept.append(hard_statistics(
+            sides[0].doc_topic, sides[1].doc_topic, sides[0].word_topic, sides[1].word_topic
+        ))
+    return np.array(kept)
+
+
+def test_hardlink_iteration_keeps_the_joint_distribution():
+    rng = np.random.default_rng(0)
+    chain = successive_conditional_hard(rng)
+    forward = []
+    for _ in range(SAMPLES):
+        z1, z2 = forward_hard_topics(rng)
+        w1, w2 = draw_hard_words(z1, rng), draw_hard_words(z2, rng)
+        forward.append(hard_statistics(
+            tally(HARD_DOC_OF, z1, HARD_DOCS, HARD_K), tally(HARD_DOC_OF, z2, HARD_DOCS, HARD_K),
+            tally(w1, z1, HARD_V, HARD_K), tally(w2, z2, HARD_V, HARD_K),
+        ))
+    forward = np.array(forward)
     for column in range(chain.shape[1]):
         values = np.unique(np.concatenate([chain[:, column], forward[:, column]]))
         table = np.array([[np.sum(x[:, column] == v) for v in values] for x in (chain, forward)])

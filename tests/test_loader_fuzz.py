@@ -11,6 +11,7 @@ nothing else. The mutations:
   converting a decimal integer."""
 
 import json
+import math
 import tempfile
 from functools import cache
 from pathlib import Path
@@ -139,6 +140,22 @@ def check_model(model) -> None:
         assert model.phi[side].shape == (k, model.vocabularies[side].size)
         assert model.theta[side].shape == (len(model.doc_ids[side]), k)
         assert np.isfinite(model.phi[side]).all() and np.isfinite(model.theta[side]).all()
+    check_provenance(model.provenance)
+
+
+def check_provenance(provenance) -> None:
+    """The keys `train` writes hold the types it writes."""
+    assert isinstance(provenance, dict)
+    for key in ("seed", "train_iterations"):
+        assert type(provenance.get(key, 0)) is int and provenance.get(key, 0) >= 0
+    assert provenance.get("schedule") is None or isinstance(provenance["schedule"], dict)
+    events = provenance.get("anneal_events", [])
+    assert isinstance(events, list) and all(isinstance(event, dict) for event in events)
+    lis = provenance.get("lis_history", [])
+    assert isinstance(lis, list) and all(
+        type(x) is int or type(x) is float and math.isfinite(x) for x in lis
+    )
+    assert provenance.get("hardlink_formulation", "joint") in ("conditional", "joint")
 
 
 LOADERS = {

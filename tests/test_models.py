@@ -419,10 +419,12 @@ class TestTrain:
         corpus = build_bilingual(rng)
         sweep = models._tree_sweep
 
-        def corrupting_sweep(lib, side, *args):
-            sweep(lib, side, *args)
-            # one extra count leaves every count non-negative
-            np.atleast_2d(getattr(side, table))[-1, 0] += 1
+        def corrupting_sweep(lib, side, paths, priors, tree, s, *args):
+            sweep(lib, side, paths, priors, tree, s, *args)
+            # the sweep keeps a side's topic totals in the tree's root-leaf
+            # counts; one extra count leaves every count non-negative
+            target = tree.untrans_total[s] if table == "topic_total" else getattr(side, table)
+            np.atleast_2d(target)[-1, 0] += 1
 
         monkeypatch.setattr(models, "_tree_sweep", corrupting_sweep)
         with pytest.raises(DataError, match="out of sync"):

@@ -73,6 +73,7 @@ from multitopic.transfer import (
 from oracles import (
     _tune_threshold_reference,
     adaptive_schedule_reference,
+    add_path,
     anneal_rows_reference,
     build_transfer_rows_reference,
     classify_crosslingual_reference,
@@ -217,15 +218,15 @@ def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
     def compiled(rng, cdf):
         tokens, doc_start = flat(state["tokens"])
         z, _ = flat(state["z"])
-        nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
+        nd, nw = table(ndk, k), table(state["nwk"], k)
         for _ in range(state["sweeps"]):
             concept_free_sweep(
                 lib, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k),
-                nw, nk, beta, rng.random(len(tokens)), cdf,
+                nw, beta, rng.random(len(tokens)), cdf,
             )
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(), priors, nw.tolist(),
-            nk.tolist(), beta, vbeta, k,
+            nw.sum(axis=0).tolist(), beta, vbeta, k,
         )
 
     assert_compiled_matches(state, sweep_plain_reference, args, compiled, k)
@@ -249,20 +250,20 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
     def compiled(rng, cdf):
         tokens, doc_start = flat(state["tokens"])
         z, _ = flat(state["z"])
-        nd, nw, nk = table(ndk, k), table(state["nwk"], k), np.array(state["nk"])
+        nd, nw = table(ndk, k), table(state["nwk"], k)
         pooled = np.array(sorted(extras), dtype=np.int64)
         extra = table([extras[d] for d in pooled], k)
         priors = np.full((len(nd), k), alpha)
         for _ in range(state["sweeps"]):
             nd[pooled] += extra
             concept_free_sweep(
-                lib, doc_start, tokens, z, nd, priors, nw, nk, beta, rng.random(len(tokens)), cdf,
+                lib, doc_start, tokens, z, nd, priors, nw, beta, rng.random(len(tokens)), cdf,
             )
             nd[pooled] -= extra
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(),
             [(nd[d] + extras[d]).tolist() if d in extras else None for d in range(len(nd))],
-            alpha, nw.tolist(), nk.tolist(), beta, vbeta, k,
+            alpha, nw.tolist(), nw.sum(axis=0).tolist(), beta, vbeta, k,
         )
 
     assert_compiled_matches(state, sweep_pooled_reference, args, compiled, k)
@@ -311,19 +312,18 @@ def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, b
         flat_paths, _ = flat(paths)
         member_concepts, member_start = flat(memberships)
         counts = [table(rows, k) for rows in (state["ndk"], state["nwk"], ncp, nleaf)]
-        totals = [np.array(row, dtype=np.int64) for row in (state["nk"], ctotal, utotal)]
+        c_total, u_total = (np.array(row, dtype=np.int64) for row in (ctotal, utotal))
         nd, nw, node, leaf = counts
-        nk, c_total, u_total = totals
         for _ in range(state["sweeps"]):
             lib.sweep_tree(
                 len(nd), k, doc_start, flat_tokens, flat_z, flat_paths, nd,
-                np.array(priors).reshape(-1, k), nw, nk, member_start, member_concepts,
+                np.array(priors).reshape(-1, k), nw, member_start, member_concepts,
                 node, leaf, c_total, u_total, beta, beta_root, beta_internal, root_prior,
                 rng.random(len(flat_tokens)), cdf, np.empty(k),
             )
         return (
             tokens, per_doc(flat_z, doc_start), per_doc(flat_paths, doc_start), nd.tolist(),
-            priors, nw.tolist(), nk.tolist(), memberships, node.tolist(), leaf.tolist(),
+            priors, nw.tolist(), nw.sum(axis=0).tolist(), memberships, node.tolist(), leaf.tolist(),
             c_total.tolist(), u_total.tolist(), beta, beta_root, beta_internal, root_prior, k,
         )
 
@@ -499,7 +499,7 @@ def test_path_initialisation_matches_the_per_token_loop(case):
         words = [w for toks in docs[s] for w in toks]
         topics = [t for zd in want_z for t in zd]
         for w, t, c in zip(words, topics, want_paths):
-            reference.increment(s, w, c, t, +1)
+            add_path(reference, s, c, t)
     assert rng.bit_generator.state == want_rng.bit_generator.state
     for name in ("concept_topic", "leaf_topic", "concept_total", "untrans_total"):
         assert same_bits(getattr(tree, name), getattr(reference, name)), name

@@ -273,6 +273,6 @@ def test_anneal_config_validation():
         AnnealConfig(interval=0)
     with pytest.raises(Exception):
         AnnealConfig(schedule="sometimes")
-    with pytest.raises(ConfigError, match="stop_iteration must be >= 0"):
+    with pytest.raises(ConfigError, match=r"^anneal\.stop_iteration must be non-negative, got -5$"):
         AnnealConfig(stop_iteration=-5)
     assert AnnealConfig(stop_iteration=0).stop_iteration == 0
