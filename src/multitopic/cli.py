@@ -16,7 +16,6 @@ import hashlib
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import _native
@@ -25,8 +24,8 @@ from . import evaluate as ev
 from .dictionary import DICTIONARY_FRACTION, load_dictionary, subsample, write_dictionary_tsv
 from .errors import ConfigError, DataError
 from .models import (
-    HARDLINK_FORMULATIONS,
-    MODEL_KINDS,
+    HARDLINK_FORMULATION,
+    MODEL,
     Hyperparams,
     SOFT_KINDS,
     TREE_KINDS,
@@ -38,7 +37,7 @@ from .models import (
 from .schedule import compute_lis, write_event_log
 from .settings import Key, declared
 from .transfer import (
-    NUMERATORS,
+    NUMERATOR,
     AnnealConfig,
     FocusConfig,
     build_transfer_matrix,
@@ -50,18 +49,19 @@ logger = logging.getLogger("multitopic")
 
 MANIFEST_FORMAT_VERSION = 1
 EVALUATIONS = ("cnpmi", "classify", "lis")  # what `eval --which` may list
+LOG_LEVEL = Key("WARNING", "enum", choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
 
 
 # every `train` config key by its path, in README order: `load_config`
 # takes the defaults from here and `_train_plan` checks a config against
 # it. The rows written out are the settings no library object carries.
 CONFIG_KEYS = {
-    "model": Key("lda", "enum", choices=MODEL_KINDS),
+    "model": MODEL,
     **declared(Hyperparams),
     **declared(corpus_io.LoaderOptions),
     "dictionary_fraction": DICTIONARY_FRACTION,
-    "numerator": Key("pairs", "enum", choices=NUMERATORS),
-    "hardlink_formulation": Key("conditional", "enum", choices=HARDLINK_FORMULATIONS),
+    "numerator": NUMERATOR,
+    "hardlink_formulation": HARDLINK_FORMULATION,
     "threads": Key(1, "int", "[1, inf)"),  # accepted; the sweeps run on one thread
     "paths.corpus1": Key(None, "path"),
     "paths.corpus2": Key(None, "path"),
@@ -120,9 +120,17 @@ def _required(config: dict, key: str) -> str:
     return value
 
 
+def _stat(path: Path, name: str, test=Path.exists) -> bool:
+    """`test(path)`, refusing an OS error (a name too long, say) under `name`."""
+    try:
+        return test(path)
+    except OSError as exc:
+        raise ConfigError(f"{name}: {path}: {exc.strerror or exc}") from None
+
+
 def _require_path(config: dict, key: str) -> Path:
     path = Path(_required(config, key))
-    if not path.exists():
+    if not _stat(path, f"paths.{key}"):
         raise ConfigError(f"paths.{key}: {path} does not exist")
     return path
 
@@ -131,7 +139,7 @@ def _check_output_dir(path: Path, name: str) -> None:
     """Refuse an output directory that cannot be created: it, or the
     nearest of its ancestors that exists, is not a writable directory.
     Creates nothing."""
-    existing = next(p for p in (path, *path.parents) if p.exists())
+    existing = next(p for p in (path, *path.parents) if _stat(p, name))
     if not existing.is_dir():
         raise ConfigError(f"{name}: cannot create {path}: {existing} is not a directory")
     if not os.access(existing, os.W_OK | os.X_OK):
@@ -150,17 +158,10 @@ def _check_output_file(path: str, flag: str) -> None:
     """Refuse an output file that cannot be created: `path` is a
     directory, or its directory does not exist."""
     target = Path(path)
-    if target.is_dir():
+    if _stat(target, flag, Path.is_dir):
         raise ConfigError(f"{flag} {path} is a directory")
-    if not target.parent.is_dir():
+    if not _stat(target.parent, flag, Path.is_dir):
         raise ConfigError(f"{flag} {path}: directory {target.parent} does not exist")
-
-
-def _seed_flag(text: str) -> int:
-    """Type of every `--seed` flag: a non-negative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
 
 
 def _from_config(cls, config: dict, **others):
@@ -205,25 +206,12 @@ def _load_bilingual(config: dict):
     return corpus_io.pair_corpora(c1, c2)
 
 
-@dataclass(frozen=True)
-class TrainPlan:
-    """What `cmd_train` passes on, built from a checked config."""
-
-    kind: str
-    hp: Hyperparams
-    focus: FocusConfig
-    anneal: AnnealConfig | None  # None for the "none" schedule
-    numerator: str
-    hardlink_formulation: str
-    dictionary_fraction: float
-    output_dir: Path
-
-
-def _train_plan(config: dict) -> TrainPlan:
-    """Check every key of the merged config against CONFIG_KEYS, whichever
-    model is chosen, then the rules the config alone decides: both
-    languages are set, the files the model reads exist, and only soft-link
-    models anneal. Reads no input and creates nothing."""
+def _train_plan(config: dict) -> dict:
+    """Every key of the merged config by path, checked against CONFIG_KEYS
+    whichever model is chosen; then the rules the config alone decides:
+    both languages are set, the files the model reads exist, only
+    soft-link models anneal, and the anneal settings agree. Reads no input
+    and creates nothing."""
     value = {path: _setting(config, path) for path in CONFIG_KEYS}
     kind = value["model"]
     for side in (1, 2):
@@ -235,17 +223,8 @@ def _train_plan(config: dict) -> TrainPlan:
         _require_path(config, "dictionary")
     if value["anneal.schedule"] != "none" and kind not in SOFT_KINDS:
         raise ConfigError("annealing schedules only apply to soft-link models")
-    anneal = _from_config(AnnealConfig, config)
-    return TrainPlan(
-        kind=kind,
-        hp=_hyperparams(config),
-        focus=_from_config(FocusConfig, config),
-        anneal=anneal if anneal.schedule != "none" else None,
-        numerator=value["numerator"],
-        hardlink_formulation=value["hardlink_formulation"],
-        dictionary_fraction=value["dictionary_fraction"],
-        output_dir=Path(value["paths.output_dir"]),
-    )
+    _from_config(AnnealConfig, config)
+    return value
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -256,53 +235,52 @@ def cmd_train(args: argparse.Namespace) -> int:
         config["paths"]["output_dir"] = args.output_dir
     if args.threads is not None:
         config["threads"] = args.threads
-    plan = _train_plan(config)
+    value = _train_plan(config)
+    kind, output_dir = value["model"], Path(value["paths.output_dir"])
     _native.load()  # no compiler: stop before any output or loading
     # created only once the model is trained, so a failed run leaves none
-    _check_output_dir(plan.output_dir, "paths.output_dir")
+    _check_output_dir(output_dir, "paths.output_dir")
 
     bicorpus = _load_bilingual(config)
+    hp = _hyperparams(config)
 
     dictionary = None
-    if plan.kind in SOFT_KINDS or plan.kind in TREE_KINDS:
+    if kind in SOFT_KINDS or kind in TREE_KINDS:
         dictionary = load_dictionary(
             _require_path(config, "dictionary"),
             bicorpus.side1.vocabulary,
             bicorpus.side2.vocabulary,
         )
-        dictionary = subsample(dictionary, plan.dictionary_fraction, plan.hp.seed)
+        dictionary = subsample(dictionary, value["dictionary_fraction"], hp.seed)
 
     transfer_to_side1 = transfer_to_side2 = None
-    if plan.kind in SOFT_KINDS:
+    if kind in SOFT_KINDS:
+        focus = _from_config(FocusConfig, config)
         transfer_to_side1, transfer_to_side2 = (
-            static_focus(build_transfer_matrix(target, source, dictionary, plan.numerator), plan.focus)
+            static_focus(build_transfer_matrix(target, source, dictionary, value["numerator"]), focus)
             for target, source in (
                 (bicorpus.side1, bicorpus.side2),
                 (bicorpus.side2, bicorpus.side1),
             )
         )
 
+    anneal = _from_config(AnnealConfig, config)
     model = train(
-        plan.kind,
+        kind,
         bicorpus,
-        plan.hp,
+        hp,
         transfer_to_side1=transfer_to_side1,
         transfer_to_side2=transfer_to_side2,
         dictionary=dictionary,
-        anneal=plan.anneal,
-        hardlink_formulation=plan.hardlink_formulation,
+        anneal=anneal if anneal.schedule != "none" else None,
+        hardlink_formulation=value["hardlink_formulation"],
     )
-    _make_dir(plan.output_dir, "paths.output_dir")
-    save_model(model, plan.output_dir / "model.json")
-    write_event_log(model.provenance.get("anneal_events", []), plan.output_dir / "anneal_log.jsonl")
-    _write_manifest(config, "train", plan.output_dir)
-    print(f"model written to {plan.output_dir / 'model.json'}")
+    _make_dir(output_dir, "paths.output_dir")
+    save_model(model, output_dir / "model.json")
+    write_event_log(model.provenance.get("anneal_events", []), output_dir / "anneal_log.jsonl")
+    _write_manifest(config, "train", output_dir)
+    print(f"model written to {output_dir / 'model.json'}")
     return 0
-
-
-def _check_threads(args: argparse.Namespace) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise ConfigError("threads must be >= 1")
 
 
 def _load_heldout(model, path: str, language: str) -> corpus_io.Corpus:
@@ -317,7 +295,6 @@ def _load_heldout(model, path: str, language: str) -> corpus_io.Corpus:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    _check_threads(args)
     _check_output_file(args.output, "--output")
     _native.load()  # no compiler: stop before any input is read
     model = load_model(args.model)
@@ -342,17 +319,7 @@ def _infer_for_eval(model, path: str, language: str, seed: int):
     return theta, labels
 
 
-def _check_top_words(args: argparse.Namespace) -> None:
-    """`--top-words` is checked before any input is read."""
-    if args.top_words < 1:
-        raise ConfigError(
-            f"--top-words: the number of top words must be positive, got {args.top_words}"
-        )
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_threads(args)
-    _check_top_words(args)
     which = {w.strip() for w in args.which.split(",") if w.strip()}
     if not which or which - set(EVALUATIONS):
         raise ConfigError(
@@ -409,7 +376,7 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
     c1 = corpus_io.load_corpus(args.corpus1, args.language1, options)
     c2 = corpus_io.load_corpus(args.corpus2, args.language2, options)
     dictionary = load_dictionary(args.dictionary, c1.vocabulary, c2.vocabulary)
-    target, source = (c2, c1) if args.target_side == 2 else (c1, c2)
+    target, source = ((c1, c2), (c2, c1))[args.target_side - 1]
     matrix = static_focus(build_transfer_matrix(target, source, dictionary, args.numerator), focus)
     write_matrix_tsv(matrix, target, source, args.output)
     print(f"transfer matrix written to {args.output}")
@@ -417,16 +384,8 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    for flag, value in (
-        ("--k", args.k), ("--vocab", args.vocab), ("--docs", args.docs),
-        ("--doc-len", args.doc_len), ("--reference-pairs", args.reference_pairs),
-    ):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
     if args.vocab < args.k:  # every topic's block needs a word
         raise ConfigError(f"--vocab must be at least --k ({args.k}), got {args.vocab}")
-    if not args.sharpness > 0:
-        raise ConfigError(f"--sharpness must be positive, got {args.sharpness}")
     data = ev.generate_synthetic(
         k=args.k,
         vocab_per_lang=args.vocab,
@@ -462,7 +421,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    _check_top_words(args)
     model = load_model(args.model)
     lines = [
         f"model_kind: {model.model_kind}",
@@ -480,19 +438,33 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Flag(argparse.Action):
+    """A value flag, read by the `Key` of the setting it sets under the
+    flag's name (a bad value raises `ConfigError` from `parse_args`). Its
+    default is the key's unless `add_argument` gives one."""
+
+    def __init__(self, option_strings, dest, key: Key, **kwargs):
+        super().__init__(option_strings, dest, **{"default": key.default, **kwargs})
+        self.key = key
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        setattr(namespace, self.dest, self.key.read(self.option_strings[0], text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multitopic",
         description="Multilingual topic models with document, soft, and vocabulary links",
     )
-    parser.add_argument("--log-level", default="WARNING")
+    parser.add_argument("--log-level", action=_Flag, key=LOG_LEVEL, type=str.upper)  # any case
     sub = parser.add_subparsers(dest="command", required=True)
+    seed, threads = CONFIG_KEYS["seed"], CONFIG_KEYS["threads"]
 
     p_train = sub.add_parser("train", help="train a model from a JSON config")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=_seed_flag, default=None)
+    p_train.add_argument("--seed", action=_Flag, key=seed, default=None)  # None: the config's
     p_train.add_argument("--output-dir", default=None)
-    p_train.add_argument("--threads", type=int, default=None)
+    p_train.add_argument("--threads", action=_Flag, key=threads, default=None)
     p_train.set_defaults(func=cmd_train)
 
     p_infer = sub.add_parser("infer", help="infer topic mixtures for held-out documents")
@@ -500,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer.add_argument("--corpus", required=True)
     p_infer.add_argument("--language", required=True)
     p_infer.add_argument("--output", required=True)
-    p_infer.add_argument("--seed", type=_seed_flag, default=0)
-    p_infer.add_argument("--threads", type=int, default=1)
+    p_infer.add_argument("--seed", action=_Flag, key=seed)
+    p_infer.add_argument("--threads", action=_Flag, key=threads)
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser("eval", help="evaluate a trained model")
@@ -511,10 +483,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test-corpus1", default=None)
     p_eval.add_argument("--test-corpus2", default=None)
     p_eval.add_argument("--dictionary", default=None)
-    p_eval.add_argument("--top-words", type=int, default=20)
+    p_eval.add_argument("--top-words", action=_Flag, key=ev.TOP_WORDS)
     p_eval.add_argument("--output", default=None)
-    p_eval.add_argument("--seed", type=_seed_flag, default=0)
-    p_eval.add_argument("--threads", type=int, default=1)
+    p_eval.add_argument("--seed", action=_Flag, key=seed)
+    p_eval.add_argument("--threads", action=_Flag, key=threads)
     p_eval.set_defaults(func=cmd_eval)
 
     p_tb = sub.add_parser("transfer-build", help="build and dump a transfer matrix")
@@ -523,43 +495,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_tb.add_argument("--language1", required=True)
     p_tb.add_argument("--language2", required=True)
     p_tb.add_argument("--dictionary", required=True)
-    p_tb.add_argument("--target-side", type=int, choices=(1, 2), default=2)
-    for flag, path, kind in (
-        ("--numerator", "numerator", None),
-        ("--focus-threshold", "focus.threshold", float),
-        ("--focus-scope", "focus.scope", None),
-        ("--top-frequent", "top_frequent", int),
-    ):
-        key = CONFIG_KEYS[path]
-        p_tb.add_argument(flag, type=kind, choices=key.choices or None, default=key.default)
+    p_tb.add_argument("--target-side", action=_Flag, key=Key(2, "int", "[1, 2]"))
+    p_tb.add_argument("--numerator", action=_Flag, key=CONFIG_KEYS["numerator"])
+    p_tb.add_argument("--focus-threshold", action=_Flag, key=CONFIG_KEYS["focus.threshold"])
+    p_tb.add_argument("--focus-scope", action=_Flag, key=CONFIG_KEYS["focus.scope"])
+    p_tb.add_argument("--top-frequent", action=_Flag, key=CONFIG_KEYS["top_frequent"])
     p_tb.add_argument("--output", required=True)
     p_tb.set_defaults(func=cmd_transfer_build)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic bilingual corpus")
-    p_synth.add_argument("--k", type=int, default=5)
-    p_synth.add_argument("--vocab", type=int, default=500)
-    p_synth.add_argument("--docs", type=int, default=200)
-    p_synth.add_argument("--doc-len", type=int, default=50)
-    p_synth.add_argument("--dict-coverage", type=float, default=0.3)
-    p_synth.add_argument("--sharpness", type=float, default=8.0)
-    p_synth.add_argument("--reference-pairs", type=int, default=1000)
-    p_synth.add_argument("--seed", type=_seed_flag, default=0)
+    p_synth.add_argument("--k", action=_Flag, key=ev.SYNTHETIC["k"])
+    p_synth.add_argument("--vocab", action=_Flag, key=ev.SYNTHETIC["vocab_per_lang"])
+    p_synth.add_argument("--docs", action=_Flag, key=ev.SYNTHETIC["docs_per_lang"])
+    p_synth.add_argument("--doc-len", action=_Flag, key=ev.SYNTHETIC["doc_len"])
+    p_synth.add_argument("--dict-coverage", action=_Flag, key=ev.SYNTHETIC["dict_coverage"])
+    p_synth.add_argument("--sharpness", action=_Flag, key=ev.SYNTHETIC["topic_sharpness"])
+    p_synth.add_argument("--reference-pairs", action=_Flag, key=ev.REFERENCE_PAIRS)
+    p_synth.add_argument("--seed", action=_Flag, key=seed)
     p_synth.add_argument("--output-dir", required=True)
     p_synth.set_defaults(func=cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="print a model's top words")
     p_inspect.add_argument("--model", required=True)
-    p_inspect.add_argument("--top-words", type=int, default=10)
+    p_inspect.add_argument("--top-words", action=_Flag, key=ev.TOP_WORDS, default=10)
     p_inspect.set_defaults(func=cmd_inspect)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
     try:
+        # a value flag is checked here, before any input is read
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=args.log_level)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

@@ -22,6 +22,7 @@ from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
 from .logreg import cross_val_fits, fit_binary_stack, sigmoid
 from .models import TopicModel
+from .settings import Key
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +99,13 @@ def write_reference(
     write_jsonl(records, path)
 
 
+TOP_WORDS = Key(20, "int", "(0, inf)")  # the `c` of `top_words` and `cnpmi_model`
+
+
 def _top_word_ids(phi: np.ndarray, c: int) -> np.ndarray:
     """Ids of the `c` most probable words of each row; ties broken by
     ascending id."""
-    if c < 1:
-        raise ConfigError(f"the number of top words must be positive, got {c}")
+    c = TOP_WORDS.check("c", c)
     if c > phi.shape[-1]:
         raise ConfigError(f"asked for {c} words from a {phi.shape[-1]}-word distribution")
     return np.argsort(-phi, axis=-1, kind="stable")[..., :c]
@@ -388,6 +391,19 @@ def _sharpen(theta: np.ndarray, sharpness: float) -> np.ndarray:
     return out / out.sum()
 
 
+# `generate_synthetic`'s settings in parameter order, each checked under its
+# parameter name; infinite sharpness gives each document its argmax topic
+SYNTHETIC = {
+    "k": Key(5, "int", "[1, inf)"),
+    "vocab_per_lang": Key(500, "int", "[1, inf)"),
+    "docs_per_lang": Key(200, "int", "[1, inf)"),
+    "doc_len": Key(50, "int", "[1, inf)"),
+    "dict_coverage": Key(0.3, "float", "[0, 1]"),
+    "topic_sharpness": Key(8.0, "float", "(0, inf]"),
+}
+REFERENCE_PAIRS = Key(1000, "int", "[1, inf)")  # `generate_reference`'s n_pairs
+
+
 def generate_synthetic(
     k: int,
     vocab_per_lang: int,
@@ -410,10 +426,9 @@ def generate_synthetic(
     Dirichlet(1) topic mixture sharpened by `topic_sharpness` and are
     labeled with their dominant topic. Deterministic under `seed`.
     """
-    if not 0.0 <= dict_coverage <= 1.0:
-        raise ConfigError(f"dict_coverage must be in [0, 1], got {dict_coverage}")
-    if min(k, vocab_per_lang, docs_per_lang, doc_len) <= 0 or not topic_sharpness > 0:
-        raise ConfigError("synthetic parameters must be positive")
+    k, vocab_per_lang, docs_per_lang, doc_len, dict_coverage, topic_sharpness = (
+        SYNTHETIC[name].check(name, value) for name, value in zip(SYNTHETIC, (
+            k, vocab_per_lang, docs_per_lang, doc_len, dict_coverage, topic_sharpness)))
     if vocab_per_lang < k:
         raise ConfigError("need at least one word per topic block")
     rng = np.random.default_rng(seed)
@@ -481,6 +496,8 @@ def generate_reference(
 ) -> ReferenceCorpus:
     """Sample a parallel reference corpus from ground-truth topics: each
     pair picks one topic and draws both sides' word types from it."""
+    n_pairs = REFERENCE_PAIRS.check("n_pairs", n_pairs)
+    types_per_side = SYNTHETIC["doc_len"].check("types_per_side", types_per_side)
     rng = np.random.default_rng(seed)
     k = phi[0].shape[0]
     pairs = []

@@ -50,19 +50,20 @@ from . import _native
 from .corpus import BilingualCorpus, Corpus, Vocabulary, read_json, write_json
 from .dictionary import BilingualDictionary
 from .errors import ConfigError, DataError
-from .settings import Settings, declared, setting
+from .settings import Key, Settings, declared, setting
 from .transfer import AnnealConfig, TransferMatrix
 from .tree import DirichletTree, build_tree
 
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT_VERSION = 1
-MODEL_KINDS = ("lda", "hardlink", "softlink", "voclink", "softlink_voclink")
+# the `model` and `hardlink_formulation` settings, which `train` checks
+MODEL = Key("lda", "enum", choices=("lda", "hardlink", "softlink", "voclink", "softlink_voclink"))
+HARDLINK_FORMULATION = Key("conditional", "enum", choices=("conditional", "joint"))
 # kinds that put transfer pseudo-counts in the topic prior, and kinds that
 # draw words through the Dirichlet tree
 SOFT_KINDS = ("softlink", "softlink_voclink")
 TREE_KINDS = ("voclink", "softlink_voclink")
-HARDLINK_FORMULATIONS = ("conditional", "joint")
 # the most uniforms held-out inference draws at once (512 KB of doubles); a
 # document draws as many whole iterations' worth as fit, at least one
 _UNIFORM_BLOCK = 1 << 16
@@ -406,8 +407,8 @@ def train(
     """
     from .schedule import AnnealScheduler  # local import to avoid a cycle
 
-    if model_kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
+    model_kind = MODEL.check("model", model_kind)
+    hardlink_formulation = HARDLINK_FORMULATION.check("hardlink_formulation", hardlink_formulation)
     for s, side in enumerate((corpus.side1, corpus.side2), start=1):
         if not side.documents:
             raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
@@ -437,8 +438,6 @@ def train(
     else:
         # a tree passed with another model kind goes unused
         tree = build_tree(BilingualDictionary(v1.language, v2.language, []), v1, v2, hp.k)
-    if hardlink_formulation not in HARDLINK_FORMULATIONS:
-        raise ConfigError(f"unknown hardlink formulation {hardlink_formulation!r}")
     if anneal is not None and anneal.schedule != "none" and not uses_soft:
         raise ConfigError("annealing schedules only apply to soft-link models")
     # built before any sampling: it refuses an adaptive schedule without a
@@ -729,7 +728,9 @@ _PROVENANCE = {
     "lis_history": ("a list of finite numbers", lambda v: _list_of(
         v, lambda x: type(x) is int or type(x) is float and math.isfinite(x)
     )),
-    "hardlink_formulation": (" or ".join(HARDLINK_FORMULATIONS), lambda v: v in HARDLINK_FORMULATIONS),
+    "hardlink_formulation": (
+        " or ".join(HARDLINK_FORMULATION.choices), lambda v: v in HARDLINK_FORMULATION.choices
+    ),
 }
 
 
@@ -757,7 +758,7 @@ def model_from_json(payload: dict) -> TopicModel:
     missing = [key for key in required if key not in payload]
     if missing:
         raise DataError(f"model is missing {', '.join(map(repr, missing))}")
-    if payload["model_kind"] not in MODEL_KINDS:
+    if payload["model_kind"] not in MODEL.choices:
         raise DataError(f"unknown model_kind {payload['model_kind']!r}")
     hp_payload = payload["hyperparams"]
     if not isinstance(hp_payload, dict):

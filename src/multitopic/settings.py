@@ -34,7 +34,8 @@ class Key:
         if self.kind in ("int", "float"):
             number = _number(value, name, int if self.kind == "int" else float)
             if not _within(number, self.bounds):
-                wanted = _describe(self.bounds) if math.isfinite(number) else "finite"
+                finite = math.isfinite(number) or self.bounds.endswith("inf]")
+                wanted = _describe(self.bounds) if finite else "finite"
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
             return number
         if self.kind == "bool":
@@ -47,6 +48,16 @@ class Key:
         if not valid:
             raise ConfigError(f"{name} must be {wanted}, got {value!r}")
         return value
+
+    def read(self, name: str, text: str):
+        """`text`, a command-line value, converted to this key's kind and checked."""
+        parse = {"int": int, "float": float}.get(self.kind, str)
+        try:
+            value = parse(text)
+        except ValueError:
+            wanted = "an integer" if parse is int else "a number"
+            raise ConfigError(f"{name} must be {wanted}, got {text!r}") from None
+        return self.check(name, value)
 
 
 def setting(default, kind: str, bounds: str = "", choices: tuple = ()):

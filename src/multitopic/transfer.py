@@ -21,9 +21,9 @@ import numpy as np
 from .corpus import Corpus
 from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError
-from .settings import Settings, setting
+from .settings import Key, Settings, setting
 
-NUMERATORS = ("pairs", "covered_types")
+NUMERATOR = Key("pairs", "enum", choices=("pairs", "covered_types"))  # the `numerator` setting
 FOCUS_SCOPES = ("doc_wise", "corpus_wise")
 SCHEDULES = ("none", "fixed", "adaptive")
 
@@ -206,8 +206,9 @@ def build_transfer_matrix(
     ascending source order, so the weights equal, bit for bit, those of
     scoring one document pair at a time.
     """
-    if numerator not in NUMERATORS:
-        raise ConfigError(f"unknown numerator mode {numerator!r}")
+    numerator = NUMERATOR.check("numerator", numerator)
+    if target.language == source.language:
+        raise ConfigError(f"both corpora have language {target.language!r}")
     langs = {dictionary.lang1, dictionary.lang2}
     if {target.language, source.language} != langs:
         raise ConfigError(

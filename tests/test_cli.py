@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: wiring, determinism, exit codes."""
 
+import errno
 import json
 import os
 import re
@@ -13,15 +14,20 @@ import pytest
 from multitopic import evaluate as ev
 from multitopic import _native, models
 from multitopic.cli import CONFIG_KEYS, _write_manifest, main
-from multitopic.corpus import LoaderOptions, Vocabulary, load_corpus, load_stopwords
+from multitopic.corpus import (
+    BilingualCorpus, Corpus, Document, LoaderOptions, Vocabulary, load_corpus, load_stopwords,
+)
 from multitopic.dictionary import BilingualDictionary, load_dictionary, subsample
 from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import load_reference
 from multitopic.models import Hyperparams, load_model
 from multitopic.settings import declared
-from multitopic.transfer import AnnealConfig, FocusConfig, TransferMatrix, anneal_matrix
+from multitopic.transfer import (
+    AnnealConfig, FocusConfig, TransferMatrix, anneal_matrix, build_transfer_matrix,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TOO_LONG = "x" * 300  # a file name the system refuses to look up
 
 
 def write_jsonl(path, records):
@@ -225,6 +231,43 @@ def test_transfer_build_dump_is_sorted_and_normalized(tmp_path, toy_data):
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_transfer_build_refuses_two_corpora_of_one_language(tmp_path, toy_data, capsys):
+    # corpus 2 relabelled as language l1: the dictionary would be read in
+    # the same orientation from both sides and the matrix come out wrong
+    relabelled = tmp_path / "c2_as_l1.jsonl"
+    lines = toy_data["corpus2"].read_text().splitlines()
+    write_jsonl(relabelled, [{**json.loads(line), "lang": "l1"} for line in lines])
+    out_path = tmp_path / "matrix.tsv"
+    code = main([
+        "transfer-build",
+        "--corpus1", str(toy_data["corpus1"]), "--corpus2", str(relabelled),
+        "--language1", "l1", "--language2", "l1", "--target-side", "1",
+        "--dictionary", str(toy_data["dictionary"]),
+        "--top-frequent", "0", "--output", str(out_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: both corpora have language 'l1'\n"
+    assert not out_path.exists()
+    corpus = _two_word_corpus("l1")
+    dictionary = BilingualDictionary("l1", "l1", [(0, 1)])
+    with pytest.raises(ConfigError, match="^both corpora have language 'l1'$"):
+        build_transfer_matrix(corpus, corpus, dictionary)
+
+
+def test_train_seed_and_threads_flags_reach_the_manifest_as_integers(tmp_path, toy_data):
+    flagged = tmp_path / "flagged"
+    config_path = tmp_path / "flagged.json"
+    config_path.write_text(json.dumps(base_config(toy_data, flagged)))
+    assert main(["train", "--config", str(config_path), "--seed", "7", "--threads", "2"]) == 0
+    manifest = json.loads((flagged / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == 7
+    assert manifest["config"]["threads"] == 2
+    assert type(manifest["seed"]) is int and type(manifest["config"]["threads"]) is int
+    # the same run as a config that sets them
+    configured = run_train(tmp_path, toy_data, "configured", seed=7, threads=2)
+    assert (configured / "model.json").read_bytes() == (flagged / "model.json").read_bytes()
+
+
 def test_negative_top_frequent_in_config_exits_2(tmp_path, toy_data, capsys):
     config = base_config(toy_data, tmp_path / "out", top_frequent=-5)
     config_path = tmp_path / "negative_top_frequent.json"
@@ -245,7 +288,9 @@ def test_negative_top_frequent_flag_exits_2(tmp_path, toy_data, capsys):
         "--top-frequent", "-4", "--output", str(out_path),
     ])
     assert code == 2
-    assert "top_frequent must be non-negative, got -4" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "configuration error: --top-frequent must be non-negative, got -4\n"
+    )
     assert not out_path.exists()
 
 
@@ -452,7 +497,9 @@ def _bad_values(key):
     if key.kind in ("int", "float"):
         low, high = (float(end) for end in key.bounds[1:-1].split(","))
         cast = int if key.kind == "int" else float
-        values = ["1", True, None, [1], float("nan"), float("inf"), float("-inf"), cast(low) - 1]
+        values = ["1", True, None, [1], float("nan"), float("-inf"), cast(low) - 1]
+        if not key.bounds.endswith("inf]"):  # a range such as (0, inf] admits infinity
+            values.append(float("inf"))
         if key.bounds[0] == "(":
             values.append(cast(low))
         if high != float("inf"):
@@ -543,12 +590,23 @@ def test_library_object_refuses_what_the_config_refuses(cls, path, value):
         cls(**{path.removeprefix(cls.SECTION): value})
 
 
+def _two_word_corpus(language):
+    vocabulary = Vocabulary(language, [f"{language}_0", f"{language}_1"])
+    return Corpus(language, vocabulary, [Document(f"{language}_d", language, [0, 1])])
+
+
 def _refusing_calls():
     matrix = TransferMatrix("l1", "l2", np.array([0, 1]), np.array([0]), np.array([1.0]))
     dictionary = BilingualDictionary("l1", "l2", [(0, 0), (1, 1)])
+    c1, c2 = _two_word_corpus("l1"), _two_word_corpus("l2")
+    corpus, hp = BilingualCorpus(c1, c2, []), Hyperparams(k=2, train_iterations=1)
     for path, call in (
         ("anneal.temperature", lambda value: anneal_matrix(matrix, value)),
         ("dictionary_fraction", lambda value: subsample(dictionary, value, seed=0)),
+        ("model", lambda value: models.train(value, corpus, hp)),
+        ("hardlink_formulation",
+         lambda value: models.train("lda", corpus, hp, hardlink_formulation=value)),
+        ("numerator", lambda value: build_transfer_matrix(c1, c2, dictionary, value)),
     ):
         for value in _bad_values(CONFIG_KEYS[path]):
             yield pytest.param(path, call, value, id=f"{path}={value!r}")
@@ -557,6 +615,36 @@ def _refusing_calls():
 @pytest.mark.parametrize("path, call, value", _refusing_calls())
 def test_library_function_refuses_what_the_config_refuses(path, call, value):
     with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be "):
+        call(value)
+
+
+# each parameter of the synthetic generators by name, with a small valid value
+SYNTHETIC_ARGS = {
+    "k": 2, "vocab_per_lang": 6, "docs_per_lang": 2, "doc_len": 3,
+    "dict_coverage": 0.5, "topic_sharpness": 2.0, "seed": 0,
+}
+
+
+def _refusing_generators():
+    phi = ev.generate_synthetic(**SYNTHETIC_ARGS).phi
+    for name, key in ev.SYNTHETIC.items():
+        yield name, key, lambda value, name=name: ev.generate_synthetic(
+            **{**SYNTHETIC_ARGS, name: value})
+    yield "n_pairs", ev.REFERENCE_PAIRS, lambda value: ev.generate_reference(phi, value, 3, 0)
+    yield "types_per_side", ev.SYNTHETIC["doc_len"], lambda value: ev.generate_reference(
+        phi, 2, value, 0)
+    yield "c", ev.TOP_WORDS, lambda value: ev.top_words(np.array([0.5, 0.3, 0.2]), value)
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{name}={value!r}")
+    for name, key, call in _refusing_generators()
+    for value in _bad_values(key)
+])
+def test_generators_refuse_what_their_flags_refuse(name, call, value):
+    # `synth` and `--top-words` read these keys; the library checks them
+    # under its parameter names
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
         call(value)
 
 
@@ -593,6 +681,15 @@ def test_rule_of_the_chosen_model_exits_2_before_any_work(
     config = base_config(unloadable_inputs, tmp_path / "out", **overrides)
     config["paths"].update(paths)
     assert_refused_before_any_work(tmp_path, capsys, config, message)
+
+
+@pytest.mark.parametrize("key", ["corpus2", "stopwords1", "dictionary"])
+def test_input_name_too_long_to_look_up_exits_2(tmp_path, capsys, unloadable_inputs, key):
+    config = base_config(unloadable_inputs, tmp_path / "out", model="softlink")
+    config["paths"][key] = str(tmp_path / TOO_LONG)
+    assert_refused_before_any_work(
+        tmp_path, capsys, config, f"paths.{key}: ", os.strerror(errno.ENAMETOOLONG)
+    )
 
 
 @pytest.mark.parametrize("key, value", [
@@ -652,6 +749,8 @@ def test_rejected_synth_argument_is_named(tmp_path, capsys, flag, value, message
     ("transfer-build", "missing/x.tsv"),
     ("synth", "file/data"),
     ("train", "file/out"),
+    *(pytest.param(command, TOO_LONG, id=f"{command}-name-too-long")
+      for command in ("infer", "eval", "transfer-build", "synth", "train")),
 ])
 def test_output_that_cannot_be_written_exits_2_with_one_line(
     tmp_path, capsys, unloadable_inputs, command, target
@@ -683,6 +782,8 @@ def test_output_that_cannot_be_written_exits_2_with_one_line(
     assert main(argv) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("configuration error: ") and output in line
+    if target == TOO_LONG:
+        assert line.endswith(os.strerror(errno.ENAMETOOLONG))
     assert not (tmp_path / "missing").exists()
     assert (tmp_path / "file").read_text() == ""
 
@@ -702,7 +803,7 @@ def test_transfer_build_checks_the_focal_threshold_before_loading(
     ])
     assert code == 2
     wanted = "finite, got nan" if threshold == "nan" else f"in [0, 1], got {float(threshold)}"
-    assert f"focus.threshold must be {wanted}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"configuration error: --focus-threshold must be {wanted}\n"
     assert not out_path.exists()
 
 
@@ -726,10 +827,9 @@ def test_seed_flag_must_be_a_non_negative_integer(tmp_path, capsys, command, see
         "eval": ["eval", "--model", "m.json"],
         "synth": ["synth", "--output-dir", str(tmp_path / "synth")],
     }[command]
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", seed])
-    assert exc.value.code == 2
-    assert "expected a non-negative integer" in capsys.readouterr().err
+    assert main([*argv, "--seed", seed]) == 2
+    wanted = "non-negative, got -1" if seed == "-1" else f"an integer, got {seed!r}"
+    assert capsys.readouterr().err == f"configuration error: --seed must be {wanted}\n"
     assert not (tmp_path / "synth").exists()
 
 
@@ -818,7 +918,7 @@ def test_top_words_below_one_exits_2(tmp_path, toy_data, capsys, count):
         assert main([*argv, "--top-words", count]) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "number of top words must be positive" in captured.err
+        assert captured.err == f"configuration error: --top-words must be positive, got {count}\n"
 
 
 def test_eval_top_words_above_the_vocabulary_exits_2_before_the_reference(tmp_path, capsys):
