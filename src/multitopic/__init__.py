@@ -26,15 +26,11 @@ from .models import (
     Hyperparams,
     SideState,
     TopicModel,
-    hardlink_conditional,
     infer_heldout,
-    lda_conditional,
     load_model,
     save_model,
-    softlink_conditional,
-    softlink_prior,
+    token_conditional,
     train,
-    voclink_conditional,
 )
 from .schedule import LisHistory, compute_lis, should_anneal
 from .transfer import (

@@ -114,8 +114,8 @@ def _declare(lib) -> None:
         ints, ints, ints, ints, x, x, x, x, floats, floats, floats,
     ]
     lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]
-    for kernel in (lib.sweep_tree, lib.infer_doc):
-        kernel.restype = None
+    # each returns how many tokens' topic scores overflowed (see _sweeps.c)
+    lib.sweep_tree.restype = lib.infer_doc.restype = n
 
 
 def _open():

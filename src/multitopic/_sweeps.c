@@ -8,7 +8,10 @@
  * the last entry, and its counts are added back. Document d's tokens are
  * tokens[doc_start[d] .. doc_start[d + 1]), z holds their topics and u
  * one uniform draw per token. infer_doc takes the same step on one
- * held-out document, with the topic-word table frozen.
+ * held-out document, with the topic-word table frozen. Each returns how
+ * many tokens' scores summed to no positive finite number (an overflow;
+ * infer_doc lets a word that no topic emits sum to 0 and take the last
+ * topic); counting them changes no draw.
  *
  * These are the only sampling steps. Each score is the expression of the
  * scalar reference loops in tests/oracles.py, evaluated in the same order,
@@ -17,6 +20,7 @@
  * -ffast-math) draws exactly the topics those loops draw.
  */
 
+#include <float.h>
 #include <stdint.h>
 
 /* First index whose running sum exceeds x, clamped to n - 1. */
@@ -46,7 +50,7 @@ static int64_t pick(const double *cdf, int64_t n, double x)
  * / (node + 2 * beta_internal) and a root leaf (ndp * (nw + beta)) / root,
  * where ndp = nd + pr. cdf holds K entries per concept of the word with
  * the most concepts, den K entries. */
-void sweep_tree(
+int64_t sweep_tree(
     int64_t n_docs, int64_t n_topics, const int64_t *doc_start,
     const int64_t *tokens, int64_t *z, int64_t *paths, int64_t *ndk,
     const double *priors, int64_t *nwk,
@@ -57,6 +61,7 @@ void sweep_tree(
 {
     const int64_t K = n_topics;
     const double beta_int2 = 2.0 * beta_internal;
+    int64_t bad = 0;
     for (int64_t t = 0; t < K; t++)
         den[t] = (double)(ctotal[t] + utotal[t]) + root_prior;
     for (int64_t d = 0; d < n_docs; d++) {
@@ -106,6 +111,7 @@ void sweep_tree(
                 k = p % K;
                 c = ms[p / K];
             }
+            bad += !(acc > 0.0 && acc <= DBL_MAX);
             z[i] = k;
             paths[i] = c;
             nd[k]++;
@@ -120,6 +126,7 @@ void sweep_tree(
             den[k] = (double)(ctotal[k] + utotal[k]) + root_prior;
         }
     }
+    return bad;
 }
 
 /* Held-out inference for one document of n tokens, phi frozen: n_iter
@@ -127,12 +134,13 @@ void sweep_tree(
  * ((double)nd[t] + alpha) * phi_t[w * K + t] with its own assignment
  * removed from nd. phi_t is the V x K transpose of phi; u holds
  * n_iter * n uniforms, one pass's after another. */
-void infer_doc(
+int64_t infer_doc(
     int64_t n, int64_t n_topics, int64_t n_iter, const int64_t *tokens,
     int64_t *z, int64_t *nd, const double *phi_t, double alpha,
     const double *u, double *cdf)
 {
     const int64_t K = n_topics;
+    int64_t bad = 0;
     for (int64_t it = 0; it < n_iter; it++) {
         const double *ui = u + it * n;
         for (int64_t i = 0; i < n; i++) {
@@ -145,9 +153,11 @@ void infer_doc(
                 acc = t ? acc + score : score;
                 cdf[t] = acc;
             }
+            bad += !(acc <= DBL_MAX);
             k = pick(cdf, K, ui[i] * acc);
             z[i] = k;
             nd[k]++;
         }
     }
+    return bad;
 }

@@ -5,8 +5,9 @@ config values. Every command is deterministic given (config, seed), and a
 manifest capturing the resolved config and its hash is written next to
 the outputs. Exit codes: 2 for configuration errors (including `train`,
 `infer` or `eval --which classify` finding no C compiler to build the
-compiled sampler, and an output path that cannot be written), 3 for data
-errors, 1 for a closed output pipe or anything unexpected.
+compiled sampler, an output path that cannot be written, and a size the
+machine cannot shape), 3 for data errors, 1 for a closed output pipe or
+anything unexpected.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import _native
@@ -164,6 +166,23 @@ def _check_output_file(path: str, flag: str) -> None:
         raise ConfigError(f"{flag} {path}: directory {target.parent} does not exist")
 
 
+# how numpy refuses an array size before allocating anything
+_TOO_LARGE = ("Maximum allowed size exceeded", "Maximum allowed dimension exceeded", "array is too big")
+
+
+@contextmanager
+def _sized(names: str):
+    """Run a step whose sizes `names` set: numpy refusing a size past
+    `np.intp`, an integer too large for C, or memory running out is a
+    configuration error naming them."""
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_TOO_LARGE):
+            raise
+        raise ConfigError(f"{names} too large for this machine: {str(exc) or 'out of memory'}") from None
+
+
 def _from_config(cls, config: dict, **others):
     """`cls` built from the merged config's values for its setting fields."""
     settings = {path.removeprefix(cls.SECTION): _setting(config, path) for path in declared(cls)}
@@ -265,16 +284,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     anneal = _from_config(AnnealConfig, config)
-    model = train(
-        kind,
-        bicorpus,
-        hp,
-        transfer_to_side1=transfer_to_side1,
-        transfer_to_side2=transfer_to_side2,
-        dictionary=dictionary,
-        anneal=anneal if anneal.schedule != "none" else None,
-        hardlink_formulation=value["hardlink_formulation"],
-    )
+    with _sized("k, with the corpora and dictionary,"):
+        model = train(
+            kind, bicorpus, hp, transfer_to_side1=transfer_to_side1,
+            transfer_to_side2=transfer_to_side2, dictionary=dictionary,
+            anneal=anneal if anneal.schedule != "none" else None,
+            hardlink_formulation=value["hardlink_formulation"],
+        )
     _make_dir(output_dir, "paths.output_dir")
     save_model(model, output_dir / "model.json")
     write_event_log(model.provenance.get("anneal_events", []), output_dir / "anneal_log.jsonl")
@@ -312,13 +328,6 @@ def cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-def _infer_for_eval(model, path: str, language: str, seed: int):
-    heldout = _load_heldout(model, path, language)
-    theta = infer_heldout(model, heldout, seed=seed)
-    labels = [sorted(d.labels) if d.labels else [] for d in heldout.documents]
-    return theta, labels
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     which = {w.strip() for w in args.which.split(",") if w.strip()}
     if not which or which - set(EVALUATIONS):
@@ -346,9 +355,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             model, ref, c=args.top_words
         )
     if "classify" in which:
-        lang1, lang2 = model.languages
-        theta1, labels1 = _infer_for_eval(model, args.test_corpus1, lang1, args.seed)
-        theta2, labels2 = _infer_for_eval(model, args.test_corpus2, lang2, args.seed)
+        heldout = []  # both checked before either is inferred
+        for side, path in enumerate((args.test_corpus1, args.test_corpus2), start=1):
+            heldout.append(_load_heldout(model, path, model.languages[side - 1]))
+            # with no label at all, every label is dropped and F1 reads a vacuous 1
+            if not any(d.labels for d in heldout[-1].documents):
+                raise DataError(f"--test-corpus{side} {path}: no document carries a label to classify")
+        theta1, theta2 = (infer_heldout(model, c, seed=args.seed) for c in heldout)
+        labels1, labels2 = ([d.labels for d in c.documents] for c in heldout)
         report.f1_side1_to_side2 = ev.classify_crosslingual(
             theta1, labels1, theta2, labels2, seed=args.seed
         )
@@ -386,18 +400,12 @@ def cmd_transfer_build(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.vocab < args.k:  # every topic's block needs a word
         raise ConfigError(f"--vocab must be at least --k ({args.k}), got {args.vocab}")
-    data = ev.generate_synthetic(
-        k=args.k,
-        vocab_per_lang=args.vocab,
-        docs_per_lang=args.docs,
-        doc_len=args.doc_len,
-        dict_coverage=args.dict_coverage,
-        topic_sharpness=args.sharpness,
-        seed=args.seed,
-    )
-    reference = ev.generate_reference(
-        data.phi, args.reference_pairs, args.doc_len, seed=args.seed + 1
-    )
+    with _sized("--k, --vocab, --docs, --doc-len or --reference-pairs"):
+        data = ev.generate_synthetic(
+            k=args.k, vocab_per_lang=args.vocab, docs_per_lang=args.docs, doc_len=args.doc_len,
+            dict_coverage=args.dict_coverage, topic_sharpness=args.sharpness, seed=args.seed,
+        )
+        reference = ev.generate_reference(data.phi, args.reference_pairs, args.doc_len, seed=args.seed + 1)
     output_dir = Path(args.output_dir)  # created once generation has succeeded
     _make_dir(output_dir, "--output-dir")
     corpus_io.write_corpus_jsonl(data.corpus.side1, output_dir / "corpus1.jsonl")

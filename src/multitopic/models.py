@@ -13,9 +13,9 @@ tables are contiguous int64 arrays that the training sweeps update in
 place, as they update `DirichletTree`'s own count arrays. `tally_side`
 builds one from the assignments; training starts from it, and
 `debug_checks=True` re-tallies both sides after every iteration and
-compares. The public conditional-distribution functions read a
-`SideState`'s rows and expect the current token's assignment to already
-be removed from all counts.
+compares. One reference conditional, `token_conditional`, covers every
+kind: knowledge from the other language is a pseudo-count in the
+document's topic prior, and vocabulary links change only the word term.
 
 Every model kind trains with one compiled kernel, the Dirichlet-tree
 sweep: vocabulary-link kinds over the dictionary's tree, the others over
@@ -153,114 +153,46 @@ def _check_counts(*arrays) -> None:
             raise DataError("negative count detected (internal corruption)")
 
 
-def _token_rows(side: SideState, doc: int, word: int):
-    """The document's and the word's topic-count rows and the topic
-    totals; a negative count is a `DataError`."""
-    rows = (side.doc_topic[doc], side.word_topic[word], side.topic_total)
-    _check_counts(*rows)
-    return rows
+def _tree_word_term(side: SideState, tree: DirichletTree, s: int, word: int, hp: Hyperparams):
+    """The word term in the Dirichlet tree: summed path products over the
+    word's leaves. An untranslated word uses its direct root leaf, so a
+    tree without concepts gives the plain word term exactly."""
+    den = tree.root_total(s) + tree.root_children_prior(s, hp.beta_root, hp.beta)
+    starts = tree.member_start[s]
+    concepts = tree.member_concepts[s][starts[word]:starts[word + 1]]
+    if not len(concepts):
+        return (side.word_topic[word] + hp.beta) / den
+    node, leaf = tree.concept_topic[concepts], tree.leaf_topic[s][concepts]
+    paths = (node + hp.beta_root) / den * (leaf + hp.beta_internal) / (node + 2.0 * hp.beta_internal)
+    return paths.sum(axis=0)
 
 
-def _word_factor(nw: np.ndarray, nk: np.ndarray, vocab_size: int, hp: Hyperparams) -> np.ndarray:
-    return (nw + hp.beta) / (nk + vocab_size * hp.beta)
-
-
-def lda_conditional(side: SideState, doc: int, pos: int, hp: Hyperparams) -> np.ndarray:
-    """p(k) for one token under per-language LDA, current token excluded."""
-    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
-    p = (nd + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
-    return p / p.sum()
-
-
-def hardlink_conditional(
-    side: SideState,
-    doc: int,
-    pos: int,
-    partner_counts: np.ndarray,
-    hp: Hyperparams,
+def token_conditional(
+    side: SideState, doc: int, pos: int, hp: Hyperparams,
+    pseudo=None, tree: DirichletTree | None = None, side_index: int = 0,
 ) -> np.ndarray:
-    """Document-links conditional: the linked document's topic tallies act
-    as extra pseudo-counts on the Dirichlet prior. A zero vector recovers
-    LDA (unlinked document)."""
-    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
-    partner = np.asarray(partner_counts)
-    if (partner < 0).any():
-        raise DataError("negative partner counts")
-    p = (nd + partner + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
-    return p / p.sum()
-
-
-def softlink_prior(
-    row: tuple[np.ndarray, np.ndarray], source_doc_topic: np.ndarray
-) -> np.ndarray:
-    """Transfer pseudo-counts for one document: the row's weighted mixture
-    of source-document topic counts. An empty row yields the zero vector;
-    an index outside the source documents is a `ConfigError`, as in
-    `TransferMatrix.check`."""
-    idx, weights = row
-    k = source_doc_topic.shape[1]
-    if len(idx) == 0:
-        return np.zeros(k, dtype=np.float64)
-    if idx.min() < 0 or idx.max() >= source_doc_topic.shape[0]:
-        raise ConfigError("transfer matrix refers to a missing source document")
-    return weights @ source_doc_topic[idx].astype(np.float64)
-
-
-def softlink_conditional(
-    side: SideState,
-    doc: int,
-    pos: int,
-    prior_pseudo: np.ndarray,
-    hp: Hyperparams,
-) -> np.ndarray:
-    """Soft-links conditional; `prior_pseudo` is the softlink_prior output
-    for this document under the sweep-start snapshot policy."""
-    nd, nw, nk = _token_rows(side, doc, side.doc_tokens(doc)[pos])
-    p = (nd + prior_pseudo + hp.alpha) * _word_factor(nw, nk, side.vocab_size, hp)
-    return p / p.sum()
-
-
-def voclink_tree_factor(
-    side: SideState,
-    tree: DirichletTree,
-    side_index: int,
-    word: int,
-    hp: Hyperparams,
-) -> np.ndarray:
-    """Word term for a vocabulary-links token: summed path products over
-    the word's leaves. Untranslated words use their direct root leaf, so
-    a tree without concepts reproduces the LDA word term exactly."""
-    den = tree.root_total(side_index) + tree.root_children_prior(
-        side_index, hp.beta_root, hp.beta
-    )
-    starts = tree.member_start[side_index]
-    memberships = tree.member_concepts[side_index][starts[word]:starts[word + 1]]
-    if not len(memberships):
-        return (np.asarray(side.word_topic[word]) + hp.beta) / den
-    total = np.zeros(tree.n_topics, dtype=np.float64)
-    for c in memberships:
-        node = tree.concept_topic[c]
-        leaf = tree.leaf_topic[side_index][c]
-        total += (node + hp.beta_root) / den * (leaf + hp.beta_internal) / (
-            node + 2.0 * hp.beta_internal
-        )
-    return total
-
-
-def voclink_conditional(
-    side: SideState,
-    tree: DirichletTree,
-    side_index: int,
-    doc: int,
-    pos: int,
-    hp: Hyperparams,
-) -> np.ndarray:
-    """p(k) for one token under vocabulary links, marginalized over the
-    token's possible leaves; tree counts must already exclude the token."""
+    """p(k) for token `pos` of document `doc`, the token already removed
+    from every count: (n_dk + pseudo_k + alpha) times the word term,
+    normalised. `pseudo` is None under LDA, the linked partner's topic
+    counts under a hard link, the transfer mixture (`TransferMatrix.mix`)
+    under a soft link. The word term is (n_wk + beta) / (n_k + V beta), or
+    with `tree` side `side_index`'s path sum (vocabulary links). A negative
+    count, or a `pseudo` that is not K finite non-negative numbers, is a
+    `DataError`."""
     word = side.doc_tokens(doc)[pos]
-    nd, _, _ = _token_rows(side, doc, word)
-    _check_counts(tree.concept_topic, tree.untrans_total[side_index])
-    p = (nd + hp.alpha) * voclink_tree_factor(side, tree, side_index, word, hp)
+    nd, nw, nk = side.doc_topic[doc], side.word_topic[word], side.topic_total
+    _check_counts(nd, nw, nk)
+    if pseudo is not None:
+        pseudo = np.asarray(pseudo)
+        if pseudo.shape != (side.n_topics,) or not np.isfinite(pseudo).all() or (pseudo < 0).any():
+            raise DataError(f"pseudo-counts must be {side.n_topics} finite non-negative numbers")
+        nd = nd + pseudo
+    if tree is None:
+        term = (nw + hp.beta) / (nk + side.vocab_size * hp.beta)
+    else:
+        _check_counts(tree.concept_topic, tree.untrans_total[side_index])
+        term = _tree_word_term(side, tree, side_index, word, hp)
+    p = (nd + hp.alpha) * term
     return p / p.sum()
 
 
@@ -327,13 +259,23 @@ def _tree_sweep(
     k = side.n_topics
     # the running sums of the word with the most concepts
     cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
-    lib.sweep_tree(
+    unscored = lib.sweep_tree(
         len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
         side.doc_topic, priors, side.word_topic, starts, tree.member_concepts[s],
         tree.concept_topic, tree.leaf_topic[s], tree.concept_total, tree.untrans_total[s],
         hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
         rng.random(len(side.tokens)), cdf, np.empty(k),
     )
+    if unscored:
+        in_tree = ("beta_root", "beta_internal") if tree.n_concepts else ()
+        raise _unscored(hp, "alpha", "beta", *in_tree)
+
+
+def _unscored(hp: Hyperparams, *names) -> ConfigError:
+    """The error for a token whose topic scores did not sum to a positive
+    finite number: the settings `names` made them overflow."""
+    given = ", ".join(f"{name} {getattr(hp, name)!r}" for name in names)
+    return ConfigError(f"a token's topic scores have no positive finite sum under {given}")
 
 
 def _sweep_sides(lib, sides, paths, priors, tree, links, hp, rng) -> None:
@@ -403,7 +345,8 @@ def train(
     Every kind runs the one Dirichlet-tree sweep. Kinds without
     vocabulary links run it over a tree without concepts, where every
     word sits on its own root leaf and the tree is the ordinary Dirichlet
-    prior of LDA; their phi is read from the side tables.
+    prior of LDA; their phi is read from the side tables. A prior so large
+    that a token's topic scores overflow raises `ConfigError` naming it.
     """
     from .schedule import AnnealScheduler  # local import to avoid a cycle
 
@@ -622,9 +565,10 @@ def infer_heldout(
         per_draw = max(1, _UNIFORM_BLOCK // n)
         for done in range(0, n_iter, per_draw):
             block = min(per_draw, n_iter - done)
-            lib.infer_doc(
+            if lib.infer_doc(
                 n, n_topics, block, tokens, z, nd, phi_t, alpha, rng.random(block * n), cdf
-            )
+            ):
+                raise _unscored(hp, "alpha")
         theta[d] = (nd + alpha) / (n + n_topics * alpha)
     return theta
 

@@ -139,15 +139,20 @@ def compute_lis(
     return lis_scores([x], y, folds, seed)[0]
 
 
-def should_anneal(history: LisHistory, t: int) -> bool:
-    """True iff the LIS mean over (t-I, t] strictly exceeds the mean over
-    (t-2I, t-I]."""
+def _anneal_rule(history: LisHistory, t: int) -> tuple[float, float, bool]:
+    """The LIS means over (t-I, t] and (t-2I, t-I], and whether to anneal:
+    whether the first strictly exceeds the second."""
     interval = history.interval
     if t < 2 * interval:
         raise ConfigError(f"need at least {2 * interval} iterations of history, got {t}")
     recent = history.window_mean(t - interval, t)
     previous = history.window_mean(t - 2 * interval, t - interval)
-    return recent > previous
+    return recent, previous, recent > previous
+
+
+def should_anneal(history: LisHistory, t: int) -> bool:
+    """`_anneal_rule`'s decision at iteration `t`."""
+    return _anneal_rule(history, t)[2]
 
 
 class AnnealScheduler:
@@ -247,11 +252,7 @@ class AnnealScheduler:
                 self._score_pending()
         if iteration % cfg.interval == 0 and 2 * cfg.interval <= iteration <= cfg.stop_iteration:
             self._score_pending()
-            # `should_anneal`'s rule, on the two means the log reports
-            start = iteration - cfg.interval
-            recent = self.history.window_mean(start, iteration)
-            previous = self.history.window_mean(start - cfg.interval, start)
-            anneal = recent > previous
+            recent, previous, anneal = _anneal_rule(self.history, iteration)
             logger.info(
                 "iteration %d: LIS window mean %.6f after %.6f: %s",
                 iteration, recent, previous, "anneal" if anneal else "no anneal",

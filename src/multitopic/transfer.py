@@ -97,7 +97,7 @@ class TransferMatrix:
     def mix(self, source_counts: np.ndarray) -> np.ndarray:
         """Soft-link pseudo-counts (D x K): row d mixes the topic counts of
         the source documents it names (zero if empty), by one `weights @
-        source[idx]` per row, the summation order of `models.softlink_prior`."""
+        source[idx]` per row."""
         source = source_counts.astype(np.float64)
         pseudo = np.zeros((len(self), source.shape[1]), dtype=np.float64)
         for d, (a, b) in enumerate(_bounds(self.start)):

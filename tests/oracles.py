@@ -15,7 +15,7 @@ import numpy as np
 
 from multitopic.corpus import Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.models import SideState, tally_side
+from multitopic.models import SideState, tally_side, token_conditional
 from multitopic.transfer import TransferMatrix
 from multitopic.tree import DirichletTree
 
@@ -213,8 +213,6 @@ def _paths_for(tokens_docs, memberships, choices):
 def check_plain_sampler(tokens_docs, n_topics, vocab_size, hp, pseudo=None):
     """Max |sampler - oracle| over all assignments and token positions for
     the LDA / soft-link family (pseudo=None means plain LDA)."""
-    from multitopic.models import lda_conditional, softlink_conditional
-
     if pseudo is None:
         priors = [[hp.alpha] * n_topics for _ in tokens_docs]
     else:
@@ -235,12 +233,8 @@ def check_plain_sampler(tokens_docs, n_topics, vocab_size, hp, pseudo=None):
                 state = side_state_without_token(
                     tokens_docs, z, n_topics, vocab_size, d, i
                 )
-                if pseudo is None:
-                    got = lda_conditional(state, d, i, hp)
-                else:
-                    got = softlink_conditional(
-                        state, d, i, np.array(pseudo[d], dtype=np.float64), hp
-                    )
+                row = None if pseudo is None else np.array(pseudo[d], dtype=np.float64)
+                got = token_conditional(state, d, i, hp, pseudo=row)
                 worst = max(worst, float(np.abs(got - np.array(expected)).max()))
     return worst
 
@@ -248,8 +242,6 @@ def check_plain_sampler(tokens_docs, n_topics, vocab_size, hp, pseudo=None):
 def check_hardlink_conditional(tokens_docs, partner_counts, n_topics, vocab_size, hp):
     """Conditional formulation: the partner's topic tallies are a fixed
     prior; enumeration covers this side only."""
-    from multitopic.models import hardlink_conditional
-
     priors = [
         [hp.alpha + partner_counts[d][k] for k in range(n_topics)]
         for d in range(len(tokens_docs))
@@ -270,8 +262,8 @@ def check_hardlink_conditional(tokens_docs, partner_counts, n_topics, vocab_size
                 state = side_state_without_token(
                     tokens_docs, z, n_topics, vocab_size, d, i
                 )
-                got = hardlink_conditional(
-                    state, d, i, np.array(partner_counts[d], dtype=np.int64), hp
+                got = token_conditional(
+                    state, d, i, hp, pseudo=np.array(partner_counts[d], dtype=np.int64)
                 )
                 worst = max(worst, float(np.abs(got - np.array(expected)).max()))
     return worst
@@ -280,8 +272,6 @@ def check_hardlink_conditional(tokens_docs, partner_counts, n_topics, vocab_size
 def check_hardlink_joint(tokens1, tokens2, n_topics, v1, v2, hp):
     """Joint formulation: one linked pair shares a topic distribution, so
     the oracle enumerates both sides together with a pooled theta factor."""
-    from multitopic.models import hardlink_conditional
-
     worst = 0.0
     for z1 in all_assignments([len(tokens1)], n_topics):
         for z2 in all_assignments([len(tokens2)], n_topics):
@@ -311,7 +301,7 @@ def check_hardlink_joint(tokens1, tokens2, n_topics, v1, v2, hp):
                     partner = np.zeros(n_topics, dtype=np.int64)
                     for t in z_other[0]:
                         partner[t] += 1
-                    got = hardlink_conditional(state, 0, i, partner, hp)
+                    got = token_conditional(state, 0, i, hp, pseudo=partner)
                     worst = max(worst, float(np.abs(got - np.array(expected)).max()))
     return worst
 
@@ -324,7 +314,6 @@ def check_voclink(
     with the other side's concept traffic held fixed. Enumerates topics and
     leaf choices jointly; compares the topic marginal."""
     from multitopic.corpus import Vocabulary
-    from multitopic.models import voclink_conditional, voclink_tree_factor
     from multitopic.tree import build_tree
 
     v_a = Vocabulary("l1", [f"a{i}" for i in range(vocab_size)])
@@ -374,18 +363,12 @@ def check_voclink(
                         tree, side, tokens_docs, z, paths, fixed_concept,
                         skip=(d, i),
                     )
-                    if pseudo is None:
-                        got = voclink_conditional(state, tree, side, d, i, hp)
-                    else:
-                        # combined model: transfer pseudo-counts in the topic
-                        # prior, tree factor as the word term
-                        factor = voclink_tree_factor(state, tree, side, w, hp)
-                        raw = (
-                            state.doc_topic[d]
-                            + np.array(pseudo[d])
-                            + hp.alpha
-                        ) * factor
-                        got = raw / raw.sum()
+                    # with `pseudo`, the combined model: transfer
+                    # pseudo-counts in the topic prior, the tree's word term
+                    row = None if pseudo is None else np.array(pseudo[d])
+                    got = token_conditional(
+                        state, d, i, hp, pseudo=row, tree=tree, side_index=side
+                    )
                     worst = max(worst, float(np.abs(got - np.array(expected)).max()))
                     flat_pos += 1
     return worst

@@ -43,13 +43,9 @@ from multitopic.models import (
     Hyperparams,
     SideState,
     TopicModel,
-    hardlink_conditional,
-    lda_conditional,
     load_model,
-    softlink_conditional,
-    softlink_prior,
+    token_conditional,
     train,
-    voclink_conditional,
 )
 from multitopic.schedule import AnnealScheduler, compute_lis
 from multitopic.transfer import (
@@ -93,7 +89,7 @@ def test_c01_joint_conditional_equivalence():
             word_topic=np.vstack([word, np.zeros((max(vocab_size - 1, 0), k), dtype=np.int64)]),
             topic_total=totals.copy(),
         )
-        conditional = hardlink_conditional(side, 0, 0, partner, hp)
+        conditional = token_conditional(side, 0, 0, hp, pseudo=partner)
         # joint formulation: the pair shares one topic distribution, i.e.
         # plain LDA over the pooled document counts
         pooled = SideState(
@@ -104,7 +100,7 @@ def test_c01_joint_conditional_equivalence():
             word_topic=side.word_topic,
             topic_total=side.topic_total,
         )
-        joint = lda_conditional(pooled, 0, 0, hp)
+        joint = token_conditional(pooled, 0, 0, hp)
         worst = max(worst, float(np.abs(conditional - joint).max()))
     assert worst < 1e-12
 
@@ -191,32 +187,32 @@ def test_c03_reductions():
         # SoftLink with an indicator row == HardLink on that document
         target = int(rng.integers(0, 4))
         indicator = (np.array([target]), np.array([1.0]))
-        pseudo = softlink_prior(indicator, source_counts)
-        soft = softlink_conditional(side, doc, pos, pseudo, hp)
-        hard = hardlink_conditional(side, doc, pos, source_counts[target], hp)
+        pseudo = oracles.matrix_from_rows("l1", "l2", [indicator]).mix(source_counts)[0]
+        soft = token_conditional(side, doc, pos, hp, pseudo=pseudo)
+        hard = token_conditional(side, doc, pos, hp, pseudo=source_counts[target])
         worst = max(worst, float(np.abs(soft - hard).max()))
 
         # SoftLink with an empty row == LDA
         empty = (np.empty(0, dtype=np.int64), np.empty(0))
-        soft0 = softlink_conditional(side, doc, pos, softlink_prior(empty, source_counts), hp)
-        worst = max(worst, float(np.abs(soft0 - lda_conditional(side, doc, pos, hp)).max()))
+        lda = token_conditional(side, doc, pos, hp)
+        pseudo0 = oracles.matrix_from_rows("l1", "l2", [empty]).mix(source_counts)[0]
+        soft0 = token_conditional(side, doc, pos, hp, pseudo=pseudo0)
+        worst = max(worst, float(np.abs(soft0 - lda).max()))
 
         # VocLink with an empty dictionary == LDA
         v1 = Vocabulary("l1", [f"a{i}" for i in range(6)])
         v2 = Vocabulary("l2", [f"b{i}" for i in range(6)])
         tree = build_tree(BilingualDictionary("l1", "l2", []), v1, v2, 3)
         tree.untrans_total[0][:] = side.topic_total
-        voc = voclink_conditional(side, tree, 0, doc, pos, hp)
-        worst = max(worst, float(np.abs(voc - lda_conditional(side, doc, pos, hp)).max()))
+        voc = token_conditional(side, doc, pos, hp, tree=tree, side_index=0)
+        worst = max(worst, float(np.abs(voc - lda).max()))
 
         # SoftLink at focal threshold 1 == LDA (all rows empty)
         raw = make_matrix([[(j, w) for j, w in enumerate(rng.dirichlet(np.ones(4)))]])
         focused = static_focus(raw, FocusConfig(threshold=1.0))
         assert len(focused.rows[0][0]) == 0
-        soft1 = softlink_conditional(
-            side, doc, pos, softlink_prior(focused.rows[0], source_counts), hp
-        )
-        worst = max(worst, float(np.abs(soft1 - lda_conditional(side, doc, pos, hp)).max()))
+        soft1 = token_conditional(side, doc, pos, hp, pseudo=focused.mix(source_counts)[0])
+        worst = max(worst, float(np.abs(soft1 - lda).max()))
     assert worst < 1e-12
     report(3, f"all four reductions hold; max per-token deviation {worst:.2e}")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multitopic import evaluate as ev
-from multitopic import _native, models
+from multitopic import _native, cli, models
 from multitopic.cli import CONFIG_KEYS, _write_manifest, main
 from multitopic.corpus import (
     BilingualCorpus, Corpus, Document, LoaderOptions, Vocabulary, load_corpus, load_stopwords,
@@ -740,6 +740,110 @@ def test_rejected_synth_argument_is_named(tmp_path, capsys, flag, value, message
     assert main(["synth", flag, value, "--output-dir", str(tmp_path / "synth")]) == 2
     (line,) = capsys.readouterr().err.splitlines()
     assert line == f"configuration error: {message}"
+
+
+SYNTH_SIZES = "--k, --vocab, --docs, --doc-len or --reference-pairs"
+
+
+@pytest.mark.parametrize("argv", [
+    # sizes numpy refuses before allocating: past np.intp, or past a C long
+    ["--vocab", "1" + "0" * 30],
+    ["--docs", "1" + "0" * 19, "--k", "2", "--vocab", "2"],
+    ["--doc-len", "1" + "0" * 20, "--k", "2", "--vocab", "2", "--docs", "2"],
+])
+def test_synth_size_the_machine_cannot_shape_exits_2(tmp_path, capsys, argv):
+    out_dir = tmp_path / "synth"
+    assert main(["synth", *argv, "--output-dir", str(out_dir)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"configuration error: {SYNTH_SIZES} too large for this machine: ")
+    assert not out_dir.exists()
+
+
+def test_train_k_the_machine_cannot_shape_exits_2(tmp_path, toy_data, capsys):
+    config = base_config(toy_data, tmp_path / "out", k=10**19)
+    config_path = tmp_path / "huge_k.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("configuration error: k, with the corpora and dictionary, too large")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error, code", [(MemoryError(), 2), (ValueError("unexpected"), 1)])
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_memory_running_out_while_drawing_or_training_exits_2(
+    tmp_path, toy_data, capsys, monkeypatch, command, error, code
+):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ev, "generate_synthetic", fail)
+    monkeypatch.setattr(cli, "train", fail)
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(base_config(toy_data, out_dir)))
+    argv = ["synth", "--output-dir", str(out_dir)] if command == "synth" else [
+        "train", "--config", str(config_path)]
+    assert main(argv) == code
+    names = SYNTH_SIZES if command == "synth" else "k, with the corpora and dictionary,"
+    if code == 2:
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"configuration error: {names} too large for this machine: out of memory"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model, name", [
+    *((model, "alpha") for model in ("lda", "hardlink", "softlink", "voclink", "softlink_voclink")),
+    # every toy word has a concept, so the tree kinds score no beta
+    *((model, "beta") for model in ("lda", "hardlink", "softlink")),
+    *((model, "beta_root") for model in ("voclink", "softlink_voclink")),
+])
+def test_prior_that_overflows_the_topic_scores_exits_2(tmp_path, toy_data, capsys, model, name):
+    config = base_config(toy_data, tmp_path / "out", model=model, **{name: 1e308})
+    config_path = tmp_path / "overflow.json"
+    config_path.write_text(json.dumps(config))
+    assert main(["train", "--config", str(config_path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    named = {"alpha": 0.1, "beta": 0.01}
+    if model in models.TREE_KINDS:
+        named.update(beta_root=0.01, beta_internal=100.0)
+    named[name] = 1e308
+    given = ", ".join(f"{key} {value!r}" for key, value in named.items())
+    assert line == f"configuration error: a token's topic scores have no positive finite sum under {given}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_prior_that_does_not_overflow_still_trains(tmp_path, toy_data):
+    out = run_train(tmp_path, toy_data, "large_alpha", k=3, alpha=1e250)
+    model = load_model(out / "model.json")
+    totals = np.sum(model.counts["word_topic"], axis=1)
+    assert (totals[:, :-1] > 0).any(axis=1).all()  # not every token on the last topic
+    np.testing.assert_allclose(np.vstack(model.theta).sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("stripped", [(1,), (2,), (1, 2)])
+def test_classify_refuses_a_test_corpus_without_labels(
+    tmp_path, toy_data, capsys, monkeypatch, stripped
+):
+    out = run_train(tmp_path, toy_data, "model")
+    paths = {}
+    for side in (1, 2):
+        paths[side] = toy_data[f"corpus{side}"]
+        if side in stripped:
+            records = [json.loads(line) for line in paths[side].read_text().splitlines()]
+            paths[side] = tmp_path / f"unlabeled{side}.jsonl"
+            write_jsonl(paths[side], [{k: v for k, v in r.items() if k != "labels"} for r in records])
+    monkeypatch.setattr(cli, "infer_heldout", lambda *a, **kw: pytest.fail("inferred before the check"))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main([
+        "eval", "--model", str(out / "model.json"), "--which", "classify",
+        "--test-corpus1", str(paths[1]), "--test-corpus2", str(paths[2]), "--output", str(report),
+    ]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    side = stripped[0]
+    assert line == f"data error: --test-corpus{side} {paths[side]}: no document carries a label to classify"
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command, target", [

@@ -11,14 +11,10 @@ from multitopic.errors import ConfigError, DataError
 from multitopic.models import (
     Hyperparams,
     SideState,
-    hardlink_conditional,
     infer_heldout,
-    lda_conditional,
-    softlink_conditional,
-    softlink_prior,
     tally_side,
+    token_conditional,
     train,
-    voclink_conditional,
 )
 from multitopic.tree import build_tree
 
@@ -54,7 +50,7 @@ class TestLdaConditional:
     def test_symmetric_when_counts_zero(self):
         side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [0, 0])
         np.testing.assert_allclose(
-            lda_conditional(side, 0, 0, hp_for()), [0.5, 0.5], atol=0
+            token_conditional(side, 0, 0, hp_for()), [0.5, 0.5], atol=0
         )
 
     def test_hand_computed_example(self):
@@ -62,13 +58,13 @@ class TestLdaConditional:
         side = manual_side([[0]], [[1, 0]], [[1, 0], [0, 0]], [1, 0])
         hp = hp_for(alpha=1.0, beta=1.0)
         np.testing.assert_allclose(
-            lda_conditional(side, 0, 0, hp), [8 / 11, 3 / 11], atol=1e-15
+            token_conditional(side, 0, 0, hp), [8 / 11, 3 / 11], atol=1e-15
         )
 
     def test_negative_count_rejected(self):
         side = manual_side([[0]], [[-1, 0]], [[0, 0], [0, 0]], [0, 0])
         with pytest.raises(DataError, match="negative"):
-            lda_conditional(side, 0, 0, hp_for())
+            token_conditional(side, 0, 0, hp_for())
 
     def test_matches_enumeration_oracle_tiny_instance(self):
         hp = hp_for(alpha=0.3, beta=0.2)
@@ -82,13 +78,13 @@ class TestHardlinkConditional:
         hp = hp_for()
         for _ in range(20):
             side = random_side(rng, 2, 4, 3)
-            got = hardlink_conditional(side, 0, 0, np.zeros(2, dtype=np.int64), hp)
-            np.testing.assert_array_equal(got, lda_conditional(side, 0, 0, hp))
+            got = token_conditional(side, 0, 0, hp, pseudo=np.zeros(2, dtype=np.int64))
+            np.testing.assert_array_equal(got, token_conditional(side, 0, 0, hp))
 
     def test_hand_computed_partner_dominates(self):
         # alpha=0.1, partner=(10,0), own zero, uniform word term
         side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [0, 0])
-        got = hardlink_conditional(side, 0, 0, np.array([10, 0]), hp_for())
+        got = token_conditional(side, 0, 0, hp_for(), pseudo=np.array([10, 0]))
         np.testing.assert_allclose(got, [10.1 / 10.2, 0.1 / 10.2], atol=1e-15)
 
     def test_matches_enumeration_oracle(self):
@@ -104,34 +100,28 @@ class TestHardlinkConditional:
         assert err < 1e-10
 
 
+def mix_one_row(row, counts):
+    """The soft-link pseudo-counts `TransferMatrix.mix` gives a matrix of
+    the one row `row`. `TransferMatrix.check` refuses an index outside the
+    source documents (`TestTrain`'s corrupted-matrix cases)."""
+    return oracles.matrix_from_rows("l2", "l1", [row]).mix(counts)[0]
+
+
 class TestSoftlinkPrior:
     def test_indicator_row_selects_one_document(self):
         counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
         row = (np.array([1]), np.array([1.0]))
-        np.testing.assert_array_equal(softlink_prior(row, counts), [0.0, 4.0])
+        np.testing.assert_array_equal(mix_one_row(row, counts), [0.0, 4.0])
 
     def test_mixture_hand_example(self):
         counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
         row = (np.array([0, 1]), np.array([0.5, 0.5]))
-        np.testing.assert_allclose(softlink_prior(row, counts), [2.0, 2.0], atol=0)
+        np.testing.assert_allclose(mix_one_row(row, counts), [2.0, 2.0], atol=0)
 
     def test_empty_row_gives_zero_vector(self):
         counts = np.array([[4, 0]], dtype=np.int64)
         row = (np.empty(0, dtype=np.int64), np.empty(0))
-        np.testing.assert_array_equal(softlink_prior(row, counts), [0.0, 0.0])
-
-    def test_out_of_range_index_rejected(self):
-        counts = np.array([[4, 0]], dtype=np.int64)
-        row = (np.array([5]), np.array([1.0]))
-        with pytest.raises(ConfigError, match="transfer matrix refers to a missing source document"):
-            softlink_prior(row, counts)
-
-    def test_negative_index_rejected(self):
-        # numpy would read -1 as the last source document
-        counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
-        row = (np.array([-1]), np.array([1.0]))
-        with pytest.raises(ConfigError, match="missing source document"):
-            softlink_prior(row, counts)
+        np.testing.assert_array_equal(mix_one_row(row, counts), [0.0, 0.0])
 
 
 class TestSoftlinkConditional:
@@ -140,22 +130,18 @@ class TestSoftlinkConditional:
         hp = hp_for()
         for _ in range(20):
             side = random_side(rng, 3, 4, 2)
-            got = softlink_conditional(side, 0, 0, np.zeros(3), hp)
-            np.testing.assert_array_equal(got, lda_conditional(side, 0, 0, hp))
+            got = token_conditional(side, 0, 0, hp, pseudo=np.zeros(3))
+            np.testing.assert_array_equal(got, token_conditional(side, 0, 0, hp))
 
-    def test_indicator_pseudo_equals_hardlink(self):
-        rng = np.random.default_rng(2)
-        hp = hp_for()
-        for _ in range(20):
-            side = random_side(rng, 2, 4, 2)
-            partner = rng.integers(0, 8, size=2)
-            soft = softlink_conditional(side, 0, 0, partner.astype(np.float64), hp)
-            hard = hardlink_conditional(side, 0, 0, partner, hp)
-            np.testing.assert_allclose(soft, hard, atol=1e-15)
+    @pytest.mark.parametrize("pseudo", [[-1.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [1.0], [1.0, 1.0, 1.0]])
+    def test_pseudo_must_be_k_finite_non_negative_numbers(self, pseudo):
+        side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [0, 0])
+        with pytest.raises(DataError, match="^pseudo-counts must be 2 finite non-negative numbers$"):
+            token_conditional(side, 0, 0, hp_for(), pseudo=np.array(pseudo))
 
     def test_fractional_prior_hand_example(self):
         side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [0, 0])
-        got = softlink_conditional(side, 0, 0, np.array([2.0, 2.0]), hp_for())
+        got = token_conditional(side, 0, 0, hp_for(), pseudo=np.array([2.0, 2.0]))
         np.testing.assert_allclose(got, [0.5, 0.5], atol=0)
 
     def test_matches_enumeration_oracle(self):
@@ -184,16 +170,16 @@ class TestVoclinkConditional:
             side = random_side(rng, 2, 3, 2)
             tree.zero_counts()
             tree.untrans_total[0][:] = side.topic_total
-            got = voclink_conditional(side, tree, 0, 0, 0, hp)
+            got = token_conditional(side, 0, 0, hp, tree=tree, side_index=0)
             np.testing.assert_allclose(
-                got, lda_conditional(side, 0, 0, hp), atol=1e-15
+                got, token_conditional(side, 0, 0, hp), atol=1e-15
             )
 
     def test_uniform_when_all_counts_zero(self):
         tree = one_concept_tree(2)
         side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [0, 0])
         np.testing.assert_allclose(
-            voclink_conditional(side, tree, 0, 0, 0, hp_for()), [0.5, 0.5], atol=0
+            token_conditional(side, 0, 0, hp_for(), tree=tree), [0.5, 0.5], atol=0
         )
 
     def test_hand_computed_path_product(self):
@@ -204,7 +190,7 @@ class TestVoclinkConditional:
         tree.concept_topic[0] = [3, 0]
         tree.concept_total[:] = [3, 0]
         side = manual_side([[0]], [[0, 0]], [[0, 0], [0, 0]], [3, 0])
-        got = voclink_conditional(side, tree, 0, 0, 0, hp)
+        got = token_conditional(side, 0, 0, hp, tree=tree, side_index=0)
         # independent arithmetic: root prior sum = 1*0.01 + 1*0.01
         den0 = 3 + 0 + 0.02
         den1 = 0 + 0 + 0.02
@@ -714,6 +700,14 @@ class TestInferHeldout:
         heldout = self.corpus_for(model, [[]])
         np.testing.assert_allclose(infer_heldout(model, heldout), [[0.5, 0.5]], atol=0)
 
+    def test_alpha_that_overflows_the_scores_is_a_config_error(self):
+        # word 0 scores (1 + 1e308) * 0.9 under both topics: the sum overflows
+        model = self.make_model([[0.9, 0.1], [0.9, 0.1]])
+        model.hyperparams = Hyperparams(k=2, alpha=1e308, train_iterations=1)
+        message = r"^a token's topic scores have no positive finite sum under alpha 1e\+308$"
+        with pytest.raises(ConfigError, match=message):
+            infer_heldout(model, self.corpus_for(model, [[0, 0]]))
+
     def test_same_seed_is_deterministic(self):
         model = self.make_model([[0.7, 0.3], [0.2, 0.8]])
         heldout = self.corpus_for(model, [[0, 1, 0], [1, 1]])
@@ -749,13 +743,13 @@ class TestConditionalValidity:
         for _ in range(50):
             side = random_side(rng, 4, 5, 3)
             checks = [
-                lda_conditional(side, 0, 0, hp),
-                hardlink_conditional(side, 0, 0, rng.integers(0, 9, size=4), hp),
-                softlink_conditional(side, 0, 0, rng.random(4) * 3, hp),
+                token_conditional(side, 0, 0, hp),
+                token_conditional(side, 0, 0, hp, pseudo=rng.integers(0, 9, size=4)),
+                token_conditional(side, 0, 0, hp, pseudo=rng.random(4) * 3),
             ]
             tree.zero_counts()
             tree.untrans_total[0][:] = side.topic_total
-            checks.append(voclink_conditional(side, tree, 0, 0, 0, hp))
+            checks.append(token_conditional(side, 0, 0, hp, tree=tree, side_index=0))
             for p in checks:
                 assert (p >= 0).all()
                 assert abs(p.sum() - 1.0) < 1e-12

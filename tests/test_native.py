@@ -2,6 +2,7 @@
 them, and the one-line error that `train`, `infer` and `eval --which
 classify` exit with when they cannot be built or loaded."""
 
+import ctypes
 import json
 import re
 import subprocess
@@ -190,7 +191,7 @@ def test_evaluations_without_inference_need_no_compiler(trained):
 def test_every_kernel_in_the_source_is_declared_and_no_other():
     # a declaration without its kernel would surface as a cached library
     # that cannot be loaded, which no rebuild mends
-    defined = set(re.findall(r"^void (\w+)\(", _native.SOURCE.read_text(), re.MULTILINE))
+    defined = set(re.findall(r"^int64_t (\w+)\(", _native.SOURCE.read_text(), re.MULTILINE))
 
     class Library:
         def __init__(self):
@@ -204,7 +205,8 @@ def test_every_kernel_in_the_source_is_declared_and_no_other():
     assert set(lib.kernels) - defined == set(), "declared, but not defined in _sweeps.c"
     assert defined - set(lib.kernels) == set(), "defined in _sweeps.c, but not declared"
     for name, kernel in lib.kernels.items():
-        assert getattr(kernel, "argtypes", None) and kernel.restype is None, name
+        # each returns its count of tokens whose scores have no usable sum
+        assert getattr(kernel, "argtypes", None) and kernel.restype is ctypes.c_int64, name
 
 
 def test_relative_cache_home_is_ignored(monkeypatch):

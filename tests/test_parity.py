@@ -48,16 +48,12 @@ from multitopic.corpus import BilingualCorpus
 from multitopic.models import (
     Hyperparams,
     TopicModel,
-    hardlink_conditional,
     infer_heldout,
-    lda_conditional,
     load_model,
     model_to_json,
     save_model,
-    softlink_conditional,
+    token_conditional,
     train,
-    voclink_conditional,
-    voclink_tree_factor,
     write_json,
 )
 from multitopic.schedule import AnnealScheduler, compute_lis, concept_features, lis_scores
@@ -389,12 +385,8 @@ def test_plain_sweep_draws_from_the_reference_conditionals(state, prior):
         visits = states_before_each_token(tokens, (before,), (z,))
         for (d, i, (z_now,)), cdf in zip(visits, cdfs, strict=True):
             side = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
-            if prior == "lda":
-                want = lda_conditional(side, d, i, hp)
-            elif prior == "softlink":
-                want = softlink_conditional(side, d, i, pseudo[d], hp)
-            else:
-                want = hardlink_conditional(side, d, i, partners[d], hp)
+            row = None if prior == "lda" else pseudo[d] + partners[d]
+            want = token_conditional(side, d, i, hp, pseudo=row)
             np.testing.assert_allclose(normalised_scores(cdf, k), want, rtol=0, atol=1e-12)
 
 
@@ -443,16 +435,12 @@ def test_tree_sweep_draws_from_the_reference_conditional(state, extra, side, sof
             tree_counts_without_token(
                 reference, side, tokens, z_now, paths_now, fixed, skip=(d, i)
             )
-            if soft:
-                # soft plus vocabulary links: transfer pseudo-counts in the
-                # topic prior, the tree factor as the word term
-                w = tokens[d][i]
-                raw = (counts.doc_topic[d] + pseudo[d] + alpha) * voclink_tree_factor(
-                    counts, reference, side, w, hp
-                )
-                want = raw / raw.sum()
-            else:
-                want = voclink_conditional(counts, reference, side, d, i, hp)
+            # with `soft`, soft plus vocabulary links: transfer
+            # pseudo-counts in the topic prior, the tree's word term
+            want = token_conditional(
+                counts, d, i, hp, pseudo=pseudo[d] if soft else None, tree=reference,
+                side_index=side,
+            )
             np.testing.assert_allclose(normalised_scores(cdf, k), want, rtol=0, atol=1e-12)
 
 
