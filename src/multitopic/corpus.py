@@ -73,15 +73,25 @@ class Document:
 
 @dataclass
 class Corpus:
-    """Immutable-by-convention collection of id-encoded documents."""
+    """Immutable-by-convention id-encoded documents and their token table:
+    document d's word ids are `tokens[doc_start[d]:doc_start[d + 1]]`."""
 
     language: str
     vocabulary: Vocabulary
     documents: list[Document]
+    tokens: np.ndarray = field(init=False, repr=False, compare=False)
+    doc_start: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.doc_start = np.cumsum([0, *map(len, self.documents)], dtype=np.int64)
+        self.tokens = np.fromiter(
+            chain.from_iterable(d.tokens for d in self.documents), np.int64, self.doc_start[-1]
+        )
+        self.tokens.flags.writeable = self.doc_start.flags.writeable = False
 
     @property
     def token_total(self) -> int:
-        return sum(len(d.tokens) for d in self.documents)
+        return len(self.tokens)
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -273,12 +273,12 @@ def classify_crosslingual(
     """Train one-vs-rest logistic classifiers on one language's document
     topic mixtures and score micro-F1 on the other language's.
 
-    Labels are per-document collections (multi-label allowed). Labels with
-    no positive training documents are dropped with a warning; prediction
-    uses a 0.5 posterior cutoff unless `tune_thresholds` selects per-label
-    cutoffs by cross-validated F1. All labels share the training rows, so
-    they are fitted together by one `fit_binary_stack` call; each label's
-    classifier is bit-identical to fitting it on its own.
+    Labels are per-document collections (multi-label allowed); a label with
+    no positive training documents is never predicted, with a warning.
+    Prediction uses a 0.5 posterior cutoff unless `tune_thresholds` selects
+    per-label cutoffs by cross-validated F1. All labels share the training
+    rows, so they are fitted together by one `fit_binary_stack` call; each
+    label's classifier is bit-identical to fitting it on its own.
     """
     train_theta = np.asarray(train_theta, dtype=np.float64)
     test_theta = np.asarray(test_theta, dtype=np.float64)
@@ -301,9 +301,9 @@ def classify_crosslingual(
     tp = fp = fn = 0
     for index, label in enumerate(universe):
         if positives[index] == 0:
-            logger.warning("label %r has no positive training documents; dropped", label)
-            continue
-        if index not in row_of_label:
+            logger.warning("label %r has no positive training documents; never predicted", label)
+            pred = np.zeros(len(test_sets), dtype=bool)
+        elif index not in row_of_label:
             # degenerate all-positive label: predict positive everywhere
             pred = np.ones(len(test_sets), dtype=bool)
         else:
@@ -498,6 +498,8 @@ def generate_reference(
     pair picks one topic and draws both sides' word types from it."""
     n_pairs = REFERENCE_PAIRS.check("n_pairs", n_pairs)
     types_per_side = SYNTHETIC["doc_len"].check("types_per_side", types_per_side)
+    if n_pairs > np.iinfo(np.intp).max // 16:  # a 16-byte `entries` row per pair
+        raise OverflowError(f"n_pairs {n_pairs} is more than numpy can index")
     rng = np.random.default_rng(seed)
     k = phi[0].shape[0]
     pairs = []

@@ -10,12 +10,13 @@ are reproducible across platforms and independent of corpus composition.
 
 One class holds a language's assignments and counts: `SideState`, whose
 tables are contiguous int64 arrays that the training sweeps update in
-place, as they update `DirichletTree`'s own count arrays. `tally_side`
-builds one from the assignments; training starts from it, and
-`debug_checks=True` re-tallies both sides after every iteration and
-compares. One reference conditional, `token_conditional`, covers every
-kind: knowledge from the other language is a pseudo-count in the
-document's topic prior, and vocabulary links change only the word term.
+place, as they update `DirichletTree`'s own count arrays; its word ids
+are the corpus's token table, shared. `tally_side` builds one from the
+assignments; training starts from it, and `debug_checks=True` re-tallies
+both sides after every iteration and compares. One reference
+conditional, `token_conditional`, covers every kind: knowledge from the
+other language is a pseudo-count in the document's topic prior, and
+vocabulary links change only the word term.
 
 Every model kind trains with one compiled kernel, the Dirichlet-tree
 sweep: vocabulary-link kinds over the dictionary's tree, the others over
@@ -126,25 +127,22 @@ def _tally(tokens, z, doc_start, k: int, vocab_size: int):
     )
 
 
-def tally_side(tokens: list, z: list, k: int, vocab_size: int) -> SideState:
-    """Build a SideState from per-document token and topic sequences; its
-    tables are the exact tallies of `z`."""
-    if len(z) != len(tokens):
-        raise DataError("assignments do not cover every document")
-    for d, (toks, zd) in enumerate(zip(tokens, z)):
-        if len(zd) != len(toks):
-            raise DataError(f"assignments for document {d} do not match its length")
-    doc_start = np.cumsum([0] + [len(toks) for toks in tokens], dtype=np.int64)
-    n = int(doc_start[-1])
-    flat_tokens = np.fromiter(chain.from_iterable(tokens), dtype=np.int64, count=n)
-    flat_z = np.fromiter(chain.from_iterable(z), dtype=np.int64, count=n)
-    # the compiled sweeps index the tables with these values unchecked
-    for values, bound, name in ((flat_tokens, vocab_size, "word ids"), (flat_z, k, "topics")):
-        if n and (values.min() < 0 or values.max() >= bound):
-            raise DataError(f"{name} must lie in [0, {bound})")
-    return SideState(
-        flat_tokens, flat_z, doc_start, *_tally(flat_tokens, flat_z, doc_start, k, vocab_size)
-    )
+def _check_ids(values: np.ndarray, bound: int, name: str) -> None:
+    # the compiled kernels index the count tables with these values unchecked
+    if len(values) and (values.min() < 0 or values.max() >= bound):
+        raise DataError(f"{name} must lie in [0, {bound})")
+
+
+def tally_side(tokens, z, doc_start, k: int, vocab_size: int) -> SideState:
+    """Build a SideState from flat int64 word ids and topics, document d
+    at positions `doc_start[d]:doc_start[d + 1]`. The state holds the
+    arrays given, not copies, and its tables are the exact tallies of `z`."""
+    tokens, z, doc_start = (np.asarray(a, dtype=np.int64) for a in (tokens, z, doc_start))
+    if not len(z) == len(tokens) == doc_start[-1]:
+        raise DataError("assignments and document offsets must cover every token")
+    _check_ids(tokens, vocab_size, "word ids")
+    _check_ids(z, k, "topics")
+    return SideState(tokens, z, doc_start, *_tally(tokens, z, doc_start, k, vocab_size))
 
 
 def _check_counts(*arrays) -> None:
@@ -227,26 +225,25 @@ def _init_side(
     """Draw each document's topics, then its words' tree leaves (one
     `rng.integers(0, counts)` call over the words in several concepts, in
     token order; none in a tree without such words) and count the paths in
-    the tree. Returns the tallied state and the flat tree paths (-1 for a
-    word's own root leaf)."""
-    tokens = [d.tokens for d in corpus.documents]
-    starts = tree.member_start[side]
-    z, paths = [], [np.empty(0, dtype=np.int64)]
-    for toks in tokens:
-        z.append(rng.integers(0, k, size=len(toks)))
-        words = np.array(toks, dtype=np.int64)
+    the tree. Returns the tallied state, which holds the corpus's token
+    table, and the flat tree paths (-1 for a word's own root leaf)."""
+    tokens, doc_start = corpus.tokens, corpus.doc_start
+    _check_ids(tokens, corpus.vocabulary.size, "word ids")  # they index the tree below
+    starts, members = tree.member_start[side], tree.member_concepts[side]
+    z = np.empty(len(tokens), dtype=np.int64)
+    paths = np.full(len(tokens), -1, dtype=np.int64)
+    for a, b in zip(doc_start[:-1].tolist(), doc_start[1:].tolist()):
+        z[a:b] = rng.integers(0, k, size=b - a)
+        words = tokens[a:b]
         first = starts[words]
         counts = starts[words + 1] - first
         several = counts > 1
         if several.any():
             first[several] += rng.integers(0, counts[several])
-        path = np.full(len(words), -1, dtype=np.int64)
-        path[counts > 0] = tree.member_concepts[side][first[counts > 0]]
-        paths.append(path)
-    state = tally_side(tokens, z, k, corpus.vocabulary.size)
-    flat_paths = np.concatenate(paths)
-    tree.add_paths(side, state.z, flat_paths)
-    return state, flat_paths
+        paths[a:b][counts > 0] = members[first[counts > 0]]
+    state = tally_side(tokens, z, doc_start, k, corpus.vocabulary.size)
+    tree.add_paths(side, state.z, paths)
+    return state, paths
 
 
 def _tree_sweep(
@@ -535,7 +532,6 @@ def infer_heldout(
     n_iter = hp.infer_iterations if iterations is None else iterations
     alpha = hp.alpha
     n_topics = hp.k
-    docs = heldout.documents
     vocab_size = heldout.vocabulary.size
     # the kernel indexes phi with the word ids and topics unchecked
     if model.phi[side].shape != (n_topics, vocab_size):
@@ -543,30 +539,26 @@ def infer_heldout(
             f"phi of shape {model.phi[side].shape} does not match k = {n_topics} "
             f"and {vocab_size} words"
         )
-    if any(
-        len(doc.tokens) and not 0 <= min(doc.tokens) <= max(doc.tokens) < vocab_size
-        for doc in docs
-    ):
-        raise DataError(f"word ids must lie in [0, {vocab_size})")
+    tokens, doc_start = heldout.tokens, heldout.doc_start
+    _check_ids(tokens, vocab_size, "word ids")
     lib = _native.load()
     phi_t = np.ascontiguousarray(model.phi[side].T)  # V rows of K floats
     cdf = np.empty(n_topics)
 
-    theta = np.full((len(docs), n_topics), 1.0 / n_topics)
-    streams = np.random.SeedSequence(seed).spawn(len(docs))
-    for d, doc in enumerate(docs):
-        n = len(doc.tokens)
+    theta = np.full((len(heldout), n_topics), 1.0 / n_topics)
+    streams = np.random.SeedSequence(seed).spawn(len(heldout))
+    for d, (a, b) in enumerate(zip(doc_start[:-1].tolist(), doc_start[1:].tolist())):
+        n = b - a
         if n == 0:
             continue
         rng = np.random.default_rng(streams[d])
-        tokens = np.array(doc.tokens, dtype=np.int64)
         z = rng.integers(0, n_topics, size=n)
         nd = np.bincount(z, minlength=n_topics)
         per_draw = max(1, _UNIFORM_BLOCK // n)
         for done in range(0, n_iter, per_draw):
             block = min(per_draw, n_iter - done)
             if lib.infer_doc(
-                n, n_topics, block, tokens, z, nd, phi_t, alpha, rng.random(block * n), cdf
+                n, n_topics, block, tokens[a:b], z, nd, phi_t, alpha, rng.random(block * n), cdf
             ):
                 raise _unscored(hp, "alpha")
         theta[d] = (nd + alpha) / (n + n_topics * alpha)

@@ -13,7 +13,6 @@ gemv per row).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,13 +158,9 @@ def _distinct_pairs(corpus: Corpus, concept_words: np.ndarray) -> tuple[np.ndarr
     """The distinct (document, word) pairs of `corpus` as two arrays,
     ordered by document, then word, and the number of word ids that the
     corpus and `concept_words` use."""
-    lengths = np.fromiter((len(d.tokens) for d in corpus.documents), np.int64, len(corpus))
-    words = np.fromiter(
-        chain.from_iterable(d.tokens for d in corpus.documents), np.int64, int(lengths.sum())
-    )
-    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), lengths)
-    n_words = 1 + int(max(words.max(initial=-1), concept_words.max(initial=-1)))
-    keys = _distinct(docs * n_words + words)
+    docs = np.repeat(np.arange(len(corpus), dtype=np.int64), np.diff(corpus.doc_start))
+    n_words = 1 + int(max(corpus.tokens.max(initial=-1), concept_words.max(initial=-1)))
+    keys = _distinct(docs * n_words + corpus.tokens)
     return keys // n_words, keys % n_words, n_words
 
 

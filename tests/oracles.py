@@ -114,9 +114,18 @@ def all_assignments(lengths, n_topics):
         yield docs
 
 
+def tally_docs(tokens_docs, z_docs, n_topics, vocab_size) -> SideState:
+    """`tally_side` over per-document lists of word ids and topics."""
+    doc_start = np.cumsum([0] + [len(toks) for toks in tokens_docs])
+    tokens, z = (
+        np.array([x for doc in docs for x in doc], dtype=np.int64) for docs in (tokens_docs, z_docs)
+    )
+    return tally_side(tokens, z, doc_start, n_topics, vocab_size)
+
+
 def side_state_without_token(tokens_docs, z_docs, n_topics, vocab_size, doc, pos):
     """Tally a SideState from all assignments except the given token."""
-    state = tally_side(tokens_docs, z_docs, n_topics, vocab_size)
+    state = tally_docs(tokens_docs, z_docs, n_topics, vocab_size)
     w = tokens_docs[doc][pos]
     t = z_docs[doc][pos]
     state.doc_topic[doc][t] -= 1
@@ -740,8 +749,8 @@ def classify_crosslingual_reference(
         y_train = np.array([1 if label in s else 0 for s in train_sets], dtype=np.int64)
         y_test = np.array([1 if label in s else 0 for s in test_sets], dtype=np.int64)
         if y_train.sum() == 0:
-            continue
-        if y_train.sum() == len(y_train):
+            pred = np.zeros(len(y_test), dtype=bool)
+        elif y_train.sum() == len(y_train):
             pred = np.ones(len(y_test), dtype=bool)
         else:
             w, b = fit_reference(train_theta, y_train)

@@ -746,10 +746,14 @@ SYNTH_SIZES = "--k, --vocab, --docs, --doc-len or --reference-pairs"
 
 
 @pytest.mark.parametrize("argv", [
-    # sizes numpy refuses before allocating: past np.intp, or past a C long
+    # sizes numpy refuses before allocating: past np.intp, or past a C long;
+    # and reference-pair counts whose entry tables numpy could not shape,
+    # refused before the first pair is drawn
     ["--vocab", "1" + "0" * 30],
     ["--docs", "1" + "0" * 19, "--k", "2", "--vocab", "2"],
     ["--doc-len", "1" + "0" * 20, "--k", "2", "--vocab", "2", "--docs", "2"],
+    *(["--reference-pairs", pairs, "--k", "2", "--vocab", "2", "--docs", "2"]
+      for pairs in ("1" + "0" * 20, str(np.iinfo(np.intp).max // 16 + 1))),
 ])
 def test_synth_size_the_machine_cannot_shape_exits_2(tmp_path, capsys, argv):
     out_dir = tmp_path / "synth"

@@ -1,9 +1,15 @@
-"""Corpus loading, vocabulary filtering, hard-link pairing, round trips."""
+"""Corpus loading, vocabulary filtering, hard-link pairing, round trips,
+and the token table every constructor builds."""
 
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitopic.corpus import (
     LoaderOptions,
@@ -16,6 +22,7 @@ from multitopic.corpus import (
     save_corpus,
 )
 from multitopic.errors import ConfigError, DataError
+from multitopic.evaluate import generate_synthetic
 
 
 def write_jsonl(path, records):
@@ -379,3 +386,55 @@ def test_minimal_serialized_corpus_loads(tmp_path):
     assert [(d.doc_id, d.tokens, d.labels, d.link_id) for d in corpus.documents] == [
         ("d0", [0], None, "p1")
     ]
+
+
+def assert_table_holds_the_documents(corpus):
+    tokens, doc_start = corpus.tokens, corpus.doc_start
+    assert tokens.dtype == doc_start.dtype == np.int64
+    assert len(doc_start) == len(corpus) + 1
+    assert doc_start[0] == 0 and doc_start[-1] == len(tokens) == corpus.token_total
+    for d, doc in enumerate(corpus.documents):
+        assert tokens[doc_start[d]:doc_start[d + 1]].tolist() == doc.tokens
+    assert not tokens.flags.writeable and not doc_start.flags.writeable
+
+
+WORDS = st.sampled_from([f"w{i}" for i in range(6)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(WORDS, max_size=6), min_size=1, max_size=6),
+    st.lists(st.lists(WORDS | st.just("unseen"), max_size=6), min_size=1, max_size=4),
+    st.frozensets(WORDS), st.integers(0, 3), st.booleans(), st.data(),
+)
+def test_every_constructor_builds_the_token_table_of_its_documents(
+    docs, heldout_docs, stopwords, top_frequent, keep_empty, data
+):
+    """load_corpus (stopwords, top_frequent, keep_empty, held-out encoding
+    that drops out-of-vocabulary tokens), corpus_from_json,
+    generate_synthetic and dataclasses.replace with a subset of documents."""
+    options = LoaderOptions(stopwords=stopwords, top_frequent=top_frequent, keep_empty=keep_empty)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = Path(tmp) / "train.jsonl", Path(tmp) / "heldout.jsonl"
+        for path, token_lists in zip(paths, (docs, heldout_docs)):
+            write_jsonl(path, [
+                {"id": f"d{i}", "lang": "l1", "tokens": tokens}
+                for i, tokens in enumerate(token_lists)
+            ])
+        try:
+            corpus = load_corpus(paths[0], "l1", options)
+        except DataError:  # filtering emptied every document
+            corpus = load_corpus(paths[0], "l1", dataclasses.replace(options, keep_empty=True))
+        heldout = load_corpus(
+            paths[1], "l1", LoaderOptions(top_frequent=0, keep_empty=True), corpus.vocabulary
+        )
+    subset = data.draw(st.lists(st.sampled_from(corpus.documents), max_size=len(corpus)))
+    sizes = (data.draw(st.integers(low, 8)) for low in (2, 1, 1))
+    synthetic = generate_synthetic(
+        2, *sizes, dict_coverage=0.5, topic_sharpness=8.0, seed=data.draw(st.integers(0, 2**16))
+    ).corpus
+    for built in (
+        corpus, heldout, corpus_from_json(corpus_to_json(corpus)),
+        dataclasses.replace(corpus, documents=subset), synthetic.side1, synthetic.side2,
+    ):
+        assert_table_holds_the_documents(built)

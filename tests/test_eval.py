@@ -336,6 +336,13 @@ class TestMicroF1:
         f1 = classify_crosslingual(theta, train_labels, theta, test_labels)
         assert f1 > 0.9
 
+    def test_label_absent_from_training_counts_its_test_positives_as_misses(self):
+        # "a" is fitted and predicted nowhere on the test side; every test
+        # document carries "b", which no training document does
+        theta = np.array([[0.9, 0.1], [0.1, 0.9]] * 5)
+        train_labels = [["a"]] + [[]] * 9
+        assert classify_crosslingual(theta, train_labels, theta, [["b"]] * 10) == 0.0
+
     def test_majority_baseline(self):
         train = [["a"], ["a"], ["b"]]
         test = [["a"], ["b"], ["b"]]

@@ -195,8 +195,7 @@ def successive_conditional_hard(rng) -> np.ndarray:
     sides, paths = [], []
     for s, z in enumerate(forward_hard_topics(rng)):
         words = draw_hard_words(z, rng)
-        split = np.split(np.arange(len(z)), HARD_DOCS)
-        sides.append(tally_side([words[i] for i in split], [z[i] for i in split], HARD_K, HARD_V))
+        sides.append(tally_side(words, z, np.arange(HARD_DOCS + 1) * HARD_N, HARD_K, HARD_V))
         paths.append(np.full(len(z), -1, dtype=np.int64))
         tree.add_paths(s, sides[-1].z, paths[-1])
     priors = [np.full((HARD_DOCS, HARD_K), HARD_ALPHA)] * 2

@@ -43,7 +43,7 @@ def random_side(rng, n_topics, vocab_size, n_docs, max_len=6):
         for _ in range(n_docs)
     ]
     z = [rng.integers(0, n_topics, size=len(t)).tolist() for t in tokens]
-    return tally_side(tokens, z, n_topics, vocab_size)
+    return oracles.tally_docs(tokens, z, n_topics, vocab_size)
 
 
 class TestLdaConditional:
@@ -278,13 +278,18 @@ def empty_matrices(corpus):
     ([[0, 3]], [[0, 1]], "word ids"),
     ([[0, -1]], [[0, 1]], "word ids"),
     ([[0, 1]], [[0, 2]], "topics"),
-    ([[0, 1]], [[0]], "do not match its length"),
-    ([[0], [1]], [[0]], "every document"),
+    ([[0, 1]], [[0]], "cover every token"),
+    ([[0], [1]], [[0]], "cover every token"),
 ])
 def test_tally_side_rejects_assignments_outside_the_tables(tokens, z, message):
     # the compiled sweeps would index the count tables with these values
     with pytest.raises(DataError, match=message):
-        tally_side(tokens, z, 2, 3)
+        oracles.tally_docs(tokens, z, 2, 3)
+
+
+def test_tally_side_rejects_offsets_that_stop_before_the_last_token():
+    with pytest.raises(DataError, match="cover every token"):
+        tally_side([0, 1], [0, 1], [0, 1], 2, 3)
 
 
 class TestTrain:
@@ -582,6 +587,19 @@ class TestTrain:
             models._native, "load", lambda: pytest.fail("loaded before the check")
         )
         with pytest.raises(DataError, match=f"^{message}$"):
+            train(model_kind, corpus, Hyperparams(k=2, train_iterations=1), dictionary=dictionary)
+
+    @pytest.mark.parametrize("model_kind", ["voclink", "lda"])
+    @pytest.mark.parametrize("word", [12, -1])
+    def test_word_id_outside_the_vocabulary_is_a_data_error(self, model_kind, word):
+        # a library caller can build the documents directly; the tree's
+        # tables and the sweep would be indexed with the id
+        corpus = build_bilingual(np.random.default_rng(26))
+        side1 = corpus.side1
+        documents = side1.documents[:2] + [Document("bad", "l1", [0, word, 1])]
+        corpus.side1 = Corpus("l1", side1.vocabulary, documents)
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0), (1, 1)])
+        with pytest.raises(DataError, match=r"^word ids must lie in \[0, 12\)$"):
             train(model_kind, corpus, Hyperparams(k=2, train_iterations=1), dictionary=dictionary)
 
     def test_transfer_row_with_a_negative_index_is_a_config_error(self, monkeypatch):

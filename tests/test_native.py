@@ -209,6 +209,19 @@ def test_every_kernel_in_the_source_is_declared_and_no_other():
         assert getattr(kernel, "argtypes", None) and kernel.restype is ctypes.c_int64, name
 
 
+def test_kernels_compile_cleanly_under_every_common_warning(tmp_path):
+    # the loader's flags plus -Wall -Wextra, each warning an error
+    compiler = _native.find_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler (cc or gcc) on PATH")
+    result = subprocess.run(
+        [compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "sweeps.so"), str(_native.SOURCE)],
+        capture_output=True, text=True, timeout=_native.BUILD_TIMEOUT_S,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_relative_cache_home_is_ignored(monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
     assert _native.cache_dir() == Path.home() / ".cache" / "multitopic"

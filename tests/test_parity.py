@@ -481,6 +481,7 @@ def test_path_initialisation_matches_the_per_token_loop(case):
         memberships = memberships_reference(dictionary, s, sizes[s])
         assert concepts_of_word(tree, s) == memberships
         state, paths = models._init_side(corpus, k, rng, tree, s)
+        assert state.tokens is corpus.tokens and state.doc_start is corpus.doc_start
         want_z, want_paths = init_side_reference(docs[s], k, want_rng, memberships)
         assert per_doc(state.z, state.doc_start) == want_z
         assert paths.tolist() == want_paths
