@@ -38,11 +38,11 @@ static int64_t pick(const double *cdf, int64_t n, double x)
  * links sweep a tree without concepts, where every word is a root leaf:
  * there root_prior is V * beta and utotal holds the topic totals, so a
  * root leaf scores what LDA scores.
- * Document d's topic prior is the float row priors[d] (alpha, or alpha
- * plus transfer pseudo-counts); under hard links, in either formulation,
- * the caller has added the partner's counts to ndk, as a linked pair
- * sharing one theta (joint) samples exactly as a document whose prior
- * carries its partner's counts (conditional).
+ * Document d's topic prior is the float row priors[d]: alpha plus the
+ * row's transfer pseudo-counts, for every kind. Under hard links they are
+ * the partner's counts, in either formulation, as a linked pair sharing
+ * one theta (joint) samples exactly as a document whose prior carries its
+ * partner's counts (conditional); ndk holds this side's counts only.
  * ncp and ctotal pool both languages, nleaf and utotal are this side's.
  * With root = (double)(ctotal + utotal) + root_prior, kept per topic in
  * den and refreshed whenever a total changes, a concept leaf scores

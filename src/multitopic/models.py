@@ -16,7 +16,8 @@ assignments; training starts from it, and `debug_checks=True` re-tallies
 both sides after every iteration and compares. One reference
 conditional, `token_conditional`, covers every kind: knowledge from the
 other language is a pseudo-count in the document's topic prior, and
-vocabulary links change only the word term.
+vocabulary links change only the word term. Training forms those
+pseudo-counts by one transfer table per side for every kind (`train`).
 
 Every model kind trains with one compiled kernel, the Dirichlet-tree
 sweep: vocabulary-link kinds over the dictionary's tree, the others over
@@ -171,9 +172,8 @@ def token_conditional(
 ) -> np.ndarray:
     """p(k) for token `pos` of document `doc`, the token already removed
     from every count: (n_dk + pseudo_k + alpha) times the word term,
-    normalised. `pseudo` is None under LDA, the linked partner's topic
-    counts under a hard link, the transfer mixture (`TransferMatrix.mix`)
-    under a soft link. The word term is (n_wk + beta) / (n_k + V beta), or
+    normalised. `pseudo` is the document's row of `TransferMatrix.mix`
+    (None under LDA). The word term is (n_wk + beta) / (n_k + V beta), or
     with `tree` side `side_index`'s path sum (vocabulary links). A negative
     count, or a `pseudo` that is not K finite non-negative numbers, is a
     `DataError`."""
@@ -275,25 +275,24 @@ def _unscored(hp: Hyperparams, *names) -> ConfigError:
     return ConfigError(f"a token's topic scores have no positive finite sum under {given}")
 
 
-def _sweep_sides(lib, sides, paths, priors, tree, links, hp, rng) -> None:
-    """One training iteration, side 1 then side 2. The hard links (none for
-    other kinds), one (side-1 doc, side-2 doc) row each, add the partners'
-    counts to a side's rows while it is swept; the partners hold still."""
+def _iteration(lib, sides, paths, tables, snapshot, tree, hp, rng) -> None:
+    """One training iteration, side 1 then side 2, each side's prior alpha
+    plus its table's mix of the other side's document-topic counts: with
+    `snapshot`, the counts as the iteration began; else the live ones."""
+    sources = [side.doc_topic.copy() if snapshot else side.doc_topic for side in sides]
     for s in (0, 1):
-        side = sides[s]
-        own, partner = links[:, s], links[:, 1 - s]
-        side.doc_topic[own] += sides[1 - s].doc_topic[partner]
-        _tree_sweep(lib, side, paths[s], priors[s], tree, s, hp, rng)
-        side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
+        priors = tables[s].mix(sources[1 - s]) + hp.alpha
+        _tree_sweep(lib, sides[s], paths[s], priors, tree, s, hp, rng)
 
 
-def _hard_links(corpus: BilingualCorpus) -> np.ndarray:
-    """The corpus's hard links as an n x 2 int64 array. A link to a missing
-    document, or a document in more than one link, is a `DataError`: the
-    sweeps index the count tables with them unchecked, and only one-to-one
-    links make the joint and conditional formulations the same sampler."""
-    links = np.array(corpus.hard_links, dtype=np.int64).reshape(-1, 2)
-    for s, side in enumerate((corpus.side1, corpus.side2)):
+def _hard_links(corpus: BilingualCorpus, links) -> list[TransferMatrix]:
+    """The tables to side 1 and to side 2 of `links`, (side-1 doc, side-2
+    doc) pairs, a linked row naming its partner with weight 1.0. A link to
+    a missing document, or a document in two links, is a `DataError`: only
+    one-to-one links make the joint and conditional formulations agree."""
+    links = np.array(links, dtype=np.int64).reshape(-1, 2)
+    sides, tables = (corpus.side1, corpus.side2), []
+    for s, side in enumerate(sides):
         docs, n = links[:, s], len(side.documents)
         bad = np.flatnonzero((docs < 0) | (docs >= n))
         if len(bad):
@@ -306,7 +305,12 @@ def _hard_links(corpus: BilingualCorpus) -> np.ndarray:
             raise DataError(
                 f"side {s + 1} document {values[counts > 1][0]} has more than one hard link"
             )
-    return links
+        order = np.argsort(docs)
+        tables.append(TransferMatrix(
+            side.language, sides[1 - s].language, np.searchsorted(docs[order], np.arange(n + 1)),
+            links[order, 1 - s], np.ones(len(links)),
+        ))
+    return tables
 
 
 def train(
@@ -326,18 +330,14 @@ def train(
     (all side-1 documents in corpus order, then all side-2 documents) and
     return posterior-mean phi/theta from the final sample.
 
-    Soft-link priors are recomputed once per sweep from topic counts
-    snapshotted at the sweep start. Annealing, when scheduled, fires at
-    iteration end; the scheduler keeps the annealed matrices, and the
-    caller's transfer matrices are left unchanged.
-
-    Hard links must be one-to-one and name documents of both sides. A
-    linked pair that shares one theta (the joint formulation) samples
-    exactly as a document whose prior carries its partner's topic counts
-    (the conditional one), so `hardlink_formulation` selects no code: it
-    is recorded in the provenance, and both formulations run the sweep
-    with each document's partner counts added to its own row while its
-    side is swept.
+    Every kind has one transfer table per side: a document's prior, and
+    theta, take alpha plus its row's mix of the other side's counts
+    (`TransferMatrix.mix`). Soft links mix the given matrices over the
+    counts as the iteration began (annealing, at iteration end, replaces
+    the scheduler's copies). Hard links mix one-to-one weight-1 rows over
+    the partner's live counts, as a pair sharing one theta would (joint),
+    so `hardlink_formulation` is only recorded; with no link, a warning.
+    LDA and vocabulary links have empty tables.
 
     Every kind runs the one Dirichlet-tree sweep. Kinds without
     vocabulary links run it over a tree without concepts, where every
@@ -352,17 +352,20 @@ def train(
     for s, side in enumerate((corpus.side1, corpus.side2), start=1):
         if not side.documents:
             raise DataError(f"side {s} ({side.language!r}) of the corpus has no documents")
-    links = _hard_links(corpus) if model_kind == "hardlink" else np.zeros((0, 2), np.int64)
-    if dictionary is not None:
-        dictionary.check_vocabularies((corpus.side1.vocabulary.size, corpus.side2.vocabulary.size))
     uses_soft = model_kind in SOFT_KINDS
     uses_tree = model_kind in TREE_KINDS
-
     if uses_soft:
         if transfer_to_side1 is None or transfer_to_side2 is None:
             raise ConfigError(f"{model_kind} requires transfer matrices in both directions")
-        transfer_to_side1.check(corpus.side1, corpus.side2)
-        transfer_to_side2.check(corpus.side2, corpus.side1)
+        tables = [transfer_to_side1, transfer_to_side2]
+    else:
+        tables = _hard_links(corpus, corpus.hard_links if model_kind == "hardlink" else [])
+        if model_kind == "hardlink" and not corpus.hard_links:
+            logger.warning("no document pair is hard-linked, so the hardlink model is per-language LDA")
+    tables[0].check(corpus.side1, corpus.side2)
+    tables[1].check(corpus.side2, corpus.side1)
+    if dictionary is not None:
+        dictionary.check_vocabularies((corpus.side1.vocabulary.size, corpus.side2.vocabulary.size))
     v1, v2 = corpus.side1.vocabulary, corpus.side2.vocabulary
     if uses_tree:
         if tree is None:
@@ -382,11 +385,7 @@ def train(
         raise ConfigError("annealing schedules only apply to soft-link models")
     # built before any sampling: it refuses an adaptive schedule without a
     # dictionary, or with too few concepts for LIS
-    scheduler = AnnealScheduler(
-        anneal,
-        [transfer_to_side1, transfer_to_side2] if uses_soft else [],
-        dictionary=dictionary, hp=hp, seed=hp.seed,
-    )
+    scheduler = AnnealScheduler(anneal, tables, dictionary=dictionary, hp=hp, seed=hp.seed)
 
     lib = _native.load()
     rng = np.random.default_rng(hp.seed)
@@ -394,12 +393,8 @@ def train(
         _init_side(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))
     ))
 
-    alpha = hp.alpha
-    priors = tuple(np.full((len(side.doc_topic), hp.k), alpha) for side in sides)
     for iteration in range(1, hp.train_iterations + 1):
-        if uses_soft:
-            priors = tuple(scheduler.matrices[s].mix(sides[1 - s].doc_topic) + alpha for s in (0, 1))
-        _sweep_sides(lib, sides, paths, priors, tree, links, hp, rng)
+        _iteration(lib, sides, paths, scheduler.matrices, uses_soft, tree, hp, rng)
         scheduler.after_iteration(iteration, lambda: tuple(side.word_topic for side in sides))
         if debug_checks:
             _run_debug_checks(sides, tree)
@@ -407,8 +402,7 @@ def train(
     scheduler.finish()
     # a concept-free tree's phi is the plain one, without _phi_tree's renormalisation
     return _assemble_model(
-        model_kind, corpus, hp, sides, tree if uses_tree else None, scheduler, links,
-        hardlink_formulation,
+        model_kind, corpus, hp, sides, tree if uses_tree else None, scheduler, hardlink_formulation
     )
 
 
@@ -446,10 +440,7 @@ def _phi_tree(state: SideState, tree: DirichletTree, side: int, hp: Hyperparams)
     return phi / phi.sum(axis=1, keepdims=True)
 
 
-def _assemble_model(
-    model_kind, corpus, hp, sides, tree, scheduler, links, hardlink_formulation
-) -> TopicModel:
-    uses_soft = model_kind in SOFT_KINDS
+def _assemble_model(model_kind, corpus, hp, sides, tree, scheduler, hardlink_formulation) -> TopicModel:
     alpha = hp.alpha
 
     phi = tuple(
@@ -462,9 +453,7 @@ def _assemble_model(
         side = sides[s]
         ndk = side.doc_topic.astype(np.float64)
         lengths = np.diff(side.doc_start).astype(np.float64)
-        pseudo = scheduler.matrices[s].mix(sides[1 - s].doc_topic) if uses_soft else np.zeros_like(ndk)
-        # hard links (none for other kinds): the linked partner's topic counts
-        pseudo[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]]
+        pseudo = scheduler.matrices[s].mix(sides[1 - s].doc_topic)
         numer = ndk + pseudo + alpha
         denom = lengths + pseudo.sum(axis=1) + hp.k * alpha
         thetas.append(numer / denom[:, None])

@@ -4,15 +4,16 @@ language's documents, derived from dictionary word overlap, with static
 
 A `TransferMatrix` is one CSR table (`start`, `idx`, `weights`) that only
 this module reads; callers take `rows`, (idx, weights) views of each row,
-and `mix`, the soft-link pseudo-counts. Build, focus and anneal are array
-passes, except the two per-row loops whose float order fixes the output
-bits: `_row_sums` (numpy's 1-D pairwise sum of each row) and `mix` (one
-gemv per row).
+and `mix`, the prior pseudo-counts of every model kind (hard links are
+weight-1 rows, LDA has empty tables). Build, focus, anneal and `mix` are
+array passes; `_row_sums` (numpy's 1-D pairwise sum of each row) is the
+one per-row loop, as its float order fixes the weights' bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from .settings import Key, Settings, setting
 NUMERATOR = Key("pairs", "enum", choices=("pairs", "covered_types"))  # the `numerator` setting
 FOCUS_SCOPES = ("doc_wise", "corpus_wise")
 SCHEDULES = ("none", "fixed", "adaptive")
+# the most source counts (1 MiB of doubles) one stacked `mix` product gathers
+_GATHER_DOUBLES = 1 << 17
 
 
 @dataclass
@@ -93,20 +96,36 @@ class TransferMatrix:
         maxima = _row_maxima(self.weights, self.start)
         return float(np.mean(maxima)) if len(maxima) else 0.0
 
+    @cached_property
+    def _length_groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per row length: the rows (ascending), their source documents
+        (rows x length) and weights (rows x 1 x length)."""
+        lengths = np.diff(self.start)
+        order = np.argsort(lengths, kind="stable")
+        groups = []
+        for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            if len(rows) and lengths[rows[0]]:
+                entries = self.start[rows, None] + np.arange(lengths[rows[0]])
+                groups.append((rows, self.idx[entries], self.weights[entries][:, None, :]))
+        return groups
+
     def mix(self, source_counts: np.ndarray) -> np.ndarray:
-        """Soft-link pseudo-counts (D x K): row d mixes the topic counts of
-        the source documents it names (zero if empty), by one `weights @
-        source[idx]` per row."""
-        source = source_counts.astype(np.float64)
-        pseudo = np.zeros((len(self), source.shape[1]), dtype=np.float64)
-        for d, (a, b) in enumerate(_bounds(self.start)):
-            if a < b:
-                pseudo[d] = self.weights[a:b] @ source[self.idx[a:b]]
+        """Pseudo-counts (D x K): row d mixes the topic counts of the source
+        documents it names (zero if empty), by stacked `np.matmul` calls over
+        rows of one length: each row's bits are its own gemv's."""
+        k = source_counts.shape[1]
+        pseudo = np.zeros((len(self), k), dtype=np.float64)
+        for rows, idx, weights in self._length_groups:
+            step = max(1, _GATHER_DOUBLES // max(idx.shape[1] * k, 1))
+            for a in range(0, len(rows), step):
+                source = source_counts[idx[a:a + step]].astype(np.float64)
+                pseudo[rows[a:a + step]] = np.matmul(weights[a:a + step], source)[:, 0]
         return pseudo
 
     def check(self, target: Corpus, source: Corpus) -> None:
         """Refuse (`ConfigError`) a table that does not run from `source`'s
-        documents to `target`'s: the sampler indexes with it unchecked."""
+        documents to `target`'s, or has a negative or non-finite weight:
+        the sampler indexes with it unchecked."""
         if (self.target_language, self.source_language) != (target.language, source.language):
             raise ConfigError(
                 f"transfer matrix direction ({self.target_language!r} <- "
@@ -119,6 +138,8 @@ class TransferMatrix:
             raise ConfigError("transfer matrix start must run from 0 up to the entry count")
         if len(idx) and (idx.min() < 0 or idx.max() >= len(source)):
             raise ConfigError("transfer matrix refers to a missing source document")
+        if not np.isfinite(self.weights).all() or (self.weights < 0).any():
+            raise ConfigError("transfer matrix weights must be finite and non-negative")
 
 
 def _bounds(start: np.ndarray):

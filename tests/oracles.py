@@ -15,7 +15,7 @@ import numpy as np
 
 from multitopic.corpus import Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.models import SideState, tally_side, token_conditional
+from multitopic.models import SideState, _tree_sweep, tally_side, token_conditional
 from multitopic.transfer import TransferMatrix
 from multitopic.tree import DirichletTree
 
@@ -462,13 +462,27 @@ def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, beta, u, cdf
     )
 
 
+def hardlink_iteration_reference(lib, sides, paths, links, tree, hp, rng):
+    """One hard-link training iteration as `train` ran it before hard links
+    became weight-1 transfer rows: side 1 then side 2, each swept with
+    alpha priors while its linked rows (`links`, (side-1 doc, side-2 doc)
+    pairs) hold their partners' counts added in, taken off after. The
+    score is then (nd + partner) + alpha."""
+    for s in (0, 1):
+        side = sides[s]
+        own, partner = links[:, s], links[:, 1 - s]
+        side.doc_topic[own] += sides[1 - s].doc_topic[partner]
+        _tree_sweep(lib, side, paths[s], np.full(side.doc_topic.shape, hp.alpha), tree, s, hp, rng)
+        side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
+
+
 def sweep_pooled_reference(
     tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng, trace=None
 ):
     """Joint-formulation hard links: each linked pair shares one pooled
     topic-count row (pools[d]); per-document rows are kept for bookkeeping.
-    Training runs no kernel of this form: it adds the partner's counts to
-    the document's own row and runs the one sweep over a tree without
+    Training runs no kernel of this form: it mixes the partner's counts
+    into the document's prior and runs the one sweep over a tree without
     concepts, which samples the same topics."""
     for d, toks in enumerate(tokens):
         if not toks:

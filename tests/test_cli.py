@@ -138,6 +138,23 @@ def test_train_all_kinds_through_cli(tmp_path, toy_data):
         assert load_model(out / "model.json").model_kind == kind
 
 
+def test_hardlink_without_a_linked_pair_warns_on_stderr(tmp_path, toy_data):
+    # the toy corpora carry no link ids
+    config = tmp_path / "hardlink.json"
+    config.write_text(json.dumps(base_config(toy_data, tmp_path / "out", model="hardlink")))
+    result = subprocess.run(
+        [sys.executable, "-m", "multitopic.cli", "train", "--config", str(config)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "WARNING:multitopic.models:no document pair is hard-linked, "
+        "so the hardlink model is per-language LDA"
+    ]
+    assert load_model(tmp_path / "out" / "model.json").model_kind == "hardlink"
+
+
 def test_anneal_log_written_for_fixed_schedule(tmp_path, toy_data):
     out = run_train(
         tmp_path, toy_data, "annealed",

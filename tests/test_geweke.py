@@ -15,7 +15,7 @@ import numpy as np
 from scipy import stats
 
 from multitopic import _native, models
-from multitopic.corpus import Vocabulary
+from multitopic.corpus import BilingualCorpus, Corpus, Document, Vocabulary
 from multitopic.dictionary import BilingualDictionary
 from multitopic.models import Hyperparams, tally_side
 from multitopic.transfer import TransferMatrix
@@ -137,7 +137,7 @@ def test_softlink_sweep_with_fixed_priors_keeps_the_joint_distribution():
         assert stats.chi2_contingency(table).pvalue > 0.01, (column, table)
 
 
-# Hard links through the iteration `train` runs (`models._sweep_sides`):
+# Hard links through the iteration `train` runs (`models._iteration`):
 # side-1 document 0 and side-2 document 1 share one theta; side-1
 # document 1 and side-2 document 0 are unlinked. K = 2, V = 3 per
 # language, HARD_N tokens per document.
@@ -184,10 +184,11 @@ def hard_statistics(nd1, nd2, nw1, nw2) -> tuple[int, ...]:
 def successive_conditional_hard(rng) -> np.ndarray:
     """The statistics after every HARD_THIN-th alternation of "draw every
     word given z" with one training iteration over a tree without
-    concepts, as hard links run it: each side's linked rows carry their
-    partners' counts while that side is swept. The sweep keeps its own
-    document counts and, in the tree, topic totals, which the word draws
-    leave valid; only the word-topic tables are tallied again."""
+    concepts, as hard links run it: each side's linked rows mix their
+    partners' live counts into their prior through the weight-1 tables of
+    `models._hard_links`. The sweep keeps its own document counts and, in
+    the tree, topic totals, which the word draws leave valid; only the
+    word-topic tables are tallied again."""
     lib = _native.load()
     hp = Hyperparams(k=HARD_K, alpha=HARD_ALPHA, beta=HARD_BETA)
     vocabularies = [Vocabulary(lang, [f"{lang}{i}" for i in range(HARD_V)]) for lang in ("l1", "l2")]
@@ -198,14 +199,18 @@ def successive_conditional_hard(rng) -> np.ndarray:
         sides.append(tally_side(words, z, np.arange(HARD_DOCS + 1) * HARD_N, HARD_K, HARD_V))
         paths.append(np.full(len(z), -1, dtype=np.int64))
         tree.add_paths(s, sides[-1].z, paths[-1])
-    priors = [np.full((HARD_DOCS, HARD_K), HARD_ALPHA)] * 2
+    corpus = BilingualCorpus(*(
+        Corpus(v.language, v, [Document(f"d{d}", v.language, [0] * HARD_N) for d in range(HARD_DOCS)])
+        for v in vocabularies
+    ))
+    tables = models._hard_links(corpus, HARD_LINKS)
     kept = []
     for _ in range(SAMPLES):
         for _ in range(HARD_THIN):
             for side in sides:
                 side.tokens[:] = draw_hard_words(side.z, rng)
                 side.word_topic[:] = tally(side.tokens, side.z, HARD_V, HARD_K)
-            models._sweep_sides(lib, sides, paths, priors, tree, HARD_LINKS, hp, rng)
+            models._iteration(lib, sides, paths, tables, False, tree, hp, rng)
         kept.append(hard_statistics(
             sides[0].doc_topic, sides[1].doc_topic, sides[0].word_topic, sides[1].word_topic
         ))

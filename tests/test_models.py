@@ -330,11 +330,61 @@ class TestTrain:
                     assert np.array_equal(m_cond.theta[s], m_joint.theta[s])
 
     @pytest.mark.parametrize("formulation", ["conditional", "joint"])
+    @pytest.mark.parametrize("alpha", [0.1, 1 / 3, 0.01])
+    def test_hardlink_training_draws_what_adding_the_partner_counts_draws(
+        self, monkeypatch, formulation, alpha
+    ):
+        # training scores a linked row nd + (partner + alpha), the reference
+        # (nd + partner) + alpha: at these alphas the two may differ in the
+        # last bit, but no draw of this run moves
+        corpus = build_bilingual(
+            np.random.default_rng(31), d1=12, d2=10, doc_len=20,
+            links={0: 1, 2: 0, 4: 3, 7: 9, 11: 5},
+        )
+        hp = Hyperparams(k=4, alpha=alpha, train_iterations=8, seed=5)
+        init, trained = models._init_side, []
+
+        def recording_init(*args):
+            state, paths = init(*args)
+            trained.append(state)
+            return state, paths
+
+        monkeypatch.setattr(models, "_init_side", recording_init)
+        train("hardlink", corpus, hp, hardlink_formulation=formulation)
+
+        v1, v2 = corpus.side1.vocabulary, corpus.side2.vocabulary
+        tree = build_tree(BilingualDictionary("l1", "l2", []), v1, v2, hp.k)
+        rng = np.random.default_rng(hp.seed)
+        sides, paths = zip(*(init(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))))
+        lib, links = models._native.load(), np.array(corpus.hard_links)
+        for _ in range(hp.train_iterations):
+            oracles.hardlink_iteration_reference(lib, sides, paths, links, tree, hp, rng)
+        for got, want in zip(trained, sides):
+            for table in ("z", "doc_topic", "word_topic"):
+                assert np.array_equal(getattr(got, table), getattr(want, table)), table
+
+    def test_hardlink_without_a_linked_pair_warns_that_it_is_lda(self, caplog):
+        corpus = build_bilingual(np.random.default_rng(26))
+        hp = Hyperparams(k=3, train_iterations=2, seed=2)
+        with caplog.at_level("WARNING", logger="multitopic"):
+            train("lda", corpus, hp)
+            train("hardlink", build_bilingual(np.random.default_rng(26), links={0: 1}), hp)
+            assert not caplog.records
+            train("hardlink", corpus, hp)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [(
+            "WARNING", "no document pair is hard-linked, so the hardlink model is per-language LDA"
+        )]
+
+    @pytest.mark.parametrize("formulation", ["conditional", "joint"])
     def test_linked_rows_carry_the_partner_counts_while_their_side_is_swept(
         self, monkeypatch, formulation
     ):
+        # each sweep's priors hold the partner's live counts plus alpha on
+        # the linked rows and alpha elsewhere; the side's own rows hold its
+        # own counts only
         corpus = build_bilingual(np.random.default_rng(25), links={0: 1, 2: 0, 4: 3})
         links = np.array(corpus.hard_links)
+        hp = Hyperparams(k=3, train_iterations=3, seed=2)
         init, sweep = models._init_side, models._tree_sweep
         sides, swept = [], []
 
@@ -343,23 +393,19 @@ class TestTrain:
             sides.append(state)
             return state, paths
 
-        def checking_sweep(lib, side, *args):
+        def checking_sweep(lib, side, paths, priors, *args):
             s = sides.index(side)
             swept.append(s)
-            own, partner = (
-                models._tally(x.tokens, x.z, x.doc_start, x.n_topics, x.vocab_size)[0]
-                for x in (side, sides[1 - s])
-            )
-            own[links[:, s]] += partner[links[:, 1 - s]]
+            own = models._tally(side.tokens, side.z, side.doc_start, side.n_topics, side.vocab_size)[0]
             assert np.array_equal(side.doc_topic, own)
-            sweep(lib, side, *args)
+            expected = np.full(side.doc_topic.shape, hp.alpha)
+            expected[links[:, s]] = sides[1 - s].doc_topic[links[:, 1 - s]] + hp.alpha
+            assert np.array_equal(priors, expected)
+            sweep(lib, side, paths, priors, *args)
 
         monkeypatch.setattr(models, "_init_side", recording_init)
         monkeypatch.setattr(models, "_tree_sweep", checking_sweep)
-        train(
-            "hardlink", corpus, Hyperparams(k=3, train_iterations=3, seed=2),
-            hardlink_formulation=formulation, debug_checks=True,
-        )
+        train("hardlink", corpus, hp, hardlink_formulation=formulation, debug_checks=True)
         assert swept == [0, 1] * 3
 
     def test_annealing_leaves_the_callers_transfer_matrices_unchanged(self):
@@ -611,6 +657,12 @@ class TestTrain:
         ("start", 0, 1, "start must run from 0 up to the entry count"),
         ("start", 2, 0, "start must run from 0 up to the entry count"),
         ("start", -1, 5, "start must run from 0 up to the entry count"),
+        # a negative weight would train; -5, NaN or inf would fail mid-sweep
+        # with an error that blames alpha and beta
+        ("weights", slice(None), -0.01, "weights must be finite and non-negative"),
+        ("weights", 1, -5.0, "weights must be finite and non-negative"),
+        ("weights", 2, np.nan, "weights must be finite and non-negative"),
+        ("weights", 0, np.inf, "weights must be finite and non-negative"),
     ])
     def test_transfer_table_outside_its_corpora_is_a_config_error(
         self, monkeypatch, field, position, value, message

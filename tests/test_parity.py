@@ -778,13 +778,24 @@ def test_anneal_matches_the_per_row_loop(case, temperature):
     assert (annealed is matrix) == (temperature == 1.0)
 
 
+EMPTY_ROW = (np.empty(0, np.int64), np.empty(0))
+
+
 @SETTINGS
-@given(case=transfer_tables(), k=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_mix_and_row_statistics_match_the_per_row_loops(case, k, seed):
+@example(case=(3, [EMPTY_ROW] * 3), k=3, cap=1, seed=0)
+@example(case=(5, [(np.array([j]), np.array([0.5])) for j in (0, 4, 2, 2)] + [EMPTY_ROW]), k=4, cap=8, seed=1)
+@given(
+    case=transfer_tables(), k=st.integers(1, 30),
+    cap=st.sampled_from([1, 5, 64, transfer._GATHER_DOUBLES]), seed=st.integers(0, 2**32 - 1),
+)
+def test_mix_and_row_statistics_match_the_per_row_loops(case, k, cap, seed):
+    # `mix` stacks the rows of one length; a gather cap below a group's
+    # counts cuts it into several products, down to one row each
     n_source, rows = case
     matrix = matrix_from_rows("l1", "l2", rows)
     source = np.random.default_rng(seed).integers(0, 50, size=(n_source, k))
-    assert same_bits(matrix.mix(source), pseudo_counts_reference(rows, source))
+    with mock.patch.object(transfer, "_GATHER_DOUBLES", cap):
+        assert same_bits(matrix.mix(source), pseudo_counts_reference(rows, source))
     assert matrix.nonempty_rows() == nonempty_rows_reference(rows)
     assert same_bits(matrix.mean_row_max(), mean_row_max_reference(rows))
 

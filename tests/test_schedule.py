@@ -1,5 +1,6 @@
 """LIS scorer, logistic regression, annealing triggers and schedules."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -26,6 +27,11 @@ from multitopic.schedule import (
 from multitopic.transfer import AnnealConfig
 
 from oracles import concept_topic_distribution, matrix_from_rows
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from workloads import FOCUS, WORKLOADS, make_inputs  # noqa: E402
 
 
 class TestConceptTopicDistribution:
@@ -151,22 +157,36 @@ class TestComputeLis:
         with pytest.raises(DataError, match="^concept 11 names word 12, outside the 12-word"):
             compute_lis(tables, dictionary, beta=0.01)
 
-    def test_leaves_numpy_ma_unimported(self):
+    def test_leaves_numpy_ma_unimported(self, tmp_path):
         # a plain `np.unique` imports numpy.ma on first use, about 13 ms in
-        # every child process that scores LIS
+        # every child process: none of the commands the benchmark runs
+        # (`train` of every kind, adaptive LIS included, and `eval`) may
+        # pay it. The inputs are a small copy of the benchmark's.
+        workload = dataclasses.replace(
+            WORKLOADS["kinds_k50"], k=4, vocab=120, train_docs=30, heldout_docs=10, doc_len=20,
+            train_iterations=2, infer_iterations=2,
+            models=(*WORKLOADS["kinds_k50"].models, {
+                "model": "softlink", "focus": FOCUS,
+                "anneal": {"schedule": "adaptive", "interval": 1, "lis_every": 1},
+            }),
+        )
+        inputs = make_inputs(workload, 0, tmp_path)
+        commands = [["train", "--config", str(config)] for config in inputs.configs]
+        commands.append([
+            "eval", "--model", str(inputs.outputs[-1] / "model.json"),
+            "--which", "cnpmi,classify,lis", "--reference", str(inputs.reference),
+            "--test-corpus1", str(inputs.test1), "--test-corpus2", str(inputs.test2),
+            "--dictionary", str(inputs.dictionary), "--output", str(tmp_path / "report.json"),
+        ])
         probe = (
             "import sys\n"
-            "import numpy as np\n"
-            "from multitopic.dictionary import BilingualDictionary\n"
-            "from multitopic.schedule import compute_lis\n"
-            "counts = np.random.default_rng(3).integers(0, 30, size=(40, 4))\n"
-            "dictionary = BilingualDictionary('l1', 'l2', [(i, i) for i in range(40)])\n"
-            "compute_lis((counts, counts[::-1]), dictionary, beta=0.01)\n"
+            "from multitopic import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
-        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=120)
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=300)
 
     def test_too_few_concepts_rejected(self):
         with pytest.raises(ConfigError, match="concepts"):
