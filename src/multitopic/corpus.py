@@ -12,6 +12,7 @@ file is read by `read_json` or `read_jsonl` and written by `write_json`,
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import re
@@ -317,9 +318,7 @@ def _parse_records(path: str | Path, language: str) -> list[dict]:
             raise DataError(
                 f"{where}: language {rec['lang']!r} does not match expected {language!r}"
             )
-        if not isinstance(rec["tokens"], list) or not all(
-            isinstance(t, str) for t in rec["tokens"]
-        ):
+        if not isinstance(rec["tokens"], list) or not {str}.issuperset(map(type, rec["tokens"])):
             raise DataError(f"{where}: 'tokens' must be a list of strings")
         _doc_id(rec, seen_ids, where)
         rec["labels"] = _labels(rec.get("labels"), where)
@@ -338,7 +337,8 @@ def load_corpus(
 
     Without `vocabulary`, the vocabulary is built from this file: stopwords
     are removed first, then the `options.top_frequent` most frequent
-    remaining word types; ids are assigned in first-occurrence order.
+    remaining word types (ties broken by word string); ids follow first
+    occurrence among the kept types.
     With `vocabulary` (held-out encoding), no frequency filtering happens
     and out-of-vocabulary tokens are silently dropped.
     """
@@ -348,23 +348,11 @@ def load_corpus(
         raise DataError(f"{path}: empty corpus")
 
     if vocabulary is None:
-        counts: Counter[str] = Counter()
-        for rec in records:
-            counts.update(t for t in rec["tokens"] if t not in opts.stopwords)
-        if opts.top_frequent > 0:
-            ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-            removed = {w for w, _ in ranked[: opts.top_frequent]}
-        else:
-            removed = set()
-        keep = lambda t: t not in opts.stopwords and t not in removed
-        vocab_words: list[str] = []
-        seen: set[str] = set()
-        for rec in records:
-            for tok in rec["tokens"]:
-                if keep(tok) and tok not in seen:
-                    seen.add(tok)
-                    vocab_words.append(tok)
-        vocabulary = Vocabulary(language, vocab_words)
+        # a Counter keeps its keys in first-occurrence order, the id order
+        counts = Counter(chain.from_iterable(rec["tokens"] for rec in records))
+        words = [w for w in counts if w not in opts.stopwords]
+        removed = set(heapq.nsmallest(opts.top_frequent, words, key=lambda w: (-counts[w], w)))
+        vocabulary = Vocabulary(language, [w for w in words if w not in removed])
     else:
         if vocabulary.language != language:
             raise ConfigError(

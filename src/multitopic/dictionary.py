@@ -85,8 +85,7 @@ def load_dictionary(
     An empty result is a warning, not an error: downstream models then
     degrade toward per-language LDA.
     """
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    pairs: dict[tuple[int, int], None] = {}  # insertion-ordered, so duplicates collapse
     dropped_oov = 0
     dropped_multiword = 0
     with open_text(path, "dictionary file") as fh:
@@ -104,11 +103,7 @@ def load_dictionary(
             if w1s not in v1.id_of_word or w2s not in v2.id_of_word:
                 dropped_oov += 1
                 continue
-            pair = (v1.id_of_word[w1s], v2.id_of_word[w2s])
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
+            pairs[v1.id_of_word[w1s], v2.id_of_word[w2s]] = None
     if dropped_oov or dropped_multiword:
         logger.info(
             "%s: dropped %d out-of-vocabulary and %d multi-word entries",
@@ -116,7 +111,7 @@ def load_dictionary(
         )
     if not pairs:
         logger.warning("%s: no usable translation pairs; models degrade toward LDA", path)
-    return BilingualDictionary(v1.language, v2.language, pairs)
+    return BilingualDictionary(v1.language, v2.language, list(pairs))
 
 
 def subsample(

@@ -336,8 +336,8 @@ def train(
     counts as the iteration began (annealing, at iteration end, replaces
     the scheduler's copies). Hard links mix one-to-one weight-1 rows over
     the partner's live counts, as a pair sharing one theta would (joint),
-    so `hardlink_formulation` is only recorded; with no link, a warning.
-    LDA and vocabulary links have empty tables.
+    so `hardlink_formulation` is only recorded. LDA and vocabulary links
+    have empty tables; a link kind with two empty tables warns.
 
     Every kind runs the one Dirichlet-tree sweep. Kinds without
     vocabulary links run it over a tree without concepts, where every
@@ -360,10 +360,12 @@ def train(
         tables = [transfer_to_side1, transfer_to_side2]
     else:
         tables = _hard_links(corpus, corpus.hard_links if model_kind == "hardlink" else [])
-        if model_kind == "hardlink" and not corpus.hard_links:
-            logger.warning("no document pair is hard-linked, so the hardlink model is per-language LDA")
     tables[0].check(corpus.side1, corpus.side2)
     tables[1].check(corpus.side2, corpus.side1)
+    if model_kind in ("hardlink", *SOFT_KINDS) and not any(len(table.idx) for table in tables):
+        reason = "no transfer table holds an entry" if uses_soft else "no document pair is hard-linked"
+        base = "voclink" if uses_tree else "per-language LDA"
+        logger.warning("%s, so the %s model is %s", reason, model_kind, base)
     if dictionary is not None:
         dictionary.check_vocabularies((corpus.side1.vocabulary.size, corpus.side2.vocabulary.size))
     v1, v2 = corpus.side1.vocabulary, corpus.side2.vocabulary
@@ -509,8 +511,12 @@ def infer_heldout(
     whole iterations at a time (one `random(b * n)` call gives the doubles
     of b `random(n)` calls), at most `_UNIFORM_BLOCK` doubles per draw.
     Results therefore do not depend on document order or on what else is
-    in the corpus. An empty document keeps the uniform row.
+    in the corpus. An empty document keeps the uniform row. `seed` and
+    `iterations` are checked as `seed` and `infer_iterations` are.
     """
+    seed = Hyperparams.checked("seed", seed)
+    if iterations is not None:
+        iterations = declared(Hyperparams)["infer_iterations"].check("iterations", iterations)
     side = model.side_of_language(heldout.language)
     if heldout.vocabulary != model.vocabularies[side]:
         raise DataError(

@@ -299,11 +299,21 @@ def anneal_matrix(matrix: TransferMatrix, temperature: float) -> TransferMatrix:
     (checked as `anneal.temperature` is) and renormalize. Support and
     per-row argmax are preserved; temperature 1.0 is the exact identity and
     returns `matrix` itself. Weights below ~1e-277 flush to zero under the
-    exponentiation (double-precision limit)."""
+    exponentiation (double-precision limit); a row whose every weight
+    flushes takes the limit of annealing, equal weight on its largest
+    entries and zero elsewhere."""
     temperature = AnnealConfig.checked("temperature", temperature)
     if temperature == 1.0:
         return matrix
-    return replace(matrix, weights=_normalised(matrix.weights ** (1.0 / temperature), matrix.start))
+    start, weights = matrix.start, matrix.weights
+    lengths, powered = np.diff(start), weights ** (1.0 / temperature)
+    sums = _row_sums(powered, start)
+    flushed = np.repeat(sums == 0.0, lengths)
+    if flushed.any():
+        largest = weights == np.repeat(_row_maxima(weights, start), lengths[lengths > 0])
+        powered = np.where(flushed, largest, powered)
+        sums = _row_sums(powered, start)
+    return replace(matrix, weights=powered / np.repeat(sums, lengths))
 
 
 def write_matrix_tsv(

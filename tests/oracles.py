@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import math
+from collections import Counter
 from math import exp, lgamma
 
 import numpy as np
@@ -1044,3 +1045,35 @@ def parse_reference_reference(text, v1, v2):
         if sides[0] and sides[1]:
             pairs.append(tuple(sides))
     return pairs or None
+
+
+def vocabulary_reference(token_docs, stopwords, top_frequent):
+    """The training vocabulary, words in id order, built in two passes:
+    count the tokens that are not stopwords, rank the whole count table
+    (count descending, then word) to drop the `top_frequent` first, then
+    walk every token again and give ids in first-occurrence order."""
+    counts = Counter()
+    for tokens in token_docs:
+        counts.update(t for t in tokens if t not in stopwords)
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    removed = {w for w, _ in ranked[:top_frequent]}
+    words, seen = [], set()
+    for tokens in token_docs:
+        for tok in tokens:
+            if tok not in stopwords and tok not in removed and tok not in seen:
+                seen.add(tok)
+                words.append(tok)
+    return words
+
+
+def dictionary_pairs_reference(entries, v1, v2):
+    """The (word1, word2) id pairs of the word-string `entries` that both
+    vocabularies hold, in file order, a repeated pair kept once (`seen`)."""
+    pairs, seen = [], set()
+    for w1, w2 in entries:
+        if w1 in v1.id_of_word and w2 in v2.id_of_word:
+            pair = (v1.id_of_word[w1], v2.id_of_word[w2])
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+    return pairs

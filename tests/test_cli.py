@@ -138,21 +138,53 @@ def test_train_all_kinds_through_cli(tmp_path, toy_data):
         assert load_model(out / "model.json").model_kind == kind
 
 
-def test_hardlink_without_a_linked_pair_warns_on_stderr(tmp_path, toy_data):
-    # the toy corpora carry no link ids
-    config = tmp_path / "hardlink.json"
-    config.write_text(json.dumps(base_config(toy_data, tmp_path / "out", model="hardlink")))
-    result = subprocess.run(
+def train_child(tmp_path, toy_data, **overrides):
+    """`train` on the toy data in a child process, as a user runs it."""
+    config = tmp_path / "child.json"
+    config.write_text(json.dumps(base_config(toy_data, tmp_path / "out", **overrides)))
+    return subprocess.run(
         [sys.executable, "-m", "multitopic.cli", "train", "--config", str(config)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"},
     )
+
+
+def test_hardlink_without_a_linked_pair_warns_on_stderr(tmp_path, toy_data):
+    # the toy corpora carry no link ids
+    result = train_child(tmp_path, toy_data, model="hardlink")
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines() == [
         "WARNING:multitopic.models:no document pair is hard-linked, "
         "so the hardlink model is per-language LDA"
     ]
     assert load_model(tmp_path / "out" / "model.json").model_kind == "hardlink"
+
+
+@pytest.mark.parametrize("model, base", [
+    ("softlink", "per-language LDA"), ("softlink_voclink", "voclink"),
+])
+def test_soft_links_focused_to_nothing_warn_on_stderr(tmp_path, toy_data, model, base):
+    result = train_child(tmp_path, toy_data, model=model, focus={"threshold": 0.6})
+    assert (result.returncode, result.stderr) == (0, "")
+    # no weight lies strictly above the row maximum, so focus 1.0 empties every row
+    result = train_child(tmp_path, toy_data, model=model, focus={"threshold": 1.0})
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        f"WARNING:multitopic.models:no transfer table holds an entry, so the {model} model is {base}"
+    ]
+
+
+@pytest.mark.parametrize("schedule", ["fixed", "adaptive"])
+def test_annealing_at_a_tiny_temperature_trains_quietly(tmp_path, toy_data, schedule):
+    # every toy transfer weight is below 0.45, so each flushes to zero
+    # under the power 1000 and its row takes the limit of annealing
+    result = train_child(
+        tmp_path, toy_data, model="softlink", train_iterations=8,
+        anneal={"schedule": schedule, "interval": 2, "temperature": 0.001},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    events = [json.loads(line) for line in (tmp_path / "out" / "anneal_log.jsonl").open()]
+    assert events and all(event["rows_annealed"] for event in events)
 
 
 def test_anneal_log_written_for_fixed_schedule(tmp_path, toy_data):

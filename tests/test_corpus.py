@@ -4,6 +4,7 @@ and the token table every constructor builds."""
 import dataclasses
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from multitopic.corpus import (
 )
 from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import generate_synthetic
+from oracles import vocabulary_reference
 
 
 def write_jsonl(path, records):
@@ -108,6 +110,41 @@ def test_desk_corpus_matches_independent_counting_script(tmp_path):
     assert set(corpus.vocabulary.word_of_id) == expected_vocab
     assert [len(d.tokens) for d in corpus.documents] == expected_lengths
     assert corpus.token_total == sum(expected_lengths)
+
+
+LETTERS = "abcde"  # few types, so counts tie often
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.lists(st.sampled_from(LETTERS), max_size=8), min_size=1, max_size=8),
+    st.frozensets(st.sampled_from(LETTERS)), st.integers(0, 2),
+    st.integers(0, len(LETTERS) + 2), st.booleans(),
+)
+def test_vocabulary_and_ids_match_the_two_pass_reference(
+    docs, stopwords, frequent_stops, top_frequent, keep_empty
+):
+    """Stopwords, some of them among the most frequent types, then a cut
+    from none to past the type count: the vocabulary in id order and
+    every kept document's ids match `vocabulary_reference`."""
+    counts = Counter(t for tokens in docs for t in tokens)
+    ranked = sorted(counts, key=lambda w: (-counts[w], w))
+    stopwords |= frozenset(ranked[:frequent_stops])
+    words = vocabulary_reference(docs, stopwords, top_frequent)
+    ids = {w: i for i, w in enumerate(words)}
+    expected = [[ids[t] for t in tokens if t in ids] for tokens in docs]
+    expected = [tokens for tokens in expected if tokens or keep_empty]
+    options = LoaderOptions(stopwords=stopwords, top_frequent=top_frequent, keep_empty=keep_empty)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.jsonl"
+        write_jsonl(path, [{"id": f"d{i}", "lang": "xx", "tokens": t} for i, t in enumerate(docs)])
+        if not expected:
+            with pytest.raises(DataError, match="no documents left after filtering"):
+                load_corpus(path, "xx", options)
+            return
+        corpus = load_corpus(path, "xx", options)
+    assert corpus.vocabulary.word_of_id == words
+    assert [doc.tokens for doc in corpus.documents] == expected
 
 
 def test_malformed_line_reports_line_number(tmp_path):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multitopic.corpus import Vocabulary
 from multitopic.dictionary import BilingualDictionary, grouped, load_dictionary, subsample
 from multitopic.errors import ConfigError, DataError
-from oracles import pair_set
+from oracles import dictionary_pairs_reference, pair_set
 
 
 def vocab(lang, words):
@@ -77,6 +79,18 @@ def test_duplicate_pairs_collapsed(tmp_path):
     write_tsv(path, [("cat", "gato"), ("cat", "gato")])
     d = load_dictionary(path, vocab("en", ["cat"]), vocab("es", ["gato"]))
     assert len(d) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from("abcx"), st.sampled_from("pqry")), max_size=20))
+def test_pairs_match_the_seen_set_reference(tmp_path_factory, entries):
+    """Repeated pairs and out-of-vocabulary words (x, y): the concepts, in
+    order, match `dictionary_pairs_reference`."""
+    path = tmp_path_factory.mktemp("dictionary") / "d.tsv"
+    write_tsv(path, entries)
+    v1, v2 = vocab("l1", "cba"), vocab("l2", "rqp")
+    d = load_dictionary(path, v1, v2)
+    assert d.words.tolist() == [list(pair) for pair in dictionary_pairs_reference(entries, v1, v2)]
 
 
 def test_indexes_are_exact_inverses():

@@ -375,6 +375,26 @@ class TestTrain:
             "WARNING", "no document pair is hard-linked, so the hardlink model is per-language LDA"
         )]
 
+    def test_soft_link_kind_with_two_empty_tables_warns_what_it_reduces_to(self, caplog):
+        corpus = build_bilingual(np.random.default_rng(27))
+        hp = Hyperparams(k=3, train_iterations=2, seed=2)
+        m1, m2 = empty_matrices(corpus)
+        one_entry = oracles.matrix_from_rows("l1", "l2", [
+            (np.array([0]), np.array([1.0])),
+            *((np.empty(0, dtype=np.int64), np.empty(0)) for _ in corpus.side1.documents[1:]),
+        ])
+        dictionary = BilingualDictionary("l1", "l2", [(0, 0)])
+        with caplog.at_level("WARNING", logger="multitopic"):
+            train("softlink", corpus, hp, transfer_to_side1=one_entry, transfer_to_side2=m2)
+            assert not caplog.records
+            train("softlink", corpus, hp, transfer_to_side1=m1, transfer_to_side2=m2)
+            train("softlink_voclink", corpus, hp, transfer_to_side1=m1, transfer_to_side2=m2,
+                  dictionary=dictionary)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "no transfer table holds an entry, so the softlink model is per-language LDA"),
+            ("WARNING", "no transfer table holds an entry, so the softlink_voclink model is voclink"),
+        ]
+
     @pytest.mark.parametrize("formulation", ["conditional", "joint"])
     def test_linked_rows_carry_the_partner_counts_while_their_side_is_swept(
         self, monkeypatch, formulation
@@ -777,6 +797,20 @@ class TestInferHeldout:
         message = r"^a token's topic scores have no positive finite sum under alpha 1e\+308$"
         with pytest.raises(ConfigError, match=message):
             infer_heldout(model, self.corpus_for(model, [[0, 0]]))
+
+    @pytest.mark.parametrize("arguments, message", [
+        ({"iterations": 0}, "^iterations must be at least 1, got 0$"),
+        ({"iterations": -3}, "^iterations must be at least 1, got -3$"),
+        ({"iterations": True}, "^iterations must be a number, got True$"),
+        ({"iterations": 2.5}, "^iterations must be an integer, got 2.5$"),
+        ({"seed": -1}, "^seed must be non-negative, got -1$"),
+        ({"seed": 1.5}, "^seed must be an integer, got 1.5$"),
+        ({"seed": "3"}, "^seed must be a number, got '3'$"),
+    ])
+    def test_arguments_the_cli_refuses_are_config_errors(self, arguments, message):
+        model = self.make_model([[0.7, 0.3], [0.2, 0.8]])
+        with pytest.raises(ConfigError, match=message):
+            infer_heldout(model, self.corpus_for(model, [[0, 1]]), **arguments)
 
     def test_same_seed_is_deterministic(self):
         model = self.make_model([[0.7, 0.3], [0.2, 0.8]])

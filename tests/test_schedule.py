@@ -186,7 +186,11 @@ class TestComputeLis:
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        subprocess.run([sys.executable, "-c", probe], env=env, check=True, timeout=300)
+        # a numpy floating-point warning fails the child, as it fails an in-process test
+        subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+            env=env, check=True, timeout=300,
+        )
 
     def test_too_few_concepts_rejected(self):
         with pytest.raises(ConfigError, match="concepts"):

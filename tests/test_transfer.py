@@ -246,6 +246,13 @@ class TestAnneal:
         assert len(out.rows[0][0]) == 0
         assert out.rows[1][1].tolist() == [1.0]
 
+    def test_row_whose_every_weight_flushes_takes_the_limit(self):
+        # each weight to the power 1000 is below the smallest double
+        matrix = make_matrix([[(0, 0.3), (1, 0.3), (2, 0.4)], [], [(0, 0.45), (1, 0.45), (2, 0.1)]])
+        out = anneal_matrix(matrix, 0.001)
+        assert [w.tolist() for _, w in out.rows] == [[0.0, 0.0, 1.0], [], [0.5, 0.5, 0.0]]
+        assert [idx.tolist() for idx, _ in out.rows] == [[0, 1, 2], [], [0, 1, 2]]
+
     def test_support_and_argmax_preserved(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
