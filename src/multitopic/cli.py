@@ -283,12 +283,11 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         )
 
-    anneal = _from_config(AnnealConfig, config)
     with _sized("k, with the corpora and dictionary,"):
         model = train(
             kind, bicorpus, hp, transfer_to_side1=transfer_to_side1,
             transfer_to_side2=transfer_to_side2, dictionary=dictionary,
-            anneal=anneal if anneal.schedule != "none" else None,
+            anneal=_from_config(AnnealConfig, config),
             hardlink_formulation=value["hardlink_formulation"],
         )
     _make_dir(output_dir, "paths.output_dir")

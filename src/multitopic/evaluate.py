@@ -244,21 +244,38 @@ def micro_f1(tp: int, fp: int, fn: int) -> float:
     return 2 * tp / denom
 
 
+def _micro_f1s(pred: np.ndarray, gold: np.ndarray) -> list[float]:
+    """Micro-F1 of each boolean prediction table in the stack `pred`
+    against the one boolean `gold` table, tp/fp/fn pooled over its cells."""
+    axes = tuple(range(1, pred.ndim))
+    tp = np.count_nonzero(pred & gold, axis=axes)
+    fp = np.count_nonzero(pred, axis=axes) - tp
+    fn = np.count_nonzero(gold) - tp
+    return list(map(micro_f1, tp.tolist(), fp.tolist(), fn.tolist()))
+
+
 def _tune_threshold(x: np.ndarray, y: np.ndarray, folds: int, seed: int) -> float:
-    """Pick the probability cutoff maximizing F1 on out-of-fold posteriors."""
+    """Pick the probability cutoff maximizing F1 on out-of-fold posteriors:
+    the first best of 0.05, 0.10, ..., 0.95."""
     posteriors = np.zeros(len(y))
     for fit in cross_val_fits(x, y, folds, seed):
         posteriors[fit.held_out] = fit.posteriors
-    best_threshold, best_f1 = 0.5, -1.0
-    for threshold in np.arange(0.05, 1.0, 0.05):
-        pred = posteriors >= threshold
-        tp = int((pred & (y == 1)).sum())
-        fp = int((pred & (y == 0)).sum())
-        fn = int((~pred & (y == 1)).sum())
-        score = micro_f1(tp, fp, fn)
-        if score > best_f1:
-            best_f1, best_threshold = score, float(threshold)
-    return best_threshold
+    cutoffs = np.arange(0.05, 1.0, 0.05)
+    scores = _micro_f1s(posteriors >= cutoffs[:, None], np.asarray(y) == 1)
+    return float(cutoffs[np.argmax(scores)])
+
+
+def _label_tables(train_labels: list, test_labels: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """The sorted labels of both sides, and each side's boolean L x D
+    table whose row l marks the documents that carry label l."""
+    sides = [[frozenset(ls or ()) for ls in labels] for labels in (train_labels, test_labels)]
+    universe = sorted(set().union(*sides[0], *sides[1]))
+    row = {label: i for i, label in enumerate(universe)}
+    tables = [np.zeros((len(universe), len(sets)), dtype=bool) for sets in sides]
+    for table, sets in zip(tables, sides):
+        docs = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        table[[row[label] for s in sets for label in s], docs] = True
+    return universe, *tables
 
 
 def classify_crosslingual(
@@ -273,66 +290,50 @@ def classify_crosslingual(
     """Train one-vs-rest logistic classifiers on one language's document
     topic mixtures and score micro-F1 on the other language's.
 
-    Labels are per-document collections (multi-label allowed); a label with
-    no positive training documents is never predicted, with a warning.
-    Prediction uses a 0.5 posterior cutoff unless `tune_thresholds` selects
-    per-label cutoffs by cross-validated F1. All labels share the training
-    rows, so they are fitted together by one `fit_binary_stack` call; each
-    label's classifier is bit-identical to fitting it on its own.
+    Labels are per-document collections (multi-label allowed), one label
+    table per side over both sides' labels. A label no training document
+    carries is never predicted, with a warning, so its test positives are
+    misses; one every training document carries is predicted everywhere.
+    The others are fitted by one `fit_binary_stack` call, each bit-identical
+    to a fit of its own, and score the test side in one stacked product: a
+    label is predicted where its posterior reaches 0.5, or under
+    `tune_thresholds` its own cutoff by cross-validated F1.
     """
     train_theta = np.asarray(train_theta, dtype=np.float64)
     test_theta = np.asarray(test_theta, dtype=np.float64)
-    train_sets = [frozenset(ls or ()) for ls in train_labels]
-    test_sets = [frozenset(ls or ()) for ls in test_labels]
-    if len(train_sets) != len(train_theta) or len(test_sets) != len(test_theta):
+    universe, y_train, y_test = _label_tables(train_labels, test_labels)
+    if y_train.shape[1] != len(train_theta) or y_test.shape[1] != len(test_theta):
         raise ConfigError("label lists must align with theta rows")
-    universe = sorted(set().union(*train_sets, *test_sets)) if train_sets else []
-    y_train = np.array(
-        [[label in s for s in train_sets] for label in universe], dtype=np.int64
-    ).reshape(len(universe), len(train_sets))
-    y_test = np.array(
-        [[label in s for s in test_sets] for label in universe], dtype=np.int64
-    ).reshape(len(universe), len(test_sets))
+    n_train = y_train.shape[1]
     positives = y_train.sum(axis=1)
+    for index in np.flatnonzero(positives == 0).tolist():
+        logger.warning("label %r has no positive training documents; never predicted", universe[index])
+    pred = np.zeros(y_test.shape, dtype=bool)
+    pred[(positives > 0) & (positives == n_train)] = True
     # every label with both classes in training is fitted in one stacked call
-    fitted = np.flatnonzero((positives > 0) & (positives < len(train_sets)))
-    weights, bias = fit_binary_stack(train_theta, y_train[fitted]) if len(fitted) else ((), ())
-    row_of_label = {int(label): row for row, label in enumerate(fitted)}
-    tp = fp = fn = 0
-    for index, label in enumerate(universe):
-        if positives[index] == 0:
-            logger.warning("label %r has no positive training documents; never predicted", label)
-            pred = np.zeros(len(test_sets), dtype=bool)
-        elif index not in row_of_label:
-            # degenerate all-positive label: predict positive everywhere
-            pred = np.ones(len(test_sets), dtype=bool)
-        else:
-            row = row_of_label[index]
-            threshold = 0.5
-            if tune_thresholds:
-                threshold = _tune_threshold(train_theta, y_train[index], folds, seed)
-            pred = sigmoid(test_theta @ weights[row] + bias[row]) >= threshold
-        tp += int((pred & (y_test[index] == 1)).sum())
-        fp += int((pred & (y_test[index] == 0)).sum())
-        fn += int((~pred & (y_test[index] == 1)).sum())
-    return micro_f1(tp, fp, fn)
+    fitted = np.flatnonzero((positives > 0) & (positives < n_train))
+    if len(fitted):
+        weights, bias = fit_binary_stack(train_theta, y_train[fitted])
+        cutoffs = np.full((len(fitted), 1), 0.5)
+        if tune_thresholds:
+            cutoffs[:, 0] = [_tune_threshold(train_theta, y_train[i], folds, seed) for i in fitted]
+        # the decision rule; the stacked matmul makes one gemv per label, the
+        # call `test_theta @ weights[i]` makes, so every score keeps its bits
+        scores = np.matmul(test_theta, weights[:, :, None])[:, :, 0] + bias[:, None]
+        pred[fitted] = sigmoid(scores) >= cutoffs
+    return _micro_f1s(pred[None], y_test)[0]
 
 
 def majority_baseline_f1(train_labels: list, test_labels: list) -> float:
-    """Micro-F1 of always predicting the most frequent training label."""
-    train_sets = [frozenset(ls or ()) for ls in train_labels]
-    test_sets = [frozenset(ls or ()) for ls in test_labels]
-    counts: dict[str, int] = {}
-    for s in train_sets:
-        for label in s:
-            counts[label] = counts.get(label, 0) + 1
-    if not counts:
+    """Micro-F1 of always predicting the most frequent training label (the
+    first in sorted order on a tie)."""
+    _, y_train, y_test = _label_tables(train_labels, test_labels)
+    counts = y_train.sum(axis=1)
+    if not counts.any():
         raise ConfigError("no training labels")
-    majority = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
-    tp = sum(1 for s in test_sets if majority in s)
-    fp = len(test_sets) - tp
-    fn = sum(len(s) for s in test_sets) - tp
-    return micro_f1(tp, fp, fn)
+    pred = np.zeros(y_test.shape, dtype=bool)
+    pred[np.argmax(counts)] = True
+    return _micro_f1s(pred[None], y_test)[0]
 
 
 @dataclass

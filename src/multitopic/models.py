@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _native
 from .corpus import BilingualCorpus, Corpus, Vocabulary, read_json, write_json
-from .dictionary import BilingualDictionary
+from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError, DataError
 from .settings import Key, Settings, declared, setting
 from .transfer import AnnealConfig, TransferMatrix
@@ -300,15 +300,12 @@ def _hard_links(corpus: BilingualCorpus, links) -> list[TransferMatrix]:
             raise DataError(
                 f"hard link ({i1}, {i2}) names a side {s + 1} document outside [0, {n})"
             )
-        values, counts = np.unique(docs, return_counts=True)
-        if (counts > 1).any():
-            raise DataError(
-                f"side {s + 1} document {values[counts > 1][0]} has more than one hard link"
-            )
-        order = np.argsort(docs)
+        starts, partners = grouped(docs, links[:, 1 - s], n)
+        shared = np.flatnonzero(np.diff(starts) > 1)
+        if len(shared):
+            raise DataError(f"side {s + 1} document {shared[0]} has more than one hard link")
         tables.append(TransferMatrix(
-            side.language, sides[1 - s].language, np.searchsorted(docs[order], np.arange(n + 1)),
-            links[order, 1 - s], np.ones(len(links)),
+            side.language, sides[1 - s].language, starts, partners, np.ones(len(links)),
         ))
     return tables
 

@@ -197,7 +197,8 @@ class AnnealScheduler:
         return self.history.values
 
     def describe(self) -> dict | None:
-        if self.cfg is None:
+        """The anneal settings for provenance; None when nothing anneals."""
+        if self.cfg is None or self.cfg.schedule == "none":
             return None
         return {key: value for key, value in asdict(self.cfg).items() if key != "lis_every"}
 

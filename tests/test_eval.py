@@ -343,6 +343,17 @@ class TestMicroF1:
         train_labels = [["a"]] + [[]] * 9
         assert classify_crosslingual(theta, train_labels, theta, [["b"]] * 10) == 0.0
 
+    def test_no_training_documents_count_every_test_positive_as_a_miss(self, caplog):
+        # the label universe comes from both sides, so with nothing to train
+        # on every test label is a false negative, as in the test above
+        test_theta = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
+        f1 = classify_crosslingual(np.zeros((0, 2)), [], test_theta, [["a"], ["b"], ["a"]])
+        assert f1 == 0.0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"label {label!r} has no positive training documents; never predicted"
+            for label in ("a", "b")
+        ]
+
     def test_majority_baseline(self):
         train = [["a"], ["a"], ["b"]]
         test = [["a"], ["b"], ["b"]]

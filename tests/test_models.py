@@ -452,6 +452,26 @@ class TestTrain:
             for (idx, w), (idx0, w0) in zip(t.rows, rows):
                 assert np.array_equal(idx, idx0) and np.array_equal(w, w0)
 
+    def test_no_annealing_has_one_provenance_however_it_is_spelled(self):
+        # `anneal=None` and an AnnealConfig whose schedule is "none" train
+        # the same model, so they must record the same `schedule`: null
+        rng = np.random.default_rng(18)
+        corpus = build_bilingual(rng)
+        dictionary = BilingualDictionary("l1", "l2", [(i, i) for i in range(8)])
+        from multitopic.transfer import AnnealConfig, build_transfer_matrix
+
+        tables = {
+            "transfer_to_side1": build_transfer_matrix(corpus.side1, corpus.side2, dictionary),
+            "transfer_to_side2": build_transfer_matrix(corpus.side2, corpus.side1, dictionary),
+        }
+        hp = Hyperparams(k=3, train_iterations=2, seed=4)
+        provenances = [
+            train("softlink", corpus, hp, **tables, anneal=anneal).provenance
+            for anneal in (None, AnnealConfig(), AnnealConfig(schedule="none", interval=3))
+        ]
+        assert provenances[0]["schedule"] is None
+        assert provenances[1] == provenances[0] and provenances[2] == provenances[0]
+
     def test_debug_checks_pass_for_every_kind(self):
         rng = np.random.default_rng(13)
         corpus = build_bilingual(rng, links={0: 0, 1: 2})

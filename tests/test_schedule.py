@@ -186,9 +186,11 @@ class TestComputeLis:
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
         )
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        # a numpy floating-point warning fails the child, as it fails an in-process test
+        # a numpy floating-point warning or a deprecation fails the child,
+        # as it fails an in-process test
+        flags = ["-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning"]
         subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", probe],
+            [sys.executable, *flags, "-c", probe],
             env=env, check=True, timeout=300,
         )
 
