@@ -1,6 +1,5 @@
 """Corpus ingestion: tokenized JSON-lines documents, vocabulary building
-with stopword and frequency filtering, hard-link resolution, and a
-versioned serialization format.
+with stopword and frequency filtering, and hard-link resolution.
 
 Input documents are assumed pre-tokenized and pre-stemmed; no text
 normalization happens here.
@@ -28,8 +27,6 @@ from .errors import ConfigError, DataError
 from .settings import Settings, setting
 
 logger = logging.getLogger(__name__)
-
-CORPUS_FORMAT_VERSION = 1
 
 
 class Vocabulary:
@@ -416,74 +413,6 @@ def pair_corpora(c1: Corpus, c2: Corpus) -> BilingualCorpus:
             )
     hard_links = sorted((links1[key], links2[key]) for key in matched)
     return BilingualCorpus(side1=c1, side2=c2, hard_links=hard_links)
-
-
-def corpus_to_json(corpus: Corpus) -> dict:
-    return {
-        "format_version": CORPUS_FORMAT_VERSION,
-        "language": corpus.language,
-        "vocabulary": corpus.vocabulary.word_of_id,
-        "documents": [
-            {
-                "id": d.doc_id,
-                "tokens": d.tokens,
-                "labels": sorted(d.labels) if d.labels else None,
-                "link": d.link_id,
-            }
-            for d in corpus.documents
-        ],
-    }
-
-
-def corpus_from_json(payload: dict) -> Corpus:
-    """Rebuild a corpus from its container, rejecting any malformed part
-    with `DataError`."""
-    if payload.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported corpus format_version {payload.get('format_version')!r}"
-        )
-    missing = [key for key in ("language", "vocabulary", "documents") if key not in payload]
-    if missing:
-        raise DataError(f"corpus is missing {', '.join(map(repr, missing))}")
-    language = payload["language"]
-    if not isinstance(language, str) or not language:
-        raise DataError("corpus 'language' must be a non-empty string")
-    words = payload["vocabulary"]
-    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-        raise DataError("corpus 'vocabulary' must be a list of strings")
-    vocab = Vocabulary(language, words)
-    if not isinstance(payload["documents"], list):
-        raise DataError("corpus 'documents' must be a list")
-    documents = []
-    seen_ids: set[str] = set()
-    for index, rec in enumerate(payload["documents"]):
-        where = f"document {index}"
-        if not isinstance(rec, dict):
-            raise DataError(f"{where}: not an object")
-        doc_id = _doc_id(rec, seen_ids, where)
-        tokens = rec.get("tokens")
-        if not isinstance(tokens, list) or not all(
-            type(t) is int and 0 <= t < vocab.size for t in tokens
-        ):
-            raise DataError(f"{where}: 'tokens' must be a list of word ids below {vocab.size}")
-        documents.append(
-            Document(
-                doc_id=doc_id,
-                language=language,
-                tokens=list(tokens),
-                labels=_labels(rec.get("labels"), where),
-                link_id=_link(rec.get("link"), where),
-            )
-        )
-    return Corpus(language=language, vocabulary=vocab, documents=documents)
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_json(corpus_to_json(corpus), path)
-
-
-def load_serialized_corpus(path: str | Path) -> Corpus:
-    return corpus_from_json(read_json(path, "corpus file"))
 
 
 def write_corpus_jsonl(corpus: Corpus, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -346,14 +346,7 @@ class EvalReport:
     metadata: dict = field(default_factory=lambda: {"classifier": CLASSIFIER_NOTE})
 
     def to_json(self) -> dict:
-        return {
-            "cnpmi_per_topic": self.cnpmi_per_topic,
-            "cnpmi_mean": self.cnpmi_mean,
-            "f1_side1_to_side2": self.f1_side1_to_side2,
-            "f1_side2_to_side1": self.f1_side2_to_side1,
-            "lis_final": self.lis_final,
-            "metadata": self.metadata,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         """The report as indented JSON with sorted keys. A NaN or infinity

@@ -52,6 +52,7 @@ from . import _native
 from .corpus import BilingualCorpus, Corpus, Vocabulary, read_json, write_json
 from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError, DataError
+from .schedule import AnnealScheduler
 from .settings import Key, Settings, declared, setting
 from .transfer import AnnealConfig, TransferMatrix
 from .tree import DirichletTree, build_tree
@@ -342,8 +343,6 @@ def train(
     prior of LDA; their phi is read from the side tables. A prior so large
     that a token's topic scores overflow raises `ConfigError` naming it.
     """
-    from .schedule import AnnealScheduler  # local import to avoid a cycle
-
     model_kind = MODEL.check("model", model_kind)
     hardlink_formulation = HARDLINK_FORMULATION.check("hardlink_formulation", hardlink_formulation)
     for s, side in enumerate((corpus.side1, corpus.side2), start=1):

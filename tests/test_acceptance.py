@@ -21,8 +21,6 @@ from multitopic.corpus import (
     LoaderOptions,
     Vocabulary,
     load_corpus,
-    load_serialized_corpus,
-    save_corpus,
     write_corpus_jsonl,
 )
 from multitopic.dictionary import BilingualDictionary, load_dictionary, subsample
@@ -486,17 +484,12 @@ def test_c10_determinism_and_round_trip(tmp_path):
     for side in (0, 1):
         np.testing.assert_allclose(model.phi[side].sum(axis=1), 1.0, atol=1e-9)
 
-    # corpus serialization: JSON-lines and versioned container round trips
+    # corpus serialization: JSON-lines round trip
     round_path = tmp_path / "round.jsonl"
     write_corpus_jsonl(corpus1, round_path)
     reloaded = load_corpus(round_path, "l1", LoaderOptions(top_frequent=0))
     assert reloaded.vocabulary == corpus1.vocabulary
     assert [d.tokens for d in reloaded.documents] == [d.tokens for d in corpus1.documents]
-    container = tmp_path / "container.json"
-    save_corpus(corpus1, container)
-    restored = load_serialized_corpus(container)
-    assert restored.vocabulary == corpus1.vocabulary
-    assert [d.tokens for d in restored.documents] == [d.tokens for d in corpus1.documents]
 
     # reference writer round trip
     ref_path = tmp_path / "ref_round.jsonl"

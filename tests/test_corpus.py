@@ -14,13 +14,10 @@ from hypothesis import strategies as st
 
 from multitopic.corpus import (
     LoaderOptions,
-    corpus_from_json,
-    corpus_to_json,
     load_corpus,
-    load_serialized_corpus,
     load_stopwords,
     pair_corpora,
-    save_corpus,
+    write_corpus_jsonl,
 )
 from multitopic.errors import ConfigError, DataError
 from multitopic.evaluate import generate_synthetic
@@ -265,26 +262,31 @@ def test_pairing_same_language_rejected(tmp_path):
         pair_corpora(c1, c2)
 
 
-def test_serialization_round_trip(tmp_path):
+def test_jsonl_round_trip_keeps_documents_labels_and_links(tmp_path):
     path = tmp_path / "c.jsonl"
     write_jsonl(
         path,
         [
             {"id": "d1", "lang": "en", "tokens": ["cat", "dog", "cat"],
-             "labels": ["pets"], "link": "p1"},
+             "labels": ["pets", "animals"], "link": "p1"},
             {"id": "d2", "lang": "en", "tokens": ["bird"]},
+            {"id": "d3", "lang": "en", "tokens": []},
         ],
     )
-    corpus = load_corpus(path, "en", LoaderOptions(top_frequent=0))
-    out = tmp_path / "ser.json"
-    save_corpus(corpus, out)
-    reloaded = load_serialized_corpus(out)
-    assert reloaded.vocabulary == corpus.vocabulary
+    options = LoaderOptions(top_frequent=0, keep_empty=True)
+    corpus = load_corpus(path, "en", options)
+    out = tmp_path / "out.jsonl"
+    write_corpus_jsonl(corpus, out)
+    reloaded = load_corpus(out, "en", options)
+    assert reloaded.vocabulary.word_of_id == corpus.vocabulary.word_of_id == ["cat", "dog", "bird"]
+    assert [d.doc_id for d in reloaded.documents] == ["d1", "d2", "d3"]
     assert [d.tokens for d in reloaded.documents] == [d.tokens for d in corpus.documents]
-    assert [d.labels for d in reloaded.documents] == [d.labels for d in corpus.documents]
-    assert [d.link_id for d in reloaded.documents] == [d.link_id for d in corpus.documents]
-    # serializing again is byte-stable
-    assert corpus_to_json(corpus_from_json(corpus_to_json(corpus))) == corpus_to_json(corpus)
+    assert [d.labels for d in reloaded.documents] == [frozenset({"pets", "animals"}), None, None]
+    assert [d.link_id for d in reloaded.documents] == ["p1", None, None]
+    # writing the reloaded corpus again is byte-stable
+    again = tmp_path / "again.jsonl"
+    write_corpus_jsonl(reloaded, again)
+    assert again.read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("labels", ["sports", {"a": 1}, [1, 2], ["ok", None], 7, ""])
@@ -345,86 +347,6 @@ def test_jsonl_link_absent_null_or_empty_mean_unlinked(tmp_path):
     assert [d.link_id for d in corpus.documents] == [None, None, None, "7"]
 
 
-@pytest.mark.parametrize("labels", ["sports", [1], {"x": "y"}])
-def test_serialized_labels_must_be_a_list_of_strings(tmp_path, labels):
-    path = tmp_path / "c.jsonl"
-    write_jsonl(path, [{"id": "d1", "lang": "en", "tokens": ["cat"], "labels": ["pets"]}])
-    payload = corpus_to_json(load_corpus(path, "en", LoaderOptions(top_frequent=0)))
-    payload["documents"][0]["labels"] = labels
-    with pytest.raises(DataError, match="document 0: 'labels' must be a list of strings"):
-        corpus_from_json(payload)
-
-
-def _serialized(**changes) -> str:
-    """A one-word, one-document serialized corpus with top-level keys or
-    document-0 keys (`doc_<key>`) replaced; a value of `...` drops the key."""
-    payload = {
-        "format_version": 1,
-        "language": "en",
-        "vocabulary": ["cat"],
-        "documents": [{"id": "d0", "tokens": [0], "labels": None, "link": None}],
-    }
-    for key, value in changes.items():
-        target = payload["documents"][0] if key.startswith("doc_") else payload
-        key = key.removeprefix("doc_")
-        if value is ...:
-            del target[key]
-        else:
-            target[key] = value
-    return json.dumps(payload)
-
-
-MALFORMED_SERIALIZED = {
-    "invalid JSON": "{not json",
-    "nested too deeply": "[" * 5000 + "]" * 5000,
-    "integer of 5000 digits": _serialized().replace("[0]", f"[{'7' * 5000}]"),
-    "lone surrogate escape": _serialized(vocabulary=["\ud800"]),
-    "not an object": "[]",
-    "no language": _serialized(language=...),
-    "language not a string": _serialized(language=7),
-    "no vocabulary": _serialized(vocabulary=...),
-    "vocabulary not a list": _serialized(vocabulary="cat"),
-    "vocabulary word not a string": _serialized(vocabulary=["cat", 1]),
-    "no documents": _serialized(documents=...),
-    "documents not a list": _serialized(documents={"id": "d0"}),
-    "document not an object": _serialized(documents=["d0"]),
-    "no id": _serialized(doc_id=...),
-    "empty id": _serialized(doc_id=""),
-    "id not a string": _serialized(doc_id=3),
-    "duplicate id": _serialized(documents=[{"id": "d0", "tokens": [0]}, {"id": "d0", "tokens": [0]}]),
-    "no tokens": _serialized(doc_tokens=...),
-    "tokens not a list": _serialized(doc_tokens="0"),
-    "token beyond the vocabulary": _serialized(doc_tokens=[5]),
-    "negative token": _serialized(doc_tokens=[-1]),
-    "token a string": _serialized(doc_tokens=["x"]),
-    "token a boolean": _serialized(doc_tokens=[True]),
-    "token a float": _serialized(doc_tokens=[0.0]),
-    "link not a string": _serialized(doc_link=["p1"]),
-}
-
-
-@pytest.mark.parametrize("text", MALFORMED_SERIALIZED.values(), ids=MALFORMED_SERIALIZED.keys())
-def test_malformed_serialized_corpus_is_a_data_error(tmp_path, text):
-    path = tmp_path / "corpus.json"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(DataError):
-        load_serialized_corpus(path)
-
-
-def test_serialized_corpus_file_that_cannot_be_read_is_a_data_error(tmp_path):
-    with pytest.raises(DataError, match="cannot read corpus file"):
-        load_serialized_corpus(tmp_path / "missing.json")
-
-
-def test_minimal_serialized_corpus_loads(tmp_path):
-    path = tmp_path / "corpus.json"
-    path.write_text(_serialized(doc_labels=..., doc_link="p1"), encoding="utf-8")
-    corpus = load_serialized_corpus(path)
-    assert [(d.doc_id, d.tokens, d.labels, d.link_id) for d in corpus.documents] == [
-        ("d0", [0], None, "p1")
-    ]
-
-
 def assert_table_holds_the_documents(corpus):
     tokens, doc_start = corpus.tokens, corpus.doc_start
     assert tokens.dtype == doc_start.dtype == np.int64
@@ -448,8 +370,8 @@ def test_every_constructor_builds_the_token_table_of_its_documents(
     docs, heldout_docs, stopwords, top_frequent, keep_empty, data
 ):
     """load_corpus (stopwords, top_frequent, keep_empty, held-out encoding
-    that drops out-of-vocabulary tokens), corpus_from_json,
-    generate_synthetic and dataclasses.replace with a subset of documents."""
+    that drops out-of-vocabulary tokens), generate_synthetic and
+    dataclasses.replace with a subset of documents."""
     options = LoaderOptions(stopwords=stopwords, top_frequent=top_frequent, keep_empty=keep_empty)
     with tempfile.TemporaryDirectory() as tmp:
         paths = Path(tmp) / "train.jsonl", Path(tmp) / "heldout.jsonl"
@@ -471,7 +393,7 @@ def test_every_constructor_builds_the_token_table_of_its_documents(
         2, *sizes, dict_coverage=0.5, topic_sharpness=8.0, seed=data.draw(st.integers(0, 2**16))
     ).corpus
     for built in (
-        corpus, heldout, corpus_from_json(corpus_to_json(corpus)),
-        dataclasses.replace(corpus, documents=subset), synthetic.side1, synthetic.side2,
+        corpus, heldout, dataclasses.replace(corpus, documents=subset),
+        synthetic.side1, synthetic.side2,
     ):
         assert_table_holds_the_documents(built)

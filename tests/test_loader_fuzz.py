@@ -1,5 +1,5 @@
-"""Loader fuzzing: a valid corpus JSON-lines file, serialized corpus,
-dictionary TSV or model file, mutated at the byte level, loads as a valid
+"""Loader fuzzing: a valid corpus JSON-lines file, dictionary TSV or
+model file, mutated at the byte level, loads as a valid
 object (every string in it encodes as UTF-8) or raises `DataError`, and
 nothing else. The mutations:
 - a byte flipped, or the file truncated;
@@ -26,9 +26,7 @@ from multitopic.corpus import (
     LoaderOptions,
     Vocabulary,
     load_corpus,
-    load_serialized_corpus,
     pair_corpora,
-    save_corpus,
 )
 from multitopic.dictionary import load_dictionary
 from multitopic.errors import DataError
@@ -70,12 +68,10 @@ def valid_files() -> dict[str, bytes]:
             path = tmp / f"{language}.jsonl"
             path.write_text(corpus_lines(language, prefix))
             sides.append(load_corpus(path, language, LoaderOptions(top_frequent=0)))
-        save_corpus(sides[0], tmp / "corpus.json")
         model = train("lda", pair_corpora(*sides), Hyperparams(k=2, train_iterations=2, seed=1))
         save_model(model, tmp / "model.json")
         return {
             "corpus": (tmp / "l1.jsonl").read_bytes(),
-            "serialized": (tmp / "corpus.json").read_bytes(),
             "dictionary": b"# l1\tl2\n" + b"".join(b"a%d\tb%d\n" % (i, i) for i in range(6)),
             "model": (tmp / "model.json").read_bytes(),
         }
@@ -160,7 +156,6 @@ def check_provenance(provenance) -> None:
 
 LOADERS = {
     "corpus": (lambda path: load_corpus(path, "l1", LoaderOptions(top_frequent=0)), check_corpus),
-    "serialized": (load_serialized_corpus, check_corpus),
     "dictionary": (lambda path: load_dictionary(path, *VOCABULARIES), check_dictionary),
     "model": (load_model, check_model),
 }
