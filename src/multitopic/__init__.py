@@ -32,7 +32,7 @@ from .models import (
     token_conditional,
     train,
 )
-from .schedule import LisHistory, compute_lis, should_anneal
+from .schedule import LisHistory, compute_lis
 from .transfer import (
     AnnealConfig,
     FocusConfig,

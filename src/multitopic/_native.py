@@ -106,14 +106,15 @@ def _declare(lib) -> None:
 
     n = ctypes.c_int64
     x = ctypes.c_double
+    bitgen = ctypes.c_void_p  # numpy's bitgen_t *, Generator.bit_generator.ctypes.bit_generator
     # ndpointer checks each array's dtype and layout on every call
     ints = ndpointer("int64", flags="C_CONTIGUOUS")
     floats = ndpointer("float64", flags="C_CONTIGUOUS")
     lib.sweep_tree.argtypes = [
         n, n, ints, ints, ints, ints, ints, floats, ints, ints, ints,
-        ints, ints, ints, ints, x, x, x, x, floats, floats, floats,
+        ints, ints, ints, ints, x, x, x, x, bitgen, floats, floats,
     ]
-    lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, floats, floats]
+    lib.infer_doc.argtypes = [n, n, n, ints, ints, ints, floats, x, bitgen, floats]
     # each returns how many tokens' topic scores overflowed (see _sweeps.c)
     lib.sweep_tree.restype = lib.infer_doc.restype = n
 

@@ -6,12 +6,13 @@
  * every (leaf, topic) pair is scored, the token takes the first entry of
  * the running score sums that exceeds u * (sum of all scores), clamped to
  * the last entry, and its counts are added back. Document d's tokens are
- * tokens[doc_start[d] .. doc_start[d + 1]), z holds their topics and u
- * one uniform draw per token. infer_doc takes the same step on one
- * held-out document, with the topic-word table frozen. Each returns how
- * many tokens' scores summed to no positive finite number (an overflow;
- * infer_doc lets a word that no topic emits sum to 0 and take the last
- * topic); counting them changes no draw.
+ * tokens[doc_start[d] .. doc_start[d + 1]) and z holds their topics; u
+ * is one next_double call on numpy's bit generator per token, in sweep
+ * order, which is the double Generator.random would draw. infer_doc takes
+ * the same step on one held-out document, with the topic-word table
+ * frozen. Each returns how many tokens' scores summed to no positive
+ * finite number (an overflow; infer_doc lets a word that no topic emits
+ * sum to 0 and take the last topic); counting them changes no draw.
  *
  * These are the only sampling steps. Each score is the expression of the
  * scalar reference loops in tests/oracles.py, evaluated in the same order,
@@ -22,6 +23,16 @@
 
 #include <float.h>
 #include <stdint.h>
+
+/* numpy's bit generator, as numpy/random/bitgen.h declares it; the caller
+ * passes Generator.bit_generator.ctypes.bit_generator and holds its lock */
+typedef struct bitgen {
+  void *state;
+  uint64_t (*next_uint64)(void *st);
+  uint32_t (*next_uint32)(void *st);
+  double (*next_double)(void *st);
+  uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 /* First index whose running sum exceeds x, clamped to n - 1. */
 static int64_t pick(const double *cdf, int64_t n, double x)
@@ -57,7 +68,7 @@ int64_t sweep_tree(
     const int64_t *member_start, const int64_t *member_concepts,
     int64_t *ncp, int64_t *nleaf, int64_t *ctotal, int64_t *utotal,
     double beta, double beta_root, double beta_internal, double root_prior,
-    const double *u, double *cdf, double *den)
+    bitgen_t *bitgen, double *cdf, double *den)
 {
     const int64_t K = n_topics;
     const double beta_int2 = 2.0 * beta_internal;
@@ -92,7 +103,7 @@ int64_t sweep_tree(
                     acc = t ? acc + score : score;
                     cdf[t] = acc;
                 }
-                k = pick(cdf, K, u[i] * acc);
+                k = pick(cdf, K, bitgen->next_double(bitgen->state) * acc);
                 c = -1;
             } else {
                 for (int64_t j = 0; j < n_ms; j++) {
@@ -107,7 +118,7 @@ int64_t sweep_tree(
                         cdf[j * K + t] = acc;
                     }
                 }
-                const int64_t p = pick(cdf, n_ms * K, u[i] * acc);
+                const int64_t p = pick(cdf, n_ms * K, bitgen->next_double(bitgen->state) * acc);
                 k = p % K;
                 c = ms[p / K];
             }
@@ -132,17 +143,15 @@ int64_t sweep_tree(
 /* Held-out inference for one document of n tokens, phi frozen: n_iter
  * passes over the tokens in order, each token scoring topic t as
  * ((double)nd[t] + alpha) * phi_t[w * K + t] with its own assignment
- * removed from nd. phi_t is the V x K transpose of phi; u holds
- * n_iter * n uniforms, one pass's after another. */
+ * removed from nd. phi_t is the V x K transpose of phi. */
 int64_t infer_doc(
     int64_t n, int64_t n_topics, int64_t n_iter, const int64_t *tokens,
     int64_t *z, int64_t *nd, const double *phi_t, double alpha,
-    const double *u, double *cdf)
+    bitgen_t *bitgen, double *cdf)
 {
     const int64_t K = n_topics;
     int64_t bad = 0;
     for (int64_t it = 0; it < n_iter; it++) {
-        const double *ui = u + it * n;
         for (int64_t i = 0; i < n; i++) {
             const double *pw = phi_t + tokens[i] * K;
             int64_t k = z[i];
@@ -154,7 +163,7 @@ int64_t infer_doc(
                 cdf[t] = acc;
             }
             bad += !(acc <= DBL_MAX);
-            k = pick(cdf, K, ui[i] * acc);
+            k = pick(cdf, K, bitgen->next_double(bitgen->state) * acc);
             z[i] = k;
             nd[k]++;
         }

@@ -27,8 +27,9 @@ document run from `_sweeps.c`, built and loaded by `_native`, so
 `train` and `infer_heldout` need a C compiler the first time they run on
 a machine (`_native.load` raises `ConfigError` without one); the other
 evaluations and serialization do not. The kernels draw one uniform per
-token, a side's or a document's in order, and are tested bit for bit
-against the scalar loops in `tests/oracles.py`.
+token from the generator they are given, a side's or a document's in
+order, and are tested bit for bit against the scalar loops in
+`tests/oracles.py`.
 
 `save_model` hands every numeric table to `corpus.write_json` as an
 array, which formats each distinct value once (phi and theta repeat a
@@ -67,9 +68,6 @@ HARDLINK_FORMULATION = Key("conditional", "enum", choices=("conditional", "joint
 # draw words through the Dirichlet tree
 SOFT_KINDS = ("softlink", "softlink_voclink")
 TREE_KINDS = ("voclink", "softlink_voclink")
-# the most uniforms held-out inference draws at once (512 KB of doubles); a
-# document draws as many whole iterations' worth as fit, at least one
-_UNIFORM_BLOCK = 1 << 16
 
 
 @dataclass
@@ -252,18 +250,19 @@ def _tree_sweep(
     tree: DirichletTree, s: int, hp: Hyperparams, rng,
 ) -> None:
     """The `sweep_tree` kernel over side `s`, with its flat `paths`,
-    updating the tree's counts too."""
+    updating the tree's counts and drawing a double per token from `rng`."""
     starts = tree.member_start[s]
     k = side.n_topics
     # the running sums of the word with the most concepts
     cdf = np.empty(int(np.diff(starts).max(initial=1)) * k)
-    unscored = lib.sweep_tree(
-        len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
-        side.doc_topic, priors, side.word_topic, starts, tree.member_concepts[s],
-        tree.concept_topic, tree.leaf_topic[s], tree.concept_total, tree.untrans_total[s],
-        hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
-        rng.random(len(side.tokens)), cdf, np.empty(k),
-    )
+    with rng.bit_generator.lock:
+        unscored = lib.sweep_tree(
+            len(side.doc_topic), k, side.doc_start, side.tokens, side.z, paths,
+            side.doc_topic, priors, side.word_topic, starts, tree.member_concepts[s],
+            tree.concept_topic, tree.leaf_topic[s], tree.concept_total, tree.untrans_total[s],
+            hp.beta, hp.beta_root, hp.beta_internal, tree.root_children_prior(s, hp.beta_root, hp.beta),
+            rng.bit_generator.ctypes.bit_generator, cdf, np.empty(k),
+        )
     if unscored:
         in_tree = ("beta_root", "beta_internal") if tree.n_concepts else ()
         raise _unscored(hp, "alpha", "beta", *in_tree)
@@ -501,13 +500,12 @@ def infer_heldout(
     trained topic-word table frozen: only document counts are resampled,
     under the symmetric alpha prior (no transfer at inference time).
 
-    Each document is sampled alone by the compiled `infer_doc` kernel,
-    from its own spawned random stream: `integers(0, K, n)` for the
-    initial topics, then one `random(n)` per iteration, drawn a block of
-    whole iterations at a time (one `random(b * n)` call gives the doubles
-    of b `random(n)` calls), at most `_UNIFORM_BLOCK` doubles per draw.
-    Results therefore do not depend on document order or on what else is
-    in the corpus. An empty document keeps the uniform row. `seed` and
+    Each document is sampled alone by one call of the compiled
+    `infer_doc` kernel, from its own spawned random stream:
+    `integers(0, K, n)` for the initial topics, then the kernel's own
+    draws, the doubles of one `random(n)` per iteration. Results
+    therefore do not depend on document order or on what else is in the
+    corpus. An empty document keeps the uniform row. `seed` and
     `iterations` are checked as `seed` and `infer_iterations` are.
     """
     seed = Hyperparams.checked("seed", seed)
@@ -545,13 +543,13 @@ def infer_heldout(
         rng = np.random.default_rng(streams[d])
         z = rng.integers(0, n_topics, size=n)
         nd = np.bincount(z, minlength=n_topics)
-        per_draw = max(1, _UNIFORM_BLOCK // n)
-        for done in range(0, n_iter, per_draw):
-            block = min(per_draw, n_iter - done)
-            if lib.infer_doc(
-                n, n_topics, block, tokens[a:b], z, nd, phi_t, alpha, rng.random(block * n), cdf
-            ):
-                raise _unscored(hp, "alpha")
+        with rng.bit_generator.lock:
+            unscored = lib.infer_doc(
+                n, n_topics, n_iter, tokens[a:b], z, nd, phi_t, alpha,
+                rng.bit_generator.ctypes.bit_generator, cdf,
+            )
+        if unscored:
+            raise _unscored(hp, "alpha")
         theta[d] = (nd + alpha) / (n + n_topics * alpha)
     return theta
 
@@ -577,19 +575,6 @@ def _model_parts(model: TopicModel, include_counts: bool) -> dict:
         "provenance": model.provenance,
         "counts": model.counts if include_counts else None,
     }
-
-
-def model_to_json(model: TopicModel, include_counts: bool = True) -> dict:
-    """The model container as plain JSON values: what `save_model` writes."""
-    payload = _model_parts(model, include_counts)
-    for key in ("phi", "theta"):
-        payload[key] = [table.tolist() for table in payload[key]]
-    if payload["counts"] is not None:
-        payload["counts"] = {
-            key: [table.tolist() for table in tables]
-            for key, tables in payload["counts"].items()
-        }
-    return payload
 
 
 def _table(value, shape: tuple[int, int], name: str, counts: bool = False) -> np.ndarray:
@@ -744,7 +729,7 @@ def model_from_json(payload: dict) -> TopicModel:
 
 def save_model(model: TopicModel, path: str | Path, include_counts: bool = True) -> None:
     """Write the versioned model container. Count tables are needed for
-    LIS evaluation and resumable work; drop them for a smaller file."""
+    LIS evaluation; drop them for a smaller file."""
     write_json(_model_parts(model, include_counts), path)
 
 

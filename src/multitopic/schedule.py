@@ -150,11 +150,6 @@ def _anneal_rule(history: LisHistory, t: int) -> tuple[float, float, bool]:
     return recent, previous, recent > previous
 
 
-def should_anneal(history: LisHistory, t: int) -> bool:
-    """`_anneal_rule`'s decision at iteration `t`."""
-    return _anneal_rule(history, t)[2]
-
-
 class AnnealScheduler:
     """Drives annealing from inside the training loop.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from multitopic.corpus import Vocabulary
 from multitopic.dictionary import BilingualDictionary
-from multitopic.models import SideState, _tree_sweep, tally_side, token_conditional
+from multitopic.models import SideState, _model_parts, _tree_sweep, tally_side, token_conditional
 from multitopic.transfer import TransferMatrix
 from multitopic.tree import DirichletTree
 
@@ -401,7 +401,9 @@ def _record(trace, probs, u):
         trace.append((sums, u))
 
 
-def sweep_plain_reference(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng, trace=None):
+def prior_vector_sweep_reference(
+    tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics, rng, trace=None
+):
     """One Gibbs sweep where the topic prior for document d is the float
     vector priors[d] (alpha, or alpha plus transfer pseudo-counts). Under
     conditional hard links the caller has added the partner's topic counts
@@ -441,13 +443,13 @@ def sweep_plain_reference(tokens, z, ndk, priors, nwk, nk, beta, vbeta, n_topics
             nk[k1] += 1
 
 
-def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, beta, u, cdf):
+def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, beta, rng, cdf):
     """The one compiled training sweep as LDA, soft links and hard links
     run it: over a tree built from an empty dictionary, where every word
     is its own root leaf, whose root-leaf totals start as the column sums
     of `nwk`. Updates the int64 arrays `z`, `ndk` and `nwk` in place, as
-    the scalar `sweep_plain_reference` updates its lists (its `nk` is
-    then `nwk.sum(axis=0)`)."""
+    the scalar `prior_vector_sweep_reference` updates its lists (its `nk`
+    is then `nwk.sum(axis=0)`), drawing one double per token from `rng`."""
     n_topics = nwk.shape[1]
     vocabularies = (
         Vocabulary("l1", [f"w{i}" for i in range(len(nwk))]), Vocabulary("l2", []),
@@ -458,8 +460,8 @@ def concept_free_sweep(lib, doc_start, tokens, z, ndk, priors, nwk, beta, u, cdf
         len(ndk), n_topics, doc_start, tokens, z, np.full(len(tokens), -1, dtype=np.int64),
         ndk, priors, nwk, tree.member_start[0], tree.member_concepts[0],
         tree.concept_topic, tree.leaf_topic[0], tree.concept_total, tree.untrans_total[0],
-        beta, 0.01, 100.0, tree.root_children_prior(0, 0.01, beta), u, cdf,
-        np.empty(n_topics),
+        beta, 0.01, 100.0, tree.root_children_prior(0, 0.01, beta),
+        rng.bit_generator.ctypes.bit_generator, cdf, np.empty(n_topics),
     )
 
 
@@ -477,7 +479,7 @@ def hardlink_iteration_reference(lib, sides, paths, links, tree, hp, rng):
         side.doc_topic[own] -= sides[1 - s].doc_topic[partner]
 
 
-def sweep_pooled_reference(
+def pooled_hardlink_sweep_reference(
     tokens, z, ndk, pools, alpha, nwk, nk, beta, vbeta, n_topics, rng, trace=None
 ):
     """Joint-formulation hard links: each linked pair shares one pooled
@@ -818,7 +820,7 @@ def adaptive_schedule_reference(cfg, matrices, tables, dictionary, beta, seed):
     """The adaptive schedule scoring LIS as each LIS iteration comes, one
     `compute_lis` call at a time; `tables[i]` holds the word-topic tables
     at the end of iteration i + 1. Returns the LisHistory and the events."""
-    from multitopic.schedule import LisHistory, compute_lis, should_anneal
+    from multitopic.schedule import LisHistory, _anneal_rule, compute_lis
     from multitopic.transfer import anneal_matrix
 
     history = LisHistory(interval=cfg.interval)
@@ -829,7 +831,7 @@ def adaptive_schedule_reference(cfg, matrices, tables, dictionary, beta, seed):
         if (
             iteration % cfg.interval == 0
             and 2 * cfg.interval <= iteration <= cfg.stop_iteration
-            and should_anneal(history, iteration)
+            and _anneal_rule(history, iteration)[2]
         ):
             matrices = [anneal_matrix(m, cfg.temperature) for m in matrices]
             events.append({
@@ -1077,3 +1079,16 @@ def dictionary_pairs_reference(entries, v1, v2):
                 seen.add(pair)
                 pairs.append(pair)
     return pairs
+
+
+def model_to_json(model, include_counts=True):
+    """The model container as plain JSON values: what `save_model` writes."""
+    payload = _model_parts(model, include_counts)
+    for key in ("phi", "theta"):
+        payload[key] = [table.tolist() for table in payload[key]]
+    if payload["counts"] is not None:
+        payload["counts"] = {
+            key: [table.tolist() for table in tables]
+            for key, tables in payload["counts"].items()
+        }
+    return payload

@@ -50,7 +50,9 @@ def successive_conditional_counts(rng) -> np.ndarray:
     for j in range(SAMPLES):
         for _ in range(THIN):
             words = np.argmax(rng.random(N)[:, None] < word_cdf[z], axis=1)
-            lib.infer_doc(N, K, 1, words, z, nd, phi_t, ALPHA, rng.random(N), cdf)
+            lib.infer_doc(
+                N, K, 1, words, z, nd, phi_t, ALPHA, rng.bit_generator.ctypes.bit_generator, cdf
+            )
         kept[j] = nd[0]
     return kept
 
@@ -129,10 +131,7 @@ def successive_conditional_soft(rng) -> np.ndarray:
         for _ in range(SOFT_THIN):
             words = draw_words(z, rng)
             nw = tally(words, z, SOFT_V)
-            concept_free_sweep(
-                lib, doc_start, words, z, nd, SOFT_PRIORS, nw, SOFT_BETA,
-                rng.random(len(z)), cdf,
-            )
+            concept_free_sweep(lib, doc_start, words, z, nd, SOFT_PRIORS, nw, SOFT_BETA, rng, cdf)
         kept.append(soft_statistics(nd, nw))
     return np.array(kept)
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from multitopic import _native
@@ -207,6 +208,24 @@ def test_every_kernel_in_the_source_is_declared_and_no_other():
     for name, kernel in lib.kernels.items():
         # each returns its count of tokens whose scores have no usable sum
         assert getattr(kernel, "argtypes", None) and kernel.restype is ctypes.c_int64, name
+
+
+def bitgen_fields(text: str) -> list[str]:
+    """The field declarations of the `bitgen_t` struct in C source `text`,
+    whitespace removed."""
+    body = re.search(r"typedef struct bitgen \{(.*?)\} bitgen_t;", text, re.DOTALL)
+    assert body, "no bitgen_t declaration"
+    return ["".join(field.split()) for field in body.group(1).split(";") if field.strip()]
+
+
+def test_bitgen_declaration_matches_numpys_header():
+    # the kernels call next_double through their own copy of numpy's struct
+    header = Path(np.get_include()) / "numpy" / "random" / "bitgen.h"
+    if not header.is_file():
+        pytest.skip(f"numpy's {header.name} is not installed")
+    ours = bitgen_fields(_native.SOURCE.read_text())
+    assert len(ours) == 5
+    assert ours == bitgen_fields(header.read_text())
 
 
 def test_kernels_compile_cleanly_under_every_common_warning(tmp_path):

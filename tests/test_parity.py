@@ -50,14 +50,13 @@ from multitopic.models import (
     TopicModel,
     infer_heldout,
     load_model,
-    model_to_json,
     save_model,
     token_conditional,
     train,
     write_json,
 )
 from multitopic.schedule import AnnealScheduler, compute_lis, concept_features, lis_scores
-from multitopic.tree import DirichletTree
+from multitopic.tree import DirichletTree, build_tree
 from multitopic.transfer import (
     AnnealConfig,
     FocusConfig,
@@ -84,14 +83,15 @@ from oracles import (
     matrix_from_rows,
     mean_row_max_reference,
     memberships_reference,
+    model_to_json,
     nonempty_rows_reference,
     normalise_block_reference,
+    pooled_hardlink_sweep_reference,
+    prior_vector_sweep_reference,
     pseudo_counts_reference,
     side_state_without_token,
     sigmoid_reference,
     static_focus_reference,
-    sweep_plain_reference,
-    sweep_pooled_reference,
     sweep_tree_reference,
     tree_counts_without_token,
 )
@@ -197,7 +197,7 @@ def assert_compiled_matches(state: dict, reference, args, compiled, cdf_size: in
 
 @SETTINGS
 @given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
-def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
+def test_concept_free_sweep_matches_prior_vector_loop(lib, state, prior):
     k, ndk, rng, alpha = state["k"], state["ndk"], state["rng"], state["alpha"]
     priors = [[alpha] * k] * len(ndk)
     if prior == "softlink":
@@ -217,20 +217,19 @@ def test_compiled_plain_sweep_matches_scalar_loop(lib, state, prior):
         nd, nw = table(ndk, k), table(state["nwk"], k)
         for _ in range(state["sweeps"]):
             concept_free_sweep(
-                lib, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k),
-                nw, beta, rng.random(len(tokens)), cdf,
+                lib, doc_start, tokens, z, nd, np.array(priors).reshape(-1, k), nw, beta, rng, cdf,
             )
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(), priors, nw.tolist(),
             nw.sum(axis=0).tolist(), beta, vbeta, k,
         )
 
-    assert_compiled_matches(state, sweep_plain_reference, args, compiled, k)
+    assert_compiled_matches(state, prior_vector_sweep_reference, args, compiled, k)
 
 
 @SETTINGS
 @given(sweep_states())
-def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
+def test_concept_free_sweep_matches_pooled_hardlink_loop(lib, state):
     """Joint hard links run the one kernel over a tree without concepts: a
     pooled document's own row plus the pool's extra counts, alpha priors,
     and the extra counts taken off again after the sweep."""
@@ -252,9 +251,7 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
         priors = np.full((len(nd), k), alpha)
         for _ in range(state["sweeps"]):
             nd[pooled] += extra
-            concept_free_sweep(
-                lib, doc_start, tokens, z, nd, priors, nw, beta, rng.random(len(tokens)), cdf,
-            )
+            concept_free_sweep(lib, doc_start, tokens, z, nd, priors, nw, beta, rng, cdf)
             nd[pooled] -= extra
         return (
             state["tokens"], per_doc(z, doc_start), nd.tolist(),
@@ -262,7 +259,7 @@ def test_compiled_pooled_sweep_matches_scalar_loop(lib, state):
             alpha, nw.tolist(), nw.sum(axis=0).tolist(), beta, vbeta, k,
         )
 
-    assert_compiled_matches(state, sweep_pooled_reference, args, compiled, k)
+    assert_compiled_matches(state, pooled_hardlink_sweep_reference, args, compiled, k)
 
 
 @SETTINGS
@@ -315,7 +312,7 @@ def test_compiled_tree_sweep_matches_scalar_loop(lib, state, n_concepts, soft, b
                 len(nd), k, doc_start, flat_tokens, flat_z, flat_paths, nd,
                 np.array(priors).reshape(-1, k), nw, member_start, member_concepts,
                 node, leaf, c_total, u_total, beta, beta_root, beta_internal, root_prior,
-                rng.random(len(flat_tokens)), cdf, np.empty(k),
+                rng.bit_generator.ctypes.bit_generator, cdf, np.empty(k),
             )
         return (
             tokens, per_doc(flat_z, doc_start), per_doc(flat_paths, doc_start), nd.tolist(),
@@ -360,7 +357,7 @@ CONDITIONAL_SETTINGS = settings(SETTINGS, max_examples=30)
 
 @CONDITIONAL_SETTINGS
 @given(sweep_states(), st.sampled_from(["lda", "softlink", "hardlink"]))
-def test_plain_sweep_draws_from_the_reference_conditionals(state, prior):
+def test_concept_free_sweep_draws_from_the_reference_conditionals(state, prior):
     k, tokens, z, rng, alpha, beta = (
         state["k"], state["tokens"], state["z"], state["rng"], state["alpha"], state["beta"]
     )
@@ -381,7 +378,7 @@ def test_plain_sweep_draws_from_the_reference_conditionals(state, prior):
     sweep_rng = np.random.default_rng(state["seed"])
     for _ in range(state["sweeps"]):
         before = copy.deepcopy(z)
-        cdfs = traced_sweep(sweep_plain_reference, args, sweep_rng)
+        cdfs = traced_sweep(prior_vector_sweep_reference, args, sweep_rng)
         visits = states_before_each_token(tokens, (before,), (z,))
         for (d, i, (z_now,)), cdf in zip(visits, cdfs, strict=True):
             side = side_state_without_token(tokens, z_now, k, vocab_size, d, i)
@@ -492,6 +489,37 @@ def test_path_initialisation_matches_the_per_token_loop(case):
     assert rng.bit_generator.state == want_rng.bit_generator.state
     for name in ("concept_topic", "leaf_topic", "concept_total", "untrans_total"):
         assert same_bits(getattr(tree, name), getattr(reference, name)), name
+
+
+@pytest.mark.parametrize("kind", ["softlink", "voclink"])
+def test_iteration_draws_one_double_per_token_from_the_run_generator(lib, kind):
+    """The kernels draw from the generator they are given: one iteration
+    leaves it where `random` over both sides' tokens leaves a copy taken
+    after initialization, so any draw after training stays where it was."""
+    data = generate_synthetic(
+        k=3, vocab_per_lang=40, docs_per_lang=12, doc_len=10,
+        dict_coverage=0.3, topic_sharpness=8.0, seed=2,
+    )
+    corpus, dictionary = data.corpus, data.dictionary
+    hp = Hyperparams(k=3, seed=4)
+    v1, v2 = corpus.side1.vocabulary, corpus.side2.vocabulary
+    if kind == "softlink":
+        tree = build_tree(BilingualDictionary("l1", "l2", []), v1, v2, hp.k)
+        tables = [
+            build_transfer_matrix(corpus.side1, corpus.side2, dictionary),
+            build_transfer_matrix(corpus.side2, corpus.side1, dictionary),
+        ]
+    else:
+        tree = build_tree(dictionary, v1, v2, hp.k)
+        tables = models._hard_links(corpus, [])
+    rng = np.random.default_rng(hp.seed)
+    sides, paths = zip(*(
+        models._init_side(c, hp.k, rng, tree, s) for s, c in enumerate((corpus.side1, corpus.side2))
+    ))
+    want = copy.deepcopy(rng)
+    models._iteration(lib, sides, paths, tables, kind == "softlink", tree, hp, rng)
+    want.random(len(sides[0].tokens) + len(sides[1].tokens))
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def trained_models() -> dict:
@@ -821,7 +849,7 @@ def inference_cases(draw):
 
 @SETTINGS
 @given(inference_cases())
-def test_lockstep_inference_matches_per_document_loop(case):
+def test_inference_matches_per_document_loop(case):
     model, corpus, seed, iterations = case
     got = infer_heldout(model, corpus, seed=seed, iterations=iterations)
     want = infer_heldout_reference(model, corpus, seed=seed, iterations=iterations)
@@ -829,7 +857,7 @@ def test_lockstep_inference_matches_per_document_loop(case):
 
 
 @pytest.mark.parametrize("lengths", [[], [0], [0, 0], [7], [0, 5, 0, 1, 9, 9, 2]])
-def test_lockstep_inference_edge_shapes(lengths):
+def test_inference_edge_shapes(lengths):
     rng = np.random.default_rng(len(lengths))
     model = make_model(rng.dirichlet(np.ones(6), size=4), 0.1)
     docs = [
@@ -842,7 +870,7 @@ def test_lockstep_inference_edge_shapes(lengths):
     assert same_bits(got, infer_heldout_reference(model, corpus, seed=5))
 
 
-def test_lockstep_inference_word_without_mass_falls_to_last_topic():
+def test_inference_word_without_mass_falls_to_last_topic():
     # a word no topic can emit has an all-zero CDF, so u = 0 equals every
     # entry: the per-token walk finds no topic with u < cdf and takes the last
     phi = np.array([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75], [0.5, 0.0, 0.5]])
@@ -853,21 +881,20 @@ def test_lockstep_inference_word_without_mass_falls_to_last_topic():
     assert got[0, 2] >= (3 + 0.1) / (4 + 3 * 0.1)
 
 
-@pytest.mark.parametrize("block", [1, 5, 16])
-def test_lockstep_inference_draws_uniforms_in_blocks_of_iterations(block):
-    # with a block of 5 doubles the 7-token document draws one iteration at
-    # a time and the 2-token one two, the last block short; the doubles
-    # concatenate, so theta does not change
-    rng = np.random.default_rng(block)
+@pytest.mark.parametrize("iterations", [1023, 1024, 1025])
+def test_inference_matches_reference_across_the_old_block_size(iterations):
+    # the 64-token document draws 64 x iterations uniforms in one kernel
+    # call: just below, at and just above 65,536, where inference once cut
+    # its draws into blocks
+    rng = np.random.default_rng(iterations)
     model = make_model(rng.dirichlet(np.ones(6), size=4), 0.1)
     docs = [
         Document(f"d{i}", "l1", rng.integers(0, 6, size=n).tolist())
-        for i, n in enumerate([7, 2, 3, 0, 5, 20])
+        for i, n in enumerate([64, 0, 7])
     ]
     corpus = Corpus("l1", model.vocabularies[0], docs)
-    with mock.patch.object(models, "_UNIFORM_BLOCK", block):
-        got = infer_heldout(model, corpus, seed=2, iterations=5)
-    assert same_bits(got, infer_heldout_reference(model, corpus, seed=2, iterations=5))
+    got = infer_heldout(model, corpus, seed=2, iterations=iterations)
+    assert same_bits(got, infer_heldout_reference(model, corpus, seed=2, iterations=iterations))
 
 
 @pytest.mark.parametrize("word, k, message", [
@@ -875,7 +902,7 @@ def test_lockstep_inference_draws_uniforms_in_blocks_of_iterations(block):
     (6, 2, r"word ids must lie in \[0, 6\)"),
     (0, 3, r"phi of shape \(2, 6\) does not match k = 3"),
 ])
-def test_lockstep_inference_refuses_what_the_kernel_cannot_index(word, k, message):
+def test_inference_refuses_what_the_kernel_cannot_index(word, k, message):
     model = make_model(np.full((2, 6), 1 / 6), 0.1)
     model.hyperparams = Hyperparams(k=k, alpha=0.1)
     corpus = Corpus("l1", model.vocabularies[0], [Document("d", "l1", [0, word])])

@@ -20,9 +20,9 @@ from multitopic.logreg import (
 from multitopic.schedule import (
     AnnealScheduler,
     LisHistory,
+    _anneal_rule,
     compute_lis,
     concept_features,
-    should_anneal,
 )
 from multitopic.transfer import AnnealConfig
 
@@ -209,20 +209,20 @@ class TestShouldAnneal:
 
     def test_rising_windows_trigger(self):
         h = self.history([0.70] * 5 + [0.72] * 5, interval=5)
-        assert should_anneal(h, 10) is True
+        assert _anneal_rule(h, 10)[2] is True
 
     def test_equal_windows_do_not_trigger(self):
         h = self.history([0.7] * 10, interval=5)
-        assert should_anneal(h, 10) is False
+        assert _anneal_rule(h, 10)[2] is False
 
     def test_decreasing_windows_do_not_trigger(self):
         h = self.history([0.8] * 5 + [0.6] * 5, interval=5)
-        assert should_anneal(h, 10) is False
+        assert _anneal_rule(h, 10)[2] is False
 
     def test_insufficient_history_rejected(self):
         h = self.history([0.5] * 6, interval=5)
         with pytest.raises(ConfigError):
-            should_anneal(h, 6)
+            _anneal_rule(h, 6)[2]
 
 
 def dummy_matrix(n_rows=4):
