@@ -228,13 +228,13 @@ def _load_bilingual(config: dict):
 def _train_plan(config: dict) -> dict:
     """Every key of the merged config by path, checked against CONFIG_KEYS
     whichever model is chosen; then the rules the config alone decides:
-    both languages are set, the files the model reads exist, only
+    both languages are set and differ, the files the model reads exist, only
     soft-link models anneal, and the anneal settings agree. Reads no input
     and creates nothing."""
     value = {path: _setting(config, path) for path in CONFIG_KEYS}
     kind = value["model"]
+    corpus_io.check_languages(*(_required(config, f"language{side}") for side in (1, 2)))
     for side in (1, 2):
-        _required(config, f"language{side}")
         _require_path(config, f"corpus{side}")
         if value[f"paths.stopwords{side}"]:
             _require_path(config, f"stopwords{side}")
@@ -383,6 +383,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_transfer_build(args: argparse.Namespace) -> int:
+    corpus_io.check_languages(args.language1, args.language2)
     _check_output_file(args.output, "--output")
     focus = FocusConfig(threshold=args.focus_threshold, scope=args.focus_scope)
     options = corpus_io.LoaderOptions(top_frequent=args.top_frequent)

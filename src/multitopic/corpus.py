@@ -380,14 +380,19 @@ def load_corpus(
     return Corpus(language=language, vocabulary=vocabulary, documents=documents)
 
 
+def check_languages(language1: str, language2: str) -> None:
+    """Refuse two corpora in one language."""
+    if language1 == language2:
+        raise ConfigError(f"both corpora have language {language1!r}")
+
+
 def pair_corpora(c1: Corpus, c2: Corpus) -> BilingualCorpus:
     """Join two corpora on matching link ids.
 
     Unmatched link ids are logged as warnings; a link id appearing on two
     documents of the same side is an error.
     """
-    if c1.language == c2.language:
-        raise ConfigError(f"both corpora have language {c1.language!r}")
+    check_languages(c1.language, c2.language)
 
     def link_index(corpus: Corpus) -> dict[str, int]:
         index: dict[str, int] = {}

@@ -116,32 +116,9 @@ def top_words(phi_row: np.ndarray, c: int = 20) -> list[int]:
     return _top_word_ids(np.asarray(phi_row), c).tolist()
 
 
-# bytes of one chunk of topics' ANDed membership words: small enough that
-# the popcount's passes stay in cache
+# bytes of one chunk of topics' ANDed membership words: bounds the
+# step x c1 x c2 x words temporary that `np.bitwise_count` reads
 _CHUNK_BYTES = 1 << 17
-_M1, _M2, _M4, _H01 = (
-    np.uint64(m)
-    for m in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
-)
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, counted in place by the SWAR method
-    (Warren, Hacker's Delight, 5-1): bit counts of 2-, 4- and 8-bit
-    fields, then their sum in the top byte."""
-    t = x >> np.uint64(1)
-    t &= _M1
-    x -= t
-    np.right_shift(x, np.uint64(2), out=t)
-    t &= _M2
-    x &= _M2
-    x += t
-    np.right_shift(x, np.uint64(4), out=t)
-    x += t
-    x &= _M4
-    x *= _H01  # wraps modulo 2**64: only the top byte is read
-    x >>= np.uint64(56)
-    return x
 
 
 def _membership(entries: np.ndarray, words: np.ndarray, total: int):
@@ -193,7 +170,7 @@ def _cnpmi_scores(words1: np.ndarray, words2: np.ndarray, ref: ReferenceCorpus) 
     for start in range(0, n_topics, step):
         a = bits1[rows1[start : start + step]][:, :, None, :]
         b = bits2[rows2[start : start + step]][:, None, :, :]
-        joint[start : start + step] = _popcount(a & b).sum(axis=-1, dtype=np.int64)
+        joint[start : start + step] = np.bitwise_count(a & b).sum(axis=-1, dtype=np.int64)
     count1 = np.broadcast_to(count1[:, :, None], joint.shape)
     count2 = np.broadcast_to(count2[:, None, :], joint.shape)
 
@@ -304,6 +281,9 @@ def classify_crosslingual(
     universe, y_train, y_test = _label_tables(train_labels, test_labels)
     if y_train.shape[1] != len(train_theta) or y_test.shape[1] != len(test_theta):
         raise ConfigError("label lists must align with theta rows")
+    k_train, k_test = train_theta.shape[-1], test_theta.shape[-1]
+    if k_train != k_test:
+        raise ConfigError(f"training thetas have {k_train} topics, test thetas {k_test}")
     n_train = y_train.shape[1]
     positives = y_train.sum(axis=1)
     for index in np.flatnonzero(positives == 0).tolist():

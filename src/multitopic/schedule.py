@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import write_jsonl
 from .dictionary import BilingualDictionary
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .logreg import cross_val_accuracies
 from .transfer import AnnealConfig, TransferMatrix, anneal_matrix
 
@@ -135,6 +135,9 @@ def compute_lis(
     under `seed` before the stratified folds are cut."""
     check_lis_concepts(len(dictionary.concepts), folds)
     dictionary.check_vocabularies(tuple(len(table) for table in word_topics))
+    k1, k2 = (table.shape[1] for table in word_topics)
+    if k1 != k2:
+        raise DataError(f"word-topic tables have {k1} and {k2} topics")
     x, y = concept_features(word_topics, dictionary, beta)
     return lis_scores([x], y, folds, seed)[0]
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, check_languages
 from .dictionary import BilingualDictionary, grouped
 from .errors import ConfigError
 from .settings import Key, Settings, setting
@@ -223,8 +223,7 @@ def build_transfer_matrix(
     scoring one document pair at a time.
     """
     numerator = NUMERATOR.check("numerator", numerator)
-    if target.language == source.language:
-        raise ConfigError(f"both corpora have language {target.language!r}")
+    check_languages(target.language, source.language)
     langs = {dictionary.lang1, dictionary.lang2}
     if {target.language, source.language} != langs:
         raise ConfigError(

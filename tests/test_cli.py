@@ -303,6 +303,20 @@ def test_transfer_build_refuses_two_corpora_of_one_language(tmp_path, toy_data, 
         build_transfer_matrix(corpus, corpus, dictionary)
 
 
+def test_transfer_build_refuses_one_language_before_opening_any_input(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    out_path = tmp_path / "matrix.tsv"
+    code = main([
+        "transfer-build",
+        "--corpus1", str(missing / "c1.jsonl"), "--corpus2", str(missing / "c2.jsonl"),
+        "--language1", "l1", "--language2", "l1", "--target-side", "1",
+        "--dictionary", str(missing / "dict.tsv"), "--output", str(out_path),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: both corpora have language 'l1'\n"
+    assert not out_path.exists()
+
+
 def test_train_seed_and_threads_flags_reach_the_manifest_as_integers(tmp_path, toy_data):
     flagged = tmp_path / "flagged"
     config_path = tmp_path / "flagged.json"
@@ -721,6 +735,11 @@ def test_library_objects_take_what_the_config_takes():
     ({}, {"language2": None}, "paths.language2 is required"),
     ({}, {"language1": ""}, "paths.language1 is required"),
     ({}, {"stopwords1": "missing.txt"}, "paths.stopwords1: missing.txt does not exist"),
+    # before any input is opened, even one that does not exist
+    ({"model": "softlink"}, {
+        "language2": "l1", "corpus1": "missing1.jsonl", "corpus2": "missing2.jsonl",
+        "dictionary": "missing.tsv", "stopwords1": "missing.txt",
+    }, "both corpora have language 'l1'"),
     ({"model": "softlink", "anneal": {"schedule": "adaptive", "interval": 2, "lis_every": 3}}, {},
      "anneal.lis_every (3) must not exceed anneal.interval (2)"),
 ])

@@ -2,6 +2,8 @@
 reference loading, classification micro-F1, synthetic data generation."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,16 +252,17 @@ def cnpmi_topic_cases(draw):
 FOUR_BRANCHES = ([({0, 1}, {0, 1}), ({0, 2}, {0, 3})], [0, 1, 2, 9], [0, 1, 3, 9])
 
 
+def in_every_pair(n_pairs):
+    """`n_pairs` reference pairs with word 0 in every pair on both sides,
+    so each full 64-pair membership word of it is all ones and 65 pairs
+    leave a one-bit tail word; words 1 and 2 alternate."""
+    pairs = [({0, 1 + i % 2}, {0, 2 - i % 2}) for i in range(n_pairs)]
+    return pairs, [0, 1, 2], [0, 1, 2]
+
+
 class TestCnpmiParity:
     """The array path against the per-pair set-intersection loop it
     replaced (`tests/oracles.py`), compared with `==`."""
-
-    def test_popcount_counts_every_bit_of_a_word(self):
-        rng = np.random.default_rng(5)
-        values = [0, 1, 2**63, 2**64 - 1, 0x5555555555555555, 0xAAAAAAAAAAAAAAAA]
-        values += rng.integers(0, 2**64, size=50, dtype=np.uint64).tolist()
-        words = np.array(values, dtype=np.uint64)
-        assert evaluate._popcount(words).tolist() == [bin(v).count("1") for v in values]
 
     def test_fixture_reaches_every_npmi_branch(self):
         pairs, words1, words2 = FOUR_BRANCHES
@@ -279,6 +282,9 @@ class TestCnpmiParity:
 
     @SETTINGS
     @example(case=FOUR_BRANCHES)
+    @example(case=in_every_pair(64))
+    @example(case=in_every_pair(65))
+    @example(case=in_every_pair(128))
     @given(case=cnpmi_topic_cases())
     def test_topic_matches_set_intersections(self, case):
         pairs, words1, words2 = case
@@ -305,6 +311,17 @@ class TestCnpmiParity:
             for t in range(k)
         ]
         assert mean == float(np.mean(per_topic))
+
+
+def test_pyproject_requires_a_numpy_with_bitwise_count():
+    # CNPMI counts co-occurrences with np.bitwise_count, new in numpy 2.0
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    (numpy,) = [r for r in requirements if re.match(r"numpy\b", r)]
+    floor = re.fullmatch(r"numpy\s*>=\s*(\d+)(?:\.(\d+))?\b.*", numpy)
+    assert floor, numpy
+    assert (int(floor[1]), int(floor[2] or 0)) >= (2, 0)
 
 
 class TestMicroF1:
@@ -353,6 +370,11 @@ class TestMicroF1:
             f"label {label!r} has no positive training documents; never predicted"
             for label in ("a", "b")
         ]
+
+    def test_refuses_thetas_with_different_topic_counts(self):
+        labels = [["a"], ["b"]]
+        with pytest.raises(ConfigError, match="^training thetas have 3 topics, test thetas 4$"):
+            classify_crosslingual(np.eye(2, 3), labels, np.eye(2, 4), labels)
 
     def test_majority_baseline(self):
         train = [["a"], ["a"], ["b"]]

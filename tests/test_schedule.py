@@ -157,6 +157,11 @@ class TestComputeLis:
         with pytest.raises(DataError, match="^concept 11 names word 12, outside the 12-word"):
             compute_lis(tables, dictionary, beta=0.01)
 
+    def test_refuses_tables_with_different_topic_counts(self):
+        tables = tables_for(np.ones((12, 3)), np.ones((12, 4)))
+        with pytest.raises(DataError, match="^word-topic tables have 3 and 4 topics$"):
+            compute_lis(tables, identity_dictionary(12), beta=0.01)
+
     def test_leaves_numpy_ma_unimported(self, tmp_path):
         # a plain `np.unique` imports numpy.ma on first use, about 13 ms in
         # every child process: none of the commands the benchmark runs
