@@ -735,13 +735,13 @@ def test_library_objects_take_what_the_config_takes():
     ({}, {"language2": None}, "paths.language2 is required"),
     ({}, {"language1": ""}, "paths.language1 is required"),
     ({}, {"stopwords1": "missing.txt"}, "paths.stopwords1: missing.txt does not exist"),
+    ({"model": "softlink", "anneal": {"schedule": "adaptive", "interval": 2, "lis_every": 3}}, {},
+     "anneal.lis_every (3) must not exceed anneal.interval (2)"),
     # before any input is opened, even one that does not exist
     ({"model": "softlink"}, {
         "language2": "l1", "corpus1": "missing1.jsonl", "corpus2": "missing2.jsonl",
         "dictionary": "missing.tsv", "stopwords1": "missing.txt",
     }, "both corpora have language 'l1'"),
-    ({"model": "softlink", "anneal": {"schedule": "adaptive", "interval": 2, "lis_every": 3}}, {},
-     "anneal.lis_every (3) must not exceed anneal.interval (2)"),
 ])
 def test_rule_of_the_chosen_model_exits_2_before_any_work(
     tmp_path, capsys, unloadable_inputs, overrides, paths, message
